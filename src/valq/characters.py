@@ -78,14 +78,21 @@ def _dimension_box(v):
     return out
 
 
-def rigid_count_tables(b, diag, v, primes, rng_seed=0, cap=1 << 16, transform=None):
+def rigid_count_tables(
+    b, diag, v, primes, rng_seed=0, cap=1 << 16, transform=None, rigid=None
+):
     """Subrepresentation counts of the rigid representation of dimension
-    v, over each requested prime; ``transform`` may replace the rigid
-    representation (a reflection functor, say) before counting."""
+    v, over each requested prime.  ``rigid(p)`` may supply that
+    representation (from a cache, say) instead of a fresh search;
+    ``transform`` may replace it (a reflection functor, say) before
+    counting."""
     tables = {}
     for p in primes:
-        quiver = ValuedQuiver.from_matrix(b, diag, p, cap=cap)
-        rep = build_rigid_rep(quiver, v, rng_seed=rng_seed)
+        if rigid is None:
+            quiver = ValuedQuiver.from_matrix(b, diag, p, cap=cap)
+            rep = build_rigid_rep(quiver, v, rng_seed=rng_seed)
+        else:
+            rep = rigid(p)
         if transform is not None:
             rep = transform(rep)
         tables[p] = count_all_subreps(rep)
@@ -98,6 +105,10 @@ def interpolate_counts(diag, v, tables, primes):
     For each e the first bound+1 primes pin the polynomial down and all
     remaining primes must then agree; coefficients must be integers.
     """
+    if len(set(primes)) != len(primes):
+        raise InterpolationInconsistent(
+            "primes must be distinct, got %s" % (list(primes),)
+        )
     polys = {}
     for e in _dimension_box(v):
         bound = dimension_bound(diag, v, e)
@@ -124,13 +135,17 @@ def interpolate_counts(diag, v, tables, primes):
     return polys
 
 
-def counting_polynomials(b, diag, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16):
-    tables = rigid_count_tables(b, diag, v, primes, rng_seed=rng_seed, cap=cap)
+def counting_polynomials(
+    b, diag, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16, rigid=None
+):
+    tables = rigid_count_tables(
+        b, diag, v, primes, rng_seed=rng_seed, cap=cap, rigid=rigid
+    )
     return interpolate_counts(diag, v, tables, primes)
 
 
 def reflected_counting_polynomials(
-    data, k, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16
+    data, k, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16, rigid=None
 ):
     """Counting polynomials of the reflected rigid representation.
 
@@ -144,7 +159,7 @@ def reflected_counting_polynomials(
     v_new = simple_reflection(b, k, v)
     tables = rigid_count_tables(
         b, diag, v, primes, rng_seed=rng_seed, cap=cap,
-        transform=lambda rep: reflect(rep, k),
+        transform=lambda rep: reflect(rep, k), rigid=rigid,
     )
     return v_new, interpolate_counts(diag, v_new, tables, primes)
 
@@ -203,11 +218,19 @@ def character_in_seed(qseed, v, polys):
     return acc.div_right(qseed.frame_monomial(clear))
 
 
-def generic_character(data, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16):
+def generic_character(
+    data, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16, rigid=None
+):
     """Character of the rigid representation of dimension v, expressed
     in the initial quantum torus."""
     polys = counting_polynomials(
-        data.principal(), data.diag, v, primes=primes, rng_seed=rng_seed, cap=cap
+        data.principal(),
+        data.diag,
+        v,
+        primes=primes,
+        rng_seed=rng_seed,
+        cap=cap,
+        rigid=rigid,
     )
     return character_in_seed(QuantumSeed.initial_seed(data), v, polys)
 

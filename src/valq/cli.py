@@ -4,11 +4,13 @@ Subcommands: ``seeds`` walks the exchange graph, ``mutate`` applies a
 mutation word, ``char`` prints a character table for one dimension
 vector, ``verify`` runs one named suite and ``verify-all`` runs every
 suite.  Exit status: 0 when nothing failed, 1 when a suite reported
-FAIL, 2 on bad input.  Vertex numbers on the command line are 1-based.
+FAIL, 2 on bad input, 141 when the reader closed standard output early.
+Vertex numbers on the command line are 1-based.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .characters import (
@@ -64,9 +66,12 @@ INPUT_ERRORS = (
     ArityMismatch,
     NegativeExponentInF,
     KeyError,
-    OSError,
     ValueError,
 )
+
+# Exit status of a command whose reader closed standard output early, as
+# a shell reports a process ended by SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 def _int_list(text, flag):
@@ -139,8 +144,13 @@ def load_data(args):
         name = args.type_name.upper()
         return builtin_exchange_data(name), name
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+        try:
+            with open(args.matrix, "r", encoding="utf-8") as handle:
+                obj = json.load(handle)
+        except OSError as exc:
+            raise ValueError(
+                "cannot read --matrix %s: %s" % (args.matrix, exc.strerror or exc)
+            )
         if not isinstance(obj, dict) or "B" not in obj:
             raise ValueError("matrix file needs a JSON object with key B")
         b = tuple(tuple(int(x) for x in row) for row in obj["B"])
@@ -154,15 +164,19 @@ def load_data(args):
     raise ValueError("need --matrix FILE or --type NAME")
 
 
-def _primes(args):
-    if args.primes is None:
+def _parse_primes(text):
+    """The --primes list as a tuple of distinct primes; None gives the
+    default list."""
+    if text is None:
         return DEFAULT_PRIMES
-    primes = tuple(_int_list(args.primes, "--primes"))
+    primes = tuple(_int_list(text, "--primes"))
     if not primes:
         raise ValueError("--primes must name at least one prime")
-    for p in primes:
+    for idx, p in enumerate(primes):
         if not is_prime(p):
             raise NotPrime("--primes entry %d is not prime" % p)
+        if p in primes[:idx]:
+            raise ValueError("--primes lists %d more than once" % p)
     return primes
 
 
@@ -258,9 +272,7 @@ def character_table(data, v, primes, rng_seed, cap):
 def cmd_char(args):
     data, _ = load_data(args)
     v = tuple(_int_list(args.dim, "--dim"))
-    table = character_table(
-        data, v, _primes(args), args.rng_seed, args.cap
-    )
+    table = character_table(data, v, args.primes, args.rng_seed, args.cap)
     if args.as_json:
         print(json.dumps(table, indent=2))
     else:
@@ -277,7 +289,7 @@ def cmd_char(args):
 def _context(args, data, name):
     return VerifyContext(
         data,
-        primes=_primes(args),
+        primes=args.primes,
         rng_seed=args.rng_seed,
         cap=args.cap,
         max_depth=args.max_depth,
@@ -332,11 +344,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        args.primes = _parse_primes(args.primes)
+        rc = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return rc
     except INPUT_ERRORS as exc:
         message = exc.args[0] if exc.args else exc
         print("error: %s" % (message,), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at devnull so
+        # the flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

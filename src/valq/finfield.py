@@ -341,6 +341,7 @@ def f_rref(field, rows):
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    p = field.p
     pivots = []
     r = 0
     for col in range(ncols):
@@ -357,9 +358,14 @@ def f_rref(field, rows):
         for i in range(nrows):
             if i != r and m[i][col]:
                 c = m[i][col]
-                m[i] = [
-                    field.sub(x, field.mul(c, y)) for x, y in zip(m[i], m[r])
-                ]
+                if field.d == 1:
+                    # prime-field codes are residues: plain integer arithmetic
+                    m[i] = [(x - c * y) % p for x, y in zip(m[i], m[r])]
+                else:
+                    m[i] = [
+                        field.sub(x, field.mul(c, y))
+                        for x, y in zip(m[i], m[r])
+                    ]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -652,5 +658,13 @@ class FieldTower:
         return self._dual[key]
 
 
+_TOWERS = {}
+
+
 def build_tower(p, degrees, cap=1 << 16):
-    return FieldTower(p, degrees, cap=cap)
+    """The tower for (p, degrees, cap), built on first request and shared
+    by every later one; towers are immutable apart from lazy caches."""
+    key = (int(p), tuple(sorted(set(int(d) for d in degrees))), int(cap))
+    if key not in _TOWERS:
+        _TOWERS[key] = FieldTower(p, degrees, cap=cap)
+    return _TOWERS[key]

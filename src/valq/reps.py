@@ -8,15 +8,40 @@ coordinates (index r*(d/g) + m for coordinate r, subfield slot m).
 
 Everything downstream (hom and ext spaces, subrepresentation counts,
 sink and source reflections) is exhaustive exact linear algebra.
+
+Subrepresentations are counted for every dimension vector e in the box
+below the representation's at once, by one of two walks.  Both take each
+arrow map once as prime-field matrices of x -> phi(t**l * x) and do their
+linear algebra on base-p digit vectors.
+
+- The forward walk enumerates the non-sinks in topological order.  At
+  each one it takes every subspace containing the images forced by the
+  subspaces already chosen upstream.  A sink k with forced image of
+  dimension u then contributes the Gaussian binomial [dim V_k - u,
+  e_k - u] over its field, for every e_k.
+- The backward walk enumerates the non-sources in reverse topological
+  order.  At each one it takes every subspace of the largest vertex-field
+  subspace P whose t**l-scaled arrow images land in the subspaces
+  already chosen downstream.  A source s then contributes [dim P_s, e_s].
+
+The planner walks backward exactly when the enumerated vertices of the
+backward walk have fewer subspaces in total (summed over all dimensions)
+than those of the forward walk; it looks at nothing but the
+representation's quiver, fields and dimension vector.
 """
 
 import random
+from functools import lru_cache
+from itertools import product
+from operator import mul
 
 from .exchange import topological_order, valued_arrows
 from .finfield import (
     build_tower,
+    enumerate_subspaces,
     enumerate_subspaces_containing,
     f_kernel_basis,
+    f_matmul,
     f_matvec,
     f_rank,
     f_rref,
@@ -199,8 +224,9 @@ def simple_reflection(b, k, v):
     return tuple(out)
 
 
-def _fp_arrow_matrix(rep, key):
-    """The arrow map as a matrix over the prime field.
+def _fp_arrow_matrix(rep, key, scale=1):
+    """The arrow map, after multiplying its input by the vertex-field
+    element ``scale``, as a matrix over the prime field.
 
     Input and output coordinates flatten vertex-field coordinates into
     base-p digits (index r*d + s for coordinate r, digit s).
@@ -215,12 +241,8 @@ def _fp_arrow_matrix(rep, key):
     for r in range(vi):
         for s in range(di):
             vec = [0] * vi
-            vec[r] = _tpow(fi, s)
-            out = rep.apply_arrow(key, vec)
-            col = []
-            for y in out:
-                col.extend(fj.digits(y))
-            cols.append(col)
+            vec[r] = fi.mul(scale, _tpow(fi, s))
+            cols.append(_to_digits(fj, rep.apply_arrow(key, vec)))
     nrows = vj * dj
     return [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
 
@@ -353,95 +375,236 @@ def build_rigid_rep(quiver, dims, rng_seed=0, attempts=400):
     )
 
 
-def _scale_fvec(field, vec, c):
-    return [field.mul(c, x) for x in vec]
+# -- subrepresentation counting over the prime field --
 
 
-def _images_into(rep, target, chosen):
-    """Basis of the vertex-field span at ``target`` of all arrow images
-    of the chosen subspaces."""
+def _to_digits(field, vec):
+    """Flatten vertex-field codes into base-p digits (index r*d + s)."""
+    if field.d == 1:
+        return list(vec)
+    out = []
+    for a in vec:
+        out.extend(field.digits(a))
+    return out
+
+
+def _to_codes(field, digs):
+    if field.d == 1:
+        return list(digs)
+    d = field.d
+    return [field.from_digits(digs[r : r + d]) for r in range(0, len(digs), d)]
+
+
+def _scaled_arrow_matrices(rep):
+    """Prime-field matrices of x -> phi(t**l * x) for every arrow map phi
+    and every l below the degree of the source field over the arrow's
+    valuation field, grouped by (source, target).  Their images of a
+    vertex-field subspace span its image over the valuation field."""
     quiver = rep.quiver
-    ftarget = quiver.field(target)
-    vecs = []
+    out = {}
     for key in quiver.arrow_keys:
-        h, j, _ = key
-        if j != target or h not in chosen:
-            continue
-        g = quiver.valuation[(h, j)]
-        fh = quiver.field(h)
-        steps = quiver.diag[h] // g
-        for basisvec in chosen[h]:
-            for l in range(steps):
-                xv = _scale_fvec(fh, basisvec, _tpow(fh, l))
-                vecs.append(rep.apply_arrow(key, xv))
-    if not vecs:
-        return []
-    reduced, pivots = f_rref(ftarget, vecs)
-    return reduced[: len(pivots)]
+        i, j, _ = key
+        fi = quiver.field(i)
+        for l in range(quiver.diag[i] // quiver.valuation[(i, j)]):
+            out.setdefault((i, j), []).append(
+                _fp_arrow_matrix(rep, key, _tpow(fi, l))
+            )
+    return out
 
 
-def count_subreps(rep, e):
-    """Number of subrepresentations with dimension vector e.
+_gaussian_binomial = lru_cache(maxsize=4096)(gaussian_binomial)
 
-    Non-sink vertices are enumerated (subspaces containing the forced
-    images, walked in topological order); each sink contributes a
-    closed-form count of subspaces between the forced image and the
-    whole fiber.  In-neighbors are never sinks, so the forced image at
-    every vertex is known by the time it is needed.
+
+class _Walk:
+    """One exhaustive walk over the subrepresentations of ``rep``.
+
+    Enumerated vertices are visited one at a time; choosing a subspace
+    there sends messages to the neighbours it constrains, and every
+    remaining (terminal) vertex is counted in closed form from the
+    messages it received.  Forward messages are the arrow images a
+    subspace forces into its out-neighbours, as vertex-field vectors;
+    backward messages are the prime-field equations that vectors of its
+    in-neighbours must satisfy for their images to land inside it.
     """
-    quiver = rep.quiver
-    n = quiver.n
-    e = tuple(int(x) for x in e)
-    if any(x < 0 or x > v for x, v in zip(e, rep.dims)):
-        return 0
-    order = topological_order(quiver.b)
-    assert order is not None
-    nonsinks = [i for i in order if not quiver.is_sink(i)]
-    sinks = [i for i in range(n) if quiver.is_sink(i)]
-    total = 0
 
-    def recurse(idx, chosen):
-        nonlocal total
-        if idx == len(nonsinks):
-            factor = 1
-            for k in sinks:
-                u = len(_images_into(rep, k, chosen))
-                factor *= gaussian_binomial(
-                    quiver.field(k).q, rep.dims[k] - u, e[k] - u
+    def __init__(self, rep, backward):
+        quiver = rep.quiver
+        self.rep = rep
+        self.quiver = quiver
+        self.p = quiver.p
+        self.prime = quiver.tower.field(1)
+        self.backward = backward
+        order = topological_order(quiver.b)
+        assert order is not None
+        terminal = quiver.is_source if backward else quiver.is_sink
+        if backward:
+            order = order[::-1]
+        self.enumerated = [i for i in order if not terminal(i)]
+        self.terminals = [i for i in range(quiver.n) if terminal(i)]
+        # the neighbours a chosen vertex sends to, with the arrow matrices
+        self.links = {i: [] for i in range(quiver.n)}
+        for (i, j), mats in _scaled_arrow_matrices(rep).items():
+            if backward:
+                self.links[j].append((i, [list(zip(*m)) for m in mats]))
+            else:
+                self.links[i].append((j, mats))
+        self.inbox = {i: [] for i in range(quiver.n)}
+
+    def leaves(self):
+        """Multiplicity of every (enumerated dims, terminal parameters)."""
+        out = {}
+        path = []
+
+        def recurse(idx):
+            if idx == len(self.enumerated):
+                key = tuple(path) + tuple(
+                    self._terminal_param(k) for k in self.terminals
                 )
-                if factor == 0:
-                    return
-            total += factor
-            return
-        i = nonsinks[idx]
-        forced = _images_into(rep, i, chosen)
-        if len(forced) > e[i]:
-            return
-        for w in enumerate_subspaces_containing(
-            quiver.field(i), rep.dims[i], e[i], forced
-        ):
-            chosen[i] = w
-            recurse(idx + 1, chosen)
-        chosen.pop(i, None)
+                out[key] = out.get(key, 0) + 1
+                return
+            i = self.enumerated[idx]
+            for w in self._subspaces(i):
+                sent = self._messages(i, w)
+                for j, msgs in sent:
+                    self.inbox[j].extend(msgs)
+                path.append(len(w))
+                recurse(idx + 1)
+                path.pop()
+                for j, msgs in sent:
+                    del self.inbox[j][len(self.inbox[j]) - len(msgs) :]
 
-    recurse(0, {})
-    return total
+        recurse(0)
+        return out
+
+    def table(self):
+        """Count for every dimension vector in the box below the rep's."""
+        dims = self.rep.dims
+        table = {e: 0 for e in product(*(range(v + 1) for v in dims))}
+        nenum = len(self.enumerated)
+        for key, mult in self.leaves().items():
+            e = [0] * len(dims)
+            for i, x in zip(self.enumerated, key):
+                e[i] = x
+            options = []
+            for k, u in zip(self.terminals, key[nenum:]):
+                q = self.quiver.field(k).q
+                if self.backward:
+                    # subspaces of the largest allowed one, of dimension u
+                    options.append(
+                        [(x, _gaussian_binomial(q, u, x)) for x in range(u + 1)]
+                    )
+                else:
+                    # subspaces above the forced image, of dimension u
+                    options.append(
+                        [
+                            (x, _gaussian_binomial(q, dims[k] - u, x - u))
+                            for x in range(u, dims[k] + 1)
+                        ]
+                    )
+            for combo in product(*options):
+                count = mult
+                for k, (x, factor) in zip(self.terminals, combo):
+                    e[k] = x
+                    count *= factor
+                table[tuple(e)] += count
+        return table
+
+    def _subspaces(self, i):
+        field = self.quiver.field(i)
+        v = self.rep.dims[i]
+        got = self.inbox[i]
+        if not self.backward:
+            # subspaces containing the span of the forced images
+            for k in range(v + 1):
+                yield from enumerate_subspaces_containing(field, v, k, got)
+            return
+        if not got:
+            for k in range(v + 1):
+                yield from enumerate_subspaces(field, v, k)
+            return
+        # subspaces of the largest vertex-field subspace whose images
+        # satisfy every equation; it is t-stable, so its prime-field
+        # kernel spans it over the vertex field
+        kernel = f_kernel_basis(self.prime, got)
+        basis, pivots = f_rref(field, [_to_codes(field, x) for x in kernel])
+        basis = basis[: len(pivots)]
+        for k in range(len(basis) + 1):
+            for coeffs in enumerate_subspaces(field, len(basis), k):
+                yield f_matmul(field, coeffs, basis) if coeffs else []
+
+    def _messages(self, i, w):
+        p = self.p
+        field = self.quiver.field(i)
+        if self.backward:
+            # equations cut out by the prime-field annihilator of w
+            span = [
+                _to_digits(field, [field.mul(_tpow(field, s), a) for a in row])
+                for row in w
+                for s in range(field.d)
+            ] or [[0] * (self.rep.dims[i] * field.d)]
+            normals = f_kernel_basis(self.prime, span)
+            sent = []
+            for j, colsets in self.links[i]:
+                eqs = (
+                    [sum(map(mul, nrm, col)) % p for col in cols]
+                    for cols in colsets
+                    for nrm in normals
+                )
+                sent.append((j, [eq for eq in eqs if any(eq)]))
+            return sent
+        xs = [_to_digits(field, row) for row in w]
+        sent = []
+        for j, mats in self.links[i]:
+            fj = self.quiver.field(j)
+            images = (
+                [sum(map(mul, row, x)) % p for row in mat]
+                for mat in mats
+                for x in xs
+            )
+            sent.append((j, [_to_codes(fj, y) for y in images if any(y)]))
+        return sent
+
+    def _terminal_param(self, k):
+        got = self.inbox[k]
+        if not self.backward:
+            return f_rank(self.quiver.field(k), got)
+        rank = f_rank(self.prime, got)
+        return self.rep.dims[k] - rank // self.quiver.diag[k]
+
+
+def _total_subspaces(rep, skip):
+    return sum(
+        _gaussian_binomial(rep.quiver.field(i).q, rep.dims[i], k)
+        for i in range(rep.quiver.n)
+        if not skip(i)
+        for k in range(rep.dims[i] + 1)
+    )
+
+
+def prefers_backward(rep):
+    """The planner: walk backward when the non-sources have fewer
+    subspaces in total than the non-sinks."""
+    quiver = rep.quiver
+    return _total_subspaces(rep, quiver.is_source) < _total_subspaces(
+        rep, quiver.is_sink
+    )
+
+
+def walk_subreps(rep, backward):
+    """Subrepresentation counts for every e below the rep's dimension
+    vector, from one walk in the given direction."""
+    return _Walk(rep, backward).table()
 
 
 def count_all_subreps(rep):
     """Map every dimension vector below the rep's to its count."""
-    ranges = [range(v + 1) for v in rep.dims]
-    out = {}
+    return walk_subreps(rep, prefers_backward(rep))
 
-    def walk(prefix):
-        if len(prefix) == len(ranges):
-            out[tuple(prefix)] = count_subreps(rep, prefix)
-            return
-        for x in ranges[len(prefix)]:
-            walk(prefix + [x])
 
-    walk([])
-    return out
+def count_subreps(rep, e):
+    """Number of subrepresentations with dimension vector e; 0 outside
+    the box below the rep's dimension vector."""
+    return count_all_subreps(rep).get(tuple(int(x) for x in e), 0)
 
 
 def reflect_sink(rep, k):

@@ -40,7 +40,13 @@ from .finfield import CapExceeded
 from .laurent import LaurentPoly, tropical_evaluate
 from .matrices import det
 from .qtorus import QuantumSeed, enumerate_quantum_seeds
-from .reps import HasSimpleSummand, NoRigidFound, simple_reflection
+from .reps import (
+    HasSimpleSummand,
+    NoRigidFound,
+    ValuedQuiver,
+    build_rigid_rep,
+    simple_reflection,
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -95,8 +101,8 @@ class VerificationReport:
 
 class VerifyContext:
     """Shared state for one verification run: the input, the budgets, and
-    lazily built exchange graphs plus a character cache keyed by
-    dimension vector."""
+    lazily built exchange graphs, rigid representations keyed by prime
+    and dimension vector, and characters keyed by dimension vector."""
 
     def __init__(
         self,
@@ -118,6 +124,7 @@ class VerifyContext:
         self._classical = None
         self._quantum = None
         self._variables = None
+        self._rigid = {}
         self._chars = {}
 
     @property
@@ -148,6 +155,19 @@ class VerifyContext:
     def scope(self, truncated):
         return "truncated" if truncated else "exhaustive"
 
+    def rigid_rep(self, p, v):
+        """The rigid representation of dimension v over the prime field
+        with p elements, built once and shared by every check."""
+        key = (p, tuple(v))
+        if key not in self._rigid:
+            quiver = ValuedQuiver.from_matrix(
+                self.b, self.data.diag, p, cap=self.cap
+            )
+            self._rigid[key] = build_rigid_rep(
+                quiver, key[1], rng_seed=self.rng_seed
+            )
+        return self._rigid[key]
+
     def generic_char(self, v):
         v = tuple(v)
         if v not in self._chars:
@@ -157,6 +177,7 @@ class VerifyContext:
                 primes=self.primes,
                 rng_seed=self.rng_seed,
                 cap=self.cap,
+                rigid=lambda p: self.rigid_rep(p, v),
             )
         return self._chars[v]
 
@@ -882,6 +903,7 @@ def check_reflection(ctx):
                     primes=ctx.primes,
                     rng_seed=ctx.rng_seed,
                     cap=ctx.cap,
+                    rigid=lambda p: ctx.rigid_rep(p, v),
                 )
                 assert v_ref == v_new
                 x_ref = character_in_seed(mutated, v_new, polys)

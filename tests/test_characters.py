@@ -126,6 +126,27 @@ class TestCountingPolynomials:
         with pytest.raises(InterpolationInconsistent):
             interpolate_counts(b2.diag, (1, 1), tables, primes)
 
+    def test_duplicate_primes_are_rejected(self, b2):
+        # A repeated prime adds no held-out evidence, and one among the
+        # interpolation nodes would divide by zero.
+        b = principal_part(b2)
+        for primes in ((2, 3, 3, 5), (2, 2, 3, 5)):
+            tables = rigid_count_tables(b, b2.diag, (1, 1), primes)
+            with pytest.raises(InterpolationInconsistent):
+                interpolate_counts(b2.diag, (1, 1), tables, primes)
+
+    def test_shared_rigid_representation_gives_the_same_tables(self, b2):
+        b = principal_part(b2)
+        reps = {
+            p: build_rigid_rep(
+                ValuedQuiver.from_matrix(b, b2.diag, p), (1, 2), rng_seed=3
+            )
+            for p in (2, 3)
+        }
+        assert rigid_count_tables(
+            b, b2.diag, (1, 2), (2, 3), rng_seed=3, rigid=reps.get
+        ) == rigid_count_tables(b, b2.diag, (1, 2), (2, 3), rng_seed=3)
+
     def test_counts_evaluate_at_each_prime(self, b2):
         # The fitted polynomial at q = p reproduces every table, the
         # held-out primes included.

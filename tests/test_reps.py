@@ -11,7 +11,13 @@ from itertools import product
 import pytest
 
 from valq.exchange import BUILTIN_MATRICES, minimal_symmetrizer
-from valq.finfield import enumerate_subspaces, f_in_span, f_matvec, gaussian_binomial
+from valq.finfield import (
+    build_tower,
+    enumerate_subspaces,
+    f_in_span,
+    f_matvec,
+    gaussian_binomial,
+)
 from valq.reps import (
     HasSimpleSummand,
     NoRigidFound,
@@ -25,12 +31,14 @@ from valq.reps import (
     ext_dim,
     hom_dim,
     is_rigid,
+    prefers_backward,
     random_rep,
     reflect,
     reflect_sink,
     reflect_source,
     simple_reflection,
     symmetrized_euler,
+    walk_subreps,
 )
 
 
@@ -362,3 +370,68 @@ class TestReflectionPreservesCounts:
         left = reflect_sink(rep, 0)
         assert left.dims == simple_reflection(q.b, 0, rep.dims)
         assert is_rigid(left)
+
+
+class TestWalkDirections:
+    # (type, prime, dimension vector, reflection vertex): rigid
+    # representations whose reflection the planner counts backward, at a
+    # sink (G2 vertex 1, B3 vertex 1) and at a source (G2 vertex 2, B3
+    # vertex 3).  Over F_2 a G2 sink reflection and a B3 source reflection
+    # always leave the forward walk cheaper, so those appear at p = 3.
+    BACKWARD_CASES = [
+        ("G2", 3, (1, 3), 0),
+        ("G2", 2, (1, 3), 1),
+        ("G2", 3, (2, 3), 1),
+        ("B3", 2, (1, 1, 1), 0),
+        ("B3", 3, (0, 1, 2), 0),
+        ("B3", 3, (1, 2, 2), 2),
+    ]
+
+    @pytest.mark.parametrize("name,p,v,k", BACKWARD_CASES)
+    def test_reflected_rigid_reps_against_brute_force(self, name, p, v, k):
+        rep = reflect(build_rigid_rep(quiver(name, p), v, rng_seed=0), k)
+        assert prefers_backward(rep)
+        table = count_all_subreps(rep)
+        assert table == walk_subreps(rep, False)
+        for e, cnt in table.items():
+            assert cnt == brute_count_subreps(rep, e)
+
+    def test_planner_keeps_the_original_g2_orientation_forward(self):
+        # The F_{p^3} vertex is a sink here, so the forward walk never
+        # enumerates it.
+        rep = build_rigid_rep(quiver("G2", 3), (2, 3), rng_seed=0)
+        assert not prefers_backward(rep)
+
+    @pytest.mark.parametrize(
+        "b", [BUILTIN_MATRICES["B2"], BUILTIN_MATRICES["G2"],
+              BUILTIN_MATRICES["B3"], ((0, 2), (-2, 0))],
+        ids=["B2", "G2", "B3", "Kronecker"],
+    )
+    def test_both_walks_agree_on_random_reps(self, b):
+        import random
+
+        rng = random.Random(11)
+        for p in (2, 3):
+            q = ValuedQuiver.from_matrix(b, minimal_symmetrizer(b), p)
+            for _ in range(6):
+                dims = tuple(rng.randrange(3) for _ in range(q.n))
+                rep = random_rep(q, dims, rng)
+                assert walk_subreps(rep, False) == walk_subreps(rep, True)
+
+    def test_table_covers_the_dimension_box(self):
+        rep = build_rigid_rep(quiver("B3", 2), (1, 2, 2), rng_seed=0)
+        table = count_all_subreps(rep)
+        assert sorted(table) == list(product(range(2), range(3), range(3)))
+        assert count_subreps(rep, (0, 3, 0)) == 0
+        assert count_subreps(rep, (-1, 0, 0)) == 0
+
+
+class TestTowerCache:
+    def test_same_key_same_tower(self):
+        assert build_tower(5, (1, 2)) is build_tower(5, (2, 1))
+
+    def test_cap_and_degrees_are_part_of_the_key(self):
+        base = build_tower(5, (1, 2))
+        assert build_tower(5, (1, 2), cap=1 << 10) is not base
+        assert build_tower(5, (1, 2, 3)) is not base
+        assert build_tower(7, (1, 2)) is not base

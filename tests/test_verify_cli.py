@@ -3,6 +3,9 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +140,24 @@ class TestPrimesGuard:
         ctx = VerifyContext(builtin_exchange_data("G2"), primes=(), name="G2")
         r = run_check("denominators", ctx)
         assert r.status == SKIPPED
+
+
+class TestSharedRigidReps:
+    def test_each_rigid_rep_is_built_once(self, monkeypatch):
+        import valq.verify
+
+        real = valq.verify.build_rigid_rep
+        built = []
+
+        def counting(quiver, dims, **kwargs):
+            built.append((quiver.p, tuple(dims)))
+            return real(quiver, dims, **kwargs)
+
+        monkeypatch.setattr(valq.verify, "build_rigid_rep", counting)
+        ctx = VerifyContext(builtin_exchange_data("B2"), name="B2")
+        for name in ("denominators", "characters", "reflection"):
+            assert run_check(name, ctx).status == PASS
+        assert built and len(built) == len(set(built))
 
 
 class TestPrincipalSource:
@@ -327,9 +348,44 @@ class TestCliErrors:
         rc, _, err = run_cli(["seeds", "--matrix", str(path)])
         assert rc == 2
 
-    def test_missing_matrix_file(self):
-        rc, _, err = run_cli(["seeds", "--matrix", "/nonexistent/m.json"])
+    def test_missing_matrix_file(self, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        rc, _, err = run_cli(["seeds", "--matrix", missing])
         assert rc == 2
+        assert err == "error: cannot read --matrix %s: No such file or directory\n" % missing
+
+    def test_closed_stdout_is_not_an_input_error(self):
+        # The reader is gone before the first write, as with ``| head``
+        # once head has its line.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "valq.cli", "seeds", "--type", "G2", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == cli.EXIT_BROKEN_PIPE
+        assert err == b""
+
+    def test_duplicate_primes_in_char(self):
+        rc, out, err = run_cli(
+            ["char", "--type", "G2", "--dim", "1,2",
+             "--primes", "2,2,3,5,7,11,13,17"]
+        )
+        assert rc == 2 and out == ""
+        assert err == "error: --primes lists 2 more than once\n"
+
+    def test_duplicate_primes_in_verify(self):
+        rc, out, err = run_cli(
+            ["verify", "denominators", "--type", "B2",
+             "--primes", "2,3,3,5,7,11,13"]
+        )
+        assert rc == 2 and out == ""
+        assert err == "error: --primes lists 3 more than once\n"
 
     def test_bad_sequence_entry(self):
         rc, _, err = run_cli(["mutate", "--type", "B2", "--seq", "0,1"])
