@@ -373,11 +373,11 @@ class TestReflectionPreservesCounts:
 
 
 class TestWalkDirections:
-    # (type, prime, dimension vector, reflection vertex): rigid
-    # representations whose reflection the planner counts backward, at a
-    # sink (G2 vertex 1, B3 vertex 1) and at a source (G2 vertex 2, B3
-    # vertex 3).  Over F_2 a G2 sink reflection and a B3 source reflection
-    # always leave the forward walk cheaper, so those appear at p = 3.
+    # (type, prime, dimension vector, 0-based reflection vertex): rigid
+    # representations whose reflection the planner counts backward, at
+    # the sink 0 of G2 and B3 and at their sources 1 and 2.  Over F_2 a
+    # G2 sink reflection and a B3 source reflection always leave the
+    # forward walk cheaper, so those appear at p = 3.
     BACKWARD_CASES = [
         ("G2", 3, (1, 3), 0),
         ("G2", 2, (1, 3), 1),
