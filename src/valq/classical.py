@@ -6,11 +6,9 @@ literal: the new variable is an exact Laurent division, never a formal
 fraction, so the Laurent property is re-proved on every mutation.
 """
 
-from dataclasses import dataclass
-
 from .exchange import star_left_matrix
 from .laurent import LaurentPoly, NegativeExponentInF, exact_div
-from .qtorus import GraphResult
+from .qtorus import Seed, walk_seeds
 
 
 class NoConstantTerm(ValueError):
@@ -56,18 +54,8 @@ def variable_g_vector(poly, n):
     return found
 
 
-@dataclass(frozen=True)
-class ClassicalSeed:
+class ClassicalSeed(Seed):
     """A commutative seed: framed matrix plus expanded cluster."""
-
-    initial: object
-    current: object
-    variables: tuple
-    history: tuple = ()
-
-    @property
-    def depth(self):
-        return len(self.history)
 
     @classmethod
     def initial_seed(cls, data):
@@ -98,20 +86,7 @@ class ClassicalSeed:
             self.cluster_monomial(bp) + self.cluster_monomial(bm),
             self.variables[k],
         )
-        variables = list(self.variables)
-        variables[k] = new_var
-        return ClassicalSeed(
-            initial=self.initial,
-            current=cur.mutate(k),
-            variables=tuple(variables),
-            history=self.history + (k,),
-        )
-
-    def mutate_sequence(self, seq):
-        seed = self
-        for k in seq:
-            seed = seed.mutate(k)
-        return seed
+        return self._exchanged(k, new_var)
 
     def d_vector(self, i):
         """Denominator vector of variable i in the initial cluster."""
@@ -174,35 +149,9 @@ def g_from_d(data, d):
 
 def enumerate_exchange_graph(data, max_depth=None, max_seeds=10000):
     """Breadth-first walk of the commutative exchange graph."""
-    start = ClassicalSeed.initial_seed(data)
-    seen = {start.canonical_key(): 0}
-    seeds = [start]
-    edges = set()
-    frontier = [(start, 0)]
-    truncated = False
-    while frontier:
-        new_frontier = []
-        for seed, idx in frontier:
-            if max_depth is not None and seed.depth >= max_depth:
-                truncated = True
-                continue
-            for k in range(data.n):
-                nxt = seed.mutate(k)
-                key = nxt.canonical_key()
-                if key in seen:
-                    j = seen[key]
-                    if j != idx:
-                        edges.add(frozenset((idx, j)))
-                    continue
-                if len(seeds) >= max_seeds:
-                    truncated = True
-                    continue
-                seen[key] = len(seeds)
-                edges.add(frozenset((idx, len(seeds))))
-                seeds.append(nxt)
-                new_frontier.append((nxt, len(seeds) - 1))
-        frontier = new_frontier
-    return GraphResult(seeds=seeds, edges=edges, truncated=truncated)
+    return walk_seeds(
+        ClassicalSeed.initial_seed(data), data.n, max_depth, max_seeds
+    )
 
 
 def cluster_variable_index(result):

@@ -180,6 +180,17 @@ def _parse_primes(text):
     return primes
 
 
+def _check_budgets(args):
+    """Reject a walk or field budget that leaves nothing to compute."""
+    for flag, value, least in (
+        ("--max-seeds", args.max_seeds, 1),
+        ("--cap", args.cap, 1),
+        ("--max-depth", args.max_depth, 0),
+    ):
+        if value is not None and value < least:
+            raise ValueError("%s must be at least %d" % (flag, least))
+
+
 def cmd_seeds(args):
     data, _ = load_data(args)
     result = enumerate_exchange_graph(
@@ -344,6 +355,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_budgets(args)
         args.primes = _parse_primes(args.primes)
         rc = COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -204,25 +204,6 @@ def framed_star_matrix(btilde):
     return tuple(rows)
 
 
-def star_right_matrix(b):
-    """The 2n x n matrix of the right star operation at the initial seed.
-
-    Mutable rows: identity minus the positive part of b transposed;
-    frozen rows: negated identity.
-    """
-    n, _ = mx.shape(b)
-    rows = []
-    for j in range(n):
-        rows.append(
-            tuple(
-                (1 if j == i else 0) - max(b[i][j], 0) for i in range(n)
-            )
-        )
-    for i in range(n):
-        rows.append(tuple(-1 if j == i else 0 for j in range(n)))
-    return tuple(rows)
-
-
 def _mutation_companion(btilde, k, n):
     """The 2n x 2n column-substitution matrix driving the form update."""
     size = 2 * n
@@ -270,9 +251,6 @@ class ExchangeData:
 
     def principal(self):
         return self.btilde[: self.n]
-
-    def frozen_part(self):
-        return self.btilde[self.n :]
 
     def is_acyclic(self):
         return is_acyclic(self.principal())

@@ -4,8 +4,6 @@ Matrices are immutable tuples of tuples of Python ints.  Everything here
 is exact; there is no floating point anywhere in this package.
 """
 
-from fractions import Fraction
-
 
 def freeze(rows):
     """Copy a matrix-like nested iterable into a tuple of tuples of ints."""
@@ -97,11 +95,3 @@ def det(m):
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
-
-def frac_matvec(m, v):
-    nr, nc = shape(m)
-    if nc != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(
-        sum(Fraction(m[i][j]) * v[j] for j in range(nc)) for i in range(nr)
-    )

@@ -258,13 +258,14 @@ class QTorusElem:
 
 
 @dataclass(frozen=True)
-class QuantumSeed:
-    """A quantum seed with variables expanded in the initial torus.
+class Seed:
+    """A seed with its cluster expanded in the initial one.
 
-    ``initial`` fixes the ambient torus, ``current`` carries the framed
-    matrix and skew form after the mutations in ``history``, and
-    ``variables`` lists the n mutable cluster variables followed by the
-    n frozen ones (the frozen block never changes).
+    ``initial`` is the starting exchange data, ``current`` the data after
+    the mutations in ``history``, and ``variables`` lists the n mutable
+    cluster variables followed by the n frozen ones (the frozen block
+    never changes).  Subclasses supply ``mutate`` and ``canonical_key``,
+    which with ``depth`` are what ``walk_seeds`` needs.
     """
 
     initial: object
@@ -275,6 +276,28 @@ class QuantumSeed:
     @property
     def depth(self):
         return len(self.history)
+
+    def _exchanged(self, k, new_var):
+        """The seed mutated at k, given its new k-th variable."""
+        variables = list(self.variables)
+        variables[k] = new_var
+        return type(self)(
+            initial=self.initial,
+            current=self.current.mutate(k),
+            variables=tuple(variables),
+            history=self.history + (k,),
+        )
+
+    def mutate_sequence(self, seq):
+        seed = self
+        for k in seq:
+            seed = seed.mutate(k)
+        return seed
+
+
+class QuantumSeed(Seed):
+    """A quantum seed with variables expanded in the initial torus, whose
+    skew form ``initial.lam`` fixes the ambient torus."""
 
     @classmethod
     def initial_seed(cls, data):
@@ -328,21 +351,7 @@ class QuantumSeed:
         rhs = self.frame_monomial(bp).shift_u(twist(bp)) + self.frame_monomial(
             bm
         ).shift_u(twist(bm))
-        new_var = rhs.div_right(self.variables[k])
-        variables = list(self.variables)
-        variables[k] = new_var
-        return QuantumSeed(
-            initial=self.initial,
-            current=cur.mutate(k),
-            variables=tuple(variables),
-            history=self.history + (k,),
-        )
-
-    def mutate_sequence(self, seq):
-        seed = self
-        for k in seq:
-            seed = seed.mutate(k)
-        return seed
+        return self._exchanged(k, rhs.div_right(self.variables[k]))
 
     def canonical_key(self):
         """Key identifying the seed up to renumbering its cluster."""
@@ -376,13 +385,13 @@ class GraphResult:
         return len(self.seeds)
 
 
-def enumerate_quantum_seeds(data, max_depth=None, max_seeds=10000):
-    """Breadth-first walk of the quantum exchange graph.
+def walk_seeds(start, n, max_depth, max_seeds):
+    """Breadth-first walk of an exchange graph from ``start``.
 
-    Seeds are identified up to cluster renumbering.  The walk is
-    truncated (and flagged) when a depth or seed cap is hit.
+    Seeds need ``mutate(k)`` for k in range(n), ``depth`` and
+    ``canonical_key()``; seeds with equal keys are one vertex.  The walk
+    is truncated (and flagged) when a depth or seed cap is hit.
     """
-    start = QuantumSeed.initial_seed(data)
     seen = {start.canonical_key(): 0}
     seeds = [start]
     edges = set()
@@ -394,7 +403,7 @@ def enumerate_quantum_seeds(data, max_depth=None, max_seeds=10000):
             if max_depth is not None and seed.depth >= max_depth:
                 truncated = True
                 continue
-            for k in range(data.n):
+            for k in range(n):
                 nxt = seed.mutate(k)
                 key = nxt.canonical_key()
                 if key in seen:
@@ -411,3 +420,11 @@ def enumerate_quantum_seeds(data, max_depth=None, max_seeds=10000):
                 new_frontier.append((nxt, len(seeds) - 1))
         frontier = new_frontier
     return GraphResult(seeds=seeds, edges=edges, truncated=truncated)
+
+
+def enumerate_quantum_seeds(data, max_depth=None, max_seeds=10000):
+    """Breadth-first walk of the quantum exchange graph, with seeds
+    identified up to cluster renumbering."""
+    return walk_seeds(
+        QuantumSeed.initial_seed(data), data.n, max_depth, max_seeds
+    )

@@ -12,9 +12,11 @@ Graph-global claims (connectedness of induced subgraphs) are reported as
 SKIPPED when the walk was truncated, since a truncated graph can neither
 confirm nor refute them.  Per-variable claims still run on whatever
 variables were reached, with the truncation recorded in the scope field.
+A check that checked nothing, or that ran out of the field-size cap, is
+SKIPPED as well: it neither confirms nor refutes its claim.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .characters import (
@@ -39,7 +41,7 @@ from .exchange import build_exchange_data, is_acyclic
 from .finfield import CapExceeded
 from .laurent import LaurentPoly, tropical_evaluate
 from .matrices import det
-from .qtorus import QuantumSeed, enumerate_quantum_seeds
+from .qtorus import QuantumSeed, enumerate_quantum_seeds, walk_seeds
 from .reps import (
     HasSimpleSummand,
     NoRigidFound,
@@ -52,13 +54,17 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
+# Detail of a connectedness check on a truncated graph.
+_UNDECIDABLE = "graph walk truncated; connectedness not decidable"
+
 # Exceptions that a per-variable computation may raise without it being a
 # programming error; they become FAIL reports with the message attached.
+# CapExceeded is not one of them: running out of the --cap budget says
+# nothing about the claim, so the check reports SKIPPED instead.
 _CHECK_ERRORS = (
     NoRigidFound,
     HasSimpleSummand,
     InterpolationInconsistent,
-    CapExceeded,
     ValueError,
 )
 
@@ -87,15 +93,9 @@ class VerificationReport:
         )
 
     def to_dict(self):
-        out = {
-            "check": self.check,
-            "target": self.target,
-            "scope": self.scope,
-            "status": self.status,
-            "detail": self.detail,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        out = asdict(self)
+        if self.counterexample is None:
+            del out["counterexample"]
         return out
 
 
@@ -151,9 +151,6 @@ class VerifyContext:
                 self.data, max_depth=self.max_depth, max_seeds=self.max_seeds
             )
         return self._quantum
-
-    def scope(self, truncated):
-        return "truncated" if truncated else "exhaustive"
 
     def rigid_rep(self, p, v):
         """The rigid representation of dimension v over the prime field
@@ -230,6 +227,18 @@ class VerifyContext:
         payload.update(extra)
         return payload
 
+    def report(self, check, status, detail, truncated=False, **extra):
+        """The report of one check on this input.  Exactly a FAIL carries
+        a counterexample: the replay data plus ``extra``."""
+        return VerificationReport(
+            check,
+            self.target(),
+            "truncated" if truncated else "exhaustive",
+            status,
+            detail,
+            self.counterexample(**extra) if status == FAIL else None,
+        )
+
 
 def primes_needed(diag, v):
     """Smallest prime-list length able to pin down and cross-validate all
@@ -257,13 +266,13 @@ def check_denominators(ctx):
     for rec in records:
         v = rec["d"]
         if any(x < 0 for x in v):
-            return VerificationReport(
+            return ctx.report(
                 "denominators",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "negative denominator entry",
-                ctx.counterexample(history=list(rec["route"][0]), d=list(v)),
+                truncated,
+                history=list(rec["route"][0]),
+                d=list(v),
             )
         if primes_needed(ctx.data.diag, v) > len(ctx.primes):
             skipped += 1
@@ -272,36 +281,33 @@ def check_denominators(ctx):
             x_v = ctx.generic_char(v)
             dd = torus_denominator_vector(x_v, ctx.n)
             classical = x_v.specialize_q1()
+        except CapExceeded as exc:
+            return ctx.report("denominators", SKIPPED, str(exc), truncated)
         except _CHECK_ERRORS as exc:
-            return VerificationReport(
+            return ctx.report(
                 "denominators",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "character construction failed: %s" % exc,
-                ctx.counterexample(history=list(rec["route"][0]), d=list(v)),
+                truncated,
+                history=list(rec["route"][0]),
+                d=list(v),
             )
         if dd != v or classical != rec["poly"]:
-            return VerificationReport(
+            return ctx.report(
                 "denominators",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "denominator vector differs from dimension vector",
-                ctx.counterexample(
-                    history=list(rec["route"][0]),
-                    d=list(v),
-                    character_denominator=list(dd),
-                ),
+                truncated,
+                history=list(rec["route"][0]),
+                d=list(v),
+                character_denominator=list(dd),
             )
     checked = len(records) - skipped
     detail = "%d variables checked" % checked
     if skipped:
         detail += ", %d skipped (need more primes)" % skipped
     status = PASS if checked else SKIPPED
-    return VerificationReport(
-        "denominators", ctx.target(), ctx.scope(truncated), status, detail
-    )
+    return ctx.report("denominators", status, detail, truncated)
 
 
 def check_tropical(ctx):
@@ -318,22 +324,19 @@ def check_tropical(ctx):
         got = tropical_evaluate(f, inverted)
         want = tuple(-x for x in rec["d"])
         if got != want:
-            return VerificationReport(
+            return ctx.report(
                 "tropical",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "tropical degree %s, expected %s" % (got, want),
-                ctx.counterexample(
-                    history=list(rec["route"][0]), d=list(rec["d"])
-                ),
+                truncated,
+                history=list(rec["route"][0]),
+                d=list(rec["d"]),
             )
-    return VerificationReport(
+    return ctx.report(
         "tropical",
-        ctx.target(),
-        ctx.scope(truncated),
-        PASS,
+        PASS if records else SKIPPED,
         "%d variables checked" % len(records),
+        truncated,
     )
 
 
@@ -355,49 +358,44 @@ def check_sign_coherence(ctx):
     for rec in records:
         v = rec["d"]
         if any(x < 0 for x in v):
-            return VerificationReport(
+            return ctx.report(
                 "sign-coherence",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "part 1: negative entry in %s" % (v,),
-                ctx.counterexample(history=list(rec["route"][0]), d=list(v)),
+                truncated,
+                history=list(rec["route"][0]),
+                d=list(v),
             )
         if len(rec["dvecs"]) != 1:
-            return VerificationReport(
+            return ctx.report(
                 "sign-coherence",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "part 3: seat-dependent denominator vectors %s"
                 % sorted(rec["dvecs"]),
-                ctx.counterexample(history=list(rec["route"][0])),
+                truncated,
+                history=list(rec["route"][0]),
             )
         for i in range(n):
             coexists = any(i in present[idx] for idx in rec["where"])
             if coexists and v[i] != 0:
-                return VerificationReport(
+                return ctx.report(
                     "sign-coherence",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "part 2: shares a seed with initial %d but d_%d=%d"
                     % (i + 1, i + 1, v[i]),
-                    ctx.counterexample(
-                        history=list(rec["route"][0]), d=list(v)
-                    ),
+                    truncated,
+                    history=list(rec["route"][0]),
+                    d=list(v),
                 )
             if not truncated and v[i] == 0 and not coexists:
-                return VerificationReport(
+                return ctx.report(
                     "sign-coherence",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "part 2: d_%d=0 but no common seed with initial %d"
                     % (i + 1, i + 1),
-                    ctx.counterexample(
-                        history=list(rec["route"][0]), d=list(v)
-                    ),
+                    truncated,
+                    history=list(rec["route"][0]),
+                    d=list(v),
                 )
     detail = "parts 1-3 on %d variables" % len(records)
     if truncated:
@@ -405,8 +403,8 @@ def check_sign_coherence(ctx):
             "parts 1,3 and one direction of part 2 on %d variables "
             "(graph truncated)" % len(records)
         )
-    return VerificationReport(
-        "sign-coherence", ctx.target(), ctx.scope(truncated), PASS, detail
+    return ctx.report(
+        "sign-coherence", PASS if records else SKIPPED, detail, truncated
     )
 
 
@@ -438,27 +436,23 @@ def check_distinct_d(ctx):
             by_key[key] = d
             other = by_d.get(d)
             if other is not None and other != key:
-                return VerificationReport(
+                return ctx.report(
                     "distinct-d",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "two monomials share d=%s" % (d,),
-                    ctx.counterexample(
-                        history=list(seed.history),
-                        monomial=list(key),
-                        clashes_with=list(other),
-                        d=list(d),
-                    ),
+                    truncated,
+                    history=list(seed.history),
+                    monomial=list(key),
+                    clashes_with=list(other),
+                    d=list(d),
                 )
             by_d[d] = key
-    return VerificationReport(
+    return ctx.report(
         "distinct-d",
-        ctx.target(),
-        ctx.scope(truncated),
         PASS,
         "%d monomials of degree <= 2, all denominator vectors distinct"
         % len(by_key),
+        truncated,
     )
 
 
@@ -472,23 +466,19 @@ def check_d_basis(ctx):
         rows = tuple(seed.d_vector(i) for i in range(n))
         value = det(rows)
         if value not in (1, -1):
-            return VerificationReport(
+            return ctx.report(
                 "d-basis",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "cluster determinant %d" % value,
-                ctx.counterexample(
-                    history=list(seed.history),
-                    d_rows=[list(r) for r in rows],
-                ),
+                truncated,
+                history=list(seed.history),
+                d_rows=[list(r) for r in rows],
             )
-    return VerificationReport(
+    return ctx.report(
         "d-basis",
-        ctx.target(),
-        ctx.scope(truncated),
         PASS,
         "determinant +-1 in all %d seeds" % len(result.seeds),
+        truncated,
     )
 
 
@@ -503,63 +493,42 @@ def check_g_formula(ctx):
         g = variable_g_vector(rec["poly"], n)
         want = g_from_d(ctx.data, rec["d"])
         if tuple(g) != tuple(want):
-            return VerificationReport(
+            return ctx.report(
                 "g-formula",
-                ctx.target(),
-                ctx.scope(truncated),
                 FAIL,
                 "g=%s but formula gives %s" % (g, want),
-                ctx.counterexample(
-                    history=list(rec["route"][0]), d=list(rec["d"])
-                ),
+                truncated,
+                history=list(rec["route"][0]),
+                d=list(rec["d"]),
             )
-    return VerificationReport(
+    return ctx.report(
         "g-formula",
-        ctx.target(),
-        ctx.scope(truncated),
-        PASS,
+        PASS if records else SKIPPED,
         "%d variables checked" % len(records),
+        truncated,
     )
 
 
-def _lockstep_pairs(ctx, k):
-    """Walk the exchange graph of the k-mutated matrix in lockstep with
-    the original algebra: the fresh initial seed is paired with the
-    original seed mutated at k, and equal mutation words stay paired.
-    Returns (pairs, truncated, conflict) where conflict is a pair of
-    histories reaching one fresh seed but two original seeds."""
-    data = ctx.data
-    n = ctx.n
-    mu_b = data.mutate(k).btilde[: n]
-    fresh = build_exchange_data(mu_b)
-    a0 = ClassicalSeed.initial_seed(data).mutate(k)
-    f0 = ClassicalSeed.initial_seed(fresh)
-    seen = {f0.canonical_key(): a0.canonical_key()}
-    pairs = [(a0, f0)]
-    frontier = [(a0, f0)]
-    truncated = False
-    while frontier:
-        nxt = []
-        for a, f in frontier:
-            if ctx.max_depth is not None and len(f.history) >= ctx.max_depth:
-                truncated = True
-                continue
-            for j in range(n):
-                f2 = f.mutate(j)
-                a2 = a.mutate(j)
-                key = f2.canonical_key()
-                if key in seen:
-                    if seen[key] != a2.canonical_key():
-                        return pairs, truncated, (f2.history, a2.history)
-                    continue
-                if len(pairs) >= ctx.max_seeds:
-                    truncated = True
-                    continue
-                seen[key] = a2.canonical_key()
-                pairs.append((a2, f2))
-                nxt.append((a2, f2))
-        frontier = nxt
-    return pairs, truncated, None
+@dataclass(frozen=True)
+class _SeedPair:
+    """A seed of the algebra of the k-mutated matrix, paired with the seed
+    of the original algebra that the same mutation word reaches from the
+    original initial seed mutated at k.  A vertex of the paired walk is a
+    pair of canonical keys, so an inconsistent pairing shows up as two
+    vertices with one fresh key."""
+
+    fresh: ClassicalSeed
+    original: ClassicalSeed
+
+    @property
+    def depth(self):
+        return self.fresh.depth
+
+    def mutate(self, k):
+        return _SeedPair(self.fresh.mutate(k), self.original.mutate(k))
+
+    def canonical_key(self):
+        return (self.fresh.canonical_key(), self.original.canonical_key())
 
 
 def check_sink_source_reflection(ctx):
@@ -569,28 +538,34 @@ def check_sink_source_reflection(ctx):
     n = ctx.n
     b = ctx.b
     sinks, sources = _sinks_and_sources(b)
-    vertices = sorted(set(sinks) | set(sources))
-    truncated_any = False
+    fresh_initial = {LaurentPoly.variable(2 * n, i) for i in range(n)}
+    truncated = False
     matched = 0
-    for k in vertices:
-        pairs, truncated, conflict = _lockstep_pairs(ctx, k)
-        truncated_any = truncated_any or truncated
-        if conflict is not None:
-            return VerificationReport(
-                "sink-source-reflection",
-                ctx.target(),
-                ctx.scope(True),
-                FAIL,
-                "seed pairing at vertex %d is inconsistent" % (k + 1),
-                ctx.counterexample(
+    for k in sorted(set(sinks) | set(sources)):
+        fresh = build_exchange_data(ctx.data.mutate(k).btilde[:n])
+        start = _SeedPair(
+            ClassicalSeed.initial_seed(fresh),
+            ClassicalSeed.initial_seed(ctx.data).mutate(k),
+        )
+        walk = walk_seeds(start, n, ctx.max_depth, ctx.max_seeds)
+        truncated = truncated or walk.truncated
+        fresh_keys = set()
+        for pair in walk.seeds:
+            key = pair.fresh.canonical_key()
+            if key in fresh_keys:
+                return ctx.report(
+                    "sink-source-reflection",
+                    FAIL,
+                    "seed pairing at vertex %d is inconsistent" % (k + 1),
+                    truncated=True,
                     vertex=k + 1,
-                    fresh_history=list(conflict[0]),
-                    original_history=list(conflict[1]),
-                ),
-            )
-        fresh_initial = {LaurentPoly.variable(2 * n, i) for i in range(n)}
+                    fresh_history=list(pair.fresh.history),
+                    original_history=list(pair.original.history),
+                )
+            fresh_keys.add(key)
         seen_vars = set()
-        for a, f in pairs:
+        for pair in walk.seeds:
+            f = pair.fresh
             for i in range(n):
                 fvar = f.variables[i]
                 if fvar in seen_vars or fvar in fresh_initial:
@@ -598,28 +573,24 @@ def check_sink_source_reflection(ctx):
                 seen_vars.add(fvar)
                 w = f.d_vector(i)
                 want = simple_reflection(b, k, w)
-                got = a.d_vector(i)
+                got = pair.original.d_vector(i)
                 if tuple(got) != tuple(want):
-                    return VerificationReport(
+                    return ctx.report(
                         "sink-source-reflection",
-                        ctx.target(),
-                        ctx.scope(truncated_any),
                         FAIL,
                         "d=%s maps to %s, expected %s" % (w, got, want),
-                        ctx.counterexample(
-                            vertex=k + 1,
-                            fresh_history=list(f.history),
-                            slot=i + 1,
-                        ),
+                        truncated,
+                        vertex=k + 1,
+                        fresh_history=list(f.history),
+                        slot=i + 1,
                     )
                 matched += 1
-    return VerificationReport(
+    return ctx.report(
         "sink-source-reflection",
-        ctx.target(),
-        ctx.scope(truncated_any),
-        PASS,
+        PASS if matched else SKIPPED,
         "sinks %s, sources %s, %d variables matched"
         % ([k + 1 for k in sinks], [k + 1 for k in sources], matched),
+        truncated,
     )
 
 
@@ -639,12 +610,8 @@ def check_principal_source(ctx, source=None):
             )
         sources = [source]
     if not sources:
-        return VerificationReport(
-            "principal-source",
-            ctx.target(),
-            "exhaustive",
-            SKIPPED,
-            "input has no source vertex",
+        return ctx.report(
+            "principal-source", SKIPPED, "input has no source vertex"
         )
     records = ctx.variable_records()
     truncated = ctx.classical_graph().truncated
@@ -665,18 +632,15 @@ def check_principal_source(ctx, source=None):
             got = tropical_evaluate(f, assignment)
             want = tuple(-x for x in unit) if rec["d"] == unit else (0,) * n
             if got != want:
-                return VerificationReport(
+                return ctx.report(
                     "principal-source",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "source %d: tropical value %s at d=%s, expected %s"
                     % (k + 1, got, rec["d"], want),
-                    ctx.counterexample(
-                        vertex=k + 1,
-                        history=list(rec["route"][0]),
-                        d=list(rec["d"]),
-                    ),
+                    truncated,
+                    vertex=k + 1,
+                    history=list(rec["route"][0]),
+                    d=list(rec["d"]),
                 )
             if rec["d"] != unit:
                 plain += 1
@@ -684,13 +648,9 @@ def check_principal_source(ctx, source=None):
             "source %d: value 1 for %d variables, y%d^-1 at the simple"
             % (k + 1, plain, k + 1)
         )
-    return VerificationReport(
-        "principal-source",
-        ctx.target(),
-        ctx.scope(truncated),
-        PASS,
-        "; ".join(details),
-    )
+    status = PASS if records else SKIPPED
+    detail = "; ".join(details)
+    return ctx.report("principal-source", status, detail, truncated)
 
 
 def check_rs310(ctx):
@@ -698,28 +658,19 @@ def check_rs310(ctx):
     subgraph, and so do the seeds containing a fixed compatible pair."""
     result = ctx.classical_graph()
     if result.truncated:
-        return VerificationReport(
-            "rs310",
-            ctx.target(),
-            "truncated",
-            SKIPPED,
-            "graph walk truncated; connectedness not decidable",
-        )
+        return ctx.report("rs310", SKIPPED, _UNDECIDABLE, truncated=True)
     where = cluster_variable_index(result)
     polys = sorted(where, key=lambda p: p.render())
     pair_count = 0
     for a_idx in range(len(polys)):
         pa = polys[a_idx]
         if not subgraph_is_connected(result, where[pa]):
-            return VerificationReport(
+            return ctx.report(
                 "rs310",
-                ctx.target(),
-                "exhaustive",
                 FAIL,
                 "seeds holding one variable are disconnected",
-                ctx.counterexample(
-                    variable=pa.render(), seeds=sorted(where[pa])
-                ),
+                variable=pa.render(),
+                seeds=sorted(where[pa]),
             )
         for b_idx in range(a_idx + 1, len(polys)):
             pb = polys[b_idx]
@@ -728,21 +679,15 @@ def check_rs310(ctx):
                 continue
             pair_count += 1
             if not subgraph_is_connected(result, common):
-                return VerificationReport(
+                return ctx.report(
                     "rs310",
-                    ctx.target(),
-                    "exhaustive",
                     FAIL,
                     "seeds holding a compatible pair are disconnected",
-                    ctx.counterexample(
-                        variables=[pa.render(), pb.render()],
-                        seeds=sorted(common),
-                    ),
+                    variables=[pa.render(), pb.render()],
+                    seeds=sorted(common),
                 )
-    return VerificationReport(
+    return ctx.report(
         "rs310",
-        ctx.target(),
-        "exhaustive",
         PASS,
         "%d variables and %d compatible pairs, all induced subgraphs "
         "connected" % (len(polys), pair_count),
@@ -755,40 +700,27 @@ def check_fz4144(ctx):
     n = ctx.n
     result = ctx.classical_graph()
     if result.truncated:
-        return VerificationReport(
-            "fz4144",
-            ctx.target(),
-            "truncated",
-            SKIPPED,
-            "graph walk truncated; connectedness not decidable",
-        )
+        return ctx.report("fz4144", SKIPPED, _UNDECIDABLE, truncated=True)
     nodes = {
         idx
         for idx, seed in enumerate(result.seeds)
         if is_acyclic(tuple(seed.current.btilde[i] for i in range(n)))
     }
     if not nodes:
-        return VerificationReport(
+        return ctx.report(
             "fz4144",
-            ctx.target(),
-            "exhaustive",
             FAIL,
             "no acyclic seed found (initial seed should qualify)",
-            ctx.counterexample(),
         )
     if not subgraph_is_connected(result, nodes):
-        return VerificationReport(
+        return ctx.report(
             "fz4144",
-            ctx.target(),
-            "exhaustive",
             FAIL,
             "acyclic-matrix seeds are disconnected",
-            ctx.counterexample(seeds=sorted(nodes)),
+            seeds=sorted(nodes),
         )
-    return VerificationReport(
+    return ctx.report(
         "fz4144",
-        ctx.target(),
-        "exhaustive",
         PASS,
         "%d of %d seeds have acyclic matrices and form a connected "
         "subgraph" % (len(nodes), len(result.seeds)),
@@ -813,16 +745,14 @@ def check_characters(ctx):
         for i in range(n):
             x_q = seed.variables[i]
             if x_q.specialize_q1() != cseed.variables[i]:
-                return VerificationReport(
+                return ctx.report(
                     "characters",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "u=1 specialization disagrees with the commutative "
                     "engine",
-                    ctx.counterexample(
-                        history=list(seed.history), slot=i + 1
-                    ),
+                    truncated,
+                    history=list(seed.history),
+                    slot=i + 1,
                 )
             if x_q in seen or x_q in initial_vars:
                 continue
@@ -833,36 +763,34 @@ def check_characters(ctx):
                 continue
             try:
                 x_char = ctx.generic_char(v)
+            except CapExceeded as exc:
+                return ctx.report("characters", SKIPPED, str(exc), truncated)
             except _CHECK_ERRORS as exc:
-                return VerificationReport(
+                return ctx.report(
                     "characters",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "character construction failed: %s" % exc,
-                    ctx.counterexample(
-                        history=list(seed.history), slot=i + 1, d=list(v)
-                    ),
+                    truncated,
+                    history=list(seed.history),
+                    slot=i + 1,
+                    d=list(v),
                 )
             checked += 1
             if x_char != x_q:
-                return VerificationReport(
+                return ctx.report(
                     "characters",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "generic character differs from mutated variable",
-                    ctx.counterexample(
-                        history=list(seed.history), slot=i + 1, d=list(v)
-                    ),
+                    truncated,
+                    history=list(seed.history),
+                    slot=i + 1,
+                    d=list(v),
                 )
     detail = "%d variables matched" % checked
     if skipped:
         detail += ", %d skipped (need more primes)" % skipped
-    status = PASS if checked or not skipped else SKIPPED
-    return VerificationReport(
-        "characters", ctx.target(), ctx.scope(truncated), status, detail
-    )
+    status = PASS if checked else SKIPPED
+    return ctx.report("characters", status, detail, truncated)
 
 
 def check_reflection(ctx):
@@ -907,24 +835,26 @@ def check_reflection(ctx):
                 )
                 assert v_ref == v_new
                 x_ref = character_in_seed(mutated, v_new, polys)
+            except CapExceeded as exc:
+                return ctx.report("reflection", SKIPPED, str(exc), truncated)
             except _CHECK_ERRORS as exc:
-                return VerificationReport(
+                return ctx.report(
                     "reflection",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "vertex %d, d=%s: %s" % (k + 1, v, exc),
-                    ctx.counterexample(vertex=k + 1, d=list(v)),
+                    truncated,
+                    vertex=k + 1,
+                    d=list(v),
                 )
             checked += 1
             if x_v != x_ref:
-                return VerificationReport(
+                return ctx.report(
                     "reflection",
-                    ctx.target(),
-                    ctx.scope(truncated),
                     FAIL,
                     "reflected character differs at vertex %d" % (k + 1),
-                    ctx.counterexample(vertex=k + 1, d=list(v)),
+                    truncated,
+                    vertex=k + 1,
+                    d=list(v),
                 )
     detail = "sinks %s, sources %s, %d characters matched" % (
         [k + 1 for k in sinks],
@@ -933,10 +863,8 @@ def check_reflection(ctx):
     )
     if skipped:
         detail += ", %d skipped (need more primes)" % skipped
-    status = PASS if checked or not skipped else SKIPPED
-    return VerificationReport(
-        "reflection", ctx.target(), ctx.scope(truncated), status, detail
-    )
+    status = PASS if checked else SKIPPED
+    return ctx.report("reflection", status, detail, truncated)
 
 
 REGISTRY = {

@@ -22,7 +22,6 @@ from valq.exchange import (
     minimal_symmetrizer,
     principal_framing,
     star_left_matrix,
-    star_right_matrix,
     topological_order,
     valued_arrows,
 )
@@ -210,14 +209,6 @@ class TestMutation:
 class TestStarMatrices:
     def test_star_left_b2(self):
         assert star_left_matrix(BUILTIN_MATRICES["B2"]) == ((1, 0), (-2, 1))
-
-    def test_star_right_b2(self):
-        assert star_right_matrix(BUILTIN_MATRICES["B2"]) == (
-            (1, 0),
-            (-1, 1),
-            (-1, 0),
-            (0, -1),
-        )
 
     def test_star_left_uses_column_negatives(self):
         # Entry (i, j) is delta_ij + min(b_ij, 0).

@@ -39,6 +39,36 @@ B2_ROWS = [
     "reflection             B2       PASS exhaustive  sinks [1], sources [2], 6 characters matched",
 ]
 
+G2_ROWS = [
+    "denominators           G2       PASS exhaustive  6 variables checked",
+    "tropical               G2       PASS exhaustive  6 variables checked",
+    "sign-coherence         G2       PASS exhaustive  parts 1-3 on 6 variables",
+    "distinct-d             G2       PASS exhaustive  25 monomials of degree <= 2, all denominator vectors distinct",
+    "d-basis                G2       PASS exhaustive  determinant +-1 in all 8 seeds",
+    "g-formula              G2       PASS exhaustive  6 variables checked",
+    "sink-source-reflection G2       PASS exhaustive  sinks [1], sources [2], 12 variables matched",
+    "principal-source       G2       PASS exhaustive  source 2: value 1 for 5 variables, y2^-1 at the simple",
+    "rs310                  G2       PASS exhaustive  8 variables and 8 compatible pairs, all induced subgraphs connected",
+    "fz4144                 G2       PASS exhaustive  8 of 8 seeds have acyclic matrices and form a connected subgraph",
+    "characters             G2       PASS exhaustive  6 variables matched",
+    "reflection             G2       PASS exhaustive  sinks [1], sources [2], 10 characters matched",
+]
+
+B3_ROWS = [
+    "denominators           B3       PASS exhaustive  9 variables checked",
+    "tropical               B3       PASS exhaustive  9 variables checked",
+    "sign-coherence         B3       PASS exhaustive  parts 1-3 on 9 variables",
+    "distinct-d             B3       PASS exhaustive  55 monomials of degree <= 2, all denominator vectors distinct",
+    "d-basis                B3       PASS exhaustive  determinant +-1 in all 20 seeds",
+    "g-formula              B3       PASS exhaustive  9 variables checked",
+    "sink-source-reflection B3       PASS exhaustive  sinks [1], sources [3], 18 variables matched",
+    "principal-source       B3       PASS exhaustive  source 3: value 1 for 8 variables, y3^-1 at the simple",
+    "rs310                  B3       PASS exhaustive  12 variables and 30 compatible pairs, all induced subgraphs connected",
+    "fz4144                 B3       PASS exhaustive  16 of 20 seeds have acyclic matrices and form a connected subgraph",
+    "characters             B3       PASS exhaustive  9 variables matched",
+    "reflection             B3       PASS exhaustive  sinks [1], sources [3], 16 characters matched",
+]
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -76,6 +106,10 @@ class TestChecksPass:
         assert [r.row() for r in reports] == B2_ROWS
         assert all(r.status == PASS for r in reports)
         assert all(r.counterexample is None for r in reports)
+
+    @pytest.mark.parametrize("name, rows", [("G2", G2_ROWS), ("B3", B3_ROWS)])
+    def test_all_rows(self, ctx_for, name, rows):
+        assert [r.row() for r in run_all(ctx_for(name))] == rows
 
     def test_all_a3_checks_pass(self, ctx_for):
         reports = run_all(ctx_for("A3"))
@@ -125,6 +159,109 @@ class TestTruncationSemantics:
         r = run_check("sign-coherence", ctx_for("WILD3", max_depth=3))
         assert r.status == PASS
         assert "one direction of part 2" in r.detail
+
+    def test_truncated_sink_source_rows(self, ctx_for):
+        r = run_check("sink-source-reflection", ctx_for("WILD3", max_depth=3))
+        assert r.row() == (
+            "sink-source-reflection WILD3    PASS truncated   "
+            "sinks [1], sources [3], 27 variables matched"
+        )
+        r = run_check("sink-source-reflection", ctx_for("B3", max_seeds=7))
+        assert r.row() == (
+            "sink-source-reflection B3       PASS truncated   "
+            "sinks [1], sources [3], 8 variables matched"
+        )
+
+
+class TestSinkSourcePairing:
+    @staticmethod
+    def _unmutated(monkeypatch, name):
+        """A context whose k-mutated matrix is built as the unmutated one,
+        so the fresh walk cannot stay paired with the original algebra."""
+        import valq.verify
+
+        ctx = VerifyContext(builtin_exchange_data(name), name=name)
+        monkeypatch.setattr(valq.verify, "build_exchange_data", lambda b: ctx.data)
+        return run_check("sink-source-reflection", ctx)
+
+    def test_inconsistent_pairing_fails(self, monkeypatch):
+        r = self._unmutated(monkeypatch, "A3")
+        assert r.status == FAIL
+        assert r.row() == (
+            "sink-source-reflection A3       FAIL truncated   "
+            "seed pairing at vertex 1 is inconsistent"
+        )
+        assert r.counterexample["vertex"] == 1
+        assert r.counterexample["fresh_history"] == [0, 1, 2, 0]
+        assert r.counterexample["original_history"] == [0, 0, 1, 2, 0]
+
+    @pytest.mark.parametrize("name", ["B2", "G2"])
+    def test_rank_two_pairing_survives(self, monkeypatch, name):
+        assert self._unmutated(monkeypatch, name).status == PASS
+
+
+class TestZeroItems:
+    """With only the initial seed there is nothing to check, and a check
+    that checked nothing says SKIPPED, keeping its detail text."""
+
+    ROWS = [
+        "denominators           B2       SKIPPED truncated   0 variables checked",
+        "tropical               B2       SKIPPED truncated   0 variables checked",
+        "sign-coherence         B2       SKIPPED truncated   parts 1,3 and one direction of part 2 on 0 variables (graph truncated)",
+        "distinct-d             B2       PASS truncated   6 monomials of degree <= 2, all denominator vectors distinct",
+        "d-basis                B2       PASS truncated   determinant +-1 in all 1 seeds",
+        "g-formula              B2       SKIPPED truncated   0 variables checked",
+        "sink-source-reflection B2       SKIPPED truncated   sinks [1], sources [2], 0 variables matched",
+        "principal-source       B2       SKIPPED truncated   source 2: value 1 for 0 variables, y2^-1 at the simple",
+        "rs310                  B2       SKIPPED truncated   graph walk truncated; connectedness not decidable",
+        "fz4144                 B2       SKIPPED truncated   graph walk truncated; connectedness not decidable",
+        "characters             B2       SKIPPED truncated   0 variables matched",
+        "reflection             B2       SKIPPED truncated   sinks [1], sources [2], 0 characters matched",
+    ]
+
+    def test_single_seed_rows(self):
+        rc, out, _ = run_cli(["verify-all", "--type", "B2", "--max-seeds", "1"])
+        assert rc == 0
+        assert out.splitlines()[:12] == self.ROWS
+
+
+class TestBudgets:
+    CAPPED = ("denominators", "characters", "reflection")
+
+    def test_exhausted_cap_is_skipped(self, ctx_for):
+        for r in run_all(ctx_for("B2", cap=1)):
+            if r.check in self.CAPPED:
+                assert r.status == SKIPPED
+                assert r.detail == "field size 2 exceeds cap 1"
+                assert r.counterexample is None
+            else:
+                assert r.status == PASS
+
+    def test_exhausted_cap_exits_zero(self):
+        rc, out, err = run_cli(["verify-all", "--type", "B2", "--cap", "1"])
+        assert rc == 0 and err == ""
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-seeds", "0", "--max-seeds must be at least 1"),
+            ("--cap", "0", "--cap must be at least 1"),
+            ("--cap", "-5", "--cap must be at least 1"),
+            ("--max-depth", "-1", "--max-depth must be at least 0"),
+        ],
+    )
+    def test_budget_out_of_range(self, flag, value, message):
+        for command in (["seeds"], ["verify", "tropical"], ["verify-all"]):
+            rc, out, err = run_cli(command + ["--type", "B2", flag, value])
+            assert rc == 2 and out == ""
+            assert err == "error: %s\n" % message
+
+    def test_smallest_budgets_accepted(self):
+        rc, out, _ = run_cli(
+            ["seeds", "--type", "B2", "--max-seeds", "1", "--max-depth", "0"]
+        )
+        assert rc == 0 and out.splitlines()[0] == "1 seeds (truncated)"
 
 
 class TestPrimesGuard:
