@@ -14,14 +14,13 @@ from .exchange import (
     build_exchange_data,
     builtin_exchange_data,
 )
-from .laurent import LaurentPoly, QCoeff
+from .laurent import LaurentPoly
 from .qtorus import QTorusElem, QuantumSeed
 
 __all__ = [
     "BUILTIN_MATRICES",
     "ExchangeData",
     "LaurentPoly",
-    "QCoeff",
     "QTorusElem",
     "QuantumSeed",
     "build_exchange_data",

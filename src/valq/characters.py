@@ -16,7 +16,6 @@ Grassmannian dimension) and validated on held-out primes.
 from fractions import Fraction
 
 from .exchange import framed_star_matrix
-from .laurent import QCoeff
 from .qtorus import QTorusElem, QuantumSeed
 from .reps import (
     ValuedQuiver,
@@ -164,9 +163,9 @@ def reflected_counting_polynomials(
     return v_new, interpolate_counts(diag, v_new, tables, primes)
 
 
-def _poly_to_qcoeff(coeffs):
-    # q-polynomial evaluated at u**2
-    return QCoeff({2 * deg: c for deg, c in enumerate(coeffs)})
+def _poly_to_qcoeff(coeffs, shift):
+    # q-polynomial evaluated at u**2, times u**shift
+    return {2 * deg + shift: c for deg, c in enumerate(coeffs) if c}
 
 
 def character_in_seed(qseed, v, polys):
@@ -192,27 +191,17 @@ def character_in_seed(qseed, v, polys):
             for i in range(size)
         )
         vm = tuple(x - y for x, y in zip(v, e))
-        coeff = _poly_to_qcoeff(coeffs).shift(-euler_form(b_prin, cur.diag, e, vm))
-        terms.append((a, coeff))
+        terms.append((a, coeffs, -euler_form(b_prin, cur.diag, e, vm)))
     clear = tuple(
-        max([0] + [-a[i] for a, _ in terms]) if i < n else 0
+        max([0] + [-a[i] for a, _, _ in terms]) if i < n else 0
         for i in range(size)
     )
     acc = QTorusElem.zero(qseed.initial.lam)
-    lam = cur.lam
-
-    def lam_pair(x, y):
-        return sum(
-            x[i] * lam[i][j] * y[j]
-            for i in range(size)
-            for j in range(size)
-            if x[i] and lam[i][j] and y[j]
-        )
-
-    for a, coeff in terms:
+    for a, coeffs, shift in terms:
         shifted = tuple(x + m for x, m in zip(a, clear))
         piece = qseed.frame_monomial(shifted)
-        acc = acc + piece.scale(coeff.shift(lam_pair(a, clear)))
+        coeff = _poly_to_qcoeff(coeffs, shift + cur.lam_pairing(a, clear))
+        acc = acc + piece.scale(coeff)
     if all(m == 0 for m in clear):
         return acc
     return acc.div_right(qseed.frame_monomial(clear))

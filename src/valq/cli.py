@@ -40,7 +40,7 @@ from .exchange import (
 )
 from .finfield import CapExceeded, NotPrime, is_prime
 from .laurent import ArityMismatch, NegativeExponentInF
-from .qtorus import QuantumSeed
+from .qtorus import QuantumSeed, render_coeff
 from .reps import NoRigidFound, NotSinkOrSource
 from .verify import (
     ALL_CHECKS,
@@ -191,8 +191,18 @@ def _check_budgets(args):
             raise ValueError("%s must be at least %d" % (flag, least))
 
 
+def _check_walk_ends(args, data, label):
+    """Refuse to walk an infinite exchange graph without a depth bound;
+    the seed budget alone does not end such a walk in practice."""
+    if args.max_depth is None and not data.is_finite_type():
+        raise ValueError(
+            "%s is of infinite type; give --max-depth to bound the walk" % label
+        )
+
+
 def cmd_seeds(args):
-    data, _ = load_data(args)
+    data, name = load_data(args)
+    _check_walk_ends(args, data, name)
     result = enumerate_exchange_graph(
         data, max_depth=args.max_depth, max_seeds=args.max_seeds
     )
@@ -275,7 +285,7 @@ def character_table(data, v, primes, rng_seed, cap):
         "d": list(torus_denominator_vector(x_v, n)),
         "X_v": x_v.render(),
         "X_v_terms": [
-            [list(exp), coeff.render()] for exp, coeff in x_v.sorted_terms()
+            [list(exp), render_coeff(coeff)] for exp, coeff in x_v.sorted_terms()
         ],
     }
 
@@ -325,6 +335,7 @@ def _emit_reports(reports, as_json, note=None):
 
 def cmd_verify(args):
     data, name = load_data(args)
+    _check_walk_ends(args, data, name)
     ctx = _context(args, data, name)
     source = None
     if args.source is not None:
@@ -337,6 +348,7 @@ def cmd_verify(args):
 
 def cmd_verify_all(args):
     data, name = load_data(args)
+    _check_walk_ends(args, data, name)
     ctx = _context(args, data, name)
     reports = run_all(ctx)
     return _emit_reports(reports, args.as_json, note=IMPLIED_NOTE)

@@ -255,6 +255,20 @@ class ExchangeData:
     def is_acyclic(self):
         return is_acyclic(self.principal())
 
+    def is_finite_type(self):
+        """Whether the symmetrized Cartan companion D*A(B), with a_kk = 2
+        and a_kj = -|b_kj|, is positive definite by leading minors.  For
+        an acyclic B this says the exchange graph is finite."""
+        b = self.principal()
+        da = tuple(
+            tuple(d * (2 if k == j else -abs(x)) for j, x in enumerate(row))
+            for k, (d, row) in enumerate(zip(self.diag, b))
+        )
+        return all(
+            mx.det(tuple(row[:m] for row in da[:m])) > 0
+            for m in range(1, self.n + 1)
+        )
+
     def mutate(self, k):
         if not 0 <= k < self.n:
             raise IndexOutOfRange("mutable index %d out of range" % k)

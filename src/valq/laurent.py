@@ -1,17 +1,14 @@
 """Exact Laurent polynomial arithmetic.
 
-Two coefficient worlds live here:
-
-* ``LaurentPoly``: integer-coefficient Laurent polynomials in several
-  commuting variables, stored as a dict from exponent tuples to nonzero
-  ints.  This is the engine for commutative cluster variables.
-* ``QCoeff``: integer-coefficient Laurent polynomials in the single
-  deformation variable u (so u**2 plays the role of q), used as the
-  coefficient ring of the quantum torus.
-
-Both support exact division that raises ``InexactDivision`` instead of
-ever returning an approximation.
+``LaurentPoly`` holds integer-coefficient Laurent polynomials in
+several commuting variables, stored as a dict from exponent tuples to
+nonzero ints.  It is the engine for commutative cluster variables, and
+in one variable it divides the u-coefficients of the quantum torus.
+``exact_div`` raises ``InexactDivision`` instead of ever returning an
+approximation.
 """
+
+from operator import add, sub
 
 
 class ArityMismatch(ValueError):
@@ -31,11 +28,11 @@ class NegativeExponentInF(ValueError):
 
 
 def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class LaurentPoly:
@@ -401,174 +398,3 @@ def tropical_evaluate(poly, assignment):
         else:
             best = [min(a, b) for a, b in zip(best, combo)]
     return tuple(best)
-
-
-class QCoeff:
-    """Integer Laurent polynomial in the single variable u.
-
-    u squares to the quantum parameter, so integer u-exponents encode
-    half-integer powers of q.  The bar involution sends u to 1/u.
-    """
-
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = int(c)
-                if c == 0:
-                    continue
-                k = int(k)
-                clean[k] = clean.get(k, 0) + c
-                if clean[k] == 0:
-                    del clean[k]
-        self.terms = clean
-        self._hash = None
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def u_power(cls, k, coeff=1):
-        return cls({int(k): coeff})
-
-    @classmethod
-    def integer(cls, n):
-        return cls({0: int(n)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_one(self):
-        return self.terms == {0: 1}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return QCoeff(out)
-
-    def __neg__(self):
-        return QCoeff({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QCoeff({k: c * other for k, c in self.terms.items()})
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = ka + kb
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return QCoeff(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, k):
-        """Multiply by u**k."""
-        k = int(k)
-        return QCoeff({e + k: c for e, c in self.terms.items()})
-
-    def bar(self):
-        """The involution u -> 1/u."""
-        return QCoeff({-k: c for k, c in self.terms.items()})
-
-    def is_bar_invariant(self):
-        return self == self.bar()
-
-    def __eq__(self, other):
-        if not isinstance(other, QCoeff):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def specialize_u(self, value):
-        """Evaluate at a concrete invertible value of u (exact types only)."""
-        total = 0
-        for k, c in self.terms.items():
-            total += c * value ** k
-        return total
-
-    def at_q_one(self):
-        return sum(self.terms.values())
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            if k == 0:
-                body = str(abs(c))
-            else:
-                mono = "u" if k == 1 else "u^%d" % k
-                body = mono if abs(c) == 1 else "%d*%s" % (abs(c), mono)
-            pieces.append((c < 0, body))
-        first_neg, first = pieces[0]
-        text = ("-" if first_neg else "") + first
-        for negp, body in pieces[1:]:
-            text += (" - " if negp else " + ") + body
-        return text
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return "QCoeff(%s)" % self.render()
-
-
-def qdiv(num, den):
-    """Exact quotient in the u-Laurent ring; raises on failure.
-
-    Works from the bottom: the lowest term of the quotient is forced,
-    and exact quotients have all exponents at most max(num) - max(den).
-    """
-    if den.is_zero():
-        raise ZeroPolynomial("division by zero")
-    if num.is_zero():
-        return QCoeff.zero()
-    hi = max(num.terms) - max(den.terms)
-    den_low = min(den.terms)
-    den_low_coeff = den.terms[den_low]
-    rem = dict(num.terms)
-    quo = {}
-    while rem:
-        low = min(rem)
-        k = low - den_low
-        if k > hi:
-            raise InexactDivision("quotient exponent out of range")
-        c, r = divmod(rem[low], den_low_coeff)
-        if r:
-            raise InexactDivision("lowest coefficient does not divide")
-        quo[k] = quo.get(k, 0) + c
-        for e, dc in den.terms.items():
-            t = k + e
-            s = rem.get(t, 0) - c * dc
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return QCoeff(quo)

@@ -1,52 +1,72 @@
 """Quantum torus elements and quantum seed mutation.
 
 The torus is based: elements are finite sums of bar-invariant basis
-monomials X^a (a in Z^{2n}) with coefficients in the u-Laurent ring,
-multiplying by X^a * X^b = u^(a^T L b) * X^(a+b) for the fixed skew
-form L.  Quantum seeds keep their cluster variables expanded in the
-initial torus, so mutation needs one exact right division per step.
+monomials X^a (a in Z^{2n}) with coefficients in the u-Laurent ring
+Z[u, 1/u], u**2 = q, multiplying by X^a * X^b = u^(a^T L b) * X^(a+b)
+for the fixed skew form L.  A coefficient is a plain dict from
+u-exponents to nonzero ints, and an element maps exponent tuples to
+nonempty coefficients.  No operation changes a coefficient dict that
+an element already holds, so elements may share them.  Quantum seeds
+keep their cluster variables expanded in the initial torus, so
+mutation needs one exact right division per step.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
-from .laurent import InexactDivision, LaurentPoly, QCoeff, qdiv
+from .laurent import InexactDivision, LaurentPoly, _vec_add, _vec_sub, exact_div
 
 
 class LambdaMismatch(ValueError):
     """Operands live over different skew forms."""
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+_ONE = {0: 1}
 
 
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _coeff(value):
+    """A coefficient dict from an int or a {u-exponent: int} mapping."""
+    if isinstance(value, int):
+        return {0: value} if value else {}
+    return {int(k): int(c) for k, c in value.items() if c}
+
+
+def _add_product(acc, a, b, shift):
+    """Add a * b * u**shift into the coefficient dict ``acc``."""
+    for ka, ca in a.items():
+        ka += shift
+        for kb, cb in b.items():
+            k = ka + kb
+            s = acc.get(k, 0) + ca * cb
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+def _u_poly(coeff, shift=0):
+    """A coefficient times u**shift, as a one-variable ``LaurentPoly``."""
+    return LaurentPoly(1, {(k + shift,): c for k, c in coeff.items()})
+
+
+def render_coeff(coeff):
+    """A coefficient as text, highest power of u first: ``u + u^-1``."""
+    return _u_poly(coeff).render(["u"])
 
 
 class QTorusElem:
-    """Element of the based quantum torus attached to a skew form."""
+    """Element of the based quantum torus attached to a skew form.
+
+    The constructor takes ``terms`` as they are; build elements from
+    outside data with ``zero``, ``one`` and ``basis_elem``.
+    """
 
     __slots__ = ("lam", "nvars", "terms", "_hash")
 
-    def __init__(self, lam, terms=None):
+    def __init__(self, lam, terms):
         self.lam = lam
         self.nvars = len(lam)
-        clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff.is_zero():
-                    continue
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != self.nvars:
-                    raise LambdaMismatch("exponent length mismatch")
-                if exp in clean:
-                    clean[exp] = clean[exp] + coeff
-                    if clean[exp].is_zero():
-                        del clean[exp]
-                else:
-                    clean[exp] = coeff
-        self.terms = clean
+        self.terms = terms
         self._hash = None
 
     @classmethod
@@ -55,25 +75,25 @@ class QTorusElem:
 
     @classmethod
     def one(cls, lam):
-        return cls(lam, {(0,) * len(lam): QCoeff.one()})
+        return cls.basis_elem(lam, (0,) * len(lam))
 
     @classmethod
-    def basis_elem(cls, lam, exp, coeff=None):
-        return cls(lam, {tuple(exp): coeff if coeff is not None else QCoeff.one()})
+    def basis_elem(cls, lam, exp, coeff=1):
+        """``coeff * X^exp``; ``coeff`` is an int or a {u-exponent: int}
+        mapping."""
+        exp = tuple(int(e) for e in exp)
+        if len(exp) != len(lam):
+            raise LambdaMismatch("exponent length mismatch")
+        coeff = _coeff(coeff)
+        return cls(lam, {exp: coeff} if coeff else {})
 
     def _check(self, other):
         if self.lam is not other.lam and self.lam != other.lam:
             raise LambdaMismatch("different skew forms")
 
-    def lam_form(self, a, b):
-        total = 0
-        for i, x in enumerate(a):
-            if x:
-                row = self.lam[i]
-                for j, y in enumerate(b):
-                    if y and row[j]:
-                        total += x * row[j] * y
-        return total
+    def _lam_dot(self, b):
+        """The vector L*b, so that a^T L b is its dot product with a."""
+        return tuple(sum(map(mul, row, b)) for row in self.lam)
 
     def is_zero(self):
         return not self.terms
@@ -86,17 +106,21 @@ class QTorusElem:
         out = dict(self.terms)
         for exp, c in other.terms.items():
             if exp in out:
-                s = out[exp] + c
-                if s.is_zero():
-                    del out[exp]
-                else:
+                s = dict(out[exp])
+                _add_product(s, c, _ONE, 0)
+                if s:
                     out[exp] = s
+                else:
+                    del out[exp]
             else:
                 out[exp] = c
         return QTorusElem(self.lam, out)
 
     def __neg__(self):
-        return QTorusElem(self.lam, {e: -c for e, c in self.terms.items()})
+        return QTorusElem(
+            self.lam,
+            {e: {k: -x for k, x in c.items()} for e, c in self.terms.items()},
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -104,30 +128,33 @@ class QTorusElem:
     def __mul__(self, other):
         self._check(other)
         out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        for eb, cb in other.terms.items():
+            lb = self._lam_dot(eb)
+            for ea, ca in self.terms.items():
                 e = _vec_add(ea, eb)
-                c = (ca * cb).shift(self.lam_form(ea, eb))
-                if e in out:
-                    s = out[e] + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = c
-        return QTorusElem(self.lam, out)
+                acc = out.get(e)
+                if acc is None:
+                    acc = out[e] = {}
+                _add_product(acc, ca, cb, sum(map(mul, ea, lb)))
+        return QTorusElem(self.lam, {e: c for e, c in out.items() if c})
 
     def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = QCoeff.integer(coeff)
-        return QTorusElem(
-            self.lam, {e: c * coeff for e, c in self.terms.items()}
-        )
+        """Multiply every coefficient by ``coeff`` (an int or a
+        {u-exponent: int} mapping)."""
+        coeff = _coeff(coeff)
+        out = {}
+        for e, c in self.terms.items():
+            acc = {}
+            _add_product(acc, c, coeff, 0)
+            if acc:
+                out[e] = acc
+        return QTorusElem(self.lam, out)
 
     def shift_u(self, k):
+        """Multiply by u**k."""
         return QTorusElem(
-            self.lam, {e: c.shift(k) for e, c in self.terms.items()}
+            self.lam,
+            {e: {j + k: x for j, x in c.items()} for e, c in self.terms.items()},
         )
 
     def __pow__(self, k):
@@ -136,12 +163,11 @@ class QTorusElem:
             if not self.is_monomial():
                 raise InexactDivision("negative power of a non-monomial")
             (exp, coeff), = self.terms.items()
-            if coeff.terms and len(coeff.terms) == 1:
-                (uk, c), = coeff.terms.items()
+            if len(coeff) == 1:
+                (uk, c), = coeff.items()
                 if c in (1, -1):
                     inv = QTorusElem(
-                        self.lam,
-                        {tuple(-e for e in exp): QCoeff.u_power(-uk, c)},
+                        self.lam, {tuple(-e for e in exp): {-uk: c}}
                     )
                     return inv ** (-k)
             raise InexactDivision("negative power needs a unit coefficient")
@@ -155,9 +181,10 @@ class QTorusElem:
         return out
 
     def bar(self):
-        """Bar involution: conjugate every coefficient, fix the basis."""
+        """Bar involution: u -> 1/u in every coefficient, basis fixed."""
         return QTorusElem(
-            self.lam, {e: c.bar() for e, c in self.terms.items()}
+            self.lam,
+            {e: {-k: x for k, x in c.items()} for e, c in self.terms.items()},
         )
 
     def is_bar_invariant(self):
@@ -171,7 +198,12 @@ class QTorusElem:
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(
-                (self.lam, frozenset(self.terms.items()))
+                (
+                    self.lam,
+                    frozenset(
+                        (e, frozenset(c.items())) for e, c in self.terms.items()
+                    ),
+                )
             )
         return self._hash
 
@@ -184,6 +216,8 @@ class QTorusElem:
         Leading-exponent elimination in lexicographic order; exponents
         add under the twisted product, so the quotient's support must
         stay in the coordinatewise box allowed by the two supports.
+        Each leading coefficient is divided by ``exact_div`` in one
+        variable u, whose own box bound decides exactness there.
         """
         self._check(den)
         if den.is_zero():
@@ -198,7 +232,9 @@ class QTorusElem:
         )
         lo = _vec_sub(num_min, den_max_all)
         den_lead = max(den.terms)
-        den_lead_coeff = den.terms[den_lead]
+        den_lead_poly = _u_poly(den.terms[den_lead])
+        den_terms = [(e, c, self._lam_dot(e)) for e, c in den.terms.items()]
+        lead_dot = self._lam_dot(den_lead)
         rem = dict(self.terms)
         quo = {}
         steps = 0
@@ -210,26 +246,24 @@ class QTorusElem:
             q_exp = _vec_sub(lead, den_lead)
             if any(q < l for q, l in zip(q_exp, lo)):
                 raise InexactDivision("quotient exponent out of range")
-            twist = self.lam_form(q_exp, den_lead)
-            q_coeff = qdiv(rem[lead], den_lead_coeff.shift(twist))
-            quo[q_exp] = quo.get(q_exp, QCoeff.zero()) + q_coeff
-            for e, dc in den.terms.items():
+            twist = sum(map(mul, q_exp, lead_dot))
+            q_poly = exact_div(_u_poly(rem[lead], -twist), den_lead_poly)
+            quo[q_exp] = {k: c for (k,), c in q_poly.terms.items()}
+            neg_q = {k: -c for (k,), c in q_poly.terms.items()}
+            for e, dc, e_dot in den_terms:
                 t = _vec_add(q_exp, e)
-                c = (q_coeff * dc).shift(self.lam_form(q_exp, e))
-                if t in rem:
-                    s = rem[t] - c
-                    if s.is_zero():
-                        del rem[t]
-                    else:
-                        rem[t] = s
+                acc = dict(rem.get(t, ()))
+                _add_product(acc, neg_q, dc, sum(map(mul, q_exp, e_dot)))
+                if acc:
+                    rem[t] = acc
                 else:
-                    rem[t] = -c
+                    del rem[t]
         return QTorusElem(self.lam, quo)
 
     def specialize_q1(self):
         """Set u to 1, landing in the commutative Laurent ring."""
         return LaurentPoly(
-            self.nvars, {e: c.at_q_one() for e, c in self.terms.items()}
+            self.nvars, {e: sum(c.values()) for e, c in self.terms.items()}
         )
 
     def sorted_terms(self):
@@ -241,10 +275,10 @@ class QTorusElem:
         pieces = []
         for exp, coeff in self.sorted_terms():
             mono = "X^(%s)" % ",".join(str(e) for e in exp)
-            cs = coeff.render()
+            cs = render_coeff(coeff)
             if cs == "1":
                 pieces.append(mono)
-            elif len(coeff.terms) == 1 and not cs.startswith("-"):
+            elif len(coeff) == 1 and not cs.startswith("-"):
                 pieces.append("%s*%s" % (cs, mono))
             else:
                 pieces.append("(%s)*%s" % (cs, mono))
@@ -327,9 +361,7 @@ class QuantumSeed(Seed):
                 for j in range(i + 1, size):
                     if c[j] and lam[i][j]:
                         twist += lam[i][j] * c[i] * c[j]
-        out = QTorusElem.basis_elem(
-            self.initial.lam, (0,) * size, QCoeff.u_power(-twist)
-        )
+        out = QTorusElem.basis_elem(self.initial.lam, (0,) * size, {-twist: 1})
         for i in range(size):
             if c[i]:
                 out = out * self.variables[i] ** c[i]

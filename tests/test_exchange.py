@@ -258,6 +258,26 @@ class TestBuildAndBuiltins:
         with pytest.raises(BadSymmetrizer):
             build_exchange_data(BUILTIN_MATRICES["B2"], diag=(1, 2))
 
+    @pytest.mark.parametrize(
+        "b,finite",
+        [
+            (BUILTIN_MATRICES["A2"], True),
+            (BUILTIN_MATRICES["B2"], True),
+            (BUILTIN_MATRICES["C2"], True),
+            (BUILTIN_MATRICES["G2"], True),
+            (BUILTIN_MATRICES["A3"], True),
+            (BUILTIN_MATRICES["B3"], True),
+            (((0, 1, 0, 0), (-1, 0, 1, 0), (0, -2, 0, 1), (0, 0, -1, 0)), True),
+            (((0, 0), (0, 0)), True),
+            (BUILTIN_MATRICES["WILD3"], False),
+            (((0, 2), (-2, 0)), False),
+            (((0, 1), (-4, 0)), False),
+            (((0, 1, 0), (-1, 0, 1), (0, -3, 0)), False),
+        ],
+    )
+    def test_finite_type(self, b, finite):
+        assert build_exchange_data(b).is_finite_type() is finite
+
 
 # Random acyclic skew-symmetrizable matrices: pick symmetrizer entries
 # d_i and a nonnegative strength t for each i < j, then set

@@ -1,4 +1,5 @@
-"""Integer Laurent polynomials, exact division, and the u-coefficient ring."""
+"""Integer Laurent polynomials, exact division, and the u-coefficients
+of the quantum torus."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,11 @@ from valq.laurent import (
     ArityMismatch,
     InexactDivision,
     LaurentPoly,
-    QCoeff,
     ZeroPolynomial,
     exact_div,
-    qdiv,
     tropical_evaluate,
 )
+from valq.qtorus import QTorusElem, render_coeff
 
 
 def poly(nvars, terms):
@@ -212,38 +212,52 @@ class TestTropical:
 
 
 class TestQCoeff:
+    """The u-coefficients of the quantum torus: {u-exponent: int} dicts,
+    with quotients taken by ``exact_div`` in one variable."""
+
+    LAM = ((0, 1), (-1, 0))
+
+    def c(self, coeff):
+        """``coeff`` as the constant term of a rank-2 torus element."""
+        return QTorusElem.basis_elem(self.LAM, (0, 0), coeff)
+
+    @staticmethod
+    def u(coeff):
+        return LaurentPoly(1, {(k,): c for k, c in coeff.items()})
+
     def test_u_power_and_integer(self):
-        assert QCoeff.u_power(2).terms == {2: 1}
-        assert QCoeff.integer(-3).terms == {0: -3}
-        assert QCoeff.integer(0).is_zero()
+        assert self.c({2: 1}).terms == {(0, 0): {2: 1}}
+        assert self.c(-3).terms == {(0, 0): {0: -3}}
+        assert self.c(0).is_zero()
+        assert self.c({1: 0}).is_zero()
 
     def test_arithmetic(self):
-        a = QCoeff.u_power(1) + QCoeff.u_power(-1)
-        b = QCoeff.u_power(1)
-        assert (a * b).terms == {2: 1, 0: 1}
+        a = self.c({1: 1, -1: 1})
+        b = self.c({1: 1})
+        assert (a * b).terms == {(0, 0): {2: 1, 0: 1}}
         assert (a - a).is_zero()
 
     def test_bar_negates_exponents(self):
-        a = QCoeff.u_power(2) + QCoeff.integer(3)
-        assert a.bar().terms == {-2: 1, 0: 3}
+        a = self.c({2: 1, 0: 3})
+        assert a.bar().terms == {(0, 0): {-2: 1, 0: 3}}
         assert not a.is_bar_invariant()
-        sym = QCoeff.u_power(1) + QCoeff.u_power(-1)
-        assert sym.is_bar_invariant()
+        assert self.c({1: 1, -1: 1}).is_bar_invariant()
 
     def test_specialize(self):
-        a = QCoeff.u_power(2) + QCoeff.integer(3)
-        assert a.at_q_one() == 4
-        assert a.specialize_u(2) == 7
+        a = self.c({2: 1, 0: 3})
+        assert a.specialize_q1() == LaurentPoly(2, {(0, 0): 4})
 
     def test_qdiv_round_trip(self):
-        a = QCoeff.u_power(3) + QCoeff.integer(2)
-        b = QCoeff.u_power(-1) + QCoeff.u_power(1)
-        assert qdiv(a * b, b) == a
+        a = self.u({3: 1, 0: 2})
+        b = self.u({-1: 1, 1: 1})
+        assert exact_div(a * b, b) == a
 
     def test_qdiv_inexact(self):
-        with pytest.raises(ArithmeticError):
-            qdiv(QCoeff.u_power(1) + QCoeff.integer(1), QCoeff.integer(2))
+        with pytest.raises(InexactDivision):
+            exact_div(self.u({1: 1, 0: 1}), self.u({0: 2}))
 
     def test_render(self):
-        a = QCoeff.u_power(1) + QCoeff.u_power(-1)
-        assert a.render() == "u + u^-1"
+        assert render_coeff({1: 1, -1: 1}) == "u + u^-1"
+        assert render_coeff({2: 1, 0: 1, -2: 1}) == "u^2 + 1 + u^-2"
+        assert render_coeff({3: -2, 0: 1, -1: -1}) == "-2*u^3 + 1 - u^-1"
+        assert render_coeff({}) == "0"

@@ -70,6 +70,69 @@ B3_ROWS = [
 ]
 
 
+# Whole ``valq char --json`` documents, in output order; the tests
+# compare the printed bytes with ``json.dumps(table, indent=2)``.
+CHAR_G2_12 = {
+    "v": [1, 2],
+    "P": {"0,0": [1], "1,0": [1], "1,1": [1, 1], "1,2": [1]},
+    "F": "y1*y2^2 + 2*y1*y2 + y1 + 1",
+    "g": [-1, 1],
+    "d": [1, 2],
+    "X_v": "X^(1,-2,1,2) + (u + u^-1)*X^(0,-2,1,1) + X^(-1,1,0,0)"
+    " + X^(-1,-2,1,0)",
+    "X_v_terms": [
+        [[1, -2, 1, 2], "1"],
+        [[0, -2, 1, 1], "u + u^-1"],
+        [[-1, 1, 0, 0], "1"],
+        [[-1, -2, 1, 0], "1"],
+    ],
+}
+
+CHAR_G2_23 = {
+    "v": [2, 3],
+    "P": {
+        "0,0": [1],
+        "1,0": [1, 0, 0, 1],
+        "1,1": [1, 1, 1],
+        "2,0": [1],
+        "2,1": [1, 1, 1],
+        "2,2": [1, 1, 1],
+        "2,3": [1],
+    },
+    "F": "y1^2*y2^3 + 3*y1^2*y2^2 + 3*y1^2*y2 + y1^2 + 3*y1*y2 + 2*y1 + 1",
+    "g": [-2, 3],
+    "d": [2, 3],
+    "X_v": "X^(1,-3,2,3) + (u^2 + 1 + u^-2)*X^(0,-3,2,2)"
+    " + (u^2 + 1 + u^-2)*X^(-1,0,1,1) + (u^2 + 1 + u^-2)*X^(-1,-3,2,1)"
+    " + X^(-2,3,0,0) + (u^3 + u^-3)*X^(-2,0,1,0) + X^(-2,-3,2,0)",
+    "X_v_terms": [
+        [[1, -3, 2, 3], "1"],
+        [[0, -3, 2, 2], "u^2 + 1 + u^-2"],
+        [[-1, 0, 1, 1], "u^2 + 1 + u^-2"],
+        [[-1, -3, 2, 1], "u^2 + 1 + u^-2"],
+        [[-2, 3, 0, 0], "1"],
+        [[-2, 0, 1, 0], "u^3 + u^-3"],
+        [[-2, -3, 2, 0], "1"],
+    ],
+}
+
+CHAR_B3_111 = {
+    "v": [1, 1, 1],
+    "P": {"0,0,0": [1], "1,0,0": [1], "1,1,0": [1], "1,1,1": [1]},
+    "F": "y1*y2*y3 + y1*y2 + y1 + 1",
+    "g": [-1, 0, 1],
+    "d": [1, 1, 1],
+    "X_v": "X^(0,0,-1,1,1,1) + X^(0,-1,-1,1,1,0) + X^(-1,0,1,0,0,0)"
+    " + X^(-1,-1,1,1,0,0)",
+    "X_v_terms": [
+        [[0, 0, -1, 1, 1, 1], "1"],
+        [[0, -1, -1, 1, 1, 0], "1"],
+        [[-1, 0, 1, 0, 0, 0], "1"],
+        [[-1, -1, 1, 1, 0, 0], "1"],
+    ],
+}
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -341,6 +404,27 @@ class TestCliSeeds:
         rc, out, _ = run_cli(["seeds", "--type", "B3", "--max-seeds", "3"])
         assert rc == 0 and "truncated" in out.splitlines()[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seeds"],
+            ["verify", "rs310"],
+            ["verify-all"],
+            ["seeds", "--max-seeds", "3"],
+        ],
+    )
+    def test_infinite_type_needs_max_depth(self, argv):
+        rc, out, err = run_cli(argv + ["--type", "WILD3"])
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: WILD3 is of infinite type; give --max-depth to bound the walk\n"
+        )
+
+    def test_infinite_type_with_max_depth(self):
+        rc, out, err = run_cli(["seeds", "--type", "WILD3", "--max-depth", "4"])
+        assert rc == 0 and err == ""
+        assert out.splitlines()[0] == "29 seeds (truncated)"
+
 
 class TestCliMutate:
     def test_two_step_mutation(self):
@@ -387,6 +471,19 @@ class TestCliChar:
         first = run_cli(["char", "--type", "G2", "--dim", "1,1", "--json"])
         second = run_cli(["char", "--type", "G2", "--dim", "1,1", "--json"])
         assert first == second
+
+    @pytest.mark.parametrize(
+        "name,dim,table",
+        [
+            ("G2", "1,2", CHAR_G2_12),
+            ("G2", "2,3", CHAR_G2_23),
+            ("B3", "1,1,1", CHAR_B3_111),
+        ],
+    )
+    def test_golden_json(self, name, dim, table):
+        rc, out, err = run_cli(["char", "--type", name, "--dim", dim, "--json"])
+        assert rc == 0 and err == ""
+        assert out == json.dumps(table, indent=2) + "\n"
 
 
 class TestCliVerify:
