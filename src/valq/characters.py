@@ -10,21 +10,15 @@ where P_e is the polynomial counting e-dimensional subrepresentations
 of the rigid representation of dimension v over the field with q
 elements.  P_e is recovered exactly by Lagrange interpolation from
 counts over small prime fields (degree is bounded by the fiberwise
-Grassmannian dimension) and validated on held-out primes.
+Grassmannian dimension) and validated on held-out primes.  The
+representations themselves come from ``VerifyContext.rigid_rep``.
 """
 
 from fractions import Fraction
 
 from .exchange import framed_star_matrix
 from .qtorus import QTorusElem, QuantumSeed
-from .reps import (
-    ValuedQuiver,
-    build_rigid_rep,
-    count_all_subreps,
-    euler_form,
-    reflect,
-    simple_reflection,
-)
+from .reps import count_all_subreps, euler_form
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
@@ -77,27 +71,6 @@ def _dimension_box(v):
     return out
 
 
-def rigid_count_tables(
-    b, diag, v, primes, rng_seed=0, cap=1 << 16, transform=None, rigid=None
-):
-    """Subrepresentation counts of the rigid representation of dimension
-    v, over each requested prime.  ``rigid(p)`` may supply that
-    representation (from a cache, say) instead of a fresh search;
-    ``transform`` may replace it (a reflection functor, say) before
-    counting."""
-    tables = {}
-    for p in primes:
-        if rigid is None:
-            quiver = ValuedQuiver.from_matrix(b, diag, p, cap=cap)
-            rep = build_rigid_rep(quiver, v, rng_seed=rng_seed)
-        else:
-            rep = rigid(p)
-        if transform is not None:
-            rep = transform(rep)
-        tables[p] = count_all_subreps(rep)
-    return tables
-
-
 def interpolate_counts(diag, v, tables, primes):
     """Counting polynomials from per-prime tables, with validation.
 
@@ -134,33 +107,14 @@ def interpolate_counts(diag, v, tables, primes):
     return polys
 
 
-def counting_polynomials(
-    b, diag, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16, rigid=None
-):
-    tables = rigid_count_tables(
-        b, diag, v, primes, rng_seed=rng_seed, cap=cap, rigid=rigid
-    )
-    return interpolate_counts(diag, v, tables, primes)
-
-
-def reflected_counting_polynomials(
-    data, k, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16, rigid=None
-):
-    """Counting polynomials of the reflected rigid representation.
-
-    The rigid representation of dimension v is built over the seed's
-    quiver at each prime, pushed through the reflection functor at k,
-    and counted over the reflected quiver.  Returns the reflected
-    dimension vector and its polynomials.
-    """
-    b = data.principal()
-    diag = data.diag
-    v_new = simple_reflection(b, k, v)
-    tables = rigid_count_tables(
-        b, diag, v, primes, rng_seed=rng_seed, cap=cap,
-        transform=lambda rep: reflect(rep, k), rigid=rigid,
-    )
-    return v_new, interpolate_counts(diag, v_new, tables, primes)
+def counting_polynomials(reps):
+    """Counting polynomials of representations of one dimension vector,
+    one per prime in interpolation order.  Each prime is read from its
+    representation's quiver, so a repeated prime is still rejected."""
+    rep = reps[0]
+    tables = {r.quiver.p: count_all_subreps(r) for r in reps}
+    primes = [r.quiver.p for r in reps]
+    return interpolate_counts(rep.quiver.diag, rep.dims, tables, primes)
 
 
 def _poly_to_qcoeff(coeffs, shift):
@@ -207,20 +161,12 @@ def character_in_seed(qseed, v, polys):
     return acc.div_right(qseed.frame_monomial(clear))
 
 
-def generic_character(
-    data, v, primes=DEFAULT_PRIMES, rng_seed=0, cap=1 << 16, rigid=None
-):
-    """Character of the rigid representation of dimension v, expressed
-    in the initial quantum torus."""
-    polys = counting_polynomials(
-        data.principal(),
-        data.diag,
-        v,
-        primes=primes,
-        rng_seed=rng_seed,
-        cap=cap,
-        rigid=rigid,
-    )
+def generic_character(data, reps):
+    """Character of the rigid representations ``reps`` (one per prime,
+    as for ``counting_polynomials``), expressed in the initial quantum
+    torus."""
+    v = reps[0].dims
+    polys = counting_polynomials(reps)
     return character_in_seed(QuantumSeed.initial_seed(data), v, polys)
 
 

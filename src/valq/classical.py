@@ -100,14 +100,6 @@ class ClassicalSeed(Seed):
         """Degree of the unique term of variable i free of frozen variables."""
         return variable_g_vector(self.variables[i], self.current.n)
 
-    def hat_monomials(self):
-        """Exponent vectors of the framed-column monomials of the seed."""
-        size = 2 * self.current.n
-        return [
-            tuple(self.current.btilde[i][j] for i in range(size))
-            for j in range(self.current.n)
-        ]
-
     def separation_check(self, i):
         """Variable i equals its frozen-free degree times the frozen
         polynomial evaluated at the framed-column monomials."""
@@ -122,9 +114,6 @@ class ClassicalSeed(Seed):
             tuple(g) + (0,) * n
         )
         return rebuilt == self.variables[i]
-
-    def render_variable(self, i):
-        return self.variables[i].render(default_names(self.current.n))
 
     def canonical_key(self):
         n = self.current.n

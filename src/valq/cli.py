@@ -262,15 +262,13 @@ def cmd_mutate(args):
     return 0
 
 
-def character_table(data, v, primes, rng_seed, cap):
+def character_table(ctx, v):
     """Character data for one dimension vector, JSON-ready."""
-    n = data.n
+    n = ctx.n
     if len(v) != n or any(x < 0 for x in v):
         raise ValueError("--dim needs %d nonnegative entries" % n)
-    polys = counting_polynomials(
-        data.principal(), data.diag, v, primes=primes, rng_seed=rng_seed, cap=cap
-    )
-    x_v = character_in_seed(QuantumSeed.initial_seed(data), v, polys)
+    polys = counting_polynomials(ctx.rigid_reps(v))
+    x_v = character_in_seed(QuantumSeed.initial_seed(ctx.data), v, polys)
     classical = x_v.specialize_q1()
     frozen = variable_f_polynomial(classical, n)
     names = default_names(n)
@@ -291,9 +289,9 @@ def character_table(data, v, primes, rng_seed, cap):
 
 
 def cmd_char(args):
-    data, _ = load_data(args)
+    data, name = load_data(args)
     v = tuple(_int_list(args.dim, "--dim"))
-    table = character_table(data, v, args.primes, args.rng_seed, args.cap)
+    table = character_table(_context(args, data, name), v)
     if args.as_json:
         print(json.dumps(table, indent=2))
     else:

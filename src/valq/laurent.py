@@ -80,9 +80,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
-
     def is_monomial(self):
         return len(self.terms) == 1
 

@@ -212,10 +212,6 @@ def euler_form(b, diag, v, w):
     return total
 
 
-def symmetrized_euler(b, diag, v, w):
-    return euler_form(b, diag, v, w) + euler_form(b, diag, w, v)
-
-
 def simple_reflection(b, k, v):
     """Reflect a dimension vector at vertex k of the exchange matrix."""
     n = len(b)

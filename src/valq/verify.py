@@ -22,9 +22,9 @@ from itertools import product
 from .characters import (
     DEFAULT_PRIMES,
     character_in_seed,
+    counting_polynomials,
     dimension_bound,
     generic_character,
-    reflected_counting_polynomials,
     torus_denominator_vector,
     InterpolationInconsistent,
 )
@@ -47,6 +47,7 @@ from .reps import (
     NoRigidFound,
     ValuedQuiver,
     build_rigid_rep,
+    reflect,
     simple_reflection,
 )
 
@@ -65,7 +66,6 @@ _CHECK_ERRORS = (
     NoRigidFound,
     HasSimpleSummand,
     InterpolationInconsistent,
-    ValueError,
 )
 
 
@@ -165,17 +165,15 @@ class VerifyContext:
             )
         return self._rigid[key]
 
+    def rigid_reps(self, v):
+        """The rigid representations of dimension v, one per prime in
+        the order of ``primes``."""
+        return [self.rigid_rep(p, v) for p in self.primes]
+
     def generic_char(self, v):
         v = tuple(v)
         if v not in self._chars:
-            self._chars[v] = generic_character(
-                self.data,
-                v,
-                primes=self.primes,
-                rng_seed=self.rng_seed,
-                cap=self.cap,
-                rigid=lambda p: self.rigid_rep(p, v),
-            )
+            self._chars[v] = generic_character(self.data, self.rigid_reps(v))
         return self._chars[v]
 
     def variable_records(self):
@@ -734,14 +732,22 @@ def check_characters(ctx):
     n = ctx.n
     qres = ctx.quantum_graph()
     truncated = qres.truncated
-    c0 = ClassicalSeed.initial_seed(ctx.data)
+    # Both graphs come from walk_seeds, so equal histories pair the
+    # seeds by index.
+    cseeds = ctx.classical_graph().seeds
+    if [s.history for s in qres.seeds] != [s.history for s in cseeds]:
+        return ctx.report(
+            "characters",
+            FAIL,
+            "quantum and commutative exchange graphs differ",
+            truncated,
+        )
     q0 = QuantumSeed.initial_seed(ctx.data)
     initial_vars = set(q0.variables[:n])
     seen = set()
     checked = 0
     skipped = 0
-    for seed in qres.seeds:
-        cseed = c0.mutate_sequence(seed.history)
+    for seed, cseed in zip(qres.seeds, cseeds):
         for i in range(n):
             x_q = seed.variables[i]
             if x_q.specialize_q1() != cseed.variables[i]:
@@ -824,16 +830,9 @@ def check_reflection(ctx):
                 continue
             try:
                 x_v = ctx.generic_char(v)
-                v_ref, polys = reflected_counting_polynomials(
-                    ctx.data,
-                    k,
-                    v,
-                    primes=ctx.primes,
-                    rng_seed=ctx.rng_seed,
-                    cap=ctx.cap,
-                    rigid=lambda p: ctx.rigid_rep(p, v),
-                )
-                assert v_ref == v_new
+                reflected = [reflect(rep, k) for rep in ctx.rigid_reps(v)]
+                assert all(rep.dims == v_new for rep in reflected)
+                polys = counting_polynomials(reflected)
                 x_ref = character_in_seed(mutated, v_new, polys)
             except CapExceeded as exc:
                 return ctx.report("reflection", SKIPPED, str(exc), truncated)

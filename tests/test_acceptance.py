@@ -14,7 +14,6 @@ from valq.characters import (
     counting_polynomials,
     dimension_bound,
     eval_poly,
-    rigid_count_tables,
 )
 from valq.classical import enumerate_exchange_graph
 from valq.exchange import (
@@ -24,6 +23,7 @@ from valq.exchange import (
 )
 from valq.finfield import build_tower, enumerate_subspaces, gaussian_binomial
 from valq.qtorus import enumerate_quantum_seeds
+from valq.reps import count_all_subreps
 from valq.verify import PASS, run_check
 
 FINITE_TYPES = ("A2", "B2", "G2", "A3", "B3")
@@ -114,18 +114,18 @@ def test_05_counting_polynomials_survive_a_held_out_prime():
     held_out = DEFAULT_PRIMES[-1]
     fitted = 0
     for name in ("B2", "G2"):
-        data = context_for(name).data
-        b = tuple(row[: data.n] for row in data.btilde[: data.n])
-        for rec in context_for(name).variable_records():
+        ctx = context_for(name)
+        data = ctx.data
+        for rec in ctx.variable_records():
             v = rec["d"]
             boxes = list(product(*[range(x + 1) for x in v]))
             worst = max(dimension_bound(data.diag, v, e) for e in boxes)
             # The fit never consumes the last prime, so 17 is held out.
             assert worst + 2 <= len(DEFAULT_PRIMES)
-            polys = counting_polynomials(b, data.diag, v)
-            check = rigid_count_tables(b, data.diag, v, (held_out,))
+            polys = counting_polynomials(ctx.rigid_reps(v))
+            check = count_all_subreps(ctx.rigid_rep(held_out, v))
             for e, coeffs in polys.items():
-                assert eval_poly(coeffs, held_out) == check[held_out][e]
+                assert eval_poly(coeffs, held_out) == check[e]
             fitted += 1
     assert fitted == 4 + 6
     report(

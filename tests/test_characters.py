@@ -19,20 +19,35 @@ from valq.characters import (
     generic_character,
     interpolate_counts,
     lagrange_poly,
-    reflected_counting_polynomials,
-    rigid_count_tables,
     torus_denominator_vector,
 )
 from valq.classical import enumerate_exchange_graph
-from valq.exchange import builtin_exchange_data
 from valq.qtorus import QTorusElem, QuantumSeed
-from valq.reps import ValuedQuiver, build_rigid_rep, simple_reflection
+from valq.reps import (
+    ValuedQuiver,
+    build_rigid_rep,
+    count_all_subreps,
+    reflect,
+    simple_reflection,
+)
+from valq.verify import VerifyContext
 
+from conftest import context_for
 from test_reps import brute_count_subreps
 
 
 def principal_part(data):
     return tuple(row[: data.n] for row in data.btilde[: data.n])
+
+
+def reps_of(data, v, primes=DEFAULT_PRIMES, rng_seed=0):
+    """Rigid representations of dimension v from a fresh context, one
+    per prime."""
+    return VerifyContext(data, primes=primes, rng_seed=rng_seed).rigid_reps(v)
+
+
+def tables_of(reps):
+    return {rep.quiver.p: count_all_subreps(rep) for rep in reps}
 
 
 def noninitial_d_vectors(data):
@@ -73,8 +88,7 @@ class TestLagrange:
 
 class TestCountingPolynomials:
     def test_b2_full_table(self, b2):
-        b = principal_part(b2)
-        assert counting_polynomials(b, b2.diag, (1, 2)) == {
+        assert counting_polynomials(reps_of(b2, (1, 2))) == {
             (0, 0): (1,),
             (1, 0): (1,),
             (1, 1): (1, 1),
@@ -82,8 +96,7 @@ class TestCountingPolynomials:
         }
 
     def test_unit_vectors_have_trivial_tables(self, b2):
-        b = principal_part(b2)
-        assert counting_polynomials(b, b2.diag, (1, 0)) == {
+        assert counting_polynomials(reps_of(b2, (1, 0))) == {
             (0, 0): (1,),
             (1, 0): (1,),
         }
@@ -112,15 +125,13 @@ class TestCountingPolynomials:
                 assert worst + 2 <= len(DEFAULT_PRIMES)
 
     def test_tables_are_deterministic(self, b2):
-        b = principal_part(b2)
-        t1 = rigid_count_tables(b, b2.diag, (1, 1), (2, 3), rng_seed=4)
-        t2 = rigid_count_tables(b, b2.diag, (1, 1), (2, 3), rng_seed=4)
+        t1 = tables_of(reps_of(b2, (1, 1), (2, 3), rng_seed=4))
+        t2 = tables_of(reps_of(b2, (1, 1), (2, 3), rng_seed=4))
         assert t1 == t2
 
     def test_held_out_prime_rejects_corrupted_counts(self, b2):
-        b = principal_part(b2)
         primes = (2, 3, 5, 7)
-        tables = rigid_count_tables(b, b2.diag, (1, 1), primes)
+        tables = tables_of(reps_of(b2, (1, 1), primes))
         tables[7][(1, 1)] += 1
         with pytest.raises(InterpolationInconsistent):
             interpolate_counts(b2.diag, (1, 1), tables, primes)
@@ -128,30 +139,34 @@ class TestCountingPolynomials:
     def test_duplicate_primes_are_rejected(self, b2):
         # A repeated prime adds no held-out evidence, and one among the
         # interpolation nodes would divide by zero.
-        b = principal_part(b2)
         for primes in ((2, 3, 3, 5), (2, 2, 3, 5)):
-            tables = rigid_count_tables(b, b2.diag, (1, 1), primes)
+            reps = reps_of(b2, (1, 1), primes)
             with pytest.raises(InterpolationInconsistent):
-                interpolate_counts(b2.diag, (1, 1), tables, primes)
+                interpolate_counts(b2.diag, (1, 1), tables_of(reps), primes)
+            # The primes are read from the representations, one each.
+            with pytest.raises(InterpolationInconsistent):
+                counting_polynomials(reps)
 
     def test_shared_rigid_representation_gives_the_same_tables(self, b2):
         b = principal_part(b2)
-        reps = {
-            p: build_rigid_rep(
+        reps = [
+            build_rigid_rep(
                 ValuedQuiver.from_matrix(b, b2.diag, p), (1, 2), rng_seed=3
             )
             for p in (2, 3)
-        }
-        assert rigid_count_tables(
-            b, b2.diag, (1, 2), (2, 3), rng_seed=3, rigid=reps.get
-        ) == rigid_count_tables(b, b2.diag, (1, 2), (2, 3), rng_seed=3)
+        ]
+        ctx = VerifyContext(b2, primes=(2, 3), rng_seed=3)
+        assert ctx.rigid_reps((1, 2)) == reps
+        # Built once per prime and dimension vector, then shared.
+        assert ctx.rigid_rep(2, [1, 2]) is ctx.rigid_reps((1, 2))[0]
+        assert tables_of(ctx.rigid_reps((1, 2))) == tables_of(reps)
 
     def test_counts_evaluate_at_each_prime(self, b2):
         # The fitted polynomial at q = p reproduces every table, the
         # held-out primes included.
-        b = principal_part(b2)
-        polys = counting_polynomials(b, b2.diag, (1, 2))
-        tables = rigid_count_tables(b, b2.diag, (1, 2), DEFAULT_PRIMES)
+        reps = reps_of(b2, (1, 2))
+        polys = counting_polynomials(reps)
+        tables = tables_of(reps)
         for p in DEFAULT_PRIMES:
             for e, coeffs in polys.items():
                 value = sum(c * p**k for k, c in enumerate(coeffs))
@@ -161,27 +176,27 @@ class TestCountingPolynomials:
         # Degree-5 counting data, checked at p = 2 by enumerating every
         # subspace tuple of an independently built rigid module.
         b = principal_part(g2)
-        tables = rigid_count_tables(b, g2.diag, (2, 3), (2,))
+        table = count_all_subreps(reps_of(g2, (2, 3), (2,))[0])
         quiver = ValuedQuiver.from_matrix(b, g2.diag, 2)
         rep = build_rigid_rep(quiver, (2, 3), rng_seed=0)
-        assert sum(tables[2].values()) > 0
-        for e, cnt in tables[2].items():
+        assert sum(table.values()) > 0
+        for e, cnt in table.items():
             assert cnt == brute_count_subreps(rep, e)
 
 
 class TestDenominatorCertificate:
     @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
     def test_exponent_floor_vanishes(self, name):
-        data = builtin_exchange_data(name)
-        b = principal_part(data)
-        for v in noninitial_d_vectors(data):
-            polys = counting_polynomials(b, data.diag, v)
-            assert exponent_floor(b, v, polys) == (0,) * data.n
+        ctx = context_for(name)
+        b = principal_part(ctx.data)
+        for v in noninitial_d_vectors(ctx.data):
+            polys = counting_polynomials(ctx.rigid_reps(v))
+            assert exponent_floor(b, v, polys) == (0,) * ctx.n
 
 
 class TestGenericCharacter:
     def test_b2_first_variable(self, b2):
-        x = generic_character(b2, (1, 0))
+        x = generic_character(b2, reps_of(b2, (1, 0)))
         expected = QTorusElem.basis_elem(b2.lam, (-1, 2, 0, 0)) + QTorusElem.basis_elem(
             b2.lam, (-1, 0, 1, 0)
         )
@@ -190,7 +205,7 @@ class TestGenericCharacter:
 
     def test_bar_invariance_and_denominator(self, b2):
         for v in noninitial_d_vectors(b2):
-            x = generic_character(b2, v)
+            x = generic_character(b2, reps_of(b2, v))
             assert x.is_bar_invariant()
             assert torus_denominator_vector(x, 2) == v
 
@@ -198,11 +213,11 @@ class TestGenericCharacter:
         from valq.classical import ClassicalSeed
 
         cs = ClassicalSeed.initial_seed(b2).mutate(0).mutate(1)
-        qx = generic_character(b2, cs.d_vector(1))
+        qx = generic_character(b2, reps_of(b2, cs.d_vector(1)))
         assert qx.specialize_q1() == cs.variables[1]
 
     def test_coefficients_are_positive_symmetric_laurent(self, g2):
-        x = generic_character(g2, (2, 3))
+        x = generic_character(g2, reps_of(g2, (2, 3)))
         for exp, coeff in x.terms.items():
             assert coeff == {-k: c for k, c in coeff.items()}
             assert all(c > 0 for c in coeff.values())
@@ -211,25 +226,30 @@ class TestGenericCharacter:
 class TestReflectedCharacters:
     def test_reflected_tables_match_mutated_matrix(self, b2):
         for k, v in [(0, (1, 1)), (1, (1, 1)), (0, (1, 2))]:
-            v_new, polys = reflected_counting_polynomials(b2, k, v)
-            b = principal_part(b2)
-            assert v_new == simple_reflection(b, k, v)
-            mutated = principal_part(b2.mutate(k))
-            assert polys == counting_polynomials(mutated, b2.diag, v_new)
+            reflected = [reflect(rep, k) for rep in reps_of(b2, v)]
+            v_new = simple_reflection(principal_part(b2), k, v)
+            assert all(rep.dims == v_new for rep in reflected)
+            mutated = b2.mutate(k)
+            assert reflected[0].quiver.b == principal_part(mutated)
+            assert counting_polynomials(reflected) == counting_polynomials(
+                reps_of(mutated, v_new)
+            )
 
     def test_character_transport_through_one_mutation(self, b2):
         # The initial-seed character of v equals the character computed
         # in the neighboring seed from the reflected counting data.
         for k, v in [(0, (1, 1)), (1, (1, 2))]:
-            v_new, polys = reflected_counting_polynomials(b2, k, v)
-            lhs = generic_character(b2, v)
+            reps = reps_of(b2, v)
+            v_new = simple_reflection(principal_part(b2), k, v)
+            polys = counting_polynomials([reflect(rep, k) for rep in reps])
+            lhs = generic_character(b2, reps)
             rhs = character_in_seed(
                 QuantumSeed.initial_seed(b2).mutate(k), v_new, polys
             )
             assert lhs == rhs
 
     def test_initial_seed_character_matches_generic(self, b2):
-        b = principal_part(b2)
-        polys = counting_polynomials(b, b2.diag, (1, 1))
+        reps = reps_of(b2, (1, 1))
+        polys = counting_polynomials(reps)
         direct = character_in_seed(QuantumSeed.initial_seed(b2), (1, 1), polys)
-        assert direct == generic_character(b2, (1, 1))
+        assert direct == generic_character(b2, reps)

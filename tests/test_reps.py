@@ -37,7 +37,6 @@ from valq.reps import (
     reflect_sink,
     reflect_source,
     simple_reflection,
-    symmetrized_euler,
     walk_subreps,
 )
 
@@ -194,13 +193,6 @@ class TestEulerForm:
         vw = tuple(a + c for a, c in zip(v, w))
         assert euler_form(b, diag, vw, x) == euler_form(b, diag, v, x) + euler_form(
             b, diag, w, x
-        )
-
-    def test_symmetrized_is_symmetric(self):
-        b = BUILTIN_MATRICES["B2"]
-        diag = minimal_symmetrizer(b)
-        assert symmetrized_euler(b, diag, (1, 2), (0, 1)) == symmetrized_euler(
-            b, diag, (0, 1), (1, 2)
         )
 
 

@@ -263,6 +263,71 @@ class TestSinkSourcePairing:
         assert self._unmutated(monkeypatch, name).status == PASS
 
 
+class TestCharactersPairing:
+    def test_no_mutations_beyond_the_walk(self, monkeypatch):
+        # The characters check pairs each quantum seed with the classical
+        # walk's seed of the same index instead of mutating a copy.
+        from valq.classical import ClassicalSeed, enumerate_exchange_graph
+
+        real = ClassicalSeed.mutate
+        calls = []
+
+        def counting(seed, k):
+            calls.append(k)
+            return real(seed, k)
+
+        monkeypatch.setattr(ClassicalSeed, "mutate", counting)
+        enumerate_exchange_graph(builtin_exchange_data("B3"))
+        walk = len(calls)
+        del calls[:]
+        rc, out, _ = run_cli(["verify", "characters", "--type", "B3"])
+        assert rc == 0 and " PASS " in out
+        assert len(calls) == walk
+
+    def test_differing_graphs_fail(self, monkeypatch):
+        from valq.classical import enumerate_exchange_graph
+
+        ctx = VerifyContext(builtin_exchange_data("B2"), name="B2")
+        shallow = enumerate_exchange_graph(ctx.data, max_depth=1)
+        monkeypatch.setattr(ctx, "classical_graph", lambda: shallow)
+        r = run_check("characters", ctx)
+        assert r.row() == (
+            "characters             B2       FAIL exhaustive  "
+            "quantum and commutative exchange graphs differ"
+        )
+        assert r.counterexample["B"] == [[0, 1], [-2, 0]]
+
+
+class TestCheckErrors:
+    """Only the listed exceptions of character construction become FAIL
+    rows; any other error is a bug and propagates."""
+
+    @staticmethod
+    def _failing_rigid_search(monkeypatch, exc):
+        import valq.verify
+
+        def failing(quiver, dims, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(valq.verify, "build_rigid_rep", failing)
+        return VerifyContext(builtin_exchange_data("B2"), name="B2")
+
+    @pytest.mark.parametrize("check", ["denominators", "characters", "reflection"])
+    def test_plain_value_error_propagates(self, monkeypatch, check):
+        ctx = self._failing_rigid_search(monkeypatch, ValueError("bug"))
+        with pytest.raises(ValueError, match="bug"):
+            run_check(check, ctx)
+
+    @pytest.mark.parametrize("check", ["denominators", "characters"])
+    def test_no_rigid_found_fails(self, monkeypatch, check):
+        from valq.reps import NoRigidFound
+
+        ctx = self._failing_rigid_search(monkeypatch, NoRigidFound("no luck"))
+        r = run_check(check, ctx)
+        assert r.status == FAIL
+        assert r.detail == "character construction failed: no luck"
+
+
 class TestZeroItems:
     """With only the initial seed there is nothing to check, and a check
     that checked nothing says SKIPPED, keeping its detail text."""
@@ -358,6 +423,21 @@ class TestSharedRigidReps:
         for name in ("denominators", "characters", "reflection"):
             assert run_check(name, ctx).status == PASS
         assert built and len(built) == len(set(built))
+
+    def test_char_builds_through_the_context(self, monkeypatch):
+        import valq.verify
+
+        real = valq.verify.build_rigid_rep
+        built = []
+
+        def counting(quiver, dims, **kwargs):
+            built.append((quiver.p, tuple(dims)))
+            return real(quiver, dims, **kwargs)
+
+        monkeypatch.setattr(valq.verify, "build_rigid_rep", counting)
+        rc, _, _ = run_cli(["char", "--type", "B2", "--dim", "1,2"])
+        assert rc == 0
+        assert built == [(p, (1, 2)) for p in (2, 3, 5, 7, 11, 13, 17)]
 
 
 class TestPrincipalSource:
