@@ -100,21 +100,6 @@ class ClassicalSeed(Seed):
         """Degree of the unique term of variable i free of frozen variables."""
         return variable_g_vector(self.variables[i], self.current.n)
 
-    def separation_check(self, i):
-        """Variable i equals its frozen-free degree times the frozen
-        polynomial evaluated at the framed-column monomials."""
-        n = self.current.n
-        g = self.g_vector(i)
-        f = self.f_polynomial(i)
-        images = [
-            tuple(self.initial.btilde[r][j] for r in range(2 * n))
-            for j in range(n)
-        ]
-        rebuilt = f.substitute_monomials(2 * n, images).shift(
-            tuple(g) + (0,) * n
-        )
-        return rebuilt == self.variables[i]
-
     def canonical_key(self):
         n = self.current.n
         strs = [self.variables[i].render() for i in range(n)]

@@ -35,6 +35,7 @@ from .exchange import (
     Lambda0NotSkew,
     NotAcyclic,
     NotSkewSymmetrizable,
+    UnknownMatrixType,
     build_exchange_data,
     builtin_exchange_data,
 )
@@ -51,7 +52,16 @@ from .verify import (
     run_check,
 )
 
+
+class InputError(ValueError):
+    """A command-line option or matrix file that cannot be used."""
+
+
+# Exceptions that mean the input was bad: each exits 2 with one line.
+# Any other exception is a bug and propagates with its traceback.
 INPUT_ERRORS = (
+    InputError,
+    UnknownMatrixType,
     NotSkewSymmetrizable,
     NotAcyclic,
     BadSymmetrizer,
@@ -65,8 +75,6 @@ INPUT_ERRORS = (
     InterpolationInconsistent,
     ArityMismatch,
     NegativeExponentInF,
-    KeyError,
-    ValueError,
 )
 
 # Exit status of a command whose reader closed standard output early, as
@@ -78,7 +86,7 @@ def _int_list(text, flag):
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ValueError("%s expects comma-separated integers" % flag)
+        raise InputError("%s expects comma-separated integers" % flag)
 
 
 def _add_common(parser):
@@ -136,10 +144,35 @@ def build_parser():
     return parser
 
 
+def _is_int_list(value):
+    # JSON integers only: a float or a string is not silently truncated.
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+def _file_ints(obj, key, path, matrix):
+    """``obj[key]`` from a matrix file: a list of integers, or with
+    ``matrix`` a nonempty list of equal-length lists of integers."""
+    value = obj[key]
+    if not matrix:
+        if _is_int_list(value):
+            return tuple(value)
+        raise InputError("--matrix %s: %s must be a list of integers" % (path, key))
+    if (
+        isinstance(value, list)
+        and value
+        and all(_is_int_list(row) and len(row) == len(value[0]) for row in value)
+    ):
+        return tuple(tuple(row) for row in value)
+    raise InputError(
+        "--matrix %s: %s must be a nonempty list of equal-length rows of integers"
+        % (path, key)
+    )
+
+
 def load_data(args):
     """Exchange data plus a display label from --type or --matrix."""
     if args.matrix and args.type_name:
-        raise ValueError("give either --matrix or --type, not both")
+        raise InputError("give either --matrix or --type, not both")
     if args.type_name:
         name = args.type_name.upper()
         return builtin_exchange_data(name), name
@@ -148,20 +181,22 @@ def load_data(args):
             with open(args.matrix, "r", encoding="utf-8") as handle:
                 obj = json.load(handle)
         except OSError as exc:
-            raise ValueError(
+            raise InputError(
                 "cannot read --matrix %s: %s" % (args.matrix, exc.strerror or exc)
             )
+        except ValueError as exc:
+            # Malformed JSON or text that is not UTF-8.
+            raise InputError("cannot parse --matrix %s: %s" % (args.matrix, exc))
         if not isinstance(obj, dict) or "B" not in obj:
-            raise ValueError("matrix file needs a JSON object with key B")
-        b = tuple(tuple(int(x) for x in row) for row in obj["B"])
-        diag = obj.get("D")
-        if diag is not None:
-            diag = tuple(int(x) for x in diag)
-        lambda0 = obj.get("Lambda0")
-        if lambda0 is not None:
-            lambda0 = tuple(tuple(int(x) for x in row) for row in lambda0)
+            raise InputError("matrix file needs a JSON object with key B")
+        b = _file_ints(obj, "B", args.matrix, matrix=True)
+        diag = lambda0 = None
+        if obj.get("D") is not None:
+            diag = _file_ints(obj, "D", args.matrix, matrix=False)
+        if obj.get("Lambda0") is not None:
+            lambda0 = _file_ints(obj, "Lambda0", args.matrix, matrix=True)
         return build_exchange_data(b, lambda0=lambda0, diag=diag), args.matrix
-    raise ValueError("need --matrix FILE or --type NAME")
+    raise InputError("need --matrix FILE or --type NAME")
 
 
 def _parse_primes(text):
@@ -171,12 +206,12 @@ def _parse_primes(text):
         return DEFAULT_PRIMES
     primes = tuple(_int_list(text, "--primes"))
     if not primes:
-        raise ValueError("--primes must name at least one prime")
+        raise InputError("--primes must name at least one prime")
     for idx, p in enumerate(primes):
         if not is_prime(p):
             raise NotPrime("--primes entry %d is not prime" % p)
         if p in primes[:idx]:
-            raise ValueError("--primes lists %d more than once" % p)
+            raise InputError("--primes lists %d more than once" % p)
     return primes
 
 
@@ -188,14 +223,14 @@ def _check_budgets(args):
         ("--max-depth", args.max_depth, 0),
     ):
         if value is not None and value < least:
-            raise ValueError("%s must be at least %d" % (flag, least))
+            raise InputError("%s must be at least %d" % (flag, least))
 
 
 def _check_walk_ends(args, data, label):
     """Refuse to walk an infinite exchange graph without a depth bound;
     the seed budget alone does not end such a walk in practice."""
     if args.max_depth is None and not data.is_finite_type():
-        raise ValueError(
+        raise InputError(
             "%s is of infinite type; give --max-depth to bound the walk" % label
         )
 
@@ -266,7 +301,7 @@ def character_table(ctx, v):
     """Character data for one dimension vector, JSON-ready."""
     n = ctx.n
     if len(v) != n or any(x < 0 for x in v):
-        raise ValueError("--dim needs %d nonnegative entries" % n)
+        raise InputError("--dim needs %d nonnegative entries" % n)
     polys = counting_polynomials(ctx.rigid_reps(v))
     x_v = character_in_seed(QuantumSeed.initial_seed(ctx.data), v, polys)
     classical = x_v.specialize_q1()

@@ -42,6 +42,10 @@ class IncompatiblePair(ValueError):
     """The framed matrix and skew form fail the compatibility identity."""
 
 
+class UnknownMatrixType(KeyError):
+    """No built-in exchange matrix has the requested name."""
+
+
 def minimal_symmetrizer(b):
     """Smallest positive integer diagonal with d_i*b_ij = -d_j*b_ji.
 
@@ -204,13 +208,20 @@ def framed_star_matrix(btilde):
     return tuple(rows)
 
 
-def _mutation_companion(btilde, k, n):
-    """The 2n x 2n column-substitution matrix driving the form update."""
-    size = 2 * n
-    e = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for i in range(size):
-        e[i][k] = -1 if i == k else max(-btilde[i][k], 0)
-    return mx.freeze(e)
+def mutate_lam(lam, btilde, k):
+    """The form E^T * lam * E after mutation at k, in O(size^2).
+
+    E is the identity except in column k, which holds c with c_k = -1
+    and c_i = max(-b_ik, 0) otherwise.  So lam * E differs from lam only
+    in column k, which becomes lam * c, and E^T * (lam * E) differs from
+    lam * E only in row k, which becomes c^T * (lam * E).
+    """
+    c = [(k, -1)] + [(i, -row[k]) for i, row in enumerate(btilde) if row[k] < 0]
+    rows = [list(row) for row in lam]
+    for row in rows:
+        row[k] = sum(ci * row[i] for i, ci in c)
+    rows[k] = [sum(ci * rows[i][j] for i, ci in c) for j in range(len(lam))]
+    return tuple(tuple(row) for row in rows)
 
 
 def mutate_btilde(btilde, k):
@@ -270,15 +281,18 @@ class ExchangeData:
         )
 
     def mutate(self, k):
+        """The data mutated at k.  The framed matrix follows the exchange
+        rule.  The form becomes E^T * lam * E, where E = I + (c - e_k) e_k^T
+        is a rank-one change of the identity (column k replaced by the c
+        of ``mutate_lam``).  Only row k and column k of lam change, so the
+        update costs O(n^2) instead of two dense 2n x 2n products."""
         if not 0 <= k < self.n:
             raise IndexOutOfRange("mutable index %d out of range" % k)
-        companion = _mutation_companion(self.btilde, k, self.n)
-        new_lam = mx.matmul(mx.matmul(mx.transpose(companion), self.lam), companion)
         return ExchangeData(
             n=self.n,
             btilde=mutate_btilde(self.btilde, k),
             diag=self.diag,
-            lam=new_lam,
+            lam=mutate_lam(self.lam, self.btilde, k),
             lambda0=None,
         )
 
@@ -320,6 +334,8 @@ def build_exchange_data(b, lambda0=None, diag=None, require_acyclic=True):
         lambda0 = mx.zeros(n, n)
     else:
         lambda0 = mx.freeze(lambda0)
+        if mx.shape(lambda0) != (n, n):
+            raise Lambda0NotSkew("base form must be %d x %d" % (n, n))
         if not mx.is_skew_symmetric(lambda0):
             raise Lambda0NotSkew("base form must be skew-symmetric")
     dmat = tuple(
@@ -358,7 +374,7 @@ BUILTIN_MATRICES = {
 def builtin_exchange_data(name, lambda0=None):
     key = name.upper()
     if key not in BUILTIN_MATRICES:
-        raise KeyError(
+        raise UnknownMatrixType(
             "unknown type %r; known: %s" % (name, sorted(BUILTIN_MATRICES))
         )
     return build_exchange_data(BUILTIN_MATRICES[key], lambda0=lambda0)

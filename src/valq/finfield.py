@@ -285,9 +285,6 @@ class FiniteField:
             raise ZeroDivisionError("negative power of zero")
         return self.exp[(self.log[a] * k) % (self.q - 1)]
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def elements(self):
         return range(self.q)
 

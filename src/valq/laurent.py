@@ -6,6 +6,11 @@ nonzero ints.  It is the engine for commutative cluster variables, and
 in one variable it divides the u-coefficients of the quantum torus.
 ``exact_div`` raises ``InexactDivision`` instead of ever returning an
 approximation.
+
+The constructor validates outside input: it drops zero coefficients,
+merges equal exponents and checks exponent lengths.  Arithmetic results
+(sums, negatives, products, powers and exact quotients) are already
+clean and are trusted: they skip that pass.
 """
 
 from operator import add, sub
@@ -35,6 +40,19 @@ def _vec_sub(a, b):
     return tuple(map(sub, a, b))
 
 
+def _power(x, k):
+    """``x ** k`` for k >= 1 by repeated squaring; the base is squared
+    only while bits of k remain."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
+
+
 class LaurentPoly:
     """Integer Laurent polynomial in ``nvars`` commuting variables."""
 
@@ -58,6 +76,16 @@ class LaurentPoly:
                     del clean[exp]
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """An element over ``terms`` as they are: nonzero int
+        coefficients keyed by exponent tuples of length ``nvars``."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        out._hash = None
+        return out
 
     @classmethod
     def zero(cls, nvars):
@@ -100,17 +128,21 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.nvars, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(
+            if not other:
+                return LaurentPoly.zero(self.nvars)
+            return LaurentPoly._trusted(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
             )
         self._check(other)
@@ -123,7 +155,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -135,18 +167,13 @@ class LaurentPoly:
             (exp, coeff), = self.terms.items()
             if coeff not in (1, -1):
                 raise InexactDivision("negative power needs unit coefficient")
-            base = LaurentPoly(
+            base = LaurentPoly._trusted(
                 self.nvars, {tuple(-e for e in exp): coeff}
             )
             return base ** (-k)
-        out = LaurentPoly.one(self.nvars)
-        sq = self
-        while k:
-            if k & 1:
-                out = out * sq
-            sq = sq * sq
-            k >>= 1
-        return out
+        if not k:
+            return LaurentPoly.one(self.nvars)
+        return _power(self, k)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -352,7 +379,8 @@ def exact_div(num, den):
         c, r = divmod(rem[lead], den_lead_coeff)
         if r:
             raise InexactDivision("leading coefficient does not divide")
-        quo[q_exp] = quo.get(q_exp, 0) + c
+        # Leading exponents strictly fall, so each q_exp is new.
+        quo[q_exp] = c
         for e, dc in den.terms.items():
             t = _vec_add(q_exp, e)
             s = rem.get(t, 0) - c * dc
@@ -360,7 +388,7 @@ def exact_div(num, den):
                 rem[t] = s
             else:
                 rem.pop(t, None)
-    return LaurentPoly(num.nvars, quo)
+    return LaurentPoly._trusted(num.nvars, quo)
 
 
 def tropical_evaluate(poly, assignment):

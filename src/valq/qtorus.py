@@ -14,7 +14,14 @@ mutation needs one exact right division per step.
 from dataclasses import dataclass
 from operator import mul
 
-from .laurent import InexactDivision, LaurentPoly, _vec_add, _vec_sub, exact_div
+from .laurent import (
+    InexactDivision,
+    LaurentPoly,
+    _power,
+    _vec_add,
+    _vec_sub,
+    exact_div,
+)
 
 
 class LambdaMismatch(ValueError):
@@ -46,7 +53,7 @@ def _add_product(acc, a, b, shift):
 
 def _u_poly(coeff, shift=0):
     """A coefficient times u**shift, as a one-variable ``LaurentPoly``."""
-    return LaurentPoly(1, {(k + shift,): c for k, c in coeff.items()})
+    return LaurentPoly._trusted(1, {(k + shift,): c for k, c in coeff.items()})
 
 
 def render_coeff(coeff):
@@ -171,14 +178,9 @@ class QTorusElem:
                     )
                     return inv ** (-k)
             raise InexactDivision("negative power needs a unit coefficient")
-        out = QTorusElem.one(self.lam)
-        sq = self
-        while k:
-            if k & 1:
-                out = out * sq
-            sq = sq * sq
-            k >>= 1
-        return out
+        if not k:
+            return QTorusElem.one(self.lam)
+        return _power(self, k)
 
     def bar(self):
         """Bar involution: u -> 1/u in every coefficient, basis fixed."""
@@ -186,9 +188,6 @@ class QTorusElem:
             self.lam,
             {e: {-k: x for k, x in c.items()} for e, c in self.terms.items()},
         )
-
-    def is_bar_invariant(self):
-        return self == self.bar()
 
     def __eq__(self, other):
         if not isinstance(other, QTorusElem):

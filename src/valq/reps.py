@@ -597,12 +597,6 @@ def count_all_subreps(rep):
     return walk_subreps(rep, prefers_backward(rep))
 
 
-def count_subreps(rep, e):
-    """Number of subrepresentations with dimension vector e; 0 outside
-    the box below the rep's dimension vector."""
-    return count_all_subreps(rep).get(tuple(int(x) for x in e), 0)
-
-
 def reflect_sink(rep, k):
     """Sink reflection: the new fiber at k is the kernel of the summed
     evaluation map, and reversed arrows act through the relative trace."""

@@ -45,6 +45,7 @@ from .qtorus import QuantumSeed, enumerate_quantum_seeds, walk_seeds
 from .reps import (
     HasSimpleSummand,
     NoRigidFound,
+    NotSinkOrSource,
     ValuedQuiver,
     build_rigid_rep,
     reflect,
@@ -602,7 +603,7 @@ def check_principal_source(ctx, source=None):
     _, sources = _sinks_and_sources(b)
     if source is not None:
         if source not in sources:
-            raise ValueError(
+            raise NotSinkOrSource(
                 "vertex %d is not a source of the exchange matrix"
                 % (source + 1)
             )

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and test oracles.
 
 Verification contexts memoize exchange graphs and character tables, so
 one context per matrix type is shared across every test module via the
@@ -20,6 +20,25 @@ def context_for(name, **kwargs):
             builtin_exchange_data(name), name=name, **kwargs
         )
     return _CACHE[key]
+
+
+def is_bar_invariant(x):
+    """Whether the bar involution fixes the torus element x."""
+    return x == x.bar()
+
+
+def count_products(monkeypatch, cls):
+    """Record every ``cls.__mul__`` call from now on; returns the list
+    the calls are appended to."""
+    calls = []
+    real = cls.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,20 @@ from valq.laurent import LaurentPoly, NegativeExponentInF
 GRAPH_SIZES = {"A2": 5, "B2": 6, "G2": 8, "A3": 14, "B3": 20}
 
 
+def separation_holds(seed, i):
+    """Whether variable i of the seed equals its frozen-free degree times
+    its frozen polynomial evaluated at the framed-column monomials."""
+    n = seed.current.n
+    images = [
+        tuple(seed.initial.btilde[r][j] for r in range(2 * n))
+        for j in range(n)
+    ]
+    rebuilt = seed.f_polynomial(i).substitute_monomials(2 * n, images).shift(
+        tuple(seed.g_vector(i)) + (0,) * n
+    )
+    return rebuilt == seed.variables[i]
+
+
 class TestMutation:
     def test_first_b2_exchange(self, b2):
         s = ClassicalSeed.initial_seed(b2)
@@ -90,7 +104,7 @@ class TestInvariantExtraction:
     def test_separation_holds_across_seeds(self, b2):
         for seed in enumerate_exchange_graph(b2).seeds:
             for i in range(2):
-                assert seed.separation_check(i)
+                assert separation_holds(seed, i)
 
     def test_f_polynomial_guards(self):
         # A frozen variable with negative exponent cannot be an F-polynomial.

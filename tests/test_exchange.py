@@ -1,5 +1,8 @@
 """Exchange matrices: symmetrizers, framing, mutation, compatible pairs."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,3 +315,66 @@ class TestRandomMatrices:
         # The mutated pair stays compatible.
         defect = compatibility_defect(m.btilde, m.lam, m.diag)
         assert all(not any(row) for row in defect)
+
+
+F4 = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "f4.json").read_text()
+)["B"]
+
+
+def dense_lam_update(lam, btilde, k):
+    """E^T * lam * E by two dense products, E being the identity but for
+    column k: -1 at row k and max(-b_ik, 0) at each other row i."""
+    size = len(lam)
+    e = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for i in range(size):
+        e[i][k] = -1 if i == k else max(-btilde[i][k], 0)
+    e = mx.freeze(e)
+    return mx.matmul(mx.matmul(mx.transpose(e), lam), e)
+
+
+@st.composite
+def mutation_walks(draw):
+    """Exchange data (a random acyclic matrix, WILD3 or F4, optionally
+    with a random skew base form) and a mutation sequence."""
+    b = draw(
+        st.one_of(
+            acyclic_skew_symmetrizable(),
+            st.just(BUILTIN_MATRICES["WILD3"]),
+            st.just(mx.freeze(F4)),
+        )
+    )
+    n = len(b)
+    lambda0 = None
+    if draw(st.booleans()):
+        upper = {
+            (i, j): draw(st.integers(min_value=-2, max_value=2))
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        lambda0 = tuple(
+            tuple(
+                upper.get((i, j), 0) - upper.get((j, i), 0) for j in range(n)
+            )
+            for i in range(n)
+        )
+    data = build_exchange_data(b, lambda0=lambda0)
+    seq = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=8))
+    return data, seq
+
+
+class TestLambdaUpdate:
+    @settings(max_examples=40, deadline=None)
+    @given(mutation_walks())
+    def test_matches_the_dense_product(self, walk):
+        data, seq = walk
+        for k in seq:
+            m = data.mutate(k)
+            assert m.lam == dense_lam_update(data.lam, data.btilde, k)
+            assert mx.is_skew_symmetric(m.lam)
+            assert all(
+                not any(row)
+                for row in compatibility_defect(m.btilde, m.lam, m.diag)
+            )
+            assert m.mutate(k).lam == data.lam
+            data = m

@@ -15,6 +15,8 @@ from valq.laurent import (
 )
 from valq.qtorus import QTorusElem, render_coeff
 
+from conftest import count_products, is_bar_invariant
+
 
 def poly(nvars, terms):
     return LaurentPoly(nvars, terms)
@@ -58,6 +60,8 @@ class TestConstruction:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             LaurentPoly.one(2) + LaurentPoly.one(3)
+        with pytest.raises(ArityMismatch):
+            LaurentPoly(2, {(1,): 1})
 
 
 class TestArithmetic:
@@ -96,6 +100,64 @@ class TestArithmetic:
         assert a + LaurentPoly.zero(2) == a
         assert a * LaurentPoly.one(2) == a
         assert a - a == LaurentPoly.zero(2)
+
+
+def assert_clean(p):
+    """A result holds no zero coefficient and no wrong-length exponent,
+    and equals, hash included, the polynomial the validating constructor
+    builds from its terms."""
+    assert all(type(c) is int and c != 0 for c in p.terms.values())
+    assert all(type(e) is tuple and len(e) == p.nvars for e in p.terms)
+    rebuilt = LaurentPoly(p.nvars, dict(p.terms))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+class TestPowers:
+    @settings(max_examples=40, deadline=None)
+    @given(small_polys, st.integers(min_value=0, max_value=6))
+    def test_power_is_the_repeated_product(self, p, k):
+        expected = LaurentPoly.one(2)
+        for _ in range(k):
+            expected = expected * p
+        assert p ** k == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        exponents,
+        st.sampled_from([1, -1]),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_negative_power_of_a_unit_monomial(self, exp, c, k):
+        m = LaurentPoly.monomial(exp, c)
+        inverse = m ** -k
+        assert inverse == LaurentPoly.monomial(
+            tuple(-k * e for e in exp), c ** k
+        )
+        assert inverse * m ** k == LaurentPoly.one(2)
+        assert_clean(inverse)
+
+    @pytest.mark.parametrize("k, most", [(1, 1), (2, 2), (4, 3)])
+    def test_no_square_after_the_last_bit(self, monkeypatch, k, most):
+        x = LaurentPoly.one(3) + LaurentPoly.variable(3, 0)
+        calls = count_products(monkeypatch, LaurentPoly)
+        x ** k
+        assert len(calls) <= most
+
+
+class TestTrustedResults:
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, small_polys)
+    def test_results_are_clean(self, a, b):
+        for result in (a + b, a - b, -a, a * b, a * 3, a * 0, 0 * a, a - a):
+            assert_clean(result)
+        assert (a - a).terms == {} and (a * 0).terms == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, nonzero_polys)
+    def test_quotients_are_clean(self, a, b):
+        q = exact_div(a * b, b)
+        assert_clean(q)
+        assert q == a
 
 
 class TestExactDiv:
@@ -240,8 +302,8 @@ class TestQCoeff:
     def test_bar_negates_exponents(self):
         a = self.c({2: 1, 0: 3})
         assert a.bar().terms == {(0, 0): {-2: 1, 0: 3}}
-        assert not a.is_bar_invariant()
-        assert self.c({1: 1, -1: 1}).is_bar_invariant()
+        assert not is_bar_invariant(a)
+        assert is_bar_invariant(self.c({1: 1, -1: 1}))
 
     def test_specialize(self):
         a = self.c({2: 1, 0: 3})

@@ -10,6 +10,8 @@ from valq.exchange import builtin_exchange_data
 from valq.laurent import InexactDivision
 from valq.qtorus import LambdaMismatch, QTorusElem, QuantumSeed, enumerate_quantum_seeds
 
+from conftest import count_products, is_bar_invariant
+
 B2 = builtin_exchange_data("B2")
 A2 = builtin_exchange_data("A2")
 
@@ -59,7 +61,7 @@ class TestTorusArithmetic:
         ((exp, coeff),) = sq.terms.items()
         assert exp == (2, 0, -2, 0)
         # Normalized monomials stay normalized under powers.
-        assert sq.is_bar_invariant()
+        assert is_bar_invariant(sq)
 
     def test_bar_is_an_antiautomorphism(self):
         x = X((1, 0, 0, 0)) + X((0, 1, 0, 0), {1: 1})
@@ -68,8 +70,8 @@ class TestTorusArithmetic:
         assert (x * y).bar() == y.bar() * x.bar()
 
     def test_normalized_monomials_are_bar_invariant(self):
-        assert X((1, 2, -1, 0)).is_bar_invariant()
-        assert not X((1, 0, 0, 0), {1: 1}).is_bar_invariant()
+        assert is_bar_invariant(X((1, 2, -1, 0)))
+        assert not is_bar_invariant(X((1, 0, 0, 0), {1: 1}))
 
     def test_mismatched_forms_rejected(self):
         other = QTorusElem.basis_elem(A2.lam, (1, 0, 0, 0))
@@ -80,6 +82,43 @@ class TestTorusArithmetic:
         x = X((1, 0, 0, 0), {3: 1}) + X((0, 1, 0, 0), 2)
         p = x.specialize_q1()
         assert p.terms == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2}
+
+
+small_elems = st.dictionaries(
+    vec4,
+    st.one_of(st.integers(min_value=-2, max_value=2).filter(bool), multi_coeff),
+    max_size=3,
+).map(elem)
+
+
+class TestPowers:
+    @settings(max_examples=30, deadline=None)
+    @given(small_elems, st.integers(min_value=0, max_value=6))
+    def test_power_is_the_repeated_product(self, x, k):
+        expected = QTorusElem.one(B2.lam)
+        for _ in range(k):
+            expected = expected * x
+        assert x ** k == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        vec4,
+        st.integers(min_value=-2, max_value=2),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_negative_power_of_a_unit_monomial(self, a, s, c, k):
+        x = X(a, {s: c})
+        one = QTorusElem.one(B2.lam)
+        assert x ** -k * x ** k == one
+        assert x ** k * x ** -k == one
+
+    @pytest.mark.parametrize("k, most", [(1, 1), (2, 2), (4, 3)])
+    def test_no_square_after_the_last_bit(self, monkeypatch, k, most):
+        x = X((1, 0, 0, 0)) + X((0, 0, 1, 0), {1: 1})
+        calls = count_products(monkeypatch, QTorusElem)
+        x ** k
+        assert len(calls) <= most
 
 
 class TestDivRight:
@@ -154,7 +193,7 @@ class TestSeedMutation:
     def test_variables_stay_bar_invariant(self):
         s = QuantumSeed.initial_seed(B2).mutate_sequence([0, 1, 0])
         for v in s.variables:
-            assert v.is_bar_invariant()
+            assert is_bar_invariant(v)
 
     def test_depth_and_history(self):
         s = QuantumSeed.initial_seed(B2).mutate_sequence([0, 1])
@@ -164,12 +203,12 @@ class TestSeedMutation:
         s = QuantumSeed.initial_seed(B2)
         for c in [(1, 0, -1, 0), (0, 1, 0, 1), (2, 1, 0, -1)]:
             assert s.frame_monomial(c) == X(c)
-            assert s.frame_monomial(c).is_bar_invariant()
+            assert is_bar_invariant(s.frame_monomial(c))
 
     def test_frame_monomial_after_mutation(self):
         s = QuantumSeed.initial_seed(B2).mutate(1)
         f = s.frame_monomial((1, 1, 0, -1))
-        assert f.is_bar_invariant()
+        assert is_bar_invariant(f)
         assert f.specialize_q1() == (
             s.variables[0] * s.variables[1] * s.variables[3] ** -1
         ).specialize_q1()

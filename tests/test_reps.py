@@ -26,7 +26,6 @@ from valq.reps import (
     ValuedRep,
     build_rigid_rep,
     count_all_subreps,
-    count_subreps,
     euler_form,
     ext_dim,
     hom_dim,
@@ -39,6 +38,12 @@ from valq.reps import (
     simple_reflection,
     walk_subreps,
 )
+
+
+def count_subreps(rep, e):
+    """Number of subrepresentations with dimension vector e; 0 outside
+    the box below the rep's dimension vector."""
+    return count_all_subreps(rep).get(tuple(e), 0)
 
 
 def quiver(name, p):

@@ -726,6 +726,56 @@ class TestCliErrors:
             run_cli(["verify", "nonsense", "--type", "B2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"B": 5}', "B must be a nonempty list of equal-length rows of integers"),
+            (b'{"B": []}', "B must be a nonempty list of equal-length rows of integers"),
+            (b'{"B": [[0, 1, 0], [-1, 0]]}', "B must be a nonempty list of equal-length rows of integers"),
+            (b'{"B": [[0, "a"], [-1, 0]]}', "B must be a nonempty list of equal-length rows of integers"),
+            (b'{"B": [[0, 1.5], [-1, 0]]}', "B must be a nonempty list of equal-length rows of integers"),
+            (b'{"B": [[0, "1"], [-1, 0]]}', "B must be a nonempty list of equal-length rows of integers"),
+            (b'{"B": [[0, 1], [-2, 0]], "D": 3}', "D must be a list of integers"),
+            (b'{"B": [[0, 1], [-2, 0]], "D": [2, true]}', "D must be a list of integers"),
+            (b'{"B": [[0, 1], [-2, 0]], "Lambda0": [[0, 1], [-1]]}', "Lambda0 must be a nonempty list of equal-length rows of integers"),
+        ],
+    )
+    def test_malformed_matrix_file(self, tmp_path, content, message):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        rc, out, err = run_cli(["seeds", "--matrix", str(path)])
+        assert rc == 2 and out == ""
+        assert err == "error: --matrix %s: %s\n" % (path, message)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"B": [[0, 1], [-2, 0]], "Lambda0": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}', "base form must be 2 x 2"),
+            (b'{"B": [[0, 1], [-2, 0]', "cannot parse --matrix"),
+            (b'\xff\xfe{"B"', "cannot parse --matrix"),
+        ],
+    )
+    def test_unusable_matrix_file(self, tmp_path, content, message):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        rc, out, err = run_cli(["seeds", "--matrix", str(path)])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: %s" % message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [ValueError("bug"), KeyError("bug")])
+    def test_plain_errors_inside_a_command_propagate(self, monkeypatch, exc):
+        # Only the listed input errors exit 2; a bare ValueError or
+        # KeyError from a command is a bug, not bad input.
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_check", broken)
+        with pytest.raises(type(exc), match="bug"):
+            run_cli(["verify", "tropical", "--type", "B2"])
+        monkeypatch.setattr(cli, "enumerate_exchange_graph", broken)
+        with pytest.raises(type(exc), match="bug"):
+            run_cli(["seeds", "--type", "B2"])
+
     def test_nonprime_in_primes_list(self):
         rc, _, err = run_cli(
             ["verify", "denominators", "--type", "B2", "--primes", "2,4"]
