@@ -100,18 +100,6 @@ class ClassicalSeed(Seed):
         """Degree of the unique term of variable i free of frozen variables."""
         return variable_g_vector(self.variables[i], self.current.n)
 
-    def canonical_key(self):
-        n = self.current.n
-        strs = [self.variables[i].render() for i in range(n)]
-        order = sorted(range(n), key=lambda i: strs[i])
-        perm = list(order) + list(range(n, 2 * n))
-        bt = self.current.btilde
-        bt_p = tuple(
-            tuple(bt[perm[i]][order[j]] for j in range(n))
-            for i in range(2 * n)
-        )
-        return (tuple(strs[i] for i in order), bt_p)
-
 
 def g_from_d(data, d):
     """The degree vector forced by a nonnegative denominator vector."""
@@ -161,13 +149,12 @@ def subgraph_is_connected(result, node_set):
     return seen == nodes
 
 
-def graph_to_dot(result, label_depth=True):
+def graph_to_dot(result):
     lines = ["graph exchange {"]
     for idx, seed in enumerate(result.seeds):
-        label = "seed %d" % idx
-        if label_depth:
-            label += " (depth %d)" % seed.depth
-        lines.append('  n%d [label="%s"];' % (idx, label))
+        lines.append(
+            '  n%d [label="seed %d (depth %d)"];' % (idx, idx, seed.depth)
+        )
     for edge in sorted(tuple(sorted(e)) for e in result.edges):
         lines.append("  n%d -- n%d;" % edge)
     lines.append("}")

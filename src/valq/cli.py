@@ -40,7 +40,6 @@ from .exchange import (
     builtin_exchange_data,
 )
 from .finfield import CapExceeded, NotPrime, is_prime
-from .laurent import ArityMismatch, NegativeExponentInF
 from .qtorus import QuantumSeed, render_coeff
 from .reps import NoRigidFound, NotSinkOrSource
 from .verify import (
@@ -73,8 +72,6 @@ INPUT_ERRORS = (
     NoRigidFound,
     NotSinkOrSource,
     InterpolationInconsistent,
-    ArityMismatch,
-    NegativeExponentInF,
 )
 
 # Exit status of a command whose reader closed standard output early, as

@@ -250,21 +250,16 @@ class ExchangeData:
 
     ``btilde`` is 2n x n with the mutable block on top, ``diag`` is the
     length-n symmetrizer of the initial principal part (mutation keeps
-    it), ``lam`` is the 2n x 2n skew form, and ``lambda0`` remembers the
-    base form used at construction (None after any mutation).
+    it), and ``lam`` is the 2n x 2n skew form.
     """
 
     n: int
     btilde: tuple
     diag: tuple
     lam: tuple
-    lambda0: tuple = None
 
     def principal(self):
         return self.btilde[: self.n]
-
-    def is_acyclic(self):
-        return is_acyclic(self.principal())
 
     def is_finite_type(self):
         """Whether the symmetrized Cartan companion D*A(B), with a_kk = 2
@@ -293,14 +288,7 @@ class ExchangeData:
             btilde=mutate_btilde(self.btilde, k),
             diag=self.diag,
             lam=mutate_lam(self.lam, self.btilde, k),
-            lambda0=None,
         )
-
-    def mutate_sequence(self, seq):
-        data = self
-        for k in seq:
-            data = data.mutate(k)
-        return data
 
     def lam_pairing(self, a, b):
         return sum(
@@ -311,7 +299,7 @@ class ExchangeData:
         )
 
 
-def build_exchange_data(b, lambda0=None, diag=None, require_acyclic=True):
+def build_exchange_data(b, lambda0=None, diag=None):
     """Assemble an ``ExchangeData`` from a square integer matrix.
 
     The symmetrizer defaults to the minimal positive one, and the skew
@@ -328,7 +316,7 @@ def build_exchange_data(b, lambda0=None, diag=None, require_acyclic=True):
         diag = tuple(int(d) for d in diag)
         minimal_symmetrizer(b)
         check_symmetrizer(b, diag)
-    if require_acyclic and not is_acyclic(b):
+    if not is_acyclic(b):
         raise NotAcyclic("principal part has a directed cycle")
     if lambda0 is None:
         lambda0 = mx.zeros(n, n)
@@ -357,7 +345,7 @@ def build_exchange_data(b, lambda0=None, diag=None, require_acyclic=True):
     defect = compatibility_defect(btilde, lam, diag)
     if any(any(row) for row in defect):
         raise IncompatiblePair("framed matrix does not pair to [diag | 0]")
-    return ExchangeData(n=n, btilde=btilde, diag=diag, lam=lam, lambda0=lambda0)
+    return ExchangeData(n=n, btilde=btilde, diag=diag, lam=lam)
 
 
 BUILTIN_MATRICES = {
@@ -371,10 +359,10 @@ BUILTIN_MATRICES = {
 }
 
 
-def builtin_exchange_data(name, lambda0=None):
+def builtin_exchange_data(name):
     key = name.upper()
     if key not in BUILTIN_MATRICES:
         raise UnknownMatrixType(
             "unknown type %r; known: %s" % (name, sorted(BUILTIN_MATRICES))
         )
-    return build_exchange_data(BUILTIN_MATRICES[key], lambda0=lambda0)
+    return build_exchange_data(BUILTIN_MATRICES[key])

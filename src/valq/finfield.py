@@ -285,9 +285,6 @@ class FiniteField:
             raise ZeroDivisionError("negative power of zero")
         return self.exp[(self.log[a] * k) % (self.q - 1)]
 
-    def elements(self):
-        return range(self.q)
-
     def eval_poly(self, coeffs, x):
         """Horner evaluation; coeffs are field codes, constant term first."""
         acc = 0
@@ -403,15 +400,6 @@ def f_inverse(field, rows):
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in m[:n]]
-
-
-def f_in_span(field, rows, v):
-    """Is v in the row span of rows?"""
-    if not rows:
-        return all(x == 0 for x in v)
-    stacked = [list(r) for r in rows]
-    base = f_rank(field, stacked)
-    return f_rank(field, stacked + [list(v)]) == base
 
 
 # -- Grassmannians --

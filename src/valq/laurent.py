@@ -96,11 +96,6 @@ class LaurentPoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def monomial(cls, exp, coeff=1):
-        exp = tuple(int(e) for e in exp)
-        return cls(len(exp), {exp: coeff})
-
-    @classmethod
     def variable(cls, nvars, index):
         exp = tuple(1 if j == index else 0 for j in range(nvars))
         return cls(nvars, {exp: 1})
@@ -188,14 +183,9 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def shift(self, exp):
-        """Multiply by the monomial with exponent vector ``exp``."""
-        exp = tuple(int(e) for e in exp)
-        if len(exp) != self.nvars:
-            raise ArityMismatch("shift vector has wrong length")
-        return LaurentPoly(
-            self.nvars, {_vec_add(e, exp): c for e, c in self.terms.items()}
-        )
+    def sort_key(self):
+        """A total order on the polynomials of one ring, from their terms."""
+        return tuple(sorted(self.terms.items()))
 
     def min_exponents(self):
         if not self.terms:
@@ -249,62 +239,6 @@ class LaurentPoly:
             e = tuple(exp[i] for i in keep)
             out[e] = out.get(e, 0) + c
         return LaurentPoly(len(keep), out)
-
-    def substitute_monomials(self, target_nvars, images):
-        """Map each variable to a Laurent monomial of a target ring.
-
-        ``images[i]`` is the exponent vector (length ``target_nvars``)
-        that variable i is sent to.  Coefficients are untouched.
-        """
-        if len(images) != self.nvars:
-            raise ArityMismatch("need one image per variable")
-        images = [tuple(int(e) for e in im) for im in images]
-        for im in images:
-            if len(im) != target_nvars:
-                raise ArityMismatch("image has wrong length")
-        out = {}
-        for exp, c in self.terms.items():
-            e = [0] * target_nvars
-            for i, v in enumerate(exp):
-                if v:
-                    im = images[i]
-                    for j in range(target_nvars):
-                        e[j] += v * im[j]
-            e = tuple(e)
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return LaurentPoly(target_nvars, out)
-
-    def substitute(self, images):
-        """Full substitution: variable i is replaced by ``images[i]``.
-
-        All images must be Laurent polynomials of one common ring.  Any
-        variable used with a negative exponent must map to a monomial.
-        """
-        if len(images) != self.nvars:
-            raise ArityMismatch("need one image per variable")
-        if not images:
-            raise ArityMismatch("cannot substitute in a 0-variable ring")
-        tn = images[0].nvars
-        out = LaurentPoly.zero(tn)
-        powcache = {}
-
-        def power(i, v):
-            key = (i, v)
-            if key not in powcache:
-                powcache[key] = images[i] ** v
-            return powcache[key]
-
-        for exp, c in self.terms.items():
-            piece = LaurentPoly.one(tn) * c
-            for i, v in enumerate(exp):
-                if v:
-                    piece = piece * power(i, v)
-            out = out + piece
-        return out
 
     def render(self, names=None):
         """Human-readable string; terms in descending lexicographic order."""

@@ -268,6 +268,13 @@ class QTorusElem:
     def sorted_terms(self):
         return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
 
+    def sort_key(self):
+        """A total order on the elements of one torus, from their terms."""
+        return tuple(
+            (e, tuple(sorted(self.terms[e].items())))
+            for e in sorted(self.terms)
+        )
+
     def render(self):
         if not self.terms:
             return "0"
@@ -297,8 +304,9 @@ class Seed:
     ``initial`` is the starting exchange data, ``current`` the data after
     the mutations in ``history``, and ``variables`` lists the n mutable
     cluster variables followed by the n frozen ones (the frozen block
-    never changes).  Subclasses supply ``mutate`` and ``canonical_key``,
-    which with ``depth`` are what ``walk_seeds`` needs.
+    never changes).  Subclasses supply ``mutate``, which with ``depth``
+    and ``canonical_key`` is what ``walk_seeds`` needs.  Variables must
+    be hashable and have a ``sort_key()``, as the key uses both.
     """
 
     initial: object
@@ -319,6 +327,22 @@ class Seed:
             current=self.current.mutate(k),
             variables=tuple(variables),
             history=self.history + (k,),
+        )
+
+    def canonical_key(self):
+        """Key identifying the seed up to renumbering its cluster: the
+        mutable variables in ``sort_key`` order, with the framed matrix
+        and the skew form permuted to match."""
+        n = self.current.n
+        mutable = self.variables[:n]
+        order = sorted(range(n), key=lambda i: mutable[i].sort_key())
+        perm = order + list(range(n, 2 * n))
+        bt = self.current.btilde
+        lam = self.current.lam
+        return (
+            tuple(mutable[i] for i in order),
+            tuple(tuple(bt[i][j] for j in order) for i in perm),
+            tuple(tuple(lam[i][j] for j in perm) for i in perm),
         )
 
     def mutate_sequence(self, seq):
@@ -383,24 +407,6 @@ class QuantumSeed(Seed):
             bm
         ).shift_u(twist(bm))
         return self._exchanged(k, rhs.div_right(self.variables[k]))
-
-    def canonical_key(self):
-        """Key identifying the seed up to renumbering its cluster."""
-        n = self.current.n
-        strs = [self.variables[i].render() for i in range(n)]
-        order = sorted(range(n), key=lambda i: strs[i])
-        perm = list(order) + list(range(n, 2 * n))
-        bt = self.current.btilde
-        lam = self.current.lam
-        bt_p = tuple(
-            tuple(bt[perm[i]][order[j]] for j in range(n))
-            for i in range(2 * n)
-        )
-        lam_p = tuple(
-            tuple(lam[perm[i]][perm[j]] for j in range(2 * n))
-            for i in range(2 * n)
-        )
-        return (tuple(strs[i] for i in order), bt_p, lam_p)
 
 
 @dataclass

@@ -425,12 +425,13 @@ def check_distinct_d(ctx):
             (i, j) for i in range(n) for j in range(i, n)
         ]
         for picks in choices:
-            key = tuple(sorted(seed.variables[i].render() for i in picks))
+            mono = [seed.variables[i] for i in picks]
+            key = tuple(sorted(mono, key=LaurentPoly.sort_key))
             if key in by_key:
                 continue
             prod = one
-            for i in picks:
-                prod = prod * seed.variables[i]
+            for var in mono:
+                prod = prod * var
             d = prod.denominator_vector(upto=n)
             by_key[key] = d
             other = by_d.get(d)
@@ -441,8 +442,8 @@ def check_distinct_d(ctx):
                     "two monomials share d=%s" % (d,),
                     truncated,
                     history=list(seed.history),
-                    monomial=list(key),
-                    clashes_with=list(other),
+                    monomial=sorted(v.render() for v in key),
+                    clashes_with=sorted(v.render() for v in other),
                     d=list(d),
                 )
             by_d[d] = key

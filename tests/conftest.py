@@ -8,6 +8,8 @@ one context per matrix type is shared across every test module via the
 import pytest
 
 from valq.exchange import builtin_exchange_data
+from valq.finfield import f_rank
+from valq.laurent import LaurentPoly
 from valq.verify import VerifyContext
 
 _CACHE = {}
@@ -25,6 +27,28 @@ def context_for(name, **kwargs):
 def is_bar_invariant(x):
     """Whether the bar involution fixes the torus element x."""
     return x == x.bar()
+
+
+def f_in_span(field, rows, v):
+    """Whether v lies in the row span of rows."""
+    return f_rank(field, list(rows) + [v]) == f_rank(field, rows)
+
+
+def shift(poly, exp):
+    """``poly`` times the monomial with exponent vector ``exp``."""
+    return poly * LaurentPoly(poly.nvars, {tuple(exp): 1})
+
+
+def substitute_monomials(poly, nvars, images):
+    """``poly`` with variable i sent to the monomial of an
+    ``nvars``-variable ring whose exponent vector is ``images[i]``."""
+    out = LaurentPoly.zero(nvars)
+    for exp, c in poly.terms.items():
+        e = tuple(
+            sum(v * im[j] for v, im in zip(exp, images)) for j in range(nvars)
+        )
+        out = out + LaurentPoly(nvars, {e: c})
+    return out
 
 
 def count_products(monkeypatch, cls):

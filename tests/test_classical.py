@@ -17,6 +17,8 @@ from valq.classical import (
 from valq.exchange import builtin_exchange_data
 from valq.laurent import LaurentPoly, NegativeExponentInF
 
+from conftest import shift, substitute_monomials
+
 GRAPH_SIZES = {"A2": 5, "B2": 6, "G2": 8, "A3": 14, "B3": 20}
 
 
@@ -28,8 +30,9 @@ def separation_holds(seed, i):
         tuple(seed.initial.btilde[r][j] for r in range(2 * n))
         for j in range(n)
     ]
-    rebuilt = seed.f_polynomial(i).substitute_monomials(2 * n, images).shift(
-        tuple(seed.g_vector(i)) + (0,) * n
+    rebuilt = shift(
+        substitute_monomials(seed.f_polynomial(i), 2 * n, images),
+        tuple(seed.g_vector(i)) + (0,) * n,
     )
     return rebuilt == seed.variables[i]
 

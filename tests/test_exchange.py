@@ -197,11 +197,6 @@ class TestMutation:
             defect = compatibility_defect(cur.btilde, cur.lam, cur.diag)
             assert all(not any(row) for row in defect)
 
-    def test_mutate_sequence_matches_iterated(self, a3):
-        assert a3.mutate_sequence([0, 1, 2]).btilde == (
-            a3.mutate(0).mutate(1).mutate(2).btilde
-        )
-
     def test_index_out_of_range(self, b2):
         with pytest.raises(IndexOutOfRange):
             b2.mutate(2)
@@ -251,10 +246,6 @@ class TestBuildAndBuiltins:
     def test_cyclic_rejected(self):
         with pytest.raises(NotAcyclic):
             build_exchange_data(CYCLIC3)
-
-    def test_cyclic_allowed_when_requested(self):
-        data = build_exchange_data(CYCLIC3, require_acyclic=False)
-        assert not data.is_acyclic()
 
     def test_explicit_diag_validated(self):
         build_exchange_data(BUILTIN_MATRICES["B2"], diag=(2, 1))

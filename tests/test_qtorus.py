@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valq.exchange import builtin_exchange_data
-from valq.laurent import InexactDivision
+from valq.classical import ClassicalSeed, enumerate_exchange_graph
+from valq.exchange import build_exchange_data, builtin_exchange_data
+from valq.laurent import InexactDivision, LaurentPoly
 from valq.qtorus import LambdaMismatch, QTorusElem, QuantumSeed, enumerate_quantum_seeds
 
 from conftest import count_products, is_bar_invariant
+from test_exchange import acyclic_skew_symmetrizable
 
 B2 = builtin_exchange_data("B2")
 A2 = builtin_exchange_data("A2")
@@ -228,6 +230,42 @@ class TestCanonicalKey:
         s = QuantumSeed.initial_seed(A2)
         assert s.mutate_sequence([0, 1, 0, 1, 0]).canonical_key() == s.canonical_key()
         assert s.mutate_sequence([0, 1, 0, 1]).canonical_key() != s.canonical_key()
+
+    @pytest.mark.parametrize("name, count", [("G2", 8), ("B3", 20)])
+    def test_walks_never_render(self, monkeypatch, name, count):
+        def refuse(*args):
+            raise AssertionError("rendered inside a walk")
+
+        monkeypatch.setattr(LaurentPoly, "render", refuse)
+        monkeypatch.setattr(QTorusElem, "render", refuse)
+        data = builtin_exchange_data(name)
+        assert enumerate_exchange_graph(data).count == count
+        assert enumerate_quantum_seeds(data).count == count
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        acyclic_skew_symmetrizable(),
+        st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_double_mutation_keeps_the_key(self, engine, b, word, k):
+        seed = engine.initial_seed(build_exchange_data(b))
+        seed = seed.mutate_sequence(word)
+        key = seed.canonical_key()
+        assert seed.mutate_sequence([k, k]).canonical_key() == key
+        assert seed.mutate(k).canonical_key() != key
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    def test_key_holds_the_variables_in_order(self, engine):
+        seed = engine.initial_seed(builtin_exchange_data("B3"))
+        seed = seed.mutate_sequence([2, 0, 1])
+        variables, btilde, lam = seed.canonical_key()
+        assert set(variables) == set(seed.variables[:3])
+        assert [v.sort_key() for v in variables] == sorted(
+            v.sort_key() for v in variables
+        )
+        assert len(btilde) == 6 and len(lam) == 6
 
 
 class TestGraph:

@@ -14,7 +14,6 @@ from valq.exchange import BUILTIN_MATRICES, minimal_symmetrizer
 from valq.finfield import (
     build_tower,
     enumerate_subspaces,
-    f_in_span,
     f_matvec,
     gaussian_binomial,
 )
@@ -38,6 +37,8 @@ from valq.reps import (
     simple_reflection,
     walk_subreps,
 )
+
+from conftest import f_in_span
 
 
 def count_subreps(rep, e):
@@ -67,7 +68,7 @@ def scale_vec(field, c, vec):
 
 
 def all_matrices(field, nrows, ncols):
-    for flat in product(field.elements(), repeat=nrows * ncols):
+    for flat in product(range(field.q), repeat=nrows * ncols):
         yield [list(flat[r * ncols : (r + 1) * ncols]) for r in range(nrows)]
 
 

@@ -6,8 +6,10 @@ import contextlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from valq import cli
 from valq.exchange import builtin_exchange_data
@@ -23,6 +25,10 @@ from valq.verify import (
     run_all,
     run_check,
 )
+
+from test_exchange import acyclic_skew_symmetrizable
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 B2_ROWS = [
     "denominators           B2       PASS exhaustive  4 variables checked",
@@ -261,6 +267,27 @@ class TestSinkSourcePairing:
     @pytest.mark.parametrize("name", ["B2", "G2"])
     def test_rank_two_pairing_survives(self, monkeypatch, name):
         assert self._unmutated(monkeypatch, name).status == PASS
+
+
+class TestDistinctD:
+    def test_clash_names_both_monomials(self, monkeypatch):
+        # Merge the denominator vectors of x1^2 and x1*x2 only, so the
+        # FAIL row names the second monomial and the first.
+        from valq.laurent import LaurentPoly
+
+        real = LaurentPoly.denominator_vector
+
+        def merged(self, upto=None):
+            d = real(self, upto)
+            return (-2,) if sum(d) == -2 else d
+
+        monkeypatch.setattr(LaurentPoly, "denominator_vector", merged)
+        r = run_check("distinct-d", VerifyContext(builtin_exchange_data("B2")))
+        assert r.status == FAIL and r.detail == "two monomials share d=(-2,)"
+        assert r.counterexample["history"] == []
+        assert r.counterexample["monomial"] == ["x1", "x2"]
+        assert r.counterexample["clashes_with"] == ["x1", "x1"]
+        assert r.counterexample["d"] == [-2]
 
 
 class TestCharactersPairing:
@@ -504,6 +531,24 @@ class TestCliSeeds:
         rc, out, err = run_cli(["seeds", "--type", "WILD3", "--max-depth", "4"])
         assert rc == 0 and err == ""
         assert out.splitlines()[0] == "29 seeds (truncated)"
+
+
+class TestGoldenDocuments:
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("seeds-b3.json", ["seeds", "--type", "B3", "--json"]),
+            (
+                "wild3-characters.json",
+                ["verify", "characters", "--type", "WILD3",
+                 "--primes", "2,3,5,7,11", "--max-depth", "4", "--json"],
+            ),
+        ],
+    )
+    def test_output_is_the_committed_document(self, name, argv):
+        rc, out, err = run_cli(argv)
+        assert rc == 0 and err == ""
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestCliMutate:
@@ -781,3 +826,25 @@ class TestCliErrors:
             ["verify", "denominators", "--type", "B2", "--primes", "2,4"]
         )
         assert rc == 2
+
+
+class TestCliFuzz:
+    COMMANDS = [
+        ["seeds", "--max-depth", "2"],
+        ["mutate", "--seq", "1,2,3"],
+        ["verify-all", "--max-depth", "2", "--primes", "2,3"],
+        ["char", "--dim", "1,1,0", "--primes", "2,3,5"],
+    ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(acyclic_skew_symmetrizable())
+    def test_random_matrices_exit_cleanly(self, tmp_path_factory, b):
+        # Every command either works, reports FAIL or exits 2 with one
+        # line; no exception escapes cli.main.
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps({"B": [list(row) for row in b]}))
+        for argv in self.COMMANDS:
+            rc, _, err = run_cli(argv + ["--matrix", str(path)])
+            assert rc in (0, 1, 2)
+            if rc == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1
