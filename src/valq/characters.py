@@ -169,10 +169,3 @@ def generic_character(data, reps):
     polys = counting_polynomials(reps)
     return character_in_seed(QuantumSeed.initial_seed(data), v, polys)
 
-
-def torus_denominator_vector(elem, n):
-    """Negated minimal mutable exponents of a torus element."""
-    mins = [
-        min(exp[i] for exp in elem.terms) for i in range(n)
-    ]
-    return tuple(-m for m in mins)

@@ -92,14 +92,6 @@ class ClassicalSeed(Seed):
         """Denominator vector of variable i in the initial cluster."""
         return self.variables[i].denominator_vector(upto=self.current.n)
 
-    def f_polynomial(self, i):
-        """Frozen-variable polynomial of variable i (mutable ones set to 1)."""
-        return variable_f_polynomial(self.variables[i], self.current.n)
-
-    def g_vector(self, i):
-        """Degree of the unique term of variable i free of frozen variables."""
-        return variable_g_vector(self.variables[i], self.current.n)
-
 
 def g_from_d(data, d):
     """The degree vector forced by a nonnegative denominator vector."""

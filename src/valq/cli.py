@@ -17,7 +17,6 @@ from .characters import (
     DEFAULT_PRIMES,
     character_in_seed,
     counting_polynomials,
-    torus_denominator_vector,
     InterpolationInconsistent,
 )
 from .classical import (
@@ -47,6 +46,7 @@ from .verify import (
     FAIL,
     IMPLIED_NOTE,
     VerifyContext,
+    primes_needed,
     run_all,
     run_check,
 )
@@ -299,6 +299,12 @@ def character_table(ctx, v):
     n = ctx.n
     if len(v) != n or any(x < 0 for x in v):
         raise InputError("--dim needs %d nonnegative entries" % n)
+    need = primes_needed(ctx.data.diag, v)
+    if need > len(ctx.primes):
+        raise InputError(
+            "--dim %s needs %d primes, --primes gives %d"
+            % (",".join(map(str, v)), need, len(ctx.primes))
+        )
     polys = counting_polynomials(ctx.rigid_reps(v))
     x_v = character_in_seed(QuantumSeed.initial_seed(ctx.data), v, polys)
     classical = x_v.specialize_q1()
@@ -312,7 +318,7 @@ def character_table(ctx, v):
         },
         "F": frozen.render(names[n:]),
         "g": list(variable_g_vector(classical, n)),
-        "d": list(torus_denominator_vector(x_v, n)),
+        "d": list(x_v.denominator_vector(n)),
         "X_v": x_v.render(),
         "X_v_terms": [
             [list(exp), render_coeff(coeff)] for exp, coeff in x_v.sorted_terms()

@@ -1,11 +1,13 @@
-"""Exact Laurent polynomial arithmetic.
+"""Exact Laurent polynomial arithmetic, on the sparse-term core that
+the quantum torus shares.
 
-``LaurentPoly`` holds integer-coefficient Laurent polynomials in
-several commuting variables, stored as a dict from exponent tuples to
-nonzero ints.  It is the engine for commutative cluster variables, and
-in one variable it divides the u-coefficients of the quantum torus.
-``exact_div`` raises ``InexactDivision`` instead of ever returning an
-approximation.
+``SparseTerms`` holds what both rings share: equality, powers, exponent
+ranges and the one leading-term division loop, to which each ring gives
+its own elimination step.  ``LaurentPoly`` is its ring of integer
+Laurent polynomials in commuting variables.  It is the engine for
+commutative cluster variables, and in one variable it divides the
+u-coefficients of the quantum torus.  ``exact_div`` raises
+``InexactDivision`` instead of ever returning an approximation.
 
 The constructor validates outside input: it drops zero coefficients,
 merges equal exponents and checks exponent lengths.  Arithmetic results
@@ -13,7 +15,7 @@ merges equal exponents and checks exponent lengths.  Arithmetic results
 clean and are trusted: they skip that pass.
 """
 
-from operator import add, sub
+from operator import add, attrgetter, lt, sub
 
 
 class ArityMismatch(ValueError):
@@ -40,20 +42,107 @@ def _vec_sub(a, b):
     return tuple(map(sub, a, b))
 
 
-def _power(x, k):
-    """``x ** k`` for k >= 1 by repeated squaring; the base is squared
-    only while bits of k remain."""
-    out = None
-    while True:
-        if k & 1:
-            out = x if out is None else out * x
-        k >>= 1
+class SparseTerms:
+    """An element whose ``terms`` map exponent tuples of length ``nvars``
+    to nonzero coefficients.  A ring supplies its arithmetic, ``one``,
+    ``render``, ``ring`` (what equal elements share), ``_like`` (an
+    element over trusted terms) and ``_coeff_inverse`` (a unit's
+    inverse, else ``InexactDivision``)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, ring):
+        return cls(ring, {})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_monomial(self):
+        return len(self.terms) == 1
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    def __pow__(self, k):
+        """``self ** k`` by repeated squaring; the base is squared only
+        while bits of k remain.  Only a unit monomial has negative
+        powers."""
+        k = int(k)
+        x = self
+        if k < 0:
+            if not self.is_monomial():
+                raise InexactDivision("negative power of a non-monomial")
+            (exp, coeff), = self.terms.items()
+            x = self._like({tuple(-e for e in exp): self._coeff_inverse(coeff)})
+            k = -k
         if not k:
-            return out
-        x = x * x
+            return type(self).one(self.ring)
+        out = None
+        while True:
+            if k & 1:
+                out = x if out is None else out * x
+            k >>= 1
+            if not k:
+                return out
+            x = x * x
+
+    def min_exponents(self):
+        if not self.terms:
+            raise ZeroPolynomial("zero polynomial has no exponent range")
+        return tuple(map(min, zip(*self.terms)))
+
+    def max_exponents(self):
+        if not self.terms:
+            raise ZeroPolynomial("zero polynomial has no exponent range")
+        return tuple(map(max, zip(*self.terms)))
+
+    def denominator_vector(self, upto=None):
+        """Negated minimal exponent per variable, restricted to the first
+        ``upto`` variables when given."""
+        k = self.nvars if upto is None else int(upto)
+        return tuple(-m for m in self.min_exponents()[:k])
+
+    def _divide(self, den, den_lead, step):
+        """The quotient Q with ``self == Q * den`` by leading-term
+        elimination in descending lexicographic order.  ``den_lead`` is
+        the top exponent of the nonzero den; ``step(rem, q_exp, c)``
+        divides the leading coefficient c by den's, takes that term
+        times den off ``rem`` and returns the quotient coefficient.
+        Every quotient exponent of an exact division lies inside the box
+        [min(self) - max(den), max(self) - min(den)] coordinatewise, so
+        any candidate below that box proves the division inexact."""
+        if not self.terms:
+            return self._like({})
+        lo = _vec_sub(self.min_exponents(), den.max_exponents())
+        rem = dict(self.terms)
+        quo = {}
+        steps = 0
+        while rem:
+            steps += 1
+            if steps > 1_000_000:
+                raise InexactDivision("division did not terminate")
+            lead = max(rem)
+            q_exp = _vec_sub(lead, den_lead)
+            if any(map(lt, q_exp, lo)):
+                raise InexactDivision("quotient exponent out of range")
+            # Leading exponents strictly fall, so each q_exp is new.
+            quo[q_exp] = step(rem, q_exp, rem[lead])
+        return self._like(quo)
+
+    def __str__(self):
+        return self.render()
 
 
-class LaurentPoly:
+class LaurentPoly(SparseTerms):
     """Integer Laurent polynomial in ``nvars`` commuting variables."""
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -88,10 +177,6 @@ class LaurentPoly:
         return out
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
-
-    @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
 
@@ -100,11 +185,16 @@ class LaurentPoly:
         exp = tuple(1 if j == index else 0 for j in range(nvars))
         return cls(nvars, {exp: 1})
 
-    def is_zero(self):
-        return not self.terms
+    ring = property(attrgetter("nvars"))
 
-    def is_monomial(self):
-        return len(self.terms) == 1
+    def _like(self, terms):
+        return LaurentPoly._trusted(self.nvars, terms)
+
+    @staticmethod
+    def _coeff_inverse(c):
+        if c not in (1, -1):
+            raise InexactDivision("negative power needs a unit coefficient")
+        return c
 
     def _check(self, other):
         if not isinstance(other, LaurentPoly):
@@ -130,9 +220,6 @@ class LaurentPoly:
             self.nvars, {e: -c for e, c in self.terms.items()}
         )
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
@@ -154,59 +241,14 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            if not self.is_monomial():
-                raise InexactDivision("negative power of a non-monomial")
-            (exp, coeff), = self.terms.items()
-            if coeff not in (1, -1):
-                raise InexactDivision("negative power needs unit coefficient")
-            base = LaurentPoly._trusted(
-                self.nvars, {tuple(-e for e in exp): coeff}
-            )
-            return base ** (-k)
-        if not k:
-            return LaurentPoly.one(self.nvars)
-        return _power(self, k)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.nvars, frozenset(self.terms.items())))
         return self._hash
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def sort_key(self):
         """A total order on the polynomials of one ring, from their terms."""
         return tuple(sorted(self.terms.items()))
-
-    def min_exponents(self):
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no exponent range")
-        return tuple(
-            min(e[i] for e in self.terms) for i in range(self.nvars)
-        )
-
-    def max_exponents(self):
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no exponent range")
-        return tuple(
-            max(e[i] for e in self.terms) for i in range(self.nvars)
-        )
-
-    def denominator_vector(self, upto=None):
-        """Negated minimal exponent per variable, restricted to the first
-        ``upto`` variables when given."""
-        k = self.nvars if upto is None else int(upto)
-        mins = self.min_exponents()
-        return tuple(-mins[i] for i in range(k))
 
     def coefficient(self, exp):
         return self.terms.get(tuple(int(e) for e in exp), 0)
@@ -272,57 +314,37 @@ class LaurentPoly:
             text += (" - " if negp else " + ") + body
         return text
 
-    def __str__(self):
-        return self.render()
-
     def __repr__(self):
         return "LaurentPoly(%d, %s)" % (self.nvars, self.render())
 
 
 def exact_div(num, den):
-    """Exact quotient of integer Laurent polynomials.
-
-    Runs leading-term elimination in descending lexicographic order.
-    Every quotient exponent of an exact division lies inside the box
-    [min(num) - max(den), max(num) - min(den)] coordinatewise, so any
-    candidate outside that box proves the division inexact.
-    """
+    """Exact quotient of integer Laurent polynomials: the shared
+    leading-term elimination, whose step divides integer coefficients."""
     if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
         raise TypeError("exact_div expects LaurentPoly operands")
     if num.nvars != den.nvars:
         raise ArityMismatch("operands have different variable counts")
     if den.is_zero():
         raise ZeroPolynomial("division by zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero(num.nvars)
-    lo = _vec_sub(num.min_exponents(), den.max_exponents())
     den_lead = max(den.terms)
     den_lead_coeff = den.terms[den_lead]
-    rem = dict(num.terms)
-    quo = {}
-    steps = 0
-    cap = 1_000_000
-    while rem:
-        steps += 1
-        if steps > cap:
-            raise InexactDivision("division did not terminate")
-        lead = max(rem)
-        q_exp = _vec_sub(lead, den_lead)
-        if any(q < l for q, l in zip(q_exp, lo)):
-            raise InexactDivision("quotient exponent out of range")
-        c, r = divmod(rem[lead], den_lead_coeff)
+    den_items = den.terms.items()
+
+    def step(rem, q_exp, lead_coeff):
+        c, r = divmod(lead_coeff, den_lead_coeff)
         if r:
             raise InexactDivision("leading coefficient does not divide")
-        # Leading exponents strictly fall, so each q_exp is new.
-        quo[q_exp] = c
-        for e, dc in den.terms.items():
+        for e, dc in den_items:
             t = _vec_add(q_exp, e)
             s = rem.get(t, 0) - c * dc
             if s:
                 rem[t] = s
             else:
                 rem.pop(t, None)
-    return LaurentPoly._trusted(num.nvars, quo)
+        return c
+
+    return num._divide(den, den_lead, step)
 
 
 def tropical_evaluate(poly, assignment):

@@ -6,20 +6,22 @@ Z[u, 1/u], u**2 = q, multiplying by X^a * X^b = u^(a^T L b) * X^(a+b)
 for the fixed skew form L.  A coefficient is a plain dict from
 u-exponents to nonzero ints, and an element maps exponent tuples to
 nonempty coefficients.  No operation changes a coefficient dict that
-an element already holds, so elements may share them.  Quantum seeds
+an element already holds, so elements may share them.  Elements extend
+the sparse-term core of ``valq.laurent``, so powers, exponent ranges,
+denominator vectors and the division loop are shared with
+``LaurentPoly``; right division adds only its twisted elimination step.  Quantum seeds
 keep their cluster variables expanded in the initial torus, so
 mutation needs one exact right division per step.
 """
 
 from dataclasses import dataclass
-from operator import mul
+from operator import attrgetter, mul
 
 from .laurent import (
-    InexactDivision,
     LaurentPoly,
-    _power,
+    SparseTerms,
+    ZeroPolynomial,
     _vec_add,
-    _vec_sub,
     exact_div,
 )
 
@@ -61,7 +63,7 @@ def render_coeff(coeff):
     return _u_poly(coeff).render(["u"])
 
 
-class QTorusElem:
+class QTorusElem(SparseTerms):
     """Element of the based quantum torus attached to a skew form.
 
     The constructor takes ``terms`` as they are; build elements from
@@ -77,10 +79,6 @@ class QTorusElem:
         self._hash = None
 
     @classmethod
-    def zero(cls, lam):
-        return cls(lam, {})
-
-    @classmethod
     def one(cls, lam):
         return cls.basis_elem(lam, (0,) * len(lam))
 
@@ -94,6 +92,16 @@ class QTorusElem:
         coeff = _coeff(coeff)
         return cls(lam, {exp: coeff} if coeff else {})
 
+    ring = property(attrgetter("lam"))
+
+    def _like(self, terms):
+        return QTorusElem(self.lam, terms)
+
+    @staticmethod
+    def _coeff_inverse(coeff):
+        # The units of Z[u, 1/u] are the signed powers of u.
+        return {k: c for (k,), c in (_u_poly(coeff) ** -1).terms.items()}
+
     def _check(self, other):
         if self.lam is not other.lam and self.lam != other.lam:
             raise LambdaMismatch("different skew forms")
@@ -101,12 +109,6 @@ class QTorusElem:
     def _lam_dot(self, b):
         """The vector L*b, so that a^T L b is its dot product with a."""
         return tuple(sum(map(mul, row, b)) for row in self.lam)
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_monomial(self):
-        return len(self.terms) == 1
 
     def __add__(self, other):
         self._check(other)
@@ -128,9 +130,6 @@ class QTorusElem:
             self.lam,
             {e: {k: -x for k, x in c.items()} for e, c in self.terms.items()},
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
@@ -164,35 +163,12 @@ class QTorusElem:
             {e: {j + k: x for j, x in c.items()} for e, c in self.terms.items()},
         )
 
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            if not self.is_monomial():
-                raise InexactDivision("negative power of a non-monomial")
-            (exp, coeff), = self.terms.items()
-            if len(coeff) == 1:
-                (uk, c), = coeff.items()
-                if c in (1, -1):
-                    inv = QTorusElem(
-                        self.lam, {tuple(-e for e in exp): {-uk: c}}
-                    )
-                    return inv ** (-k)
-            raise InexactDivision("negative power needs a unit coefficient")
-        if not k:
-            return QTorusElem.one(self.lam)
-        return _power(self, k)
-
     def bar(self):
         """Bar involution: u -> 1/u in every coefficient, basis fixed."""
         return QTorusElem(
             self.lam,
             {e: {-k: x for k, x in c.items()} for e, c in self.terms.items()},
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, QTorusElem):
-            return NotImplemented
-        return self.lam == other.lam and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -206,48 +182,24 @@ class QTorusElem:
             )
         return self._hash
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def div_right(self, den):
         """Exact right quotient: the element Q with self == Q * den.
 
-        Leading-exponent elimination in lexicographic order; exponents
-        add under the twisted product, so the quotient's support must
-        stay in the coordinatewise box allowed by the two supports.
-        Each leading coefficient is divided by ``exact_div`` in one
-        variable u, whose own box bound decides exactness there.
+        Runs the shared leading-term elimination.  Its step divides the
+        twisted leading coefficient by ``exact_div`` in one variable u,
+        whose own box bound decides exactness there.
         """
         self._check(den)
         if den.is_zero():
-            raise ZeroDivisionError("division by zero")
-        if self.is_zero():
-            return QTorusElem.zero(self.lam)
-        num_min = tuple(
-            min(e[i] for e in self.terms) for i in range(self.nvars)
-        )
-        den_max_all = tuple(
-            max(e[i] for e in den.terms) for i in range(self.nvars)
-        )
-        lo = _vec_sub(num_min, den_max_all)
+            raise ZeroPolynomial("division by zero")
         den_lead = max(den.terms)
         den_lead_poly = _u_poly(den.terms[den_lead])
-        den_terms = [(e, c, self._lam_dot(e)) for e, c in den.terms.items()]
         lead_dot = self._lam_dot(den_lead)
-        rem = dict(self.terms)
-        quo = {}
-        steps = 0
-        while rem:
-            steps += 1
-            if steps > 1_000_000:
-                raise InexactDivision("division did not terminate")
-            lead = max(rem)
-            q_exp = _vec_sub(lead, den_lead)
-            if any(q < l for q, l in zip(q_exp, lo)):
-                raise InexactDivision("quotient exponent out of range")
+        den_terms = [(e, c, self._lam_dot(e)) for e, c in den.terms.items()]
+
+        def step(rem, q_exp, lead_coeff):
             twist = sum(map(mul, q_exp, lead_dot))
-            q_poly = exact_div(_u_poly(rem[lead], -twist), den_lead_poly)
-            quo[q_exp] = {k: c for (k,), c in q_poly.terms.items()}
+            q_poly = exact_div(_u_poly(lead_coeff, -twist), den_lead_poly)
             neg_q = {k: -c for (k,), c in q_poly.terms.items()}
             for e, dc, e_dot in den_terms:
                 t = _vec_add(q_exp, e)
@@ -257,7 +209,9 @@ class QTorusElem:
                     rem[t] = acc
                 else:
                     del rem[t]
-        return QTorusElem(self.lam, quo)
+            return {k: c for (k,), c in q_poly.terms.items()}
+
+        return self._divide(den, den_lead, step)
 
     def specialize_q1(self):
         """Set u to 1, landing in the commutative Laurent ring."""
@@ -289,9 +243,6 @@ class QTorusElem:
             else:
                 pieces.append("(%s)*%s" % (cs, mono))
         return " + ".join(pieces)
-
-    def __str__(self):
-        return self.render()
 
     def __repr__(self):
         return "QTorusElem(%s)" % self.render()

@@ -358,6 +358,13 @@ def build_rigid_rep(quiver, dims, rng_seed=0, attempts=400):
     """Random search for a representation without self-extensions."""
     rng = random.Random(rng_seed)
     dims = tuple(int(v) for v in dims)
+    # A rigid V has dim End(V) = <v, v>, which is at least 1 for v != 0.
+    euler = euler_form(quiver.b, quiver.diag, dims, dims)
+    if any(dims) and euler <= 0:
+        raise NoRigidFound(
+            "no rigid representation of dimension %s: its Euler form "
+            "<v, v> = %d is not positive" % (dims, euler)
+        )
     rep = ValuedRep.zero_maps(quiver, dims)
     if is_rigid(rep):
         return rep

@@ -25,7 +25,6 @@ from .characters import (
     counting_polynomials,
     dimension_bound,
     generic_character,
-    torus_denominator_vector,
     InterpolationInconsistent,
 )
 from .classical import (
@@ -278,7 +277,7 @@ def check_denominators(ctx):
             continue
         try:
             x_v = ctx.generic_char(v)
-            dd = torus_denominator_vector(x_v, ctx.n)
+            dd = x_v.denominator_vector(ctx.n)
             classical = x_v.specialize_q1()
         except CapExceeded as exc:
             return ctx.report("denominators", SKIPPED, str(exc), truncated)
@@ -765,7 +764,7 @@ def check_characters(ctx):
             if x_q in seen or x_q in initial_vars:
                 continue
             seen.add(x_q)
-            v = torus_denominator_vector(x_q, n)
+            v = x_q.denominator_vector(n)
             if primes_needed(ctx.data.diag, v) > len(ctx.primes):
                 skipped += 1
                 continue

@@ -19,7 +19,6 @@ from valq.characters import (
     generic_character,
     interpolate_counts,
     lagrange_poly,
-    torus_denominator_vector,
 )
 from valq.classical import enumerate_exchange_graph
 from valq.qtorus import QTorusElem, QuantumSeed
@@ -207,7 +206,15 @@ class TestGenericCharacter:
         for v in noninitial_d_vectors(b2):
             x = generic_character(b2, reps_of(b2, v))
             assert is_bar_invariant(x)
-            assert torus_denominator_vector(x, 2) == v
+            assert x.denominator_vector(2) == v
+
+    @pytest.mark.parametrize("name", ["B2", "G2"])
+    def test_denominator_vector_survives_specialization(self, name):
+        ctx = context_for(name)
+        n = ctx.n
+        for v in noninitial_d_vectors(ctx.data):
+            x = ctx.generic_char(v)
+            assert x.denominator_vector(n) == x.specialize_q1().denominator_vector(n)
 
     def test_specializes_to_the_classical_variable(self, b2):
         from valq.classical import ClassicalSeed

@@ -30,11 +30,12 @@ def separation_holds(seed, i):
         tuple(seed.initial.btilde[r][j] for r in range(2 * n))
         for j in range(n)
     ]
+    x = seed.variables[i]
     rebuilt = shift(
-        substitute_monomials(seed.f_polynomial(i), 2 * n, images),
-        tuple(seed.g_vector(i)) + (0,) * n,
+        substitute_monomials(variable_f_polynomial(x, n), 2 * n, images),
+        tuple(variable_g_vector(x, n)) + (0,) * n,
     )
-    return rebuilt == seed.variables[i]
+    return rebuilt == x
 
 
 class TestMutation:
@@ -72,8 +73,13 @@ class TestInvariantExtraction:
             for i in range(2):
                 d = seed.d_vector(i)
                 if not all(x <= 0 for x in d):
+                    x = seed.variables[i]
                     table.setdefault(
-                        d, (seed.f_polynomial(i).render(["y1", "y2"]), seed.g_vector(i))
+                        d,
+                        (
+                            variable_f_polynomial(x, 2).render(["y1", "y2"]),
+                            variable_g_vector(x, 2),
+                        ),
                     )
         return table
 
@@ -101,8 +107,8 @@ class TestInvariantExtraction:
     def test_initial_variable_invariants(self, b2):
         s = ClassicalSeed.initial_seed(b2)
         assert s.d_vector(0) == (-1, 0)
-        assert s.f_polynomial(0) == LaurentPoly.one(2)
-        assert s.g_vector(0) == (1, 0)
+        assert variable_f_polynomial(s.variables[0], 2) == LaurentPoly.one(2)
+        assert variable_g_vector(s.variables[0], 2) == (1, 0)
 
     def test_separation_holds_across_seeds(self, b2):
         for seed in enumerate_exchange_graph(b2).seeds:

@@ -80,11 +80,6 @@ class TestArithmetic:
         x = LaurentPoly.variable(2, 0)
         assert (x ** -2).terms == {(-2, 0): 1}
 
-    def test_negative_power_of_sum_rejected(self):
-        p = LaurentPoly.one(1) + LaurentPoly.variable(1, 0)
-        with pytest.raises(InexactDivision):
-            p ** -1
-
     def test_binomial_power(self):
         p = LaurentPoly.one(1) + LaurentPoly.variable(1, 0)
         cube = p ** 3
@@ -188,10 +183,6 @@ class TestExactDiv:
         with pytest.raises(InexactDivision):
             exact_div(three, two)
 
-    def test_zero_divisor_raises(self):
-        with pytest.raises(ZeroPolynomial):
-            exact_div(LaurentPoly.one(1), LaurentPoly.zero(1))
-
     def test_zero_numerator(self):
         assert exact_div(LaurentPoly.zero(1), LaurentPoly.one(1)).is_zero()
 
@@ -199,6 +190,52 @@ class TestExactDiv:
     @given(small_polys, nonzero_polys)
     def test_round_trip(self, a, b):
         assert exact_div(a * b, b) == a
+
+
+# Both rings of the shared sparse-term core in two variables, each as a
+# monomial builder from an exponent and an int, and its exact division.
+RINGS = {
+    "LaurentPoly": (lambda exp, c: LaurentPoly(2, {exp: c}), exact_div),
+    "QTorusElem": (
+        lambda exp, c: QTorusElem.basis_elem(((0, 1), (-1, 0)), exp, c),
+        QTorusElem.div_right,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(RINGS))
+def ring(request):
+    return RINGS[request.param]
+
+
+class TestSharedCore:
+    """Division and power edge cases, on both rings."""
+
+    def test_zero_divisor_raises(self, ring):
+        mono, div = ring
+        with pytest.raises(ZeroDivisionError):
+            div(mono((1, 0), 1), mono((0, 0), 0))
+
+    def test_quotient_exponent_out_of_the_box_raises(self, ring):
+        # x1 / (x1 + x2) leaves -x2, whose quotient exponent (-1, 1)
+        # falls below the box corner (1, 0) - (1, 1) = (0, -1).
+        mono, div = ring
+        with pytest.raises(InexactDivision, match="out of range"):
+            div(mono((1, 0), 1), mono((1, 0), 1) + mono((0, 1), 1))
+
+    def test_negative_power_of_sum_rejected(self, ring):
+        mono, _ = ring
+        with pytest.raises(InexactDivision):
+            (mono((0, 0), 1) + mono((1, 0), 1)) ** -1
+
+    def test_negative_power_of_a_non_unit_monomial_rejected(self, ring):
+        mono, _ = ring
+        with pytest.raises(InexactDivision):
+            mono((1, -1), 2) ** -1
+
+    def test_zeroth_power_is_one(self, ring):
+        mono, _ = ring
+        assert (mono((0, 0), 1) + mono((1, -1), 3)) ** 0 == mono((0, 0), 1)
 
 
 class TestExponentGeometry:

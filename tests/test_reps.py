@@ -269,6 +269,20 @@ class TestRigidity:
         with pytest.raises(NoRigidFound):
             build_rigid_rep(kron, (2, 2), rng_seed=0, attempts=40)
 
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+    def test_no_draws_without_a_positive_euler_form(self, monkeypatch, dims):
+        # A rigid V of dimension v != 0 has dim End(V) = <v, v> >= 1; the
+        # Kronecker pair has <v, v> = 0 at (n, n).
+        import valq.reps
+
+        def no_draws(*args):
+            raise AssertionError("random_rep was called")
+
+        monkeypatch.setattr(valq.reps, "random_rep", no_draws)
+        kron = ValuedQuiver.from_matrix(((0, 2), (-2, 0)), (1, 1), 2)
+        with pytest.raises(NoRigidFound, match="Euler form"):
+            build_rigid_rep(kron, dims, rng_seed=0)
+
 
 class TestSubrepCounts:
     @pytest.mark.parametrize("p", [2, 3])

@@ -750,6 +750,32 @@ class TestCliErrors:
         rc, _, err = run_cli(["mutate", "--type", "B2", "--seq", "0,1"])
         assert rc == 2 and "--seq entries must lie in 1..2" in err
 
+    def test_no_rigid_representation_fails_fast(self, tmp_path, monkeypatch):
+        import valq.reps
+
+        def no_draws(*args):
+            raise AssertionError("random_rep was called")
+
+        monkeypatch.setattr(valq.reps, "random_rep", no_draws)
+        path = tmp_path / "kronecker.json"
+        path.write_text(json.dumps({"B": [[0, 2, 0], [-2, 0, 1], [0, -1, 0]]}))
+        rc, out, err = run_cli(["char", "--matrix", str(path), "--dim", "1,1,0"])
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and "Euler form" in err
+
+    def test_too_few_primes_for_char(self, monkeypatch):
+        import valq.verify
+
+        def no_builds(*args, **kwargs):
+            raise AssertionError("a rigid representation was built")
+
+        monkeypatch.setattr(valq.verify, "build_rigid_rep", no_builds)
+        rc, out, err = run_cli(
+            ["char", "--type", "G2", "--dim", "2,3", "--primes", "2,3,5"]
+        )
+        assert rc == 2 and out == ""
+        assert err == "error: --dim 2,3 needs 7 primes, --primes gives 3\n"
+
     def test_bad_dimension_length(self):
         rc, _, err = run_cli(["char", "--type", "B2", "--dim", "1,1,1"])
         assert rc == 2
