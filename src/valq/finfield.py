@@ -3,10 +3,12 @@
 Elements of the field with p**d elements are integer codes 0..p**d-1,
 read as base-p digit vectors: code sum(c_i * p**i) stands for the class
 of sum(c_i * t**i) modulo a fixed monic irreducible of degree d.  The
-modulus is chosen deterministically (smallest code), multiplication
-runs through exp/log tables for a primitive element, and addition is
-digitwise.  Everything is exact and sized for desk-scale exhaustion,
-guarded by an element-count cap.
+modulus is the irreducible with the smallest code, read the same way
+with the leading 1 dropped; it is found by trial division by every monic
+polynomial of degree at most d/2.  Multiplication runs through exp/log
+tables for a primitive element, and addition is digitwise.  Everything
+is exact and sized for desk-scale exhaustion, guarded by an
+element-count cap.
 """
 
 from fractions import Fraction
@@ -57,17 +59,6 @@ def _ptrim(c):
     return c
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
 def _pmod(a, f, p):
     # f must be monic
     a = list(a)
@@ -83,72 +74,25 @@ def _pmod(a, f, p):
     return _ptrim(a)
 
 
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    return _ptrim(out)
-
-
-def _pmonic(a, p):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    inv = pow(lead, p - 2, p)
-    return [(c * inv) % p for c in a]
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return _pmonic(a, p)
-
-
-def _ppow_mod(base, e, f, p):
-    out = [1]
-    sq = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            out = _pmod(_pmul(out, sq, p), f, p)
-        sq = _pmod(_pmul(sq, sq, p), f, p)
-        e >>= 1
-    return out
-
-
-def _is_irreducible(f, p):
-    d = len(f) - 1
-    if d < 1:
-        return False
-    t = [0, 1]
-    x = _pmod(t, f, p)
+def _monic(code, p, d):
+    """The monic polynomial of degree d whose lower coefficients are the
+    base-p digits of code, as a coefficient list."""
+    coeffs = []
     for _ in range(d):
-        x = _ppow_mod(x, p, f, p)
-    if x != _pmod(t, f, p):
-        return False
-    for ell in prime_factors(d):
-        y = _pmod(t, f, p)
-        for _ in range(d // ell):
-            y = _ppow_mod(y, p, f, p)
-        g = _pgcd(_psub(y, t, p), f, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+        coeffs.append(code % p)
+        code //= p
+    return coeffs + [1]
 
 
 def _smallest_modulus(p, d):
+    """The monic irreducible of degree d with the smallest code: the first
+    monic polynomial that no monic polynomial of degree 1..d//2 divides."""
+    divisors = [
+        _monic(code, p, k) for k in range(1, d // 2 + 1) for code in range(p**k)
+    ]
     for code in range(p**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
+        f = _monic(code, p, d)
+        if all(_pmod(f, g, p) for g in divisors):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")
 
@@ -174,7 +118,7 @@ class FiniteField:
         tk = [1]
         for _ in range(max(2 * d - 1, 1)):
             red.append(tuple(tk[i] if i < len(tk) else 0 for i in range(d)))
-            tk = _pmod(_pmul(tk, [0, 1], p), list(self.modulus), p)
+            tk = _pmod([0] + tk, self.modulus, p)
         self._tred = red
         self._build_tables()
 

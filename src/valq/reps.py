@@ -56,7 +56,12 @@ class TowerMismatch(ValueError):
 
 
 class NoRigidFound(RuntimeError):
-    """Random search did not hit a representation without self-extensions."""
+    """No representation without self-extensions was found."""
+
+
+class DrawsExhausted(NoRigidFound):
+    """Random search spent its draws without hitting a rigid
+    representation; a spent budget, not a proof that none exists."""
 
 
 class NotSinkOrSource(ValueError):
@@ -278,8 +283,10 @@ def _fp_mult_blocks(field, w, v):
 def hom_dim(repv, repw):
     """Prime-field dimension of the space of homomorphisms V -> W.
 
-    Unknowns are the vertex-field entries of a candidate morphism; each
-    arrow imposes the intertwining identity as prime-field equations.
+    Every prime-field basis map f of one vertex space is an unknown.  Its
+    column stacks theta_W f over the arrows leaving f's vertex and
+    -f theta_V over the arrows entering it, zero elsewhere, so the
+    homomorphisms are the kernel of the matrix of these columns.
     """
     if repv.quiver is not repw.quiver and (
         repv.quiver.b != repw.quiver.b
@@ -288,57 +295,26 @@ def hom_dim(repv, repw):
     ):
         raise TowerMismatch("representations live over different quivers")
     quiver = repv.quiver
-    p = quiver.p
     prime = quiver.tower.field(1)
-    n = quiver.n
-    offsets = []
-    total_unknowns = 0
-    for i in range(n):
-        offsets.append(total_unknowns)
-        total_unknowns += quiver.diag[i] * repv.dims[i] * repw.dims[i]
-    if total_unknowns == 0:
-        return 0
-
-    def unknown_index(i, r, c, s):
-        d = quiver.diag[i]
-        return offsets[i] + (r * repv.dims[i] + c) * d + s
-
-    rows = []
-    for key in quiver.arrow_keys:
-        i, j, _ = key
-        di, dj = quiver.diag[i], quiver.diag[j]
-        theta_v = _fp_arrow_matrix(repv, key)
-        theta_w = _fp_arrow_matrix(repw, key)
-        blocks_j = _fp_mult_blocks(quiver.field(j), repw.dims[j], repv.dims[j])
-        blocks_i = _fp_mult_blocks(quiver.field(i), repw.dims[i], repv.dims[i])
-        out_dim = repw.dims[j] * dj
-        in_dim = repv.dims[i] * di
-        for alpha in range(out_dim):
-            for beta in range(in_dim):
-                row = [0] * total_unknowns
-                for (r, c, s), mat in blocks_j.items():
-                    coeff = 0
-                    for gamma in range(repv.dims[j] * dj):
-                        if mat[alpha][gamma] and theta_v[gamma][beta]:
-                            coeff = (
-                                coeff + mat[alpha][gamma] * theta_v[gamma][beta]
-                            ) % p
-                    if coeff:
-                        row[unknown_index(j, r, c, s)] = coeff
-                for (r, c, s), mat in blocks_i.items():
-                    coeff = 0
-                    for gamma in range(repw.dims[i] * di):
-                        if theta_w[alpha][gamma] and mat[gamma][beta]:
-                            coeff = (
-                                coeff + theta_w[alpha][gamma] * mat[gamma][beta]
-                            ) % p
-                    if coeff:
-                        idx = unknown_index(i, r, c, s)
-                        row[idx] = (row[idx] - coeff) % p
-                if any(row):
-                    rows.append(row)
-    rank = f_rank(prime, rows) if rows else 0
-    return total_unknowns - rank
+    keys = quiver.arrow_keys
+    theta_v = [_fp_arrow_matrix(repv, key) for key in keys]
+    theta_w = [_fp_arrow_matrix(repw, key) for key in keys]
+    columns = []
+    for i in range(quiver.n):
+        blocks = _fp_mult_blocks(quiver.field(i), repw.dims[i], repv.dims[i])
+        for f in blocks.values():
+            col = []
+            for (h, j, _), tv, tw in zip(keys, theta_v, theta_w):
+                if h == i:
+                    col.extend(x for row in f_matmul(prime, tw, f) for x in row)
+                elif j == i:
+                    col.extend(
+                        prime.neg(x) for row in f_matmul(prime, f, tv) for x in row
+                    )
+                else:
+                    col.extend([0] * (len(tw) * repv.dims[h] * quiver.diag[h]))
+            columns.append(col)
+    return len(columns) - f_rank(prime, columns)
 
 
 def ext_dim(repv, repw):
@@ -372,7 +348,7 @@ def build_rigid_rep(quiver, dims, rng_seed=0, attempts=400):
         rep = random_rep(quiver, dims, rng)
         if is_rigid(rep):
             return rep
-    raise NoRigidFound(
+    raise DrawsExhausted(
         "no rigid representation of dimension %s after %d draws"
         % (dims, attempts)
     )
@@ -604,6 +580,36 @@ def count_all_subreps(rep):
     return walk_subreps(rep, prefers_backward(rep))
 
 
+def _arrows_at(rep, k, sink):
+    """The arrows into the sink k, or out of the source k, as (key,
+    valuation, width, offset): width is the dimension of the far vertex's
+    fiber over the valuation field, offset its place in the direct sum
+    of those fibers.  Also returns the dimension of that sum."""
+    quiver = rep.quiver
+    near, far = (1, 0) if sink else (0, 1)
+    layout = []
+    total = 0
+    for key in quiver.arrow_keys:
+        if key[near] == k:
+            g = quiver.valuation[key[:2]]
+            width = rep.dims[key[far]] * (quiver.diag[key[far]] // g)
+            layout.append((key, g, width, total))
+            total += width
+    return layout, total
+
+
+def _reflected_rep(rep, k, dim_k, reversed_maps):
+    """The representation of the quiver reflected at k with fiber
+    dimension dim_k there: the given maps on the reversed arrows, keyed
+    by the old arrow, and the old maps on every other arrow."""
+    dims = list(rep.dims)
+    dims[k] = dim_k
+    maps = {key: mat for key, mat in rep.maps.items() if k not in key[:2]}
+    for (i, j, copy), mat in reversed_maps.items():
+        maps[(j, i, copy)] = mat
+    return ValuedRep(rep.quiver.reflected(k), dims, maps)
+
+
 def reflect_sink(rep, k):
     """Sink reflection: the new fiber at k is the kernel of the summed
     evaluation map, and reversed arrows act through the relative trace."""
@@ -612,66 +618,31 @@ def reflect_sink(rep, k):
         raise NotSinkOrSource("vertex %d is not a sink" % k)
     fk = quiver.field(k)
     dk = quiver.diag[k]
-    in_keys = [key for key in quiver.arrow_keys if key[1] == k]
-    layout = []
-    for key in in_keys:
-        h = key[0]
-        g = quiver.valuation[(h, k)]
-        width = rep.dims[h] * (quiver.diag[h] // g)
-        layout.append((key, g, width))
-    columns = []
-    for key, g, width in layout:
-        mat = rep.maps[key]
-        for m in range(width):
-            gcol = [mat[r][m] for r in range(len(mat))]
-            columns.append(quiver.g_to_f(k, g, gcol))
-    ncols_phi = len(columns)
-    nrows_phi = rep.dims[k]
-    if nrows_phi == 0:
-        kernel = [
-            [1 if i == c else 0 for i in range(ncols_phi)]
-            for c in range(ncols_phi)
-        ]
-        rank = 0
-    elif ncols_phi == 0:
-        kernel = []
-        rank = 0
-    else:
-        phi = [
-            [columns[c][r] for c in range(ncols_phi)] for r in range(nrows_phi)
-        ]
-        kernel = f_kernel_basis(fk, phi)
-        rank = ncols_phi - len(kernel)
-    if rank < rep.dims[k]:
+    layout, nbig = _arrows_at(rep, k, sink=True)
+    # one vertex-field column of the evaluation map per far coordinate
+    columns = [
+        quiver.g_to_f(k, g, [row[m] for row in rep.maps[key]])
+        for key, g, width, _ in layout
+        for m in range(width)
+    ]
+    phi = [[col[r] for col in columns] for r in range(rep.dims[k])]
+    # with a zero fiber at k, one zero equation leaves the whole sum free
+    kernel = f_kernel_basis(fk, phi or [[0] * nbig])
+    if nbig - len(kernel) < rep.dims[k]:
         raise HasSimpleSummand("evaluation at the sink is not surjective")
-    new_quiver = quiver.reflected(k)
-    new_dims = list(rep.dims)
-    new_dims[k] = len(kernel)
-    maps = {}
-    for key in quiver.arrow_keys:
-        if key[1] != k:
-            maps[key] = rep.maps[key]
-    offset = {}
-    pos = 0
-    for key, g, width in layout:
-        offset[key] = pos
-        pos += width
-    for key, g, width in layout:
-        h = key[0]
+    trace = quiver.tower.relative_trace
+    reversed_maps = {}
+    for key, g, width, offset in layout:
         steps = dk // g
-        new_key = (k, h, key[2])
-        ncols = len(kernel) * steps
-        mat = [[0] * ncols for _ in range(width)]
-        for s, kvec in enumerate(kernel):
-            for l in range(steps):
-                tl = _tpow(fk, l)
-                for m in range(width):
-                    c = kvec[offset[key] + m]
-                    mat[m][s * steps + l] = quiver.tower.relative_trace(
-                        dk, g, fk.mul(c, tl)
-                    )
-        maps[new_key] = mat
-    return ValuedRep(new_quiver, new_dims, maps)
+        reversed_maps[key] = [
+            [
+                trace(dk, g, fk.mul(kvec[offset + m], _tpow(fk, l)))
+                for kvec in kernel
+                for l in range(steps)
+            ]
+            for m in range(width)
+        ]
+    return _reflected_rep(rep, k, len(kernel), reversed_maps)
 
 
 def reflect_source(rep, k):
@@ -682,22 +653,14 @@ def reflect_source(rep, k):
         raise NotSinkOrSource("vertex %d is not a source" % k)
     fk = quiver.field(k)
     dk = quiver.diag[k]
-    out_keys = [key for key in quiver.arrow_keys if key[0] == k]
-    layout = []
-    for key in out_keys:
-        j = key[1]
-        g = quiver.valuation[(k, j)]
-        width = rep.dims[j] * (quiver.diag[j] // g)
-        layout.append((key, g, width))
-    nbig = sum(width for _, _, width in layout)
+    layout, nbig = _arrows_at(rep, k, sink=False)
     psi_cols = []
     for r in range(rep.dims[k]):
         col = []
-        for key, g, width in layout:
-            steps = dk // g
+        for key, g, width, _ in layout:
             dual = quiver.tower.trace_dual_basis(dk, g)
             entry = [0] * width
-            for l in range(steps):
+            for l in range(dk // g):
                 xv = [0] * rep.dims[k]
                 xv[r] = _tpow(fk, l)
                 gflat = quiver.f_to_g(key[1], g, rep.apply_arrow(key, xv))
@@ -711,37 +674,20 @@ def reflect_source(rep, k):
                         )
             col.extend(entry)
         psi_cols.append(col)
-    rank = f_rank(fk, psi_cols) if psi_cols and nbig else 0
-    if rank < rep.dims[k]:
-        raise HasSimpleSummand("coevaluation at the source is not injective")
     reduced, pivots, free = quotient_projection(fk, nbig, psi_cols)
-    new_quiver = quiver.reflected(k)
-    new_dims = list(rep.dims)
-    new_dims[k] = nbig - rank
-    maps = {}
-    for key in quiver.arrow_keys:
-        if key[0] != k:
-            maps[key] = rep.maps[key]
-    offset = {}
-    pos = 0
-    for key, g, width in layout:
-        offset[key] = pos
-        pos += width
-    for key, g, width in layout:
-        j = key[1]
-        steps = dk // g
-        new_key = (j, k, key[2])
-        nrows_new = new_dims[k] * steps
-        mat = [[0] * width for _ in range(nrows_new)]
+    if len(pivots) < rep.dims[k]:
+        raise HasSimpleSummand("coevaluation at the source is not injective")
+    reversed_maps = {}
+    for key, g, width, offset in layout:
+        cols = []
         for m in range(width):
             w = [0] * nbig
-            w[offset[key] + m] = 1
+            w[offset + m] = 1
             qcoords = project_to_quotient(fk, w, reduced, pivots, free)
-            flat = quiver.f_to_g(k, g, qcoords)
-            for ridx, val in enumerate(flat):
-                mat[ridx][m] = val
-        maps[new_key] = mat
-    return ValuedRep(new_quiver, new_dims, maps)
+            cols.append(quiver.f_to_g(k, g, qcoords))
+        nrows = len(free) * (dk // g)
+        reversed_maps[key] = [[col[r] for col in cols] for r in range(nrows)]
+    return _reflected_rep(rep, k, len(free), reversed_maps)
 
 
 def reflect(rep, k):

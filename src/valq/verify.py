@@ -42,6 +42,7 @@ from .laurent import LaurentPoly, tropical_evaluate
 from .matrices import det
 from .qtorus import QuantumSeed, enumerate_quantum_seeds, walk_seeds
 from .reps import (
+    DrawsExhausted,
     HasSimpleSummand,
     NoRigidFound,
     NotSinkOrSource,
@@ -60,13 +61,16 @@ _UNDECIDABLE = "graph walk truncated; connectedness not decidable"
 
 # Exceptions that a per-variable computation may raise without it being a
 # programming error; they become FAIL reports with the message attached.
-# CapExceeded is not one of them: running out of the --cap budget says
-# nothing about the claim, so the check reports SKIPPED instead.
 _CHECK_ERRORS = (
     NoRigidFound,
     HasSimpleSummand,
     InterpolationInconsistent,
 )
+
+# Running out of a budget (the --cap size, the rigid-search draws) says
+# nothing about the claim, so the check reports SKIPPED instead.  Caught
+# before _CHECK_ERRORS, which holds the base class of DrawsExhausted.
+_BUDGET_ERRORS = (CapExceeded, DrawsExhausted)
 
 
 @dataclass
@@ -279,7 +283,7 @@ def check_denominators(ctx):
             x_v = ctx.generic_char(v)
             dd = x_v.denominator_vector(ctx.n)
             classical = x_v.specialize_q1()
-        except CapExceeded as exc:
+        except _BUDGET_ERRORS as exc:
             return ctx.report("denominators", SKIPPED, str(exc), truncated)
         except _CHECK_ERRORS as exc:
             return ctx.report(
@@ -770,7 +774,7 @@ def check_characters(ctx):
                 continue
             try:
                 x_char = ctx.generic_char(v)
-            except CapExceeded as exc:
+            except _BUDGET_ERRORS as exc:
                 return ctx.report("characters", SKIPPED, str(exc), truncated)
             except _CHECK_ERRORS as exc:
                 return ctx.report(
@@ -835,7 +839,7 @@ def check_reflection(ctx):
                 assert all(rep.dims == v_new for rep in reflected)
                 polys = counting_polynomials(reflected)
                 x_ref = character_in_seed(mutated, v_new, polys)
-            except CapExceeded as exc:
+            except _BUDGET_ERRORS as exc:
                 return ctx.report("reflection", SKIPPED, str(exc), truncated)
             except _CHECK_ERRORS as exc:
                 return ctx.report(

@@ -8,6 +8,7 @@ from valq.finfield import (
     CapExceeded,
     FiniteField,
     NotPrime,
+    _smallest_modulus,
     build_tower,
     enumerate_subspaces,
     enumerate_subspaces_containing,
@@ -112,6 +113,33 @@ class TestFieldArithmetic:
             FiniteField(2, 20, cap=1024)
         with pytest.raises(ZeroDivisionError):
             field(5, 1).inv(0)
+
+
+class TestModulus:
+    @pytest.mark.parametrize(
+        "p, d, modulus",
+        [
+            (3, 6, (2, 1, 0, 0, 0, 0, 1)),
+            (3, 12, (2, 0, 1) + (0,) * 9 + (1,)),
+            (11, 6, (2, 1, 0, 0, 0, 0, 1)),
+        ],
+    )
+    def test_smallest_code_irreducible(self, p, d, modulus):
+        assert _smallest_modulus(p, d) == modulus
+
+    def test_generator_powers_fill_the_unit_group(self):
+        # Over a reducible modulus the codes form a ring with zero
+        # divisors, and no element's powers reach every nonzero code.
+        sizes = [
+            (p, d)
+            for p in range(2, 65)
+            if is_prime(p)
+            for d in range(2, 13)
+            if p**d <= 4096
+        ]
+        assert len(sizes) == 40
+        for p, d in sizes:
+            assert len(set(FiniteField(p, d).exp)) == p**d - 1
 
 
 class TestLinearAlgebra:

@@ -18,6 +18,7 @@ from valq.finfield import (
     gaussian_binomial,
 )
 from valq.reps import (
+    DrawsExhausted,
     HasSimpleSummand,
     NoRigidFound,
     NotSinkOrSource,
@@ -39,6 +40,11 @@ from valq.reps import (
 )
 
 from conftest import f_in_span
+
+
+# One arrow of valuation 2 from F_{p^4} to F_{p^2}: its map is linear
+# over F_{p^2} only, so everything reads subfield coordinates.
+VAL2_B, VAL2_D = ((0, 2), (-1, 0)), (2, 4)
 
 
 def count_subreps(rep, e):
@@ -249,6 +255,21 @@ class TestHomDim:
         assert brute_hom_count(v, w) == 2 ** hom_dim(v, w)
 
 
+    def test_brute_force_valuation_two(self):
+        import random
+
+        q = ValuedQuiver.from_matrix(VAL2_B, VAL2_D, 2)
+        reps = [
+            ValuedRep.simple(q, 0),
+            ValuedRep.simple(q, 1),
+            ValuedRep.zero_maps(q, (1, 1)),
+            random_rep(q, (1, 1), random.Random(3)),
+        ]
+        for v in reps:
+            for w in reps:
+                assert brute_hom_count(v, w) == 2 ** hom_dim(v, w)
+
+
 class TestRigidity:
     def test_rigid_reps_exist_for_b2_dimension_vectors(self):
         q = quiver("B2", 3)
@@ -280,8 +301,15 @@ class TestRigidity:
 
         monkeypatch.setattr(valq.reps, "random_rep", no_draws)
         kron = ValuedQuiver.from_matrix(((0, 2), (-2, 0)), (1, 1), 2)
-        with pytest.raises(NoRigidFound, match="Euler form"):
+        with pytest.raises(NoRigidFound, match="Euler form") as info:
             build_rigid_rep(kron, dims, rng_seed=0)
+        assert not isinstance(info.value, DrawsExhausted)
+
+    def test_spent_draws_are_a_budget(self):
+        # Zero maps at (1, 1) are not rigid, and no draw happens.
+        q = quiver("B2", 2)
+        with pytest.raises(DrawsExhausted, match="after 0 draws"):
+            build_rigid_rep(q, (1, 1), rng_seed=0, attempts=0)
 
 
 class TestSubrepCounts:
@@ -353,6 +381,15 @@ class TestReflectionFunctors:
         rt = reflect_sink(reflect_source(rep, 1), 1)
         assert rt.dims == rep.dims
         assert count_all_subreps(rt) == count_all_subreps(rep)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_valuation_two(self, k):
+        q = ValuedQuiver.from_matrix(VAL2_B, VAL2_D, 2)
+        rep = build_rigid_rep(q, (1, 1), rng_seed=0)
+        out = reflect(rep, k)
+        assert out.dims == simple_reflection(q.b, k, rep.dims)
+        assert out.quiver.b == q.reflected(k).b
+        assert is_rigid(out)
 
     def test_dispatcher_and_guards(self):
         q = quiver("A3", 2)

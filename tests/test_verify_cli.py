@@ -355,6 +355,45 @@ class TestCheckErrors:
         assert r.detail == "character construction failed: no luck"
 
 
+class TestDrawsExhausted:
+    """Spending the rigid-search draws is running out of a budget: the
+    checks say SKIPPED, and ``char`` exits 2 as on any NoRigidFound."""
+
+    @staticmethod
+    def _zero_draws(monkeypatch):
+        import valq.reps
+        from valq.reps import ValuedRep
+
+        monkeypatch.setattr(
+            valq.reps,
+            "random_rep",
+            lambda quiver, dims, rng: ValuedRep.zero_maps(quiver, dims),
+        )
+
+    @pytest.mark.parametrize(
+        "check, dims",
+        [("denominators", "(1, 2)"), ("characters", "(1, 1)"),
+         ("reflection", "(1, 2)")],
+    )
+    def test_reported_skipped(self, monkeypatch, check, dims):
+        self._zero_draws(monkeypatch)
+        r = run_check(check, VerifyContext(builtin_exchange_data("B2"), name="B2"))
+        assert r.status == SKIPPED
+        assert r.detail == (
+            "no rigid representation of dimension %s after 400 draws" % dims
+        )
+        assert r.counterexample is None
+
+    def test_char_exits_two(self, monkeypatch):
+        self._zero_draws(monkeypatch)
+        rc, out, err = run_cli(["char", "--type", "B2", "--dim", "1,1"])
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: no rigid representation of dimension (1, 1) after 400 "
+            "draws\n"
+        )
+
+
 class TestZeroItems:
     """With only the initial seed there is nothing to check, and a check
     that checked nothing says SKIPPED, keeping its detail text."""
