@@ -40,7 +40,7 @@ def variable_g_vector(poly, n):
     """Mutable degree of the unique frozen-free term, which must have
     coefficient 1."""
     found = None
-    for exp, coeff in poly.terms.items():
+    for exp, coeff in poly.exponent_terms().items():
         if all(exp[j] == 0 for j in range(n, 2 * n)):
             if found is not None:
                 raise ValueError("frozen-free term is not unique")
@@ -124,8 +124,7 @@ def subgraph_is_connected(result, node_set):
     if not nodes:
         return True
     adjacency = {v: set() for v in nodes}
-    for edge in result.edges:
-        a, b = tuple(edge)
+    for (a, _), b in result.moves.items():
         if a in nodes and b in nodes:
             adjacency[a].add(b)
             adjacency[b].add(a)

@@ -39,6 +39,7 @@ from .exchange import (
     builtin_exchange_data,
 )
 from .finfield import CapExceeded, NotPrime, is_prime
+from .laurent import ExponentOverflow
 from .qtorus import QuantumSeed, render_coeff
 from .reps import NoRigidFound, NotSinkOrSource
 from .verify import (
@@ -72,6 +73,7 @@ INPUT_ERRORS = (
     NoRigidFound,
     NotSinkOrSource,
     InterpolationInconsistent,
+    ExponentOverflow,
 )
 
 # Exit status of a command whose reader closed standard output early, as

@@ -225,22 +225,25 @@ def mutate_lam(lam, btilde, k):
 
 
 def mutate_btilde(btilde, k):
-    nrows, n = mx.shape(btilde)
+    """The framed matrix mutated at k.  Row k and column k change sign.
+    Off them, b_ij gains |b_ik| * b_kj exactly where b_ik and b_kj share
+    a sign, so a row with b_ik = 0 is kept as it is."""
+    row_k = btilde[k]
+    pos = [(j, x) for j, x in enumerate(row_k) if x > 0 and j != k]
+    neg = [(j, x) for j, x in enumerate(row_k) if x < 0 and j != k]
     out = []
-    for i in range(nrows):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-btilde[i][j])
-            else:
-                b_ik = btilde[i][k]
-                b_kj = btilde[k][j]
-                row.append(
-                    btilde[i][j]
-                    + max(b_ik, 0) * max(b_kj, 0)
-                    - max(-b_ik, 0) * max(-b_kj, 0)
-                )
-        out.append(tuple(row))
+    for i, row in enumerate(btilde):
+        b_ik = row[k]
+        if i == k:
+            row = tuple(-x for x in row)
+        elif b_ik:
+            row = list(row)
+            row[k] = -b_ik
+            size = abs(b_ik)
+            for j, b_kj in pos if b_ik > 0 else neg:
+                row[j] += size * b_kj
+            row = tuple(row)
+        out.append(row)
     return tuple(out)
 
 

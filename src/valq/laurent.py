@@ -9,13 +9,22 @@ commutative cluster variables, and in one variable it divides the
 u-coefficients of the quantum torus.  ``exact_div`` raises
 ``InexactDivision`` instead of ever returning an approximation.
 
+Both rings key their terms by packed exponents: one int per exponent
+vector (see ``_Layout``).  A product's key is one addition and a
+quotient's one subtraction.  Exponent tuples appear only at the edges:
+the validating constructors, ``exponent_terms``, exponent ranges,
+rendering and substitution.  No other module reads a key; the quantum
+torus takes its helpers from here.  An exponent that would leave the
+packed range raises ``ExponentOverflow`` before any key is formed.
+
 The constructor validates outside input: it drops zero coefficients,
-merges equal exponents and checks exponent lengths.  Arithmetic results
-(sums, negatives, products, powers and exact quotients) are already
-clean and are trusted: they skip that pass.
+merges equal exponents and checks exponent lengths and sizes.
+Arithmetic results (sums, negatives, products, powers and exact
+quotients) are already clean and are trusted: they skip that pass.
 """
 
-from operator import add, attrgetter, lt, sub
+from operator import add, attrgetter, sub
+from struct import Struct
 
 
 class ArityMismatch(ValueError):
@@ -34,26 +43,122 @@ class NegativeExponentInF(ValueError):
     """A polynomial expected to be honest (no negative exponents) is not."""
 
 
-def _vec_add(a, b):
-    return tuple(map(add, a, b))
+class ExponentOverflow(OverflowError):
+    """An exponent would leave the packed range, |e| <= MAX_EXPONENT."""
 
 
-def _vec_sub(a, b):
-    return tuple(map(sub, a, b))
+# Each exponent e is stored as e + _BIAS in a 16-bit field, the first
+# variable in the most significant field, so int order is lexicographic
+# order.  Stored exponents obey |e| <= MAX_EXPONENT, so a field of a sum
+# or difference of two keys, bias restored, lies in [2, 2**15 - 2]: it
+# neither borrows from its neighbour nor reaches its top (guard) bit, and
+# two such fields differ by less than 2**15.  So adding the guard bits to
+# one such key and subtracting another leaves each guard bit set exactly
+# where the first key's field is at least the second's: one comparison
+# of every field at once.
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+_BIAS = 1 << (_WIDTH - 2)
+MAX_EXPONENT = (1 << (_WIDTH - 3)) - 1
+
+
+class _Layout:
+    """The packed keys of one ring size: ``bias`` and ``guard`` hold
+    ``_BIAS`` and the guard bit in every field, ``low`` and ``high`` are
+    the keys of the least and greatest exponent vectors."""
+
+    __slots__ = ("nvars", "bias", "guard", "low", "high", "_struct", "_biases")
+
+    def __init__(self, nvars):
+        ones = sum(1 << (_WIDTH * i) for i in range(nvars))
+        self.nvars = nvars
+        self.bias = _BIAS * ones
+        self.guard = (1 << (_WIDTH - 1)) * ones
+        self.low = (_BIAS - MAX_EXPONENT) * ones
+        self.high = (_BIAS + MAX_EXPONENT) * ones
+        self._struct = Struct(">%dH" % nvars)
+        self._biases = (_BIAS,) * nvars
+
+    def pack(self, exp):
+        """The key of an exponent tuple of length ``nvars``."""
+        _check_range(max(map(abs, exp), default=0))
+        return int.from_bytes(
+            self._struct.pack(*map(add, exp, self._biases)), "big"
+        )
+
+    def unpack(self, key):
+        """The exponent tuple of a key, or of a sum or difference of two
+        keys with the bias restored."""
+        return tuple(
+            map(sub, self._struct.unpack(key.to_bytes(2 * self.nvars, "big")),
+                self._biases)
+        )
+
+    def corners(self, keys):
+        """The fieldwise least and greatest of the nonempty ``keys``, as
+        keys, in one pass."""
+        if self.nvars == 1:
+            return min(keys), max(keys)
+        guard = self.guard
+        it = iter(keys)
+        lo = hi = next(it)
+        for k in it:
+            # Full fields where k >= lo, then where hi >= k.
+            m = ((((k | guard) - lo) & guard) >> (_WIDTH - 1)) * _FIELD
+            lo = k ^ ((k ^ lo) & m)
+            m = ((((hi | guard) - k) & guard) >> (_WIDTH - 1)) * _FIELD
+            hi = k ^ ((k ^ hi) & m)
+        return lo, hi
+
+    def bound(self, lo, hi):
+        """The largest |exponent| in the box [lo, hi], or ExponentOverflow
+        when that passes the range."""
+        bound = max(map(abs, self.unpack(lo) + self.unpack(hi)), default=0)
+        _check_range(bound)
+        return bound
+
+    def outside_range(self, key):
+        return _outside(key, self.low, self.high, self.guard)
+
+
+_LAYOUTS = {}
+
+
+def _layout(nvars):
+    lay = _LAYOUTS.get(nvars)
+    if lay is None:
+        lay = _LAYOUTS[nvars] = _Layout(nvars)
+    return lay
+
+
+def _check_range(bound):
+    if bound > MAX_EXPONENT:
+        raise ExponentOverflow(
+            "exponents up to %d leave the packed range of +-%d"
+            % (bound, MAX_EXPONENT)
+        )
+
+
+def _outside(key, lo, hi, guard):
+    """Whether some field of ``key`` lies outside [lo, hi], for keys whose
+    fields are sums or differences of two stored exponents."""
+    return (key + guard - lo) & (hi + guard - key) & guard != guard
 
 
 class SparseTerms:
-    """An element whose ``terms`` map exponent tuples of length ``nvars``
-    to nonzero coefficients.  A ring supplies its arithmetic, ``one``,
-    ``render``, ``ring`` (what equal elements share), ``_like`` (an
-    element over trusted terms) and ``_coeff_inverse`` (a unit's
-    inverse, else ``InexactDivision``)."""
+    """An element whose ``terms`` map packed exponent keys of ``nvars``
+    variables to nonzero coefficients, and whose ``_bound`` is at least
+    every |exponent|.  Sums keep the larger bound and products add the
+    bounds.  A product whose bound would pass ``MAX_EXPONENT`` takes its
+    exact exponent box instead, the sum of its factors' boxes, and raises
+    ``ExponentOverflow`` only if that box leaves the range.  A ring
+    supplies its arithmetic, ``one``, ``render``, ``ring`` (what equal
+    elements share), ``_like`` (an element over trusted terms and bound)
+    and ``_coeff_inverse`` (a unit's inverse, else ``InexactDivision``).
+    Both rings are domains, so the least and greatest exponent of a
+    product in each variable are the sums of its factors'."""
 
     __slots__ = ()
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
 
     def is_zero(self):
         return not self.terms
@@ -72,6 +177,21 @@ class SparseTerms:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
+    def exponent_terms(self):
+        """The terms as a dict keyed by exponent tuples."""
+        unpack = _layout(self.nvars).unpack
+        return {unpack(k): c for k, c in self.terms.items()}
+
+    def _product_bound(self, other):
+        """A bound for ``self * other``, or ExponentOverflow."""
+        bound = self._bound + other._bound
+        if bound > MAX_EXPONENT and self.terms and other.terms:
+            lay = _layout(self.nvars)
+            a_lo, a_hi = lay.corners(self.terms)
+            b_lo, b_hi = lay.corners(other.terms)
+            bound = lay.bound(a_lo + b_lo - lay.bias, a_hi + b_hi - lay.bias)
+        return bound
+
     def __pow__(self, k):
         """``self ** k`` by repeated squaring; the base is squared only
         while bits of k remain.  Only a unit monomial has negative
@@ -81,11 +201,21 @@ class SparseTerms:
         if k < 0:
             if not self.is_monomial():
                 raise InexactDivision("negative power of a non-monomial")
-            (exp, coeff), = self.terms.items()
-            x = self._like({tuple(-e for e in exp): self._coeff_inverse(coeff)})
+            (key, coeff), = self.terms.items()
+            # Negating every field maps e + bias to bias - e.
+            x = self._like(
+                {2 * _layout(self.nvars).bias - key: self._coeff_inverse(coeff)},
+                self._bound,
+            )
             k = -k
         if not k:
             return type(self).one(self.ring)
+        if x._bound * k > MAX_EXPONENT:
+            # Up front, before any square is formed: the power's box is
+            # k times the base's.
+            lay = _layout(self.nvars)
+            x._bound = lay.bound(*lay.corners(x.terms))
+            _check_range(x._bound * k)
         out = None
         while True:
             if k & 1:
@@ -96,14 +226,16 @@ class SparseTerms:
             x = x * x
 
     def min_exponents(self):
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no exponent range")
-        return tuple(map(min, zip(*self.terms)))
+        return self._corner(0)
 
     def max_exponents(self):
+        return self._corner(1)
+
+    def _corner(self, which):
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no exponent range")
-        return tuple(map(max, zip(*self.terms)))
+        lay = _layout(self.nvars)
+        return lay.unpack(lay.corners(self.terms)[which])
 
     def denominator_vector(self, upto=None):
         """Negated minimal exponent per variable, restricted to the first
@@ -114,15 +246,32 @@ class SparseTerms:
     def _divide(self, den, den_lead, step):
         """The quotient Q with ``self == Q * den`` by leading-term
         elimination in descending lexicographic order.  ``den_lead`` is
-        the top exponent of the nonzero den; ``step(rem, q_exp, c)``
-        divides the leading coefficient c by den's, takes that term
-        times den off ``rem`` and returns the quotient coefficient.
-        Every quotient exponent of an exact division lies inside the box
-        [min(self) - max(den), max(self) - min(den)] coordinatewise, so
-        any candidate below that box proves the division inexact."""
+        the top key of the nonzero den; ``step(rem, q_key, c)`` divides
+        the leading coefficient c by den's, takes that term times den
+        off ``rem`` and returns the quotient coefficient.
+
+        An exact quotient's exponents fill the box [min(self) - min(den),
+        max(self) - max(den)] coordinatewise, so a candidate outside it
+        proves the division inexact, and an exact quotient that needs a
+        box beyond the range raises ExponentOverflow.  Every key taken
+        off ``rem`` then stays in the box of self: no key the loop forms,
+        even for an inexact division, carries into the next field."""
         if not self.terms:
-            return self._like({})
-        lo = _vec_sub(self.min_exponents(), den.max_exponents())
+            return self._like({}, 0)
+        lay = _layout(self.nvars)
+        bias, guard = lay.bias, lay.guard
+        num_lo, num_hi = lay.corners(self.terms)
+        den_lo, den_hi = lay.corners(den.terms)
+        lo = num_lo - den_lo + bias
+        hi = num_hi - den_hi + bias
+        if (hi + guard - lo) & guard != guard:
+            raise InexactDivision("quotient exponent out of range")
+        if lay.outside_range(lo) or lay.outside_range(hi):
+            raise ExponentOverflow(
+                "an exact quotient would leave the packed range of +-%d"
+                % MAX_EXPONENT
+            )
+        offset = bias - den_lead
         rem = dict(self.terms)
         quo = {}
         steps = 0
@@ -131,12 +280,13 @@ class SparseTerms:
             if steps > 1_000_000:
                 raise InexactDivision("division did not terminate")
             lead = max(rem)
-            q_exp = _vec_sub(lead, den_lead)
-            if any(map(lt, q_exp, lo)):
+            q_key = lead + offset
+            if _outside(q_key, lo, hi, guard):
                 raise InexactDivision("quotient exponent out of range")
-            # Leading exponents strictly fall, so each q_exp is new.
-            quo[q_exp] = step(rem, q_exp, rem[lead])
-        return self._like(quo)
+            # Leading keys strictly fall, so each q_key is new.
+            quo[q_key] = step(rem, q_key, rem[lead])
+        bound = min(self._bound + den._bound, MAX_EXPONENT)
+        return self._like(quo, bound)
 
     def __str__(self):
         return self.render()
@@ -145,7 +295,7 @@ class SparseTerms:
 class LaurentPoly(SparseTerms):
     """Integer Laurent polynomial in ``nvars`` commuting variables."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_bound", "_hash")
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
@@ -163,18 +313,26 @@ class LaurentPoly(SparseTerms):
                 clean[exp] = clean.get(exp, 0) + coeff
                 if clean[exp] == 0:
                     del clean[exp]
-        self.terms = clean
+        pack = _layout(self.nvars).pack
+        self.terms = {pack(exp): c for exp, c in clean.items()}
+        self._bound = max((abs(e) for exp in clean for e in exp), default=0)
         self._hash = None
 
     @classmethod
-    def _trusted(cls, nvars, terms):
+    def _trusted(cls, nvars, terms, bound):
         """An element over ``terms`` as they are: nonzero int
-        coefficients keyed by exponent tuples of length ``nvars``."""
+        coefficients keyed by packed exponents of ``nvars`` variables,
+        none of them larger than ``bound`` in absolute value."""
         out = cls.__new__(cls)
         out.nvars = nvars
         out.terms = terms
+        out._bound = bound
         out._hash = None
         return out
+
+    @classmethod
+    def zero(cls, nvars):
+        return cls._trusted(nvars, {}, 0)
 
     @classmethod
     def one(cls, nvars):
@@ -187,8 +345,8 @@ class LaurentPoly(SparseTerms):
 
     ring = property(attrgetter("nvars"))
 
-    def _like(self, terms):
-        return LaurentPoly._trusted(self.nvars, terms)
+    def _like(self, terms, bound):
+        return LaurentPoly._trusted(self.nvars, terms, bound)
 
     @staticmethod
     def _coeff_inverse(c):
@@ -213,31 +371,33 @@ class LaurentPoly(SparseTerms):
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return LaurentPoly._trusted(self.nvars, out)
+        return self._like(out, max(self._bound, other._bound))
 
     def __neg__(self):
-        return LaurentPoly._trusted(
-            self.nvars, {e: -c for e, c in self.terms.items()}
-        )
+        return self._like({e: -c for e, c in self.terms.items()}, self._bound)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
                 return LaurentPoly.zero(self.nvars)
-            return LaurentPoly._trusted(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
+            return self._like(
+                {e: c * other for e, c in self.terms.items()}, self._bound
             )
         self._check(other)
+        bound = self._product_bound(other)
+        bias = _layout(self.nvars).bias
+        other_terms = other.terms.items()
         out = {}
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = _vec_add(ea, eb)
+            ea -= bias
+            for eb, cb in other_terms:
+                e = ea + eb
                 s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly._trusted(self.nvars, out)
+        return self._like(out, bound)
 
     __rmul__ = __mul__
 
@@ -251,19 +411,18 @@ class LaurentPoly(SparseTerms):
         return tuple(sorted(self.terms.items()))
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(int(e) for e in exp), 0)
+        exp = tuple(int(e) for e in exp)
+        if len(exp) != self.nvars or max(map(abs, exp), default=0) > MAX_EXPONENT:
+            return 0
+        return self.terms.get(_layout(self.nvars).pack(exp), 0)
 
     def specialize_ones(self, indices):
         """Set the listed variables to 1: zero out those exponent slots."""
         idx = set(int(i) for i in indices)
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.exponent_terms().items():
             e = tuple(0 if i in idx else v for i, v in enumerate(exp))
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.nvars, out)
 
     def drop_vars(self, keep):
@@ -272,7 +431,7 @@ class LaurentPoly(SparseTerms):
         keep = [int(i) for i in keep]
         keepset = set(keep)
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.exponent_terms().items():
             for i, v in enumerate(exp):
                 if v and i not in keepset:
                     raise ArityMismatch(
@@ -290,11 +449,12 @@ class LaurentPoly(SparseTerms):
             names = ["x%d" % (i + 1) for i in range(self.nvars)]
         if len(names) != self.nvars:
             raise ArityMismatch("need one name per variable")
+        unpack = _layout(self.nvars).unpack
         pieces = []
-        for exp in sorted(self.terms, reverse=True):
-            c = self.terms[exp]
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
             factors = []
-            for i, v in enumerate(exp):
+            for i, v in enumerate(unpack(key)):
                 if v == 0:
                     continue
                 if v == 1:
@@ -318,6 +478,24 @@ class LaurentPoly(SparseTerms):
         return "LaurentPoly(%d, %s)" % (self.nvars, self.render())
 
 
+def univariate(coeffs, shift=0):
+    """The one-variable polynomial summing c * t**(k + shift) over the
+    {k: c} mapping ``coeffs`` of nonzero ints."""
+    if not coeffs:
+        return LaurentPoly.zero(1)
+    bound = max(-(min(coeffs) + shift), max(coeffs) + shift)
+    _check_range(bound)
+    base = shift + _BIAS
+    return LaurentPoly._trusted(
+        1, {k + base: c for k, c in coeffs.items()}, bound
+    )
+
+
+def univariate_coeffs(poly):
+    """The {k: c} mapping of a one-variable polynomial, c * t**k summed."""
+    return {k - _BIAS: c for k, c in poly.terms.items()}
+
+
 def exact_div(num, den):
     """Exact quotient of integer Laurent polynomials: the shared
     leading-term elimination, whose step divides integer coefficients."""
@@ -329,14 +507,15 @@ def exact_div(num, den):
         raise ZeroPolynomial("division by zero polynomial")
     den_lead = max(den.terms)
     den_lead_coeff = den.terms[den_lead]
-    den_items = den.terms.items()
+    bias = _layout(num.nvars).bias
+    den_items = [(e - bias, dc) for e, dc in den.terms.items()]
 
-    def step(rem, q_exp, lead_coeff):
+    def step(rem, q_key, lead_coeff):
         c, r = divmod(lead_coeff, den_lead_coeff)
         if r:
             raise InexactDivision("leading coefficient does not divide")
         for e, dc in den_items:
-            t = _vec_add(q_exp, e)
+            t = q_key + e
             s = rem.get(t, 0) - c * dc
             if s:
                 rem[t] = s
@@ -365,7 +544,7 @@ def tropical_evaluate(poly, assignment):
         if len(v) != width:
             raise ArityMismatch("assignment vectors have mixed lengths")
     best = None
-    for exp, coeff in poly.terms.items():
+    for exp, coeff in poly.exponent_terms().items():
         if coeff < 0:
             raise ValueError("tropical evaluation needs positive coefficients")
         combo = [0] * width

@@ -4,25 +4,28 @@ The torus is based: elements are finite sums of bar-invariant basis
 monomials X^a (a in Z^{2n}) with coefficients in the u-Laurent ring
 Z[u, 1/u], u**2 = q, multiplying by X^a * X^b = u^(a^T L b) * X^(a+b)
 for the fixed skew form L.  A coefficient is a plain dict from
-u-exponents to nonzero ints, and an element maps exponent tuples to
-nonempty coefficients.  No operation changes a coefficient dict that
-an element already holds, so elements may share them.  Elements extend
-the sparse-term core of ``valq.laurent``, so powers, exponent ranges,
-denominator vectors and the division loop are shared with
-``LaurentPoly``; right division adds only its twisted elimination step.  Quantum seeds
-keep their cluster variables expanded in the initial torus, so
-mutation needs one exact right division per step.
+u-exponents to nonzero ints, and an element maps packed exponent keys
+(see ``valq.laurent``) to nonempty coefficients.  No operation changes
+a coefficient dict that an element already holds, so elements may share
+them.  Elements extend the sparse-term core of ``valq.laurent``, so
+powers, exponent ranges, denominator vectors and the division loop are
+shared with ``LaurentPoly``; right division adds only its twisted
+elimination step.  Quantum seeds keep their cluster variables expanded
+in the initial torus, so mutation needs one exact right division per
+step.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from .laurent import (
     LaurentPoly,
     SparseTerms,
     ZeroPolynomial,
-    _vec_add,
+    _layout,
     exact_div,
+    univariate,
+    univariate_coeffs,
 )
 
 
@@ -53,30 +56,31 @@ def _add_product(acc, a, b, shift):
                 del acc[k]
 
 
-def _u_poly(coeff, shift=0):
-    """A coefficient times u**shift, as a one-variable ``LaurentPoly``."""
-    return LaurentPoly._trusted(1, {(k + shift,): c for k, c in coeff.items()})
-
-
 def render_coeff(coeff):
     """A coefficient as text, highest power of u first: ``u + u^-1``."""
-    return _u_poly(coeff).render(["u"])
+    return univariate(coeff).render(["u"])
 
 
 class QTorusElem(SparseTerms):
     """Element of the based quantum torus attached to a skew form.
 
-    The constructor takes ``terms`` as they are; build elements from
-    outside data with ``zero``, ``one`` and ``basis_elem``.
+    The constructor takes packed ``terms`` and their exponent ``bound``
+    as they are; build elements from outside data with ``zero``, ``one``
+    and ``basis_elem``.
     """
 
-    __slots__ = ("lam", "nvars", "terms", "_hash")
+    __slots__ = ("lam", "nvars", "terms", "_bound", "_hash")
 
-    def __init__(self, lam, terms):
+    def __init__(self, lam, terms, bound):
         self.lam = lam
         self.nvars = len(lam)
         self.terms = terms
+        self._bound = bound
         self._hash = None
+
+    @classmethod
+    def zero(cls, lam):
+        return cls(lam, {}, 0)
 
     @classmethod
     def one(cls, lam):
@@ -90,17 +94,20 @@ class QTorusElem(SparseTerms):
         if len(exp) != len(lam):
             raise LambdaMismatch("exponent length mismatch")
         coeff = _coeff(coeff)
-        return cls(lam, {exp: coeff} if coeff else {})
+        if not coeff:
+            return cls.zero(lam)
+        key = _layout(len(lam)).pack(exp)
+        return cls(lam, {key: coeff}, max(map(abs, exp), default=0))
 
     ring = property(attrgetter("lam"))
 
-    def _like(self, terms):
-        return QTorusElem(self.lam, terms)
+    def _like(self, terms, bound):
+        return QTorusElem(self.lam, terms, bound)
 
     @staticmethod
     def _coeff_inverse(coeff):
         # The units of Z[u, 1/u] are the signed powers of u.
-        return {k: c for (k,), c in (_u_poly(coeff) ** -1).terms.items()}
+        return univariate_coeffs(univariate(coeff) ** -1)
 
     def _check(self, other):
         if self.lam is not other.lam and self.lam != other.lam:
@@ -108,7 +115,7 @@ class QTorusElem(SparseTerms):
 
     def _lam_dot(self, b):
         """The vector L*b, so that a^T L b is its dot product with a."""
-        return tuple(sum(map(mul, row, b)) for row in self.lam)
+        return tuple([sum(map(mul, row, b)) for row in self.lam])
 
     def __add__(self, other):
         self._check(other)
@@ -123,26 +130,31 @@ class QTorusElem(SparseTerms):
                     del out[exp]
             else:
                 out[exp] = c
-        return QTorusElem(self.lam, out)
+        return self._like(out, max(self._bound, other._bound))
 
     def __neg__(self):
-        return QTorusElem(
-            self.lam,
+        return self._like(
             {e: {k: -x for k, x in c.items()} for e, c in self.terms.items()},
+            self._bound,
         )
 
     def __mul__(self, other):
+        """The twisted product; each left exponent is unpacked once."""
         self._check(other)
+        bound = self._product_bound(other)
+        lay = _layout(self.nvars)
+        unpack = lay.unpack
+        left = [(ka - lay.bias, ca, unpack(ka)) for ka, ca in self.terms.items()]
         out = {}
-        for eb, cb in other.terms.items():
-            lb = self._lam_dot(eb)
-            for ea, ca in self.terms.items():
-                e = _vec_add(ea, eb)
+        for kb, cb in other.terms.items():
+            lb = self._lam_dot(unpack(kb))
+            for ka, ca, ea in left:
+                e = ka + kb
                 acc = out.get(e)
                 if acc is None:
                     acc = out[e] = {}
                 _add_product(acc, ca, cb, sum(map(mul, ea, lb)))
-        return QTorusElem(self.lam, {e: c for e, c in out.items() if c})
+        return self._like({e: c for e, c in out.items() if c}, bound)
 
     def scale(self, coeff):
         """Multiply every coefficient by ``coeff`` (an int or a
@@ -154,20 +166,20 @@ class QTorusElem(SparseTerms):
             _add_product(acc, c, coeff, 0)
             if acc:
                 out[e] = acc
-        return QTorusElem(self.lam, out)
+        return self._like(out, self._bound)
 
     def shift_u(self, k):
         """Multiply by u**k."""
-        return QTorusElem(
-            self.lam,
+        return self._like(
             {e: {j + k: x for j, x in c.items()} for e, c in self.terms.items()},
+            self._bound,
         )
 
     def bar(self):
         """Bar involution: u -> 1/u in every coefficient, basis fixed."""
-        return QTorusElem(
-            self.lam,
+        return self._like(
             {e: {-k: x for k, x in c.items()} for e, c in self.terms.items()},
+            self._bound,
         )
 
     def __hash__(self):
@@ -187,40 +199,57 @@ class QTorusElem(SparseTerms):
 
         Runs the shared leading-term elimination.  Its step divides the
         twisted leading coefficient by ``exact_div`` in one variable u,
-        whose own box bound decides exactness there.
+        whose own box bound decides exactness there, and unpacks each
+        quotient exponent once for the twists.
         """
         self._check(den)
         if den.is_zero():
             raise ZeroPolynomial("division by zero")
+        lay = _layout(self.nvars)
+        unpack = lay.unpack
         den_lead = max(den.terms)
-        den_lead_poly = _u_poly(den.terms[den_lead])
-        lead_dot = self._lam_dot(den_lead)
-        den_terms = [(e, c, self._lam_dot(e)) for e, c in den.terms.items()]
+        den_lead_poly = univariate(den.terms[den_lead])
+        lead_dot = self._lam_dot(unpack(den_lead))
+        den_terms = [
+            (e - lay.bias, c, self._lam_dot(unpack(e)))
+            for e, c in den.terms.items()
+        ]
 
-        def step(rem, q_exp, lead_coeff):
+        def step(rem, q_key, lead_coeff):
+            q_exp = unpack(q_key)
             twist = sum(map(mul, q_exp, lead_dot))
-            q_poly = exact_div(_u_poly(lead_coeff, -twist), den_lead_poly)
-            neg_q = {k: -c for (k,), c in q_poly.terms.items()}
+            q_coeff = univariate_coeffs(
+                exact_div(univariate(lead_coeff, -twist), den_lead_poly)
+            )
+            neg_q = {k: -c for k, c in q_coeff.items()}
             for e, dc, e_dot in den_terms:
-                t = _vec_add(q_exp, e)
+                t = q_key + e
                 acc = dict(rem.get(t, ()))
                 _add_product(acc, neg_q, dc, sum(map(mul, q_exp, e_dot)))
                 if acc:
                     rem[t] = acc
                 else:
                     del rem[t]
-            return {k: c for (k,), c in q_poly.terms.items()}
+            return q_coeff
 
         return self._divide(den, den_lead, step)
 
     def specialize_q1(self):
-        """Set u to 1, landing in the commutative Laurent ring."""
-        return LaurentPoly(
-            self.nvars, {e: sum(c.values()) for e, c in self.terms.items()}
-        )
+        """Set u to 1, landing in the commutative Laurent ring; the keys
+        carry over as they are."""
+        out = {}
+        for e, c in self.terms.items():
+            s = sum(c.values())
+            if s:
+                out[e] = s
+        return LaurentPoly._trusted(self.nvars, out, self._bound)
 
     def sorted_terms(self):
-        return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
+        """(exponent tuple, coefficient) pairs, highest exponent first."""
+        unpack = _layout(self.nvars).unpack
+        return [
+            (unpack(e), self.terms[e]) for e in sorted(self.terms, reverse=True)
+        ]
 
     def sort_key(self):
         """A total order on the elements of one torus, from their terms."""
@@ -287,13 +316,14 @@ class Seed:
         n = self.current.n
         mutable = self.variables[:n]
         order = sorted(range(n), key=lambda i: mutable[i].sort_key())
-        perm = order + list(range(n, 2 * n))
-        bt = self.current.btilde
-        lam = self.current.lam
+        rows = itemgetter(*order, *range(n, 2 * n))
+        # One column needs no permuting (and itemgetter of one index
+        # returns an item, not a tuple).
+        cols = itemgetter(*order) if n > 1 else tuple
         return (
-            tuple(mutable[i] for i in order),
-            tuple(tuple(bt[i][j] for j in order) for i in perm),
-            tuple(tuple(lam[i][j] for j in perm) for i in perm),
+            rows(self.variables)[:n],
+            tuple(map(cols, rows(self.current.btilde))),
+            tuple(map(rows, rows(self.current.lam))),
         )
 
     def mutate_sequence(self, seq):
@@ -362,15 +392,39 @@ class QuantumSeed(Seed):
 
 @dataclass
 class GraphResult:
-    """Outcome of an exchange graph walk."""
+    """Outcome of an exchange graph walk: the seeds in the order found,
+    ``index`` from canonical key to seed index, and ``moves``, which maps
+    (i, k) to the index of ``seeds[i]`` mutated at slot k for every
+    mutation the walk made."""
 
     seeds: list
-    edges: set
+    moves: dict
+    index: dict
     truncated: bool
 
     @property
     def count(self):
         return len(self.seeds)
+
+    @property
+    def edges(self):
+        return {frozenset((i, j)) for (i, _), j in self.moves.items() if i != j}
+
+    def mutated(self, seed, k):
+        """``seed.mutate(k)``, read from the walk when it made that move
+        from the stored seed equal to ``seed``: the new variable is the
+        one that the move's target adds."""
+        i = self.index.get(seed.canonical_key())
+        if i is not None:
+            n = seed.current.n
+            stored = self.seeds[i].variables[:n]
+            j = self.moves.get((i, stored.index(seed.variables[k])))
+            if j is not None:
+                (new_var,) = (
+                    v for v in self.seeds[j].variables[:n] if v not in stored
+                )
+                return seed._exchanged(k, new_var)
+        return seed.mutate(k)
 
 
 def walk_seeds(start, n, max_depth, max_seeds):
@@ -378,11 +432,13 @@ def walk_seeds(start, n, max_depth, max_seeds):
 
     Seeds need ``mutate(k)`` for k in range(n), ``depth`` and
     ``canonical_key()``; seeds with equal keys are one vertex.  The walk
-    is truncated (and flagged) when a depth or seed cap is hit.
+    is truncated (and flagged) when a depth or seed cap is hit.  Every
+    mutation it makes is recorded in ``moves``, except one whose new
+    seed the seed cap turns away.
     """
-    seen = {start.canonical_key(): 0}
+    index = {start.canonical_key(): 0}
     seeds = [start]
-    edges = set()
+    moves = {}
     frontier = [(start, 0)]
     truncated = False
     while frontier:
@@ -394,20 +450,17 @@ def walk_seeds(start, n, max_depth, max_seeds):
             for k in range(n):
                 nxt = seed.mutate(k)
                 key = nxt.canonical_key()
-                if key in seen:
-                    j = seen[key]
-                    if j != idx:
-                        edges.add(frozenset((idx, j)))
-                    continue
-                if len(seeds) >= max_seeds:
-                    truncated = True
-                    continue
-                seen[key] = len(seeds)
-                edges.add(frozenset((idx, len(seeds))))
-                seeds.append(nxt)
-                new_frontier.append((nxt, len(seeds) - 1))
+                j = index.get(key)
+                if j is None:
+                    if len(seeds) >= max_seeds:
+                        truncated = True
+                        continue
+                    j = index[key] = len(seeds)
+                    seeds.append(nxt)
+                    new_frontier.append((nxt, j))
+                moves[(idx, k)] = j
         frontier = new_frontier
-    return GraphResult(seeds=seeds, edges=edges, truncated=truncated)
+    return GraphResult(seeds=seeds, moves=moves, index=index, truncated=truncated)
 
 
 def enumerate_quantum_seeds(data, max_depth=None, max_seeds=10000):

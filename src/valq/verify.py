@@ -16,7 +16,7 @@ A check that checked nothing, or that ran out of the field-size cap, is
 SKIPPED as well: it neither confirms nor refutes its claim.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from .characters import (
@@ -158,16 +158,24 @@ class VerifyContext:
 
     def rigid_rep(self, p, v):
         """The rigid representation of dimension v over the prime field
-        with p elements, built once and shared by every check."""
+        with p elements, built once and shared by every check.  A search
+        that found none is not repeated: its ``NoRigidFound`` is kept
+        and raised again."""
         key = (p, tuple(v))
         if key not in self._rigid:
             quiver = ValuedQuiver.from_matrix(
                 self.b, self.data.diag, p, cap=self.cap
             )
-            self._rigid[key] = build_rigid_rep(
-                quiver, key[1], rng_seed=self.rng_seed
-            )
-        return self._rigid[key]
+            try:
+                self._rigid[key] = build_rigid_rep(
+                    quiver, key[1], rng_seed=self.rng_seed
+                )
+            except NoRigidFound as exc:
+                self._rigid[key] = exc
+        found = self._rigid[key]
+        if isinstance(found, NoRigidFound):
+            raise found.with_traceback(None)
+        return found
 
     def rigid_reps(self, v):
         """The rigid representations of dimension v, one per prime in
@@ -518,17 +526,21 @@ class _SeedPair:
     of the original algebra that the same mutation word reaches from the
     original initial seed mutated at k.  A vertex of the paired walk is a
     pair of canonical keys, so an inconsistent pairing shows up as two
-    vertices with one fresh key."""
+    vertices with one fresh key.  The original side is read from
+    ``graph``, the original algebra's walk, wherever it holds the move."""
 
     fresh: ClassicalSeed
     original: ClassicalSeed
+    graph: object = field(compare=False)
 
     @property
     def depth(self):
         return self.fresh.depth
 
     def mutate(self, k):
-        return _SeedPair(self.fresh.mutate(k), self.original.mutate(k))
+        return _SeedPair(
+            self.fresh.mutate(k), self.graph.mutated(self.original, k), self.graph
+        )
 
     def canonical_key(self):
         return (self.fresh.canonical_key(), self.original.canonical_key())
@@ -549,6 +561,7 @@ def check_sink_source_reflection(ctx):
         start = _SeedPair(
             ClassicalSeed.initial_seed(fresh),
             ClassicalSeed.initial_seed(ctx.data).mutate(k),
+            ctx.classical_graph(),
         )
         walk = walk_seeds(start, n, ctx.max_depth, ctx.max_seeds)
         truncated = truncated or walk.truncated

@@ -43,7 +43,7 @@ def substitute_monomials(poly, nvars, images):
     """``poly`` with variable i sent to the monomial of an
     ``nvars``-variable ring whose exponent vector is ``images[i]``."""
     out = LaurentPoly.zero(nvars)
-    for exp, c in poly.terms.items():
+    for exp, c in poly.exponent_terms().items():
         e = tuple(
             sum(v * im[j] for v, im in zip(exp, images)) for j in range(nvars)
         )

@@ -1,5 +1,7 @@
 """Commutative seed mutation, d/g/F extraction, exchange graphs."""
 
+from pathlib import Path
+
 import pytest
 
 from valq.classical import (
@@ -20,6 +22,7 @@ from valq.laurent import LaurentPoly, NegativeExponentInF
 from conftest import shift, substitute_monomials
 
 GRAPH_SIZES = {"A2": 5, "B2": 6, "G2": 8, "A3": 14, "B3": 20}
+GRAPHS = Path(__file__).resolve().parent / "golden" / "graphs"
 
 
 def separation_holds(seed, i):
@@ -197,3 +200,21 @@ class TestExchangeGraph:
         assert dot.startswith("graph exchange {")
         assert dot.count("--") == len(g.edges)
         assert dot.rstrip().endswith("}")
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2", "A3", "B3"])
+    def test_dot_is_the_committed_file(self, name):
+        # Edges come from the walk's recorded moves.
+        g = enumerate_exchange_graph(builtin_exchange_data(name))
+        assert graph_to_dot(g) == (GRAPHS / ("%s.dot" % name.lower())).read_text()
+
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    def test_mutated_reads_the_walk(self, b3, max_depth):
+        # Read from the graph where the walk made the move, computed past
+        # the truncation; equal to mutating either way.
+        g = enumerate_exchange_graph(b3, max_depth=max_depth)
+        for seed in g.seeds:
+            for k in range(3):
+                got, want = g.mutated(seed, k), seed.mutate(k)
+                assert got.variables == want.variables
+                assert got.current == want.current
+                assert got.history == want.history

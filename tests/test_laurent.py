@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valq.laurent import (
+    MAX_EXPONENT,
     ArityMismatch,
+    ExponentOverflow,
     InexactDivision,
     LaurentPoly,
     ZeroPolynomial,
+    _layout,
+    _outside,
     exact_div,
     tropical_evaluate,
 )
@@ -42,18 +46,18 @@ nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 class TestConstruction:
     def test_zero_coefficients_dropped(self):
         p = poly(2, {(1, 0): 0, (0, 1): 3})
-        assert p.terms == {(0, 1): 3}
+        assert p.exponent_terms() == {(0, 1): 3}
 
     def test_zero_one_variable(self):
         assert LaurentPoly.zero(3).is_zero()
-        assert LaurentPoly.one(3).terms == {(0, 0, 0): 1}
+        assert LaurentPoly.one(3).exponent_terms() == {(0, 0, 0): 1}
         x1 = LaurentPoly.variable(3, 0)
-        assert x1.terms == {(1, 0, 0): 1}
+        assert x1.exponent_terms() == {(1, 0, 0): 1}
         assert x1.is_monomial()
 
     def test_monomial(self):
         m = LaurentPoly(2, {(2, -1): 5})
-        assert m.terms == {(2, -1): 5}
+        assert m.exponent_terms() == {(2, -1): 5}
         assert m.is_monomial()
 
     def test_equality_and_hash(self):
@@ -74,20 +78,20 @@ class TestArithmetic:
     def test_add_cancellation(self):
         a = poly(1, {(1,): 1})
         b = poly(1, {(1,): -1, (0,): 2})
-        assert (a + b).terms == {(0,): 2}
+        assert (a + b).exponent_terms() == {(0,): 2}
 
     def test_negative_power_of_monomial(self):
         x = LaurentPoly.variable(2, 0)
-        assert (x ** -2).terms == {(-2, 0): 1}
+        assert (x ** -2).exponent_terms() == {(-2, 0): 1}
 
     def test_binomial_power(self):
         p = LaurentPoly.one(1) + LaurentPoly.variable(1, 0)
         cube = p ** 3
-        assert cube.terms == {(0,): 1, (1,): 3, (2,): 3, (3,): 1}
+        assert cube.exponent_terms() == {(0,): 1, (1,): 3, (2,): 3, (3,): 1}
 
     def test_int_scaling(self):
         p = poly(1, {(1,): 2})
-        assert (3 * p).terms == {(1,): 6}
+        assert (3 * p).exponent_terms() == {(1,): 6}
         assert (p * 0).is_zero()
 
     @settings(max_examples=60, deadline=None)
@@ -108,8 +112,10 @@ def assert_clean(p):
     and equals, hash included, the polynomial the validating constructor
     builds from its terms."""
     assert all(type(c) is int and c != 0 for c in p.terms.values())
-    assert all(type(e) is tuple and len(e) == p.nvars for e in p.terms)
-    rebuilt = LaurentPoly(p.nvars, dict(p.terms))
+    assert all(
+        type(e) is tuple and len(e) == p.nvars for e in p.exponent_terms()
+    )
+    rebuilt = LaurentPoly(p.nvars, p.exponent_terms())
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
 
@@ -238,6 +244,121 @@ class TestSharedCore:
         assert (mono((0, 0), 1) + mono((1, -1), 3)) ** 0 == mono((0, 0), 1)
 
 
+# Exponent vectors of 1 to 8 variables, each entry drawn often from
+# the two ends of the packed range.
+edge_exponents = st.one_of(
+    st.sampled_from([-MAX_EXPONENT, MAX_EXPONENT, 0]),
+    st.integers(min_value=-MAX_EXPONENT, max_value=MAX_EXPONENT),
+)
+edge_vectors = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(st.tuples(*[edge_exponents] * n), min_size=1, max_size=6)
+)
+# Two-variable polynomials whose exponents reach past half the range.
+steep_polys = st.dictionaries(
+    st.tuples(*[st.integers(-MAX_EXPONENT, MAX_EXPONENT)] * 2),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda t: LaurentPoly(2, t))
+
+
+def tuple_product(a, b):
+    """The product of two polynomials' exponent terms, on tuples."""
+    out = {}
+    for ea, ca in a.exponent_terms().items():
+        for eb, cb in b.exponent_terms().items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+class TestPackedKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(edge_vectors)
+    def test_round_trip_at_both_ends(self, vectors):
+        lay = _layout(len(vectors[0]))
+        for exp in vectors:
+            assert lay.unpack(lay.pack(exp)) == exp
+            assert LaurentPoly(len(exp), {exp: 1}).exponent_terms() == {exp: 1}
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_vectors)
+    def test_key_order_is_lexicographic(self, vectors):
+        lay = _layout(len(vectors[0]))
+        keys = sorted(lay.pack(exp) for exp in vectors)
+        assert [lay.unpack(k) for k in keys] == sorted(vectors)
+
+    @settings(max_examples=120, deadline=None)
+    @given(edge_vectors)
+    def test_box_test_is_coordinatewise(self, vectors):
+        # As in the division loop: a candidate key formed from a leading
+        # key and the divisor's, whose fields may leave the range.
+        lay = _layout(len(vectors[0]))
+        lead, den_lead, lo, hi = (vectors * 4)[:4]
+        q_key = lay.pack(lead) - lay.pack(den_lead) + lay.bias
+        q = [x - y for x, y in zip(lead, den_lead)]
+        want = any(not a <= x <= b for x, a, b in zip(q, lo, hi))
+        assert _outside(q_key, lay.pack(lo), lay.pack(hi), lay.guard) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_vectors)
+    def test_corners_are_fieldwise(self, vectors):
+        lay = _layout(len(vectors[0]))
+        lo, hi = lay.corners([lay.pack(exp) for exp in vectors])
+        assert lay.unpack(lo) == tuple(map(min, zip(*vectors)))
+        assert lay.unpack(hi) == tuple(map(max, zip(*vectors)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(steep_polys, steep_polys)
+    def test_overflow_before_any_key_wraps(self, a, b):
+        # A product raises exactly when the product on tuples leaves the
+        # range, and otherwise equals it; so does the quotient by b.
+        want = tuple_product(a, b)
+        if any(abs(x) > MAX_EXPONENT for e in want for x in e):
+            with pytest.raises(ExponentOverflow):
+                a * b
+            return
+        got = a * b
+        assert got.exponent_terms() == want
+        assert exact_div(got, b) == a
+
+    @settings(max_examples=60, deadline=None)
+    @given(steep_polys, st.integers(min_value=2, max_value=5))
+    def test_power_overflow_is_raised_up_front(self, p, k):
+        top = max(map(abs, p.min_exponents() + p.max_exponents()))
+        if top * k <= MAX_EXPONENT:
+            assert p ** k == p ** (k - 1) * p
+            return
+        # No product may run before the check: each would call None.
+        real = LaurentPoly.__mul__
+        LaurentPoly.__mul__ = None
+        try:
+            with pytest.raises(ExponentOverflow):
+                p ** k
+        finally:
+            LaurentPoly.__mul__ = real
+
+    def test_inputs_out_of_range_rejected(self):
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly(2, {(MAX_EXPONENT + 1, 0): 1})
+        with pytest.raises(ExponentOverflow):
+            QTorusElem.basis_elem(((0, 1), (-1, 0)), (0, -MAX_EXPONENT - 1))
+        assert LaurentPoly.one(2).coefficient((MAX_EXPONENT + 1, 0)) == 0
+
+    def test_bounds_near_the_range(self):
+        # Propagated bounds (4000 + 4000 for big, then 8000 + 7999)
+        # pass the range; the exact boxes do not.
+        x = LaurentPoly.variable(2, 0)
+        y = LaurentPoly.variable(2, 1)
+        big = x ** 4000 * x ** 4000
+        assert exact_div(big, x ** 7999) == x
+        assert (big * y ** 8000).max_exponents() == (8000, 8000)
+        with pytest.raises(ExponentOverflow):
+            big * x ** 192
+        with pytest.raises(ExponentOverflow):
+            exact_div(x ** -8000, x ** 192)
+
+
 class TestExponentGeometry:
     def test_min_max_and_denominator(self):
         p = poly(2, {(-1, 2): 1, (0, -3): 4})
@@ -252,18 +373,18 @@ class TestExponentGeometry:
 
     def test_shift(self):
         p = poly(2, {(0, 0): 1, (1, 0): 1})
-        assert shift(p, (0, -1)).terms == {(0, -1): 1, (1, -1): 1}
+        assert shift(p, (0, -1)).exponent_terms() == {(0, -1): 1, (1, -1): 1}
 
 
 class TestSubstitution:
     def test_specialize_ones_merges_terms(self):
         p = poly(2, {(1, 1): 1, (1, 0): 1})
-        assert p.specialize_ones([1]).terms == {(1, 0): 2}
+        assert p.specialize_ones([1]).exponent_terms() == {(1, 0): 2}
 
     def test_drop_vars(self):
         p = poly(3, {(1, 0, 2): 5})
         q = p.drop_vars([0, 2])
-        assert q.nvars == 2 and q.terms == {(1, 2): 5}
+        assert q.nvars == 2 and q.exponent_terms() == {(1, 2): 5}
 
     def test_drop_vars_guards_support(self):
         p = poly(3, {(1, 1, 0): 1})
@@ -274,7 +395,7 @@ class TestSubstitution:
         # x1 -> z1*z2, x2 -> z2^-1 applied to x1*x2 + 1.
         p = poly(2, {(1, 1): 1, (0, 0): 1})
         q = substitute_monomials(p, 2, [(1, 1), (0, -1)])
-        assert q.terms == {(1, 0): 1, (0, 0): 1}
+        assert q.exponent_terms() == {(1, 0): 1, (0, 0): 1}
 
 
 class TestRender:
@@ -322,20 +443,20 @@ class TestQCoeff:
         return LaurentPoly(1, {(k,): c for k, c in coeff.items()})
 
     def test_u_power_and_integer(self):
-        assert self.c({2: 1}).terms == {(0, 0): {2: 1}}
-        assert self.c(-3).terms == {(0, 0): {0: -3}}
+        assert self.c({2: 1}).exponent_terms() == {(0, 0): {2: 1}}
+        assert self.c(-3).exponent_terms() == {(0, 0): {0: -3}}
         assert self.c(0).is_zero()
         assert self.c({1: 0}).is_zero()
 
     def test_arithmetic(self):
         a = self.c({1: 1, -1: 1})
         b = self.c({1: 1})
-        assert (a * b).terms == {(0, 0): {2: 1, 0: 1}}
+        assert (a * b).exponent_terms() == {(0, 0): {2: 1, 0: 1}}
         assert (a - a).is_zero()
 
     def test_bar_negates_exponents(self):
         a = self.c({2: 1, 0: 3})
-        assert a.bar().terms == {(0, 0): {-2: 1, 0: 3}}
+        assert a.bar().exponent_terms() == {(0, 0): {-2: 1, 0: 3}}
         assert not is_bar_invariant(a)
         assert is_bar_invariant(self.c({1: 1, -1: 1}))
 

@@ -325,6 +325,27 @@ class TestCharactersPairing:
         assert r.counterexample["B"] == [[0, 1], [-2, 0]]
 
 
+class TestSinkSourceMutations:
+    def test_original_side_is_read_from_the_graph(self, monkeypatch):
+        # B3 has a sink and a source.  The classical walk makes 60
+        # mutations, each paired walk 60 fresh ones, and each start one
+        # original mutation; every other original seed is read from the
+        # classical walk's moves.
+        from valq.classical import ClassicalSeed
+
+        real = ClassicalSeed.mutate
+        calls = []
+
+        def counting(seed, k):
+            calls.append(k)
+            return real(seed, k)
+
+        monkeypatch.setattr(ClassicalSeed, "mutate", counting)
+        rc, out, _ = run_cli(["verify", "sink-source-reflection", "--type", "B3"])
+        assert rc == 0 and " PASS " in out
+        assert len(calls) == 60 + 2 * 60 + 2
+
+
 class TestCheckErrors:
     """Only the listed exceptions of character construction become FAIL
     rows; any other error is a bug and propagates."""
@@ -383,6 +404,33 @@ class TestDrawsExhausted:
             "no rigid representation of dimension %s after 400 draws" % dims
         )
         assert r.counterexample is None
+
+    def test_failed_searches_are_remembered(self, monkeypatch):
+        # Each (prime, vector) spends its 400 draws once: (1, 2) fails
+        # for denominators and again for reflection, (1, 1) for
+        # characters.
+        import valq.reps
+        from valq.reps import ValuedRep
+
+        draws = []
+
+        def zero_maps(quiver, dims, rng):
+            draws.append(dims)
+            return ValuedRep.zero_maps(quiver, dims)
+
+        monkeypatch.setattr(valq.reps, "random_rep", zero_maps)
+        reports = run_all(VerifyContext(builtin_exchange_data("B2"), name="B2"))
+        skipped = {r.check: r.detail for r in reports if r.status == SKIPPED}
+        assert skipped == {
+            check: "no rigid representation of dimension %s after 400 draws"
+            % dims
+            for check, dims in [
+                ("denominators", "(1, 2)"),
+                ("characters", "(1, 1)"),
+                ("reflection", "(1, 2)"),
+            ]
+        }
+        assert len(draws) == 800
 
     def test_char_exits_two(self, monkeypatch):
         self._zero_draws(monkeypatch)
@@ -784,6 +832,17 @@ class TestCliErrors:
         )
         assert rc == 2 and out == ""
         assert err == "error: --primes lists 3 more than once\n"
+
+    def test_exponent_overflow(self, tmp_path):
+        # The second step raises x1' = (y1 + x2)/x1 to the power 70000,
+        # whose exponents the packed keys cannot hold.
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({"B": [[0, 70000], [-1, 0]]}))
+        rc, out, err = run_cli(["mutate", "--matrix", str(path), "--seq", "1,2,1"])
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: exponents up to 70000 leave the packed range of +-8191\n"
+        )
 
     def test_bad_sequence_entry(self):
         rc, _, err = run_cli(["mutate", "--type", "B2", "--seq", "0,1"])
