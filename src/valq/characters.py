@@ -15,6 +15,7 @@ representations themselves come from ``VerifyContext.rigid_rep``.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exchange import framed_star_matrix
 from .qtorus import QTorusElem, QuantumSeed
@@ -33,25 +34,35 @@ def dimension_bound(diag, v, e):
     return sum(d * x * (y - x) for d, x, y in zip(diag, e, v))
 
 
-def lagrange_poly(xs, ys):
-    """Interpolating polynomial through (xs, ys), ascending coefficients."""
-    k = len(xs)
-    coeffs = [Fraction(0)] * k
-    for i in range(k):
+@lru_cache(maxsize=64)
+def lagrange_basis(xs):
+    """The Lagrange basis of the distinct points xs (a tuple): the i-th
+    polynomial, in ascending coefficients, is 1 at xs[i] and 0 at the
+    other points."""
+    basis = []
+    for i, xi in enumerate(xs):
         num = [Fraction(1)]
         denom = Fraction(1)
-        for j in range(k):
+        for j, xj in enumerate(xs):
             if j == i:
                 continue
             new = [Fraction(0)] * (len(num) + 1)
             for deg, c in enumerate(num):
-                new[deg] += c * (-xs[j])
+                new[deg] += c * (-xj)
                 new[deg + 1] += c
             num = new
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for deg, c in enumerate(num):
-            coeffs[deg] += scale * c
+            denom *= xi - xj
+        basis.append(tuple(c / denom for c in num))
+    return tuple(basis)
+
+
+def lagrange_poly(xs, ys):
+    """Interpolating polynomial through (xs, ys), ascending coefficients."""
+    coeffs = [Fraction(0)] * len(xs)
+    for y, poly in zip(ys, lagrange_basis(tuple(xs))):
+        if y:
+            for deg, c in enumerate(poly):
+                coeffs[deg] += y * c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

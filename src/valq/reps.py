@@ -24,9 +24,16 @@ linear algebra on base-p digit vectors.
   subspace P whose t**l-scaled arrow images land in the subspaces
   already chosen downstream.  A source s then contributes [dim P_s, e_s].
 
-The planner walks backward exactly when the enumerated vertices of the
-backward walk have fewer subspaces in total (summed over all dimensions)
-than those of the forward walk; it looks at nothing but the
+Either walk may close its last enumerated vertex i instead of
+enumerating it: when one arrow joins i to the terminals, to a terminal k
+of the same degree, each subspace at i acts on k only through the
+dimension of its meet with one fixed subspace, and a q-Vandermonde
+count of subspaces by that dimension replaces the enumeration.
+
+The planner prices each walk by the product, over the vertices it still
+enumerates (so not the one it closes), of their numbers of subspaces of
+all dimensions, which bounds the size of its tree; it walks backward
+exactly when that price is lower.  It looks at nothing but the
 representation's quiver, fields and dimension vector.
 """
 
@@ -85,6 +92,8 @@ class ValuedQuiver:
         self.n = len(self.b)
         self.diag = tuple(int(d) for d in diag)
         self.tower = tower
+        # vertices with every arrow pointing forward; None if cyclic
+        self.order = topological_order(self.b)
         self.arrow_keys = []
         self.valuation = {}
         for i, j, mult, g in valued_arrows(self.b, self.diag):
@@ -394,6 +403,57 @@ def _scaled_arrow_matrices(rep):
 _gaussian_binomial = lru_cache(maxsize=4096)(gaussian_binomial)
 
 
+def _walk_order(quiver, backward):
+    """The vertices a walk in the given direction enumerates, in the
+    order it visits them, and the terminal vertices it counts from the
+    messages they receive."""
+    order = quiver.order
+    assert order is not None
+    test = quiver.is_source if backward else quiver.is_sink
+    terminal = [test(i) for i in range(quiver.n)]
+    if backward:
+        order = order[::-1]
+    enumerated = [i for i in order if not terminal[i]]
+    return enumerated, [i for i in range(quiver.n) if terminal[i]]
+
+
+def _closing_vertex(quiver, backward):
+    """The last vertex the walk in the given direction enumerates, when
+    its subspaces can be counted in closed form; otherwise None.
+
+    Every neighbour that vertex sends messages to is terminal.  It
+    closes when exactly one arrow joins it to them, to a terminal k of
+    the same degree, so that the arrow is one matrix over their field.
+    """
+    enumerated, _ = _walk_order(quiver, backward)
+    if not enumerated:
+        return None
+    i = enumerated[-1]
+    near, far = (1, 0) if backward else (0, 1)
+    keys = [key for key in quiver.arrow_keys if key[near] == i]
+    if len(keys) == 1 and quiver.diag[keys[0][far]] == quiver.diag[i]:
+        return i
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _meet_counts(q, n, m):
+    """(a, j, number of a-dimensional subspaces of an n-space over F_q
+    that meet a fixed m-dimensional subspace in dimension j), for every
+    nonzero number (q-Vandermonde)."""
+    return tuple(
+        (
+            a,
+            j,
+            q ** ((m - j) * (a - j))
+            * _gaussian_binomial(q, m, j)
+            * _gaussian_binomial(q, n - m, a - j),
+        )
+        for a in range(n + 1)
+        for j in range(max(0, a - (n - m)), min(a, m) + 1)
+    )
+
+
 class _Walk:
     """One exhaustive walk over the subrepresentations of ``rep``.
 
@@ -404,6 +464,12 @@ class _Walk:
     subspace forces into its out-neighbours, as vertex-field vectors;
     backward messages are the prime-field equations that vectors of its
     in-neighbours must satisfy for their images to land inside it.
+
+    When the last enumerated vertex i closes (``_closing_vertex``), its
+    subspaces W are not enumerated.  Each parent fixes the space U that
+    W ranges over and a subspace I of U, and the parameter of i's one
+    terminal neighbour k depends on W only through dim W and
+    j = dim(W meet I); ``_meet_counts`` gives how many W share both.
     """
 
     def __init__(self, rep, backward):
@@ -413,13 +479,8 @@ class _Walk:
         self.p = quiver.p
         self.prime = quiver.tower.field(1)
         self.backward = backward
-        order = topological_order(quiver.b)
-        assert order is not None
-        terminal = quiver.is_source if backward else quiver.is_sink
-        if backward:
-            order = order[::-1]
-        self.enumerated = [i for i in order if not terminal(i)]
-        self.terminals = [i for i in range(quiver.n) if terminal(i)]
+        self.enumerated, self.terminals = _walk_order(quiver, backward)
+        self.closing = _closing_vertex(quiver, backward)
         # the neighbours a chosen vertex sends to, with the arrow matrices
         self.links = {i: [] for i in range(quiver.n)}
         for (i, j), mats in _scaled_arrow_matrices(rep).items():
@@ -442,6 +503,9 @@ class _Walk:
                 out[key] = out.get(key, 0) + 1
                 return
             i = self.enumerated[idx]
+            if i == self.closing:
+                self._close(i, tuple(path), out)
+                return
             for w in self._subspaces(i):
                 sent = self._messages(i, w)
                 for j, msgs in sent:
@@ -488,6 +552,61 @@ class _Walk:
                 table[tuple(e)] += count
         return table
 
+    def _close(self, i, path, out):
+        """Add the leaves below the current parent, with the closing
+        vertex i counted in closed form."""
+        ((k, _),) = self.links[i]
+        field = self.quiver.field(i)
+        if self.backward:
+            # W ranges over the allowed U at i.  The largest allowed
+            # subspace at k becomes S meet phi^-1(W), of dimension
+            # dim(S meet ker phi) + dim(W meet I) with I = phi(S) meet U.
+            phi = self.rep.maps[(k, i, 0)]
+            space = self._allowed_basis(i)
+            allowed = self._allowed_basis(k)
+            image = [f_matvec(field, phi, x) for x in allowed]
+            rank = f_rank(field, image)
+            n = len(space)
+            m = rank + n - f_rank(field, image + space)
+            lift, base = 0, len(allowed) - rank
+        else:
+            # W ranges over the subspaces above the forced span G at i,
+            # so over subspaces of U = V_i / G.  The rank at k becomes
+            # dim(T + phi(W)) = t + dim W - dim(W meet J) with
+            # J = phi^-1(T), which reads dim(T + phi(G)) + a - j for
+            # a = dim W / G and I = (J + G) / G, of dimension
+            # n - dim(T + phi(V_i)) + dim(T + phi(G)).
+            phi = self.rep.maps[(i, k, 0)]
+            forced = self.inbox[i]
+            got = self.inbox[k]
+            lift = f_rank(field, forced)
+            images = [f_matvec(field, phi, x) for x in forced]
+            base = f_rank(field, got + images)
+            n = self.rep.dims[i] - lift
+            columns = [list(col) for col in zip(*phi)]
+            m = n - f_rank(field, got + columns) + base
+        params = [
+            self._terminal_param(x) if x != k else 0 for x in self.terminals
+        ]
+        slot = self.terminals.index(k)
+        for a, j, count in _meet_counts(field.q, n, m):
+            params[slot] = base + (j if self.backward else a - j)
+            key = path + (lift + a,) + tuple(params)
+            out[key] = out.get(key, 0) + count
+
+    def _allowed_basis(self, i):
+        """Vertex-field basis of the largest subspace at i whose images
+        satisfy every equation in i's inbox.  It is t-stable, so its
+        prime-field kernel spans it over the vertex field."""
+        field = self.quiver.field(i)
+        got = self.inbox[i]
+        if not got:
+            v = self.rep.dims[i]
+            return [[int(r == c) for c in range(v)] for r in range(v)]
+        kernel = f_kernel_basis(self.prime, got)
+        basis, pivots = f_rref(field, [_to_codes(field, x) for x in kernel])
+        return basis[: len(pivots)]
+
     def _subspaces(self, i):
         field = self.quiver.field(i)
         v = self.rep.dims[i]
@@ -501,12 +620,8 @@ class _Walk:
             for k in range(v + 1):
                 yield from enumerate_subspaces(field, v, k)
             return
-        # subspaces of the largest vertex-field subspace whose images
-        # satisfy every equation; it is t-stable, so its prime-field
-        # kernel spans it over the vertex field
-        kernel = f_kernel_basis(self.prime, got)
-        basis, pivots = f_rref(field, [_to_codes(field, x) for x in kernel])
-        basis = basis[: len(pivots)]
+        # subspaces of the largest allowed subspace
+        basis = self._allowed_basis(i)
         for k in range(len(basis) + 1):
             for coeffs in enumerate_subspaces(field, len(basis), k):
                 yield f_matmul(field, coeffs, basis) if coeffs else []
@@ -551,22 +666,27 @@ class _Walk:
         return self.rep.dims[k] - rank // self.quiver.diag[k]
 
 
-def _total_subspaces(rep, skip):
-    return sum(
-        _gaussian_binomial(rep.quiver.field(i).q, rep.dims[i], k)
-        for i in range(rep.quiver.n)
-        if not skip(i)
-        for k in range(rep.dims[i] + 1)
-    )
+def _walk_price(rep, backward):
+    """Size of the walk tree in the given direction, bounded by the
+    product of the numbers of subspaces of the vertices it enumerates,
+    less the one it closes."""
+    quiver = rep.quiver
+    enumerated, _ = _walk_order(quiver, backward)
+    closing = _closing_vertex(quiver, backward)
+    price = 1
+    for i in enumerated:
+        if i != closing:
+            q = quiver.field(i).q
+            v = rep.dims[i]
+            price *= sum(_gaussian_binomial(q, v, k) for k in range(v + 1))
+    return price
 
 
 def prefers_backward(rep):
-    """The planner: walk backward when the non-sources have fewer
-    subspaces in total than the non-sinks."""
-    quiver = rep.quiver
-    return _total_subspaces(rep, quiver.is_source) < _total_subspaces(
-        rep, quiver.is_sink
-    )
+    """The planner: walk backward when that walk's tree is the smaller
+    one, pricing each walk by the product, over the vertices it still
+    enumerates, of their numbers of subspaces."""
+    return _walk_price(rep, True) < _walk_price(rep, False)
 
 
 def walk_subreps(rep, backward):

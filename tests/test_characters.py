@@ -8,6 +8,8 @@ v exactly when the floor min_e (P(e) + N(v-e)) vanishes coordinatewise
 over the counted dimension vectors e.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from valq.characters import (
@@ -18,6 +20,7 @@ from valq.characters import (
     dimension_bound,
     generic_character,
     interpolate_counts,
+    lagrange_basis,
     lagrange_poly,
 )
 from valq.classical import enumerate_exchange_graph
@@ -83,6 +86,42 @@ class TestLagrange:
 
     def test_constant(self):
         assert lagrange_poly((2, 3), (7, 7)) == [7]
+
+    def test_shared_basis_on_random_points(self):
+        # One basis per point set serves every list of values; check it
+        # against the textbook sum of y_i * prod (x - x_j) / (x_i - x_j),
+        # built afresh for each list.
+        import random
+
+        def direct(xs, ys):
+            coeffs = [Fraction(0)] * len(xs)
+            for i, xi in enumerate(xs):
+                num = [Fraction(ys[i])]
+                for j, xj in enumerate(xs):
+                    if j != i:
+                        num = [Fraction(0)] + num
+                        for deg in range(len(num) - 1):
+                            num[deg] += num[deg + 1] * -xj
+                        num = [c / (xi - xj) for c in num]
+                for deg, c in enumerate(num):
+                    coeffs[deg] += c
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            return coeffs
+
+        rng = random.Random(3)
+        for _ in range(30):
+            xs = tuple(rng.sample(range(-20, 40), rng.randrange(1, 8)))
+            basis = lagrange_basis(xs)
+            assert lagrange_basis(xs) is basis
+            for i, poly in enumerate(basis):
+                assert [
+                    sum(c * x**deg for deg, c in enumerate(poly)) for x in xs
+                ] == [int(i == j) for j in range(len(xs))]
+            for _ in range(5):
+                ys = [rng.randrange(-50, 50) for _ in xs]
+                assert lagrange_poly(xs, ys) == direct(xs, ys)
+                assert lagrange_poly(list(xs), ys) == direct(xs, ys)
 
 
 class TestCountingPolynomials:

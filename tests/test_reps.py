@@ -46,6 +46,10 @@ from conftest import f_in_span
 # over F_{p^2} only, so everything reads subfield coordinates.
 VAL2_B, VAL2_D = ((0, 2), (-1, 0)), (2, 4)
 
+# The rank-4 matrix of the F4 benchmark workload: 3 -> 2 -> 1 -> 0 with
+# degrees (2, 2, 1, 1), so its arrows have valuations 2, 1 and 1.
+F4_B = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -2, 0, 1), (0, 0, -1, 0))
+
 
 def count_subreps(rep, e):
     """Number of subrepresentations with dimension vector e; 0 outside
@@ -54,7 +58,7 @@ def count_subreps(rep, e):
 
 
 def quiver(name, p):
-    b = BUILTIN_MATRICES[name]
+    b = F4_B if name == "F4" else BUILTIN_MATRICES[name]
     return ValuedQuiver.from_matrix(b, minimal_symmetrizer(b), p)
 
 
@@ -423,27 +427,34 @@ class TestReflectionPreservesCounts:
 
 class TestWalkDirections:
     # (type, prime, dimension vector, 0-based reflection vertex): rigid
-    # representations whose reflection the planner counts backward, at
-    # the sink 0 of G2 and B3 and at their sources 1 and 2.  Over F_2 a
-    # G2 sink reflection and a B3 source reflection always leave the
-    # forward walk cheaper, so those appear at p = 3.
-    BACKWARD_CASES = [
+    # representations reflected at the sink 0 of G2 and B3 and at their
+    # sources 1 and 2, over F_2 and F_3.  The planner walks all but the
+    # fourth backward; for the fourth both walks price 2 and it keeps
+    # the forward one.
+    REFLECTED_CASES = [
         ("G2", 3, (1, 3), 0),
         ("G2", 2, (1, 3), 1),
         ("G2", 3, (2, 3), 1),
         ("B3", 2, (1, 1, 1), 0),
         ("B3", 3, (0, 1, 2), 0),
         ("B3", 3, (1, 2, 2), 2),
+        ("B3", 2, (1, 1, 2), 0),
     ]
+    BACKWARD_CASES = REFLECTED_CASES[:3] + REFLECTED_CASES[4:]
 
-    @pytest.mark.parametrize("name,p,v,k", BACKWARD_CASES)
+    @pytest.mark.parametrize("name,p,v,k", REFLECTED_CASES)
     def test_reflected_rigid_reps_against_brute_force(self, name, p, v, k):
         rep = reflect(build_rigid_rep(quiver(name, p), v, rng_seed=0), k)
-        assert prefers_backward(rep)
-        table = count_all_subreps(rep)
+        table = walk_subreps(rep, True)
         assert table == walk_subreps(rep, False)
+        assert table == count_all_subreps(rep)
         for e, cnt in table.items():
             assert cnt == brute_count_subreps(rep, e)
+
+    @pytest.mark.parametrize("name,p,v,k", BACKWARD_CASES)
+    def test_planner_walks_the_reflected_reps_backward(self, name, p, v, k):
+        rep = reflect(build_rigid_rep(quiver(name, p), v, rng_seed=0), k)
+        assert prefers_backward(rep)
 
     def test_planner_keeps_the_original_g2_orientation_forward(self):
         # The F_{p^3} vertex is a sink here, so the forward walk never
@@ -473,6 +484,116 @@ class TestWalkDirections:
         assert sorted(table) == list(product(range(2), range(3), range(3)))
         assert count_subreps(rep, (0, 3, 0)) == 0
         assert count_subreps(rep, (-1, 0, 0)) == 0
+
+
+def sparse_rep(quiver, dims, rng):
+    """A random representation with about half of its map entries zero."""
+    rep = random_rep(quiver, dims, rng)
+    maps = {
+        key: [[x if rng.random() < 0.5 else 0 for x in row] for row in mat]
+        for key, mat in rep.maps.items()
+    }
+    return ValuedRep(quiver, dims, maps)
+
+
+def orientations(name, p):
+    """The builtin quiver and its reflections at every sink and source."""
+    q = quiver(name, p)
+    return [q] + [
+        q.reflected(k) for k in range(q.n) if q.is_sink(k) or q.is_source(k)
+    ]
+
+
+class TestClosedForm:
+    # (type, dimension vectors): the brute force tries every tuple of
+    # subspaces, so the boxes stay small.
+    CASES = [
+        ("F4", [(1, 1, 1, 1), (1, 2, 1, 1), (0, 1, 2, 1), (1, 1, 2, 2)]),
+        ("A3", [(1, 2, 1), (2, 1, 2), (1, 1, 0), (2, 2, 1)]),
+        ("B3", [(1, 1, 1), (1, 2, 1), (0, 1, 2), (2, 1, 1)]),
+    ]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name,vectors", CASES, ids=[c[0] for c in CASES])
+    def test_tables_against_brute_force_and_the_other_walk(
+        self, name, vectors, p
+    ):
+        import random
+
+        rng = random.Random(7 * p)
+        for q in orientations(name, p):
+            for dims in vectors:
+                for build in (random_rep, sparse_rep):
+                    rep = build(q, dims, rng)
+                    table = walk_subreps(rep, True)
+                    assert table == walk_subreps(rep, False)
+                    for e, cnt in table.items():
+                        assert cnt == brute_count_subreps(rep, e)
+
+    def test_which_walks_close(self):
+        # The cases above close both ways: F4 forward at 1 over the arrow
+        # 1 -> 0 of valuation 2, backward at 2 over 3 -> 2 of valuation 1.
+        from valq.reps import _closing_vertex
+
+        a3 = quiver("A3", 2)
+        assert [_closing_vertex(a3, b) for b in (False, True)] == [1, 1]
+        f4, ref0, ref3 = orientations("F4", 2)
+        assert f4.valuation[(1, 0)] == 2 and f4.valuation[(3, 2)] == 1
+        assert [_closing_vertex(f4, b) for b in (False, True)] == [1, 2]
+        assert [_closing_vertex(ref0, b) for b in (False, True)] == [None, 2]
+        assert [_closing_vertex(ref3, b) for b in (False, True)] == [1, None]
+
+    @pytest.mark.parametrize(
+        "b,diag",
+        [(((0, 2), (-2, 0)), (1, 1)), (BUILTIN_MATRICES["G2"], (1, 3))],
+        ids=["Kronecker", "G2"],
+    )
+    def test_kronecker_and_g2_never_close(self, b, diag):
+        from valq.reps import _closing_vertex
+
+        q = ValuedQuiver.from_matrix(b, diag, 2)
+        for oriented in (q, q.reflected(0), q.reflected(1)):
+            for backward in (False, True):
+                assert _closing_vertex(oriented, backward) is None
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_no_subspaces_enumerated_at_the_closing_vertex(
+        self, monkeypatch, backward
+    ):
+        # A3 walks 2, 1 forward and 0, 1 backward, closing at 1 either
+        # way, so only the first vertex (of dimension 1) enumerates: one
+        # call per subspace dimension 0 and 1.
+        import random
+
+        import valq.reps
+
+        calls = []
+        for name in ("enumerate_subspaces", "enumerate_subspaces_containing"):
+            original = getattr(valq.reps, name)
+
+            def counted(field, n, *args, _original=original, **kwargs):
+                calls.append(n)
+                return _original(field, n, *args, **kwargs)
+
+            monkeypatch.setattr(valq.reps, name, counted)
+        rep = random_rep(quiver("A3", 3), (1, 2, 1), random.Random(2))
+        table = walk_subreps(rep, backward)
+        assert calls == [1, 1]
+        for e, cnt in table.items():
+            assert cnt == brute_count_subreps(rep, e)
+
+    def test_f4_over_f4_matches_the_enumerating_walk(self, monkeypatch):
+        import valq.reps
+
+        # F_4 as the F_2 species with doubled degrees
+        diag = minimal_symmetrizer(F4_B)
+        q = ValuedQuiver.from_matrix(F4_B, [2 * d for d in diag], 2)
+        rep = build_rigid_rep(q, (1, 2, 4, 2), rng_seed=0)
+        backward = prefers_backward(rep)
+        assert valq.reps._closing_vertex(q, backward) is not None
+        table = walk_subreps(rep, backward)
+        monkeypatch.setattr(valq.reps, "_closing_vertex", lambda *args: None)
+        assert walk_subreps(rep, backward) == table
 
 
 class TestTowerCache:
