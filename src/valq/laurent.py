@@ -226,16 +226,10 @@ class SparseTerms:
             x = x * x
 
     def min_exponents(self):
-        return self._corner(0)
-
-    def max_exponents(self):
-        return self._corner(1)
-
-    def _corner(self, which):
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no exponent range")
         lay = _layout(self.nvars)
-        return lay.unpack(lay.corners(self.terms)[which])
+        return lay.unpack(lay.corners(self.terms)[0])
 
     def denominator_vector(self, upto=None):
         """Negated minimal exponent per variable, restricted to the first

@@ -326,6 +326,11 @@ class Seed:
             tuple(map(rows, rows(self.current.lam))),
         )
 
+    def slot_of(self, other, k):
+        """The mutable slot of this seed that holds ``other``'s k-th
+        variable."""
+        return self.variables[: self.current.n].index(other.variables[k])
+
     def mutate_sequence(self, seq):
         seed = self
         for k in seq:
@@ -394,8 +399,10 @@ class QuantumSeed(Seed):
 class GraphResult:
     """Outcome of an exchange graph walk: the seeds in the order found,
     ``index`` from canonical key to seed index, and ``moves``, which maps
-    (i, k) to the index of ``seeds[i]`` mutated at slot k for every
-    mutation the walk made."""
+    (i, k) to the index of ``seeds[i]`` mutated at slot k for every move
+    the walk took.  A move back along an edge the walk had already
+    crossed is in ``moves`` too, though the walk read it rather than
+    mutated again."""
 
     seeds: list
     moves: dict
@@ -416,10 +423,10 @@ class GraphResult:
         one that the move's target adds."""
         i = self.index.get(seed.canonical_key())
         if i is not None:
-            n = seed.current.n
-            stored = self.seeds[i].variables[:n]
-            j = self.moves.get((i, stored.index(seed.variables[k])))
+            j = self.moves.get((i, self.seeds[i].slot_of(seed, k)))
             if j is not None:
+                n = seed.current.n
+                stored = self.seeds[i].variables[:n]
                 (new_var,) = (
                     v for v in self.seeds[j].variables[:n] if v not in stored
                 )
@@ -430,15 +437,22 @@ class GraphResult:
 def walk_seeds(start, n, max_depth, max_seeds):
     """Breadth-first walk of an exchange graph from ``start``.
 
-    Seeds need ``mutate(k)`` for k in range(n), ``depth`` and
-    ``canonical_key()``; seeds with equal keys are one vertex.  The walk
-    is truncated (and flagged) when a depth or seed cap is hit.  Every
-    mutation it makes is recorded in ``moves``, except one whose new
-    seed the seed cap turns away.
+    Seeds need ``mutate(k)`` and ``slot_of(other, k)`` for k in
+    range(n), ``depth`` and ``canonical_key()``; seeds with equal keys
+    are one vertex.  The walk is truncated (and flagged) when a depth or
+    seed cap is hit.  Every move it takes is recorded in ``moves``,
+    except one whose new seed the seed cap turns away.
+
+    Mutation is an involution, so a move i -> j at slot k also proves
+    the move back: from j at the slot of ``seeds[j]`` holding the new
+    variable (``slot_of``, which may answer None to withhold the proof)
+    to i.  The walk reads such a move instead of mutating, so a closed
+    graph costs one mutation per edge.
     """
     index = {start.canonical_key(): 0}
     seeds = [start]
     moves = {}
+    back = {}
     frontier = [(start, 0)]
     truncated = False
     while frontier:
@@ -448,16 +462,23 @@ def walk_seeds(start, n, max_depth, max_seeds):
                 truncated = True
                 continue
             for k in range(n):
-                nxt = seed.mutate(k)
-                key = nxt.canonical_key()
-                j = index.get(key)
+                j = back.pop((idx, k), None)
                 if j is None:
-                    if len(seeds) >= max_seeds:
-                        truncated = True
-                        continue
-                    j = index[key] = len(seeds)
-                    seeds.append(nxt)
-                    new_frontier.append((nxt, j))
+                    nxt = seed.mutate(k)
+                    key = nxt.canonical_key()
+                    j = index.get(key)
+                    if j is None:
+                        if len(seeds) >= max_seeds:
+                            truncated = True
+                            continue
+                        j = index[key] = len(seeds)
+                        seeds.append(nxt)
+                        new_frontier.append((nxt, j))
+                        back[(j, k)] = idx
+                    elif j != idx:
+                        s = seeds[j].slot_of(nxt, k)
+                        if s is not None and (j, s) not in moves:
+                            back[(j, s)] = idx
                 moves[(idx, k)] = j
         frontier = new_frontier
     return GraphResult(seeds=seeds, moves=moves, index=index, truncated=truncated)

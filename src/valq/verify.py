@@ -542,6 +542,13 @@ class _SeedPair:
             self.fresh.mutate(k), self.graph.mutated(self.original, k), self.graph
         )
 
+    def slot_of(self, other, k):
+        """The slot both sides of this pair give for ``other``'s k-th
+        variables, or None when they disagree, which leaves that move to
+        be computed."""
+        s = self.fresh.slot_of(other.fresh, k)
+        return s if s == self.original.slot_of(other.original, k) else None
+
     def canonical_key(self):
         return (self.fresh.canonical_key(), self.original.canonical_key())
 

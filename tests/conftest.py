@@ -10,6 +10,7 @@ import pytest
 from valq.exchange import builtin_exchange_data
 from valq.finfield import f_rank
 from valq.laurent import LaurentPoly
+from valq.qtorus import GraphResult
 from valq.verify import VerifyContext
 
 _CACHE = {}
@@ -63,6 +64,37 @@ def count_products(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "__mul__", counting)
     return calls
+
+
+def reference_walk(start, n, max_depth, max_seeds):
+    """The breadth-first walk that ``qtorus.walk_seeds`` must reproduce,
+    mutating every seed in every direction: it crosses each edge both
+    ways and reads nothing back."""
+    index = {start.canonical_key(): 0}
+    seeds = [start]
+    moves = {}
+    frontier = [(start, 0)]
+    truncated = False
+    while frontier:
+        new_frontier = []
+        for seed, idx in frontier:
+            if max_depth is not None and seed.depth >= max_depth:
+                truncated = True
+                continue
+            for k in range(n):
+                nxt = seed.mutate(k)
+                key = nxt.canonical_key()
+                j = index.get(key)
+                if j is None:
+                    if len(seeds) >= max_seeds:
+                        truncated = True
+                        continue
+                    j = index[key] = len(seeds)
+                    seeds.append(nxt)
+                    new_frontier.append((nxt, j))
+                moves[(idx, k)] = j
+        frontier = new_frontier
+    return GraphResult(seeds=seeds, moves=moves, index=index, truncated=truncated)
 
 
 @pytest.fixture(scope="session")

@@ -49,10 +49,17 @@ class TestMutation:
             "x1^-1*x2^2 + x1^-1*y1"
         )
 
-    def test_involution(self, b2):
-        s = ClassicalSeed.initial_seed(b2)
-        for k in range(2):
-            assert s.mutate(k).mutate(k).variables == s.variables
+    def test_involution(self):
+        # walk_seeds reads a move back along an edge instead of mutating
+        # again, which rests on this at every seed and slot.
+        for name, depth in [("B2", None), ("B3", None), ("G2", None), ("WILD3", 2)]:
+            g = enumerate_exchange_graph(builtin_exchange_data(name), max_depth=depth)
+            for s in g.seeds:
+                for k in range(s.current.n):
+                    back = s.mutate(k).mutate(k)
+                    assert back.variables == s.variables
+                    assert back.current.btilde == s.current.btilde
+                    assert back.current.lam == s.current.lam
 
     def test_variables_are_laurent_with_positive_coefficients(self, b3):
         s = ClassicalSeed.initial_seed(b3).mutate_sequence([0, 1, 2, 1, 0])

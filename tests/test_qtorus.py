@@ -1,6 +1,8 @@
 """Quantum torus elements and quantum seed mutation."""
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,23 @@ from hypothesis import strategies as st
 from valq.classical import ClassicalSeed, enumerate_exchange_graph
 from valq.exchange import build_exchange_data, builtin_exchange_data
 from valq.laurent import InexactDivision, LaurentPoly
-from valq.qtorus import LambdaMismatch, QTorusElem, QuantumSeed, enumerate_quantum_seeds
+from valq.qtorus import (
+    LambdaMismatch,
+    QTorusElem,
+    QuantumSeed,
+    enumerate_quantum_seeds,
+    walk_seeds,
+)
+from valq.verify import _SeedPair
 
-from conftest import count_products, is_bar_invariant
+from conftest import context_for, count_products, is_bar_invariant, reference_walk
 from test_exchange import acyclic_skew_symmetrizable
 
 B2 = builtin_exchange_data("B2")
 A2 = builtin_exchange_data("A2")
+F4_MATRIX = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "f4.json").read_text()
+)["B"]
 
 vec4 = st.tuples(*([st.integers(min_value=-2, max_value=2)] * 4))
 
@@ -185,12 +197,16 @@ class TestSeedMutation:
         assert m.variables[2] == s.variables[2]
 
     def test_mutation_is_an_involution(self):
-        s = QuantumSeed.initial_seed(B2)
-        for k in range(2):
-            back = s.mutate(k).mutate(k)
-            assert back.variables == s.variables
-            assert back.current.btilde == s.current.btilde
-            assert back.current.lam == s.current.lam
+        # walk_seeds reads a move back along an edge instead of mutating
+        # again, which rests on this at every seed and slot.
+        for name, depth in [("B2", None), ("B3", None), ("G2", None), ("WILD3", 2)]:
+            g = enumerate_quantum_seeds(builtin_exchange_data(name), max_depth=depth)
+            for s in g.seeds:
+                for k in range(s.current.n):
+                    back = s.mutate(k).mutate(k)
+                    assert back.variables == s.variables
+                    assert back.current.btilde == s.current.btilde
+                    assert back.current.lam == s.current.lam
 
     def test_variables_stay_bar_invariant(self):
         s = QuantumSeed.initial_seed(B2).mutate_sequence([0, 1, 0])
@@ -279,3 +295,84 @@ class TestGraph:
         assert g.truncated and g.count == 2
         g2 = enumerate_quantum_seeds(A2, max_depth=1)
         assert g2.truncated and g2.count == 3
+
+
+def assert_same_walk(got, want):
+    # Seeds compare by their histories, variables and exchange data.
+    assert got.seeds == want.seeds
+    assert list(got.index.items()) == list(want.index.items())
+    assert list(got.moves.items()) == list(want.moves.items())
+    assert got.truncated == want.truncated
+
+
+class TestWalkOracle:
+    """``walk_seeds`` reads each move back along an edge instead of
+    mutating again; ``reference_walk`` mutates every seed in every
+    direction.  Their results must agree item for item."""
+
+    @staticmethod
+    def _both(start, n, max_depth=None, max_seeds=10000):
+        return (
+            walk_seeds(start, n, max_depth, max_seeds),
+            reference_walk(start, n, max_depth, max_seeds),
+        )
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("A2", None), ("B2", None), ("C2", None), ("G2", None), ("A3", None),
+         ("B3", None), ("WILD3", 2), ("WILD3", 3), ("F4", None)],
+    )
+    def test_whole_walks(self, engine, name, depth):
+        if name == "F4":
+            data = build_exchange_data(F4_MATRIX)
+        else:
+            data = builtin_exchange_data(name)
+        assert_same_walk(*self._both(engine.initial_seed(data), data.n, depth))
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    @pytest.mark.parametrize("name", ["G2", "B3", "WILD3"])
+    @pytest.mark.parametrize(
+        "max_depth, max_seeds", [(1, 10000), (2, 10000), (None, 2), (None, 7)]
+    )
+    def test_capped_walks(self, engine, name, max_depth, max_seeds):
+        data = builtin_exchange_data(name)
+        got, want = self._both(
+            engine.initial_seed(data), data.n, max_depth, max_seeds
+        )
+        assert got.truncated
+        assert_same_walk(got, want)
+
+    @pytest.mark.parametrize(
+        "name, k, mutated",
+        # B3's sink and source, and A3 paired with its own unmutated
+        # algebra, where the two sides disagree on slots.
+        [("B3", 0, True), ("B3", 2, True), ("A3", 0, False)],
+    )
+    def test_paired_walks(self, name, k, mutated):
+        ctx = context_for(name)
+        n = ctx.n
+        fresh = ctx.data
+        if mutated:
+            fresh = build_exchange_data(ctx.data.mutate(k).btilde[:n])
+        start = _SeedPair(
+            ClassicalSeed.initial_seed(fresh),
+            ClassicalSeed.initial_seed(ctx.data).mutate(k),
+            ctx.classical_graph(),
+        )
+        assert_same_walk(*self._both(start, n))
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    def test_closed_walk_mutates_once_per_edge(self, monkeypatch, engine):
+        real = engine.mutate
+        calls = []
+
+        def counting(seed, k):
+            calls.append(k)
+            return real(seed, k)
+
+        monkeypatch.setattr(engine, "mutate", counting)
+        start = engine.initial_seed(builtin_exchange_data("B3"))
+        g = walk_seeds(start, 3, None, 10000)
+        assert not g.truncated
+        assert len(calls) == len(g.edges) == 30

@@ -327,10 +327,10 @@ class TestCharactersPairing:
 
 class TestSinkSourceMutations:
     def test_original_side_is_read_from_the_graph(self, monkeypatch):
-        # B3 has a sink and a source.  The classical walk makes 60
-        # mutations, each paired walk 60 fresh ones, and each start one
-        # original mutation; every other original seed is read from the
-        # classical walk's moves.
+        # B3 has a sink and a source.  The classical walk makes 30
+        # mutations, one per edge, each paired walk 30 fresh ones, and
+        # each start one original mutation; every other original seed is
+        # read from the classical walk's moves.
         from valq.classical import ClassicalSeed
 
         real = ClassicalSeed.mutate
@@ -343,7 +343,7 @@ class TestSinkSourceMutations:
         monkeypatch.setattr(ClassicalSeed, "mutate", counting)
         rc, out, _ = run_cli(["verify", "sink-source-reflection", "--type", "B3"])
         assert rc == 0 and " PASS " in out
-        assert len(calls) == 60 + 2 * 60 + 2
+        assert len(calls) == 30 + 2 * 30 + 2
 
 
 class TestCheckErrors:
@@ -629,6 +629,14 @@ class TestGoldenDocuments:
                 "wild3-characters.json",
                 ["verify", "characters", "--type", "WILD3",
                  "--primes", "2,3,5,7,11", "--max-depth", "4", "--json"],
+            ),
+            (
+                "seeds-wild3-depth4.json",
+                ["seeds", "--type", "WILD3", "--max-depth", "4", "--json"],
+            ),
+            (
+                "seeds-b3-max7.json",
+                ["seeds", "--type", "B3", "--max-seeds", "7", "--json"],
             ),
         ],
     )
