@@ -454,6 +454,7 @@ class FieldTower:
         self._emb_inv = {}
         self._coords = {}
         self._dual = {}
+        self._gram = {}
         # inner loop descends so that when (a, b) routes through an
         # intermediate c, both (a, c) and (c, b) already exist
         for b in self.degrees:
@@ -559,29 +560,35 @@ class FieldTower:
             acc = fb.add(acc, fb.mul(self.embed(a, b, c), tb_l))
         return acc
 
+    def trace_gram(self, b, a):
+        """The Gram matrix tr(t**i * t**l) of the relative trace form from
+        the degree-b field to its degree-a subfield on the basis 1, t, ...,
+        t**(e-1), and its inverse, both over the subfield."""
+        key = (b, a)
+        if key not in self._gram:
+            fb = self.fields[b]
+            e = b // a
+            # powers of t; t is the code p, which the prime field lacks
+            tpow = [fb.pow(self.p, k) if k else 1 for k in range(2 * e - 1)]
+            gram = [
+                [self.relative_trace(b, a, tpow[i + l]) for l in range(e)]
+                for i in range(e)
+            ]
+            self._gram[key] = (gram, f_inverse(self.fields[a], gram))
+        return self._gram[key]
+
     def trace_dual_basis(self, b, a):
         """Basis dual to 1, t, ..., t**(e-1) under the relative trace form."""
         key = (b, a)
         if key not in self._dual:
-            fa = self.fields[a]
             fb = self.fields[b]
-            e = b // a
-            gram = []
-            for i in range(e):
-                row = []
-                for l in range(e):
-                    val = fb.pow(self.p, i + l) if i + l else 1
-                    row.append(self.relative_trace(b, a, val))
-                gram.append(row)
-            ginv = f_inverse(fa, gram)
+            _, ginv = self.trace_gram(b, a)
             dual = []
-            for l in range(e):
+            for col in zip(*ginv):
                 acc = 0
-                for i in range(e):
+                for i, x in enumerate(col):
                     ti = fb.pow(self.p, i) if i else 1
-                    acc = fb.add(
-                        acc, fb.mul(self.embed(a, b, ginv[i][l]), ti)
-                    )
+                    acc = fb.add(acc, fb.mul(self.embed(a, b, x), ti))
                 dual.append(acc)
             self._dual[key] = tuple(dual)
         return self._dual[key]

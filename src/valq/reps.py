@@ -10,31 +10,28 @@ Everything downstream (hom and ext spaces, subrepresentation counts,
 sink and source reflections) is exhaustive exact linear algebra.
 
 Subrepresentations are counted for every dimension vector e in the box
-below the representation's at once, by one of two walks.  Both take each
-arrow map once as prime-field matrices of x -> phi(t**l * x) and do their
-linear algebra on base-p digit vectors.
+below the representation's at once, by one walk.  It takes each arrow map
+once as prime-field matrices of x -> phi(t**l * x) and does its linear
+algebra on base-p digit vectors.  It enumerates the non-sinks in
+topological order, and at each one takes every subspace containing the
+images forced by the subspaces already chosen upstream.  A sink k with
+forced image of dimension u then contributes the Gaussian binomial
+[dim V_k - u, e_k - u] over its field, for every e_k.
 
-- The forward walk enumerates the non-sinks in topological order.  At
-  each one it takes every subspace containing the images forced by the
-  subspaces already chosen upstream.  A sink k with forced image of
-  dimension u then contributes the Gaussian binomial [dim V_k - u,
-  e_k - u] over its field, for every e_k.
-- The backward walk enumerates the non-sources in reverse topological
-  order.  At each one it takes every subspace of the largest vertex-field
-  subspace P whose t**l-scaled arrow images land in the subspaces
-  already chosen downstream.  A source s then contributes [dim P_s, e_s].
+The walk may close its last enumerated vertex i instead of enumerating
+it: when one arrow leaves i, to a sink k of the same degree, each
+subspace at i acts on k only through the dimension of its meet with one
+fixed subspace, and a q-Vandermonde count of subspaces by that dimension
+replaces the enumeration.
 
-Either walk may close its last enumerated vertex i instead of
-enumerating it: when one arrow joins i to the terminals, to a terminal k
-of the same degree, each subspace at i acts on k only through the
-dimension of its meet with one fixed subspace, and a q-Vandermonde
-count of subspaces by that dimension replaces the enumeration.
-
-The planner prices each walk by the product, over the vertices it still
-enumerates (so not the one it closes), of their numbers of subspaces of
-all dimensions, which bounds the size of its tree; it walks backward
-exactly when that price is lower.  It looks at nothing but the
-representation's quiver, fields and dimension vector.
+The dual representation D(V), over the opposite quiver, has a
+subrepresentation of dimension v - e for each one of V of dimension e
+(their annihilators), so the same walk over D(V) walks V backward: from
+the sinks up, enumerating the non-sources and counting at the sources.
+The planner prices both trees by the product, over the vertices the walk
+still enumerates (so not the one it closes), of their numbers of
+subspaces of all dimensions, and walks D(V) exactly when its price is
+lower.  It looks at nothing but the quiver, fields and dimension vector.
 """
 
 import random
@@ -45,13 +42,11 @@ from operator import mul
 from .exchange import topological_order, valued_arrows
 from .finfield import (
     build_tower,
-    enumerate_subspaces,
     enumerate_subspaces_containing,
     f_kernel_basis,
     f_matmul,
     f_matvec,
     f_rank,
-    f_rref,
     gaussian_binomial,
     project_to_quotient,
     quotient_projection,
@@ -125,6 +120,14 @@ class ValuedQuiver:
             rows[k][j] = -rows[k][j]
             rows[j][k] = -rows[j][k]
         return ValuedQuiver(rows, self.diag, self.tower)
+
+    def opposite(self):
+        """The quiver with every arrow reversed, over the same degrees
+        and tower, ordered by the reverse of this quiver's order."""
+        b = [[-x for x in row] for row in self.b]
+        op = ValuedQuiver(b, self.diag, self.tower)
+        op.order = None if self.order is None else self.order[::-1]
+        return op
 
     def map_shape(self, key, dims):
         i, j, _ = key
@@ -350,9 +353,12 @@ def build_rigid_rep(quiver, dims, rng_seed=0, attempts=400):
             "no rigid representation of dimension %s: its Euler form "
             "<v, v> = %d is not positive" % (dims, euler)
         )
-    rep = ValuedRep.zero_maps(quiver, dims)
-    if is_rigid(rep):
-        return rep
+    # The zero representation has Hom = sum of End(V_i), of prime-field
+    # dimension sum d_i v_i^2, so it is rigid exactly when <v, v> is that.
+    if euler == sum(d * v * v for d, v in zip(quiver.diag, dims)):
+        rep = ValuedRep.zero_maps(quiver, dims)
+        if is_rigid(rep):
+            return rep
     for _ in range(attempts):
         rep = random_rep(quiver, dims, rng)
         if is_rigid(rep):
@@ -403,35 +409,29 @@ def _scaled_arrow_matrices(rep):
 _gaussian_binomial = lru_cache(maxsize=4096)(gaussian_binomial)
 
 
-def _walk_order(quiver, backward):
-    """The vertices a walk in the given direction enumerates, in the
-    order it visits them, and the terminal vertices it counts from the
-    messages they receive."""
-    order = quiver.order
-    assert order is not None
-    test = quiver.is_source if backward else quiver.is_sink
-    terminal = [test(i) for i in range(quiver.n)]
-    if backward:
-        order = order[::-1]
-    enumerated = [i for i in order if not terminal[i]]
-    return enumerated, [i for i in range(quiver.n) if terminal[i]]
+def _walk_order(quiver):
+    """The vertices the walk enumerates, the non-sinks in the quiver's
+    order, and the sinks it counts from the messages they receive."""
+    assert quiver.order is not None
+    sink = [quiver.is_sink(i) for i in range(quiver.n)]
+    enumerated = [i for i in quiver.order if not sink[i]]
+    return enumerated, [i for i in range(quiver.n) if sink[i]]
 
 
-def _closing_vertex(quiver, backward):
-    """The last vertex the walk in the given direction enumerates, when
-    its subspaces can be counted in closed form; otherwise None.
+def _closing_vertex(quiver):
+    """The last vertex the walk enumerates, when its subspaces can be
+    counted in closed form; otherwise None.
 
-    Every neighbour that vertex sends messages to is terminal.  It
-    closes when exactly one arrow joins it to them, to a terminal k of
-    the same degree, so that the arrow is one matrix over their field.
+    Every out-neighbour of that vertex is a sink.  It closes when exactly
+    one arrow leaves it, to a sink k of the same degree, so that the
+    arrow is one matrix over their field.
     """
-    enumerated, _ = _walk_order(quiver, backward)
+    enumerated, _ = _walk_order(quiver)
     if not enumerated:
         return None
     i = enumerated[-1]
-    near, far = (1, 0) if backward else (0, 1)
-    keys = [key for key in quiver.arrow_keys if key[near] == i]
-    if len(keys) == 1 and quiver.diag[keys[0][far]] == quiver.diag[i]:
+    keys = [key for key in quiver.arrow_keys if key[0] == i]
+    if len(keys) == 1 and quiver.diag[keys[0][1]] == quiver.diag[i]:
         return i
     return None
 
@@ -458,40 +458,32 @@ class _Walk:
     """One exhaustive walk over the subrepresentations of ``rep``.
 
     Enumerated vertices are visited one at a time; choosing a subspace
-    there sends messages to the neighbours it constrains, and every
-    remaining (terminal) vertex is counted in closed form from the
-    messages it received.  Forward messages are the arrow images a
-    subspace forces into its out-neighbours, as vertex-field vectors;
-    backward messages are the prime-field equations that vectors of its
-    in-neighbours must satisfy for their images to land inside it.
+    there sends its arrow images, as vertex-field vectors, to the
+    out-neighbours it constrains, and every sink is counted in closed
+    form from the span of the images it received.
 
     When the last enumerated vertex i closes (``_closing_vertex``), its
     subspaces W are not enumerated.  Each parent fixes the space U that
     W ranges over and a subspace I of U, and the parameter of i's one
-    terminal neighbour k depends on W only through dim W and
+    sink neighbour k depends on W only through dim W and
     j = dim(W meet I); ``_meet_counts`` gives how many W share both.
     """
 
-    def __init__(self, rep, backward):
+    def __init__(self, rep):
         quiver = rep.quiver
         self.rep = rep
         self.quiver = quiver
         self.p = quiver.p
-        self.prime = quiver.tower.field(1)
-        self.backward = backward
-        self.enumerated, self.terminals = _walk_order(quiver, backward)
-        self.closing = _closing_vertex(quiver, backward)
-        # the neighbours a chosen vertex sends to, with the arrow matrices
+        self.enumerated, self.terminals = _walk_order(quiver)
+        self.closing = _closing_vertex(quiver)
+        # the out-neighbours of each vertex, with the arrow matrices
         self.links = {i: [] for i in range(quiver.n)}
         for (i, j), mats in _scaled_arrow_matrices(rep).items():
-            if backward:
-                self.links[j].append((i, [list(zip(*m)) for m in mats]))
-            else:
-                self.links[i].append((j, mats))
+            self.links[i].append((j, mats))
         self.inbox = {i: [] for i in range(quiver.n)}
 
     def leaves(self):
-        """Multiplicity of every (enumerated dims, terminal parameters)."""
+        """Multiplicity of every (enumerated dims, sink ranks)."""
         out = {}
         path = []
 
@@ -528,22 +520,16 @@ class _Walk:
             e = [0] * len(dims)
             for i, x in zip(self.enumerated, key):
                 e[i] = x
+            # the subspaces of each sink above its forced image, of rank u
             options = []
             for k, u in zip(self.terminals, key[nenum:]):
                 q = self.quiver.field(k).q
-                if self.backward:
-                    # subspaces of the largest allowed one, of dimension u
-                    options.append(
-                        [(x, _gaussian_binomial(q, u, x)) for x in range(u + 1)]
-                    )
-                else:
-                    # subspaces above the forced image, of dimension u
-                    options.append(
-                        [
-                            (x, _gaussian_binomial(q, dims[k] - u, x - u))
-                            for x in range(u, dims[k] + 1)
-                        ]
-                    )
+                options.append(
+                    [
+                        (x, _gaussian_binomial(q, dims[k] - u, x - u))
+                        for x in range(u, dims[k] + 1)
+                    ]
+                )
             for combo in product(*options):
                 count = mult
                 for k, (x, factor) in zip(self.terminals, combo):
@@ -554,99 +540,46 @@ class _Walk:
 
     def _close(self, i, path, out):
         """Add the leaves below the current parent, with the closing
-        vertex i counted in closed form."""
+        vertex i counted in closed form.
+
+        W ranges over the subspaces above the forced span G at i, so over
+        subspaces of U = V_i / G.  The rank at k becomes
+        dim(T + phi(W)) = t + dim W - dim(W meet J) with J = phi^-1(T),
+        which reads dim(T + phi(G)) + a - j for a = dim W / G and
+        I = (J + G) / G, of dimension
+        n - dim(T + phi(V_i)) + dim(T + phi(G)).
+        """
         ((k, _),) = self.links[i]
         field = self.quiver.field(i)
-        if self.backward:
-            # W ranges over the allowed U at i.  The largest allowed
-            # subspace at k becomes S meet phi^-1(W), of dimension
-            # dim(S meet ker phi) + dim(W meet I) with I = phi(S) meet U.
-            phi = self.rep.maps[(k, i, 0)]
-            space = self._allowed_basis(i)
-            allowed = self._allowed_basis(k)
-            image = [f_matvec(field, phi, x) for x in allowed]
-            rank = f_rank(field, image)
-            n = len(space)
-            m = rank + n - f_rank(field, image + space)
-            lift, base = 0, len(allowed) - rank
-        else:
-            # W ranges over the subspaces above the forced span G at i,
-            # so over subspaces of U = V_i / G.  The rank at k becomes
-            # dim(T + phi(W)) = t + dim W - dim(W meet J) with
-            # J = phi^-1(T), which reads dim(T + phi(G)) + a - j for
-            # a = dim W / G and I = (J + G) / G, of dimension
-            # n - dim(T + phi(V_i)) + dim(T + phi(G)).
-            phi = self.rep.maps[(i, k, 0)]
-            forced = self.inbox[i]
-            got = self.inbox[k]
-            lift = f_rank(field, forced)
-            images = [f_matvec(field, phi, x) for x in forced]
-            base = f_rank(field, got + images)
-            n = self.rep.dims[i] - lift
-            columns = [list(col) for col in zip(*phi)]
-            m = n - f_rank(field, got + columns) + base
+        phi = self.rep.maps[(i, k, 0)]
+        forced = self.inbox[i]
+        got = self.inbox[k]
+        lift = f_rank(field, forced)
+        images = [f_matvec(field, phi, x) for x in forced]
+        base = f_rank(field, got + images)
+        n = self.rep.dims[i] - lift
+        columns = [list(col) for col in zip(*phi)]
+        m = n - f_rank(field, got + columns) + base
         params = [
             self._terminal_param(x) if x != k else 0 for x in self.terminals
         ]
         slot = self.terminals.index(k)
         for a, j, count in _meet_counts(field.q, n, m):
-            params[slot] = base + (j if self.backward else a - j)
+            params[slot] = base + a - j
             key = path + (lift + a,) + tuple(params)
             out[key] = out.get(key, 0) + count
 
-    def _allowed_basis(self, i):
-        """Vertex-field basis of the largest subspace at i whose images
-        satisfy every equation in i's inbox.  It is t-stable, so its
-        prime-field kernel spans it over the vertex field."""
-        field = self.quiver.field(i)
-        got = self.inbox[i]
-        if not got:
-            v = self.rep.dims[i]
-            return [[int(r == c) for c in range(v)] for r in range(v)]
-        kernel = f_kernel_basis(self.prime, got)
-        basis, pivots = f_rref(field, [_to_codes(field, x) for x in kernel])
-        return basis[: len(pivots)]
-
     def _subspaces(self, i):
+        """The subspaces at i containing the span of its forced images."""
         field = self.quiver.field(i)
         v = self.rep.dims[i]
         got = self.inbox[i]
-        if not self.backward:
-            # subspaces containing the span of the forced images
-            for k in range(v + 1):
-                yield from enumerate_subspaces_containing(field, v, k, got)
-            return
-        if not got:
-            for k in range(v + 1):
-                yield from enumerate_subspaces(field, v, k)
-            return
-        # subspaces of the largest allowed subspace
-        basis = self._allowed_basis(i)
-        for k in range(len(basis) + 1):
-            for coeffs in enumerate_subspaces(field, len(basis), k):
-                yield f_matmul(field, coeffs, basis) if coeffs else []
+        for k in range(v + 1):
+            yield from enumerate_subspaces_containing(field, v, k, got)
 
     def _messages(self, i, w):
         p = self.p
-        field = self.quiver.field(i)
-        if self.backward:
-            # equations cut out by the prime-field annihilator of w
-            span = [
-                _to_digits(field, [field.mul(_tpow(field, s), a) for a in row])
-                for row in w
-                for s in range(field.d)
-            ] or [[0] * (self.rep.dims[i] * field.d)]
-            normals = f_kernel_basis(self.prime, span)
-            sent = []
-            for j, colsets in self.links[i]:
-                eqs = (
-                    [sum(map(mul, nrm, col)) % p for col in cols]
-                    for cols in colsets
-                    for nrm in normals
-                )
-                sent.append((j, [eq for eq in eqs if any(eq)]))
-            return sent
-        xs = [_to_digits(field, row) for row in w]
+        xs = [_to_digits(self.quiver.field(i), row) for row in w]
         sent = []
         for j, mats in self.links[i]:
             fj = self.quiver.field(j)
@@ -659,40 +592,85 @@ class _Walk:
         return sent
 
     def _terminal_param(self, k):
-        got = self.inbox[k]
-        if not self.backward:
-            return f_rank(self.quiver.field(k), got)
-        rank = f_rank(self.prime, got)
-        return self.rep.dims[k] - rank // self.quiver.diag[k]
+        return f_rank(self.quiver.field(k), self.inbox[k])
 
 
-def _walk_price(rep, backward):
-    """Size of the walk tree in the given direction, bounded by the
-    product of the numbers of subspaces of the vertices it enumerates,
-    less the one it closes."""
-    quiver = rep.quiver
-    enumerated, _ = _walk_order(quiver, backward)
-    closing = _closing_vertex(quiver, backward)
+def _walk_price(quiver, dims):
+    """Size of the walk tree, bounded by the product of the numbers of
+    subspaces of the vertices it enumerates, less the one it closes."""
+    enumerated, _ = _walk_order(quiver)
+    closing = _closing_vertex(quiver)
     price = 1
     for i in enumerated:
         if i != closing:
             q = quiver.field(i).q
-            v = rep.dims[i]
+            v = dims[i]
             price *= sum(_gaussian_binomial(q, v, k) for k in range(v + 1))
     return price
 
 
 def prefers_backward(rep):
-    """The planner: walk backward when that walk's tree is the smaller
-    one, pricing each walk by the product, over the vertices it still
-    enumerates, of their numbers of subspaces."""
-    return _walk_price(rep, True) < _walk_price(rep, False)
+    """The planner: walk backward, as the walk of the dual over the
+    opposite quiver, when that tree is the smaller one, pricing each
+    walk by the product, over the vertices it still enumerates, of their
+    numbers of subspaces."""
+    quiver, dims = rep.quiver, rep.dims
+    return _walk_price(quiver.opposite(), dims) < _walk_price(quiver, dims)
+
+
+def dual_rep(rep):
+    """The dual representation D(V) = Hom(V, F) over the opposite quiver.
+
+    An arrow i -> j of valuation g with matrix M becomes j -> i with the
+    adjoint P_i^-1 M^T P_j under the trace forms (x, y) -> tr(x y) from
+    the vertex fields to F = F_{p^g}, where P is the block-diagonal Gram
+    matrix of that form in the subfield coordinates of each fiber.  The
+    annihilator of a subrepresentation of dimension e is one of D(V) of
+    dimension v - e, and D(D(V)) = V.
+    """
+    quiver = rep.quiver
+    tower = quiver.tower
+    opposite = quiver.opposite()
+    maps = {}
+    for (i, j, copy), mat in rep.maps.items():
+        nrows, ncols = opposite.map_shape((j, i, copy), rep.dims)
+        if not (nrows and ncols):
+            maps[(j, i, copy)] = [[0] * ncols for _ in range(nrows)]
+            continue
+        g = quiver.valuation[(i, j)]
+        field = tower.field(g)
+        _, inverse_i = tower.trace_gram(quiver.diag[i], g)
+        gram_j, _ = tower.trace_gram(quiver.diag[j], g)
+        left = _block_diagonal(inverse_i, rep.dims[i])
+        left = f_matmul(field, left, [list(col) for col in zip(*mat)])
+        right = _block_diagonal(gram_j, rep.dims[j])
+        maps[(j, i, copy)] = f_matmul(field, left, right)
+    return ValuedRep(opposite, rep.dims, maps)
+
+
+def _block_diagonal(block, copies):
+    """The square matrix with the given block repeated down its diagonal,
+    as a map of a fiber in subfield coordinates."""
+    e = len(block)
+    return [
+        [block[a][b] if r == c else 0 for c in range(copies) for b in range(e)]
+        for r in range(copies)
+        for a in range(e)
+    ]
 
 
 def walk_subreps(rep, backward):
     """Subrepresentation counts for every e below the rep's dimension
     vector, from one walk in the given direction."""
-    return _Walk(rep, backward).table()
+    if not backward:
+        return _Walk(rep).table()
+    dims = rep.dims
+    table = _Walk(dual_rep(rep)).table()
+    # e -> v - e reverses the box's lexicographic order
+    return {
+        tuple(v - x for v, x in zip(dims, e)): count
+        for e, count in reversed(table.items())
+    }
 
 
 def count_all_subreps(rep):

@@ -26,6 +26,7 @@ from valq.reps import (
     ValuedRep,
     build_rigid_rep,
     count_all_subreps,
+    dual_rep,
     euler_form,
     ext_dim,
     hom_dim,
@@ -309,6 +310,25 @@ class TestRigidity:
             build_rigid_rep(kron, dims, rng_seed=0)
         assert not isinstance(info.value, DrawsExhausted)
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MATRICES))
+    def test_zero_maps_are_rigid_exactly_at_the_euler_sum(self, name):
+        # Hom of the zero representation is the sum of End(V_i), of
+        # prime-field dimension sum d_i v_i^2.
+        import random
+
+        rng = random.Random(5)
+        seen = set()
+        for p in (2, 3):
+            for q in orientations(name, p):
+                for _ in range(6):
+                    v = tuple(rng.randrange(3) for _ in range(q.n))
+                    euler = euler_form(q.b, q.diag, v, v)
+                    total = sum(d * x * x for d, x in zip(q.diag, v))
+                    rigid = is_rigid(ValuedRep.zero_maps(q, v))
+                    assert rigid == (euler == total)
+                    seen.add(rigid)
+        assert seen == {False, True}
+
     def test_spent_draws_are_a_budget(self):
         # Zero maps at (1, 1) are not rigid, and no draw happens.
         q = quiver("B2", 2)
@@ -532,16 +552,19 @@ class TestClosedForm:
 
     def test_which_walks_close(self):
         # The cases above close both ways: F4 forward at 1 over the arrow
-        # 1 -> 0 of valuation 2, backward at 2 over 3 -> 2 of valuation 1.
+        # 1 -> 0 of valuation 2, backward (the walk of the opposite
+        # quiver) at 2 over 3 -> 2 of valuation 1.
         from valq.reps import _closing_vertex
 
-        a3 = quiver("A3", 2)
-        assert [_closing_vertex(a3, b) for b in (False, True)] == [1, 1]
+        def closing(q):
+            return [_closing_vertex(q), _closing_vertex(q.opposite())]
+
+        assert closing(quiver("A3", 2)) == [1, 1]
         f4, ref0, ref3 = orientations("F4", 2)
         assert f4.valuation[(1, 0)] == 2 and f4.valuation[(3, 2)] == 1
-        assert [_closing_vertex(f4, b) for b in (False, True)] == [1, 2]
-        assert [_closing_vertex(ref0, b) for b in (False, True)] == [None, 2]
-        assert [_closing_vertex(ref3, b) for b in (False, True)] == [1, None]
+        assert closing(f4) == [1, 2]
+        assert closing(ref0) == [None, 2]
+        assert closing(ref3) == [1, None]
 
     @pytest.mark.parametrize(
         "b,diag",
@@ -553,8 +576,8 @@ class TestClosedForm:
 
         q = ValuedQuiver.from_matrix(b, diag, 2)
         for oriented in (q, q.reflected(0), q.reflected(1)):
-            for backward in (False, True):
-                assert _closing_vertex(oriented, backward) is None
+            assert _closing_vertex(oriented) is None
+            assert _closing_vertex(oriented.opposite()) is None
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_no_subspaces_enumerated_at_the_closing_vertex(
@@ -562,20 +585,23 @@ class TestClosedForm:
     ):
         # A3 walks 2, 1 forward and 0, 1 backward, closing at 1 either
         # way, so only the first vertex (of dimension 1) enumerates: one
-        # call per subspace dimension 0 and 1.
+        # call per subspace dimension 0 and 1.  Both directions enumerate
+        # through enumerate_subspaces_containing, the backward one over
+        # the dual representation.
         import random
 
         import valq.reps
 
         calls = []
-        for name in ("enumerate_subspaces", "enumerate_subspaces_containing"):
-            original = getattr(valq.reps, name)
+        original = valq.reps.enumerate_subspaces_containing
 
-            def counted(field, n, *args, _original=original, **kwargs):
-                calls.append(n)
-                return _original(field, n, *args, **kwargs)
+        def counted(field, n, *args, **kwargs):
+            calls.append(n)
+            return original(field, n, *args, **kwargs)
 
-            monkeypatch.setattr(valq.reps, name, counted)
+        monkeypatch.setattr(
+            valq.reps, "enumerate_subspaces_containing", counted
+        )
         rep = random_rep(quiver("A3", 3), (1, 2, 1), random.Random(2))
         table = walk_subreps(rep, backward)
         assert calls == [1, 1]
@@ -590,10 +616,95 @@ class TestClosedForm:
         q = ValuedQuiver.from_matrix(F4_B, [2 * d for d in diag], 2)
         rep = build_rigid_rep(q, (1, 2, 4, 2), rng_seed=0)
         backward = prefers_backward(rep)
-        assert valq.reps._closing_vertex(q, backward) is not None
+        walked = q.opposite() if backward else q
+        assert valq.reps._closing_vertex(walked) is not None
         table = walk_subreps(rep, backward)
         monkeypatch.setattr(valq.reps, "_closing_vertex", lambda *args: None)
         assert walk_subreps(rep, backward) == table
+
+
+def subfield_vectors(q, i, g, dim):
+    """A basis over the degree-g subfield of the fiber of dimension dim
+    at i."""
+    out = []
+    for r in range(dim):
+        for mu in subfield_basis(q.tower, q.diag[i], g):
+            vec = [0] * dim
+            vec[r] = mu
+            out.append(vec)
+    return out
+
+
+def pairing(q, i, g, f, x):
+    """The trace form tr(sum f_r x_r) from the field at i to its
+    degree-g subfield."""
+    field = q.field(i)
+    acc = 0
+    for a, b in zip(f, x):
+        acc = field.add(acc, field.mul(a, b))
+    return q.tower.relative_trace(q.diag[i], g, acc)
+
+
+class TestDual:
+    """D(V) lives over the opposite quiver, its maps are the adjoints
+    under the trace forms, D(D(V)) = V exactly, and annihilators match
+    subrepresentations of dimension e with those of D(V) of dimension
+    v - e; checked by brute force on both sides."""
+
+    @staticmethod
+    def check(rep):
+        q = rep.quiver
+        dual = dual_rep(rep)
+        assert dual.quiver.b == tuple(tuple(-x for x in row) for row in q.b)
+        assert dual_rep(dual) == rep
+        # tr(phi*(f) . x) = tr(f . phi(x)) over a subfield basis of each side
+        for key in q.arrow_keys:
+            i, j, copy = key
+            g = q.valuation[(i, j)]
+            for f in subfield_vectors(q, j, g, rep.dims[j]):
+                left = dual.apply_arrow((j, i, copy), f)
+                for x in subfield_vectors(q, i, g, rep.dims[i]):
+                    assert pairing(q, i, g, left, x) == pairing(
+                        q, j, g, f, rep.apply_arrow(key, x)
+                    )
+        v = rep.dims
+        for e in product(*(range(x + 1) for x in v)):
+            rest = tuple(x - y for x, y in zip(v, e))
+            assert brute_count_subreps(dual, rest) == brute_count_subreps(
+                rep, e
+            )
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MATRICES))
+    def test_builtin_orientations(self, name, p):
+        import random
+
+        rng = random.Random(17 * p)
+        for q in orientations(name, p):
+            for build in (random_rep, sparse_rep):
+                dims = tuple(rng.randrange(3) for _ in range(q.n))
+                self.check(build(q, dims, rng))
+
+    @pytest.mark.parametrize(
+        "b,vectors",
+        [
+            (BUILTIN_MATRICES["G2"], [(1, 1), (2, 1), (1, 2)]),
+            (F4_B, [(1, 1, 1, 1), (1, 2, 1, 1), (0, 1, 2, 1)]),
+        ],
+        ids=["G2", "F4"],
+    )
+    def test_prime_power_species(self, b, vectors):
+        # the F_4 species: degrees doubled over F_2, so every arrow reads
+        # subfield coordinates over F_4 or F_16 with nontrivial Gram
+        # matrices of the trace form
+        import random
+
+        rng = random.Random(3)
+        diag = minimal_symmetrizer(b)
+        q = ValuedQuiver.from_matrix(b, [2 * d for d in diag], 2)
+        for dims in vectors:
+            for build in (random_rep, sparse_rep):
+                self.check(build(q, dims, rng))
 
 
 class TestTowerCache:

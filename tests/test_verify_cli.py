@@ -638,6 +638,12 @@ class TestGoldenDocuments:
                 "seeds-b3-max7.json",
                 ["seeds", "--type", "B3", "--max-seeds", "7", "--json"],
             ),
+            (
+                "g2-verify-all.json",
+                ["verify-all", "--type", "G2",
+                 "--primes", "2,3,5,7,11,13,17", "--max-depth", "16",
+                 "--json"],
+            ),
         ],
     )
     def test_output_is_the_committed_document(self, name, argv):
