@@ -372,6 +372,8 @@ def _emit_reports(reports, as_json, note=None):
 
 
 def cmd_verify(args):
+    if args.source is not None and args.check != "principal-source":
+        raise InputError("--source applies only to principal-source")
     data, name = load_data(args)
     _check_walk_ends(args, data, name)
     ctx = _context(args, data, name)

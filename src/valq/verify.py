@@ -12,8 +12,13 @@ Graph-global claims (connectedness of induced subgraphs) are reported as
 SKIPPED when the walk was truncated, since a truncated graph can neither
 confirm nor refute them.  Per-variable claims still run on whatever
 variables were reached, with the truncation recorded in the scope field.
-A check that checked nothing, or that ran out of the field-size cap, is
-SKIPPED as well: it neither confirms nor refutes its claim.
+
+A check returns ``(detail, items, truncated)``, or raises ``_Stop`` to
+end early with another status.  ``run_check`` builds every report from
+that: PASS when ``items`` is positive, SKIPPED when the check counted no
+item, since then it neither confirms nor refutes its claim.  Running out
+of a budget (the field-size cap, the rigid-search draws) stops a check
+as SKIPPED, never as FAIL.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -139,9 +144,6 @@ class VerifyContext:
     def b(self):
         return self.data.principal()
 
-    def target(self):
-        return {"name": self.name, "B": [list(r) for r in self.b]}
-
     def classical_graph(self):
         if self._classical is None:
             self._classical = enumerate_exchange_graph(
@@ -228,27 +230,6 @@ class VerifyContext:
         self._variables = out
         return out
 
-    def counterexample(self, **extra):
-        payload = {
-            "B": [list(r) for r in self.b],
-            "rng_seed": self.rng_seed,
-            "primes": list(self.primes),
-        }
-        payload.update(extra)
-        return payload
-
-    def report(self, check, status, detail, truncated=False, **extra):
-        """The report of one check on this input.  Exactly a FAIL carries
-        a counterexample: the replay data plus ``extra``."""
-        return VerificationReport(
-            check,
-            self.target(),
-            "truncated" if truncated else "exhaustive",
-            status,
-            detail,
-            self.counterexample(**extra) if status == FAIL else None,
-        )
-
 
 def primes_needed(diag, v):
     """Smallest prime-list length able to pin down and cross-validate all
@@ -266,6 +247,51 @@ def _sinks_and_sources(b):
     return sinks, sources
 
 
+def _vertex_lists(sinks, sources):
+    return "sinks %s, sources %s" % (
+        [k + 1 for k in sinks],
+        [k + 1 for k in sources],
+    )
+
+
+class _Stop(Exception):
+    """Ends a check early with a status, a detail and a truncation flag;
+    a FAIL adds ``extra`` to the replay data of its counterexample."""
+
+    def __init__(self, status, detail, truncated, **extra):
+        super().__init__(status, detail, truncated)
+        self.extra = extra
+
+
+def _at(rec, **extra):
+    """The route and denominator vector of a variable record, then extra."""
+    return dict(history=list(rec["route"][0]), d=list(rec["d"]), **extra)
+
+
+def _built(truncated, build, failure, **extra):
+    """``build()``, stopping the check when the construction cannot
+    finish: SKIPPED on a spent budget, FAIL with ``failure`` followed by
+    the error otherwise."""
+    try:
+        return build()
+    except _BUDGET_ERRORS as exc:
+        raise _Stop(SKIPPED, str(exc), truncated)
+    except _CHECK_ERRORS as exc:
+        raise _Stop(FAIL, "%s%s" % (failure, exc), truncated, **extra)
+
+
+def _too_few_primes(ctx, *vectors):
+    """Whether a vector among ``vectors`` needs more primes than ctx has."""
+    need = max(primes_needed(ctx.data.diag, v) for v in vectors)
+    return need > len(ctx.primes)
+
+
+def _with_skipped(detail, skipped):
+    if skipped:
+        detail += ", %d skipped (need more primes)" % skipped
+    return detail
+
+
 def check_denominators(ctx):
     """Each non-initial variable's denominator vector is the dimension
     vector of a rigid representation whose generic character expands to
@@ -276,48 +302,29 @@ def check_denominators(ctx):
     for rec in records:
         v = rec["d"]
         if any(x < 0 for x in v):
-            return ctx.report(
-                "denominators",
-                FAIL,
-                "negative denominator entry",
-                truncated,
-                history=list(rec["route"][0]),
-                d=list(v),
+            raise _Stop(
+                FAIL, "negative denominator entry", truncated, **_at(rec)
             )
-        if primes_needed(ctx.data.diag, v) > len(ctx.primes):
+        if _too_few_primes(ctx, v):
             skipped += 1
             continue
-        try:
-            x_v = ctx.generic_char(v)
-            dd = x_v.denominator_vector(ctx.n)
-            classical = x_v.specialize_q1()
-        except _BUDGET_ERRORS as exc:
-            return ctx.report("denominators", SKIPPED, str(exc), truncated)
-        except _CHECK_ERRORS as exc:
-            return ctx.report(
-                "denominators",
-                FAIL,
-                "character construction failed: %s" % exc,
-                truncated,
-                history=list(rec["route"][0]),
-                d=list(v),
-            )
-        if dd != v or classical != rec["poly"]:
-            return ctx.report(
-                "denominators",
+        x_v = _built(
+            truncated,
+            lambda: ctx.generic_char(v),
+            "character construction failed: ",
+            **_at(rec),
+        )
+        dd = x_v.denominator_vector(ctx.n)
+        if dd != v or x_v.specialize_q1() != rec["poly"]:
+            raise _Stop(
                 FAIL,
                 "denominator vector differs from dimension vector",
                 truncated,
-                history=list(rec["route"][0]),
-                d=list(v),
-                character_denominator=list(dd),
+                **_at(rec, character_denominator=list(dd)),
             )
     checked = len(records) - skipped
-    detail = "%d variables checked" % checked
-    if skipped:
-        detail += ", %d skipped (need more primes)" % skipped
-    status = PASS if checked else SKIPPED
-    return ctx.report("denominators", status, detail, truncated)
+    detail = _with_skipped("%d variables checked" % checked, skipped)
+    return detail, checked, truncated
 
 
 def check_tropical(ctx):
@@ -334,20 +341,13 @@ def check_tropical(ctx):
         got = tropical_evaluate(f, inverted)
         want = tuple(-x for x in rec["d"])
         if got != want:
-            return ctx.report(
-                "tropical",
+            raise _Stop(
                 FAIL,
                 "tropical degree %s, expected %s" % (got, want),
                 truncated,
-                history=list(rec["route"][0]),
-                d=list(rec["d"]),
+                **_at(rec),
             )
-    return ctx.report(
-        "tropical",
-        PASS if records else SKIPPED,
-        "%d variables checked" % len(records),
-        truncated,
-    )
+    return "%d variables checked" % len(records), len(records), truncated
 
 
 def check_sign_coherence(ctx):
@@ -368,17 +368,14 @@ def check_sign_coherence(ctx):
     for rec in records:
         v = rec["d"]
         if any(x < 0 for x in v):
-            return ctx.report(
-                "sign-coherence",
+            raise _Stop(
                 FAIL,
                 "part 1: negative entry in %s" % (v,),
                 truncated,
-                history=list(rec["route"][0]),
-                d=list(v),
+                **_at(rec),
             )
         if len(rec["dvecs"]) != 1:
-            return ctx.report(
-                "sign-coherence",
+            raise _Stop(
                 FAIL,
                 "part 3: seat-dependent denominator vectors %s"
                 % sorted(rec["dvecs"]),
@@ -388,24 +385,20 @@ def check_sign_coherence(ctx):
         for i in range(n):
             coexists = any(i in present[idx] for idx in rec["where"])
             if coexists and v[i] != 0:
-                return ctx.report(
-                    "sign-coherence",
+                raise _Stop(
                     FAIL,
                     "part 2: shares a seed with initial %d but d_%d=%d"
                     % (i + 1, i + 1, v[i]),
                     truncated,
-                    history=list(rec["route"][0]),
-                    d=list(v),
+                    **_at(rec),
                 )
             if not truncated and v[i] == 0 and not coexists:
-                return ctx.report(
-                    "sign-coherence",
+                raise _Stop(
                     FAIL,
                     "part 2: d_%d=0 but no common seed with initial %d"
                     % (i + 1, i + 1),
                     truncated,
-                    history=list(rec["route"][0]),
-                    d=list(v),
+                    **_at(rec),
                 )
     detail = "parts 1-3 on %d variables" % len(records)
     if truncated:
@@ -413,9 +406,7 @@ def check_sign_coherence(ctx):
             "parts 1,3 and one direction of part 2 on %d variables "
             "(graph truncated)" % len(records)
         )
-    return ctx.report(
-        "sign-coherence", PASS if records else SKIPPED, detail, truncated
-    )
+    return detail, len(records), truncated
 
 
 def check_distinct_d(ctx):
@@ -447,8 +438,7 @@ def check_distinct_d(ctx):
             by_key[key] = d
             other = by_d.get(d)
             if other is not None and other != key:
-                return ctx.report(
-                    "distinct-d",
+                raise _Stop(
                     FAIL,
                     "two monomials share d=%s" % (d,),
                     truncated,
@@ -458,13 +448,11 @@ def check_distinct_d(ctx):
                     d=list(d),
                 )
             by_d[d] = key
-    return ctx.report(
-        "distinct-d",
-        PASS,
+    detail = (
         "%d monomials of degree <= 2, all denominator vectors distinct"
-        % len(by_key),
-        truncated,
+        % len(by_key)
     )
+    return detail, len(by_key), truncated
 
 
 def check_d_basis(ctx):
@@ -477,20 +465,15 @@ def check_d_basis(ctx):
         rows = tuple(seed.d_vector(i) for i in range(n))
         value = det(rows)
         if value not in (1, -1):
-            return ctx.report(
-                "d-basis",
+            raise _Stop(
                 FAIL,
                 "cluster determinant %d" % value,
                 truncated,
                 history=list(seed.history),
                 d_rows=[list(r) for r in rows],
             )
-    return ctx.report(
-        "d-basis",
-        PASS,
-        "determinant +-1 in all %d seeds" % len(result.seeds),
-        truncated,
-    )
+    count = len(result.seeds)
+    return "determinant +-1 in all %d seeds" % count, count, truncated
 
 
 def check_g_formula(ctx):
@@ -504,20 +487,13 @@ def check_g_formula(ctx):
         g = variable_g_vector(rec["poly"], n)
         want = g_from_d(ctx.data, rec["d"])
         if tuple(g) != tuple(want):
-            return ctx.report(
-                "g-formula",
+            raise _Stop(
                 FAIL,
                 "g=%s but formula gives %s" % (g, want),
                 truncated,
-                history=list(rec["route"][0]),
-                d=list(rec["d"]),
+                **_at(rec),
             )
-    return ctx.report(
-        "g-formula",
-        PASS if records else SKIPPED,
-        "%d variables checked" % len(records),
-        truncated,
-    )
+    return "%d variables checked" % len(records), len(records), truncated
 
 
 @dataclass(frozen=True)
@@ -576,11 +552,10 @@ def check_sink_source_reflection(ctx):
         for pair in walk.seeds:
             key = pair.fresh.canonical_key()
             if key in fresh_keys:
-                return ctx.report(
-                    "sink-source-reflection",
+                raise _Stop(
                     FAIL,
                     "seed pairing at vertex %d is inconsistent" % (k + 1),
-                    truncated=True,
+                    True,
                     vertex=k + 1,
                     fresh_history=list(pair.fresh.history),
                     original_history=list(pair.original.history),
@@ -598,8 +573,7 @@ def check_sink_source_reflection(ctx):
                 want = simple_reflection(b, k, w)
                 got = pair.original.d_vector(i)
                 if tuple(got) != tuple(want):
-                    return ctx.report(
-                        "sink-source-reflection",
+                    raise _Stop(
                         FAIL,
                         "d=%s maps to %s, expected %s" % (w, got, want),
                         truncated,
@@ -608,13 +582,8 @@ def check_sink_source_reflection(ctx):
                         slot=i + 1,
                     )
                 matched += 1
-    return ctx.report(
-        "sink-source-reflection",
-        PASS if matched else SKIPPED,
-        "sinks %s, sources %s, %d variables matched"
-        % ([k + 1 for k in sinks], [k + 1 for k in sources], matched),
-        truncated,
-    )
+    detail = _vertex_lists(sinks, sources) + ", %d variables matched" % matched
+    return detail, matched, truncated
 
 
 def check_principal_source(ctx, source=None):
@@ -633,9 +602,7 @@ def check_principal_source(ctx, source=None):
             )
         sources = [source]
     if not sources:
-        return ctx.report(
-            "principal-source", SKIPPED, "input has no source vertex"
-        )
+        return "input has no source vertex", 0, False
     records = ctx.variable_records()
     truncated = ctx.classical_graph().truncated
     details = []
@@ -655,15 +622,13 @@ def check_principal_source(ctx, source=None):
             got = tropical_evaluate(f, assignment)
             want = tuple(-x for x in unit) if rec["d"] == unit else (0,) * n
             if got != want:
-                return ctx.report(
-                    "principal-source",
+                raise _Stop(
                     FAIL,
                     "source %d: tropical value %s at d=%s, expected %s"
                     % (k + 1, got, rec["d"], want),
                     truncated,
                     vertex=k + 1,
-                    history=list(rec["route"][0]),
-                    d=list(rec["d"]),
+                    **_at(rec),
                 )
             if rec["d"] != unit:
                 plain += 1
@@ -671,9 +636,7 @@ def check_principal_source(ctx, source=None):
             "source %d: value 1 for %d variables, y%d^-1 at the simple"
             % (k + 1, plain, k + 1)
         )
-    status = PASS if records else SKIPPED
-    detail = "; ".join(details)
-    return ctx.report("principal-source", status, detail, truncated)
+    return "; ".join(details), len(records), truncated
 
 
 def check_rs310(ctx):
@@ -681,17 +644,17 @@ def check_rs310(ctx):
     subgraph, and so do the seeds containing a fixed compatible pair."""
     result = ctx.classical_graph()
     if result.truncated:
-        return ctx.report("rs310", SKIPPED, _UNDECIDABLE, truncated=True)
+        return _UNDECIDABLE, 0, True
     where = cluster_variable_index(result)
     polys = sorted(where, key=lambda p: p.render())
     pair_count = 0
     for a_idx in range(len(polys)):
         pa = polys[a_idx]
         if not subgraph_is_connected(result, where[pa]):
-            return ctx.report(
-                "rs310",
+            raise _Stop(
                 FAIL,
                 "seeds holding one variable are disconnected",
+                False,
                 variable=pa.render(),
                 seeds=sorted(where[pa]),
             )
@@ -702,19 +665,18 @@ def check_rs310(ctx):
                 continue
             pair_count += 1
             if not subgraph_is_connected(result, common):
-                return ctx.report(
-                    "rs310",
+                raise _Stop(
                     FAIL,
                     "seeds holding a compatible pair are disconnected",
+                    False,
                     variables=[pa.render(), pb.render()],
                     seeds=sorted(common),
                 )
-    return ctx.report(
-        "rs310",
-        PASS,
+    detail = (
         "%d variables and %d compatible pairs, all induced subgraphs "
-        "connected" % (len(polys), pair_count),
+        "connected" % (len(polys), pair_count)
     )
+    return detail, len(polys), False
 
 
 def check_fz4144(ctx):
@@ -723,31 +685,28 @@ def check_fz4144(ctx):
     n = ctx.n
     result = ctx.classical_graph()
     if result.truncated:
-        return ctx.report("fz4144", SKIPPED, _UNDECIDABLE, truncated=True)
+        return _UNDECIDABLE, 0, True
     nodes = {
         idx
         for idx, seed in enumerate(result.seeds)
         if is_acyclic(tuple(seed.current.btilde[i] for i in range(n)))
     }
     if not nodes:
-        return ctx.report(
-            "fz4144",
-            FAIL,
-            "no acyclic seed found (initial seed should qualify)",
+        raise _Stop(
+            FAIL, "no acyclic seed found (initial seed should qualify)", False
         )
     if not subgraph_is_connected(result, nodes):
-        return ctx.report(
-            "fz4144",
+        raise _Stop(
             FAIL,
             "acyclic-matrix seeds are disconnected",
+            False,
             seeds=sorted(nodes),
         )
-    return ctx.report(
-        "fz4144",
-        PASS,
+    detail = (
         "%d of %d seeds have acyclic matrices and form a connected "
-        "subgraph" % (len(nodes), len(result.seeds)),
+        "subgraph" % (len(nodes), len(result.seeds))
     )
+    return detail, len(nodes), False
 
 
 def check_characters(ctx):
@@ -761,11 +720,8 @@ def check_characters(ctx):
     # seeds by index.
     cseeds = ctx.classical_graph().seeds
     if [s.history for s in qres.seeds] != [s.history for s in cseeds]:
-        return ctx.report(
-            "characters",
-            FAIL,
-            "quantum and commutative exchange graphs differ",
-            truncated,
+        raise _Stop(
+            FAIL, "quantum and commutative exchange graphs differ", truncated
         )
     q0 = QuantumSeed.initial_seed(ctx.data)
     initial_vars = set(q0.variables[:n])
@@ -775,53 +731,39 @@ def check_characters(ctx):
     for seed, cseed in zip(qres.seeds, cseeds):
         for i in range(n):
             x_q = seed.variables[i]
+            at = dict(history=list(seed.history), slot=i + 1)
             if x_q.specialize_q1() != cseed.variables[i]:
-                return ctx.report(
-                    "characters",
+                raise _Stop(
                     FAIL,
                     "u=1 specialization disagrees with the commutative "
                     "engine",
                     truncated,
-                    history=list(seed.history),
-                    slot=i + 1,
+                    **at,
                 )
             if x_q in seen or x_q in initial_vars:
                 continue
             seen.add(x_q)
             v = x_q.denominator_vector(n)
-            if primes_needed(ctx.data.diag, v) > len(ctx.primes):
+            if _too_few_primes(ctx, v):
                 skipped += 1
                 continue
-            try:
-                x_char = ctx.generic_char(v)
-            except _BUDGET_ERRORS as exc:
-                return ctx.report("characters", SKIPPED, str(exc), truncated)
-            except _CHECK_ERRORS as exc:
-                return ctx.report(
-                    "characters",
-                    FAIL,
-                    "character construction failed: %s" % exc,
-                    truncated,
-                    history=list(seed.history),
-                    slot=i + 1,
-                    d=list(v),
-                )
+            at["d"] = list(v)
+            x_char = _built(
+                truncated,
+                lambda: ctx.generic_char(v),
+                "character construction failed: ",
+                **at,
+            )
             checked += 1
             if x_char != x_q:
-                return ctx.report(
-                    "characters",
+                raise _Stop(
                     FAIL,
                     "generic character differs from mutated variable",
                     truncated,
-                    history=list(seed.history),
-                    slot=i + 1,
-                    d=list(v),
+                    **at,
                 )
-    detail = "%d variables matched" % checked
-    if skipped:
-        detail += ", %d skipped (need more primes)" % skipped
-    status = PASS if checked else SKIPPED
-    return ctx.report("characters", status, detail, truncated)
+    detail = _with_skipped("%d variables matched" % checked, skipped)
+    return detail, checked, truncated
 
 
 def check_reflection(ctx):
@@ -831,7 +773,6 @@ def check_reflection(ctx):
     quantum seed."""
     n = ctx.n
     b = ctx.b
-    diag = ctx.data.diag
     sinks, sources = _sinks_and_sources(b)
     vertices = sorted(set(sinks) | set(sources))
     records = ctx.variable_records()
@@ -847,48 +788,35 @@ def check_reflection(ctx):
             if v == unit:
                 continue
             v_new = simple_reflection(b, k, v)
-            need = max(
-                primes_needed(diag, v), primes_needed(diag, v_new)
-            )
-            if need > len(ctx.primes):
+            if _too_few_primes(ctx, v, v_new):
                 skipped += 1
                 continue
-            try:
+
+            def build():
                 x_v = ctx.generic_char(v)
                 reflected = [reflect(rep, k) for rep in ctx.rigid_reps(v)]
                 assert all(rep.dims == v_new for rep in reflected)
                 polys = counting_polynomials(reflected)
-                x_ref = character_in_seed(mutated, v_new, polys)
-            except _BUDGET_ERRORS as exc:
-                return ctx.report("reflection", SKIPPED, str(exc), truncated)
-            except _CHECK_ERRORS as exc:
-                return ctx.report(
-                    "reflection",
-                    FAIL,
-                    "vertex %d, d=%s: %s" % (k + 1, v, exc),
-                    truncated,
-                    vertex=k + 1,
-                    d=list(v),
-                )
+                return x_v, character_in_seed(mutated, v_new, polys)
+
+            x_v, x_ref = _built(
+                truncated,
+                build,
+                "vertex %d, d=%s: " % (k + 1, v),
+                vertex=k + 1,
+                d=list(v),
+            )
             checked += 1
             if x_v != x_ref:
-                return ctx.report(
-                    "reflection",
+                raise _Stop(
                     FAIL,
                     "reflected character differs at vertex %d" % (k + 1),
                     truncated,
                     vertex=k + 1,
                     d=list(v),
                 )
-    detail = "sinks %s, sources %s, %d characters matched" % (
-        [k + 1 for k in sinks],
-        [k + 1 for k in sources],
-        checked,
-    )
-    if skipped:
-        detail += ", %d skipped (need more primes)" % skipped
-    status = PASS if checked else SKIPPED
-    return ctx.report("reflection", status, detail, truncated)
+    detail = _vertex_lists(sinks, sources) + ", %d characters matched" % checked
+    return _with_skipped(detail, skipped), checked, truncated
 
 
 REGISTRY = {
@@ -918,11 +846,33 @@ IMPLIED_NOTE = (
 
 
 def run_check(name, ctx, source=None):
+    """The report of check ``name`` on ``ctx``.  A check that returns is
+    PASS when it counted an item and SKIPPED otherwise; a ``_Stop`` gives
+    its own status, and exactly a FAIL carries a counterexample."""
     if name not in REGISTRY:
         raise KeyError("unknown check %r; known: %s" % (name, ", ".join(ALL_CHECKS)))
-    if name == "principal-source":
-        return REGISTRY[name](ctx, source=source)
-    return REGISTRY[name](ctx)
+    kwargs = {"source": source} if name == "principal-source" else {}
+    replay = None
+    try:
+        detail, items, truncated = REGISTRY[name](ctx, **kwargs)
+        status = PASS if items else SKIPPED
+    except _Stop as stop:
+        status, detail, truncated = stop.args
+        if status == FAIL:
+            replay = {
+                "B": [list(r) for r in ctx.b],
+                "rng_seed": ctx.rng_seed,
+                "primes": list(ctx.primes),
+                **stop.extra,
+            }
+    return VerificationReport(
+        name,
+        {"name": ctx.name, "B": [list(r) for r in ctx.b]},
+        "truncated" if truncated else "exhaustive",
+        status,
+        detail,
+        replay,
+    )
 
 
 def run_all(ctx):

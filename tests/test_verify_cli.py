@@ -4,15 +4,25 @@ import io
 import json
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+import valq.verify
 from valq import cli
-from valq.exchange import builtin_exchange_data
+from valq.classical import ClassicalSeed, enumerate_exchange_graph
+from valq.exchange import (
+    BUILTIN_MATRICES,
+    build_exchange_data,
+    builtin_exchange_data,
+)
+from valq.laurent import LaurentPoly
+from valq.qtorus import QTorusElem
+from valq.reps import NoRigidFound
 from valq.verify import (
     ALL_CHECKS,
     FAIL,
@@ -374,6 +384,255 @@ class TestCheckErrors:
         r = run_check(check, ctx)
         assert r.status == FAIL
         assert r.detail == "character construction failed: no luck"
+
+
+def _patch(target, name, value):
+    """A patch that sets one attribute of a module or a class."""
+    return lambda mp, ctx: mp.setattr(target, name, value)
+
+
+def _patch_context(name, value):
+    """A patch that sets one attribute of the context under test."""
+    return lambda mp, ctx: mp.setattr(ctx, name, value)
+
+
+def _d_vectors(change):
+    """A patch that passes every classical denominator vector through
+    ``change(seed, d)``."""
+
+    def patch(mp, ctx):
+        real = ClassicalSeed.d_vector
+        mp.setattr(
+            ClassicalSeed, "d_vector", lambda seed, i: change(seed, real(seed, i))
+        )
+
+    return patch
+
+
+def _negated(seed, d):
+    return tuple(-x for x in d)
+
+
+def _no_luck(v):
+    raise NoRigidFound("no luck")
+
+
+def _shallow_classical_graph(mp, ctx):
+    shallow = enumerate_exchange_graph(ctx.data, max_depth=1)
+    mp.setattr(ctx, "classical_graph", lambda: shallow)
+
+
+def _unmutated_fresh_algebra(mp, ctx):
+    mp.setattr(valq.verify, "build_exchange_data", lambda b: ctx.data)
+
+
+class TestFailPayloads:
+    """Every FAIL branch of every check, each reached by one patch on a
+    fresh context: the row and the whole JSON report, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "check, matrix, patch, row, doc",
+        [
+            pytest.param(
+                "denominators", "B2",
+                _d_vectors(_negated),
+                "denominators           B2       FAIL exhaustive  negative denominator entry",
+                '{"check": "denominators", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "negative denominator entry",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [0, -1]}}',
+                id="denominators-negative",
+            ),
+            pytest.param(
+                "denominators", "B2",
+                _patch_context("generic_char", _no_luck),
+                "denominators           B2       FAIL exhaustive  character construction failed: no luck",
+                '{"check": "denominators", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "character construction failed: no luck",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [0, 1]}}',
+                id="denominators-construction",
+            ),
+            pytest.param(
+                "denominators", "B2",
+                _patch(QTorusElem, "specialize_q1", lambda self: None),
+                "denominators           B2       FAIL exhaustive  denominator vector differs from dimension vector",
+                '{"check": "denominators", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "denominator vector differs from dimension vector",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [0, 1], "character_denominator": [0, 1]}}',
+                id="denominators-differs",
+            ),
+            pytest.param(
+                "tropical", "B2",
+                _patch(valq.verify, "tropical_evaluate", lambda f, point: (9, 9)),
+                "tropical               B2       FAIL exhaustive  tropical degree (9, 9), expected (0, -1)",
+                '{"check": "tropical", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "tropical degree (9, 9), expected (0, -1)",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [0, 1]}}',
+                id="tropical",
+            ),
+            pytest.param(
+                "sign-coherence", "B2",
+                _d_vectors(_negated),
+                "sign-coherence         B2       FAIL exhaustive  part 1: negative entry in (0, -1)",
+                '{"check": "sign-coherence", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "part 1: negative entry in (0, -1)",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [0, -1]}}',
+                id="sign-coherence-part-1",
+            ),
+            pytest.param(
+                "sign-coherence", "B2",
+                _d_vectors(lambda seed, d: tuple(x + len(seed.history) for x in d)),
+                "sign-coherence         B2       FAIL exhaustive  part 3: seat-dependent denominator vectors [(1, 2), (2, 3)]",
+                '{"check": "sign-coherence", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "part 3: seat-dependent denominator vectors [(1, 2), (2, 3)]",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1]}}',
+                id="sign-coherence-part-3",
+            ),
+            pytest.param(
+                "sign-coherence", "B2",
+                _d_vectors(lambda seed, d: tuple(x + 1 for x in d)),
+                "sign-coherence         B2       FAIL exhaustive  part 2: shares a seed with initial 1 but d_1=1",
+                '{"check": "sign-coherence", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "part 2: shares a seed with initial 1 but d_1=1",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [1, 2]}}',
+                id="sign-coherence-part-2-shared",
+            ),
+            pytest.param(
+                "sign-coherence", "B2",
+                _d_vectors(lambda seed, d: (0,) * len(d)),
+                "sign-coherence         B2       FAIL exhaustive  part 2: d_2=0 but no common seed with initial 2",
+                '{"check": "sign-coherence", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "part 2: d_2=0 but no common seed with initial 2",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [0, 0]}}',
+                id="sign-coherence-part-2-apart",
+            ),
+            pytest.param(
+                "distinct-d", "B2",
+                _patch(LaurentPoly, "denominator_vector", lambda self, upto=None: (0, 0)),
+                "distinct-d             B2       FAIL exhaustive  two monomials share d=(0, 0)",
+                '{"check": "distinct-d", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "two monomials share d=(0, 0)",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [], "monomial": ["x1"], "clashes_with": [], "d": [0, 0]}}',
+                id="distinct-d",
+            ),
+            pytest.param(
+                "d-basis", "B2",
+                _patch(valq.verify, "det", lambda rows: 2),
+                "d-basis                B2       FAIL exhaustive  cluster determinant 2",
+                '{"check": "d-basis", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "cluster determinant 2",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [], "d_rows": [[-1, 0], [0, -1]]}}',
+                id="d-basis",
+            ),
+            pytest.param(
+                "g-formula", "B2",
+                _patch(valq.verify, "g_from_d", lambda data, d: (9, 9)),
+                "g-formula              B2       FAIL exhaustive  g=(0, -1) but formula gives (9, 9)",
+                '{"check": "g-formula", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "g=(0, -1) but formula gives (9, 9)",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [1], "d": [0, 1]}}',
+                id="g-formula",
+            ),
+            pytest.param(
+                "sink-source-reflection", "A3",
+                _unmutated_fresh_algebra,
+                "sink-source-reflection A3       FAIL truncated   seed pairing at vertex 1 is inconsistent",
+                '{"check": "sink-source-reflection", "target": {"name": "A3", "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}, "scope": "truncated", "status": "FAIL", "detail": "seed pairing at vertex 1 is inconsistent",'
+                ' "counterexample": {"B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "vertex": 1, "fresh_history": [0, 1, 2, 0], "original_history": [0, 0, 1, 2, 0]}}',
+                id="sink-source-pairing",
+            ),
+            pytest.param(
+                "sink-source-reflection", "B2",
+                _patch(valq.verify, "simple_reflection", lambda b, k, v: (9, 9)),
+                "sink-source-reflection B2       FAIL exhaustive  d=(1, 0) maps to (-1, 0), expected (9, 9)",
+                '{"check": "sink-source-reflection", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "d=(1, 0) maps to (-1, 0), expected (9, 9)",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "vertex": 1, "fresh_history": [0], "slot": 1}}',
+                id="sink-source-reflection",
+            ),
+            pytest.param(
+                "principal-source", "B2",
+                _patch(valq.verify, "tropical_evaluate", lambda f, point: (9, 9)),
+                "principal-source       B2       FAIL exhaustive  source 2: tropical value (9, 9) at d=(0, 1), expected (0, -1)",
+                '{"check": "principal-source", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "source 2: tropical value (9, 9) at d=(0, 1), expected (0, -1)",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "vertex": 2, "history": [1], "d": [0, 1]}}',
+                id="principal-source",
+            ),
+            pytest.param(
+                "rs310", "B2",
+                _patch(valq.verify, "subgraph_is_connected", lambda result, nodes: False),
+                "rs310                  B2       FAIL exhaustive  seeds holding one variable are disconnected",
+                '{"check": "rs310", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "seeds holding one variable are disconnected",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "variable": "x1", "seeds": [0, 2]}}',
+                id="rs310-variable",
+            ),
+            pytest.param(
+                "rs310", "B2",
+                _patch(valq.verify, "subgraph_is_connected", lambda result, nodes: len(nodes) > 1),
+                "rs310                  B2       FAIL exhaustive  seeds holding a compatible pair are disconnected",
+                '{"check": "rs310", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "seeds holding a compatible pair are disconnected",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "variables": ["x1", "x1*x2^-1*x4 + x2^-1"], "seeds": [2]}}',
+                id="rs310-pair",
+            ),
+            pytest.param(
+                "fz4144", "B2",
+                _patch(valq.verify, "is_acyclic", lambda b: False),
+                "fz4144                 B2       FAIL exhaustive  no acyclic seed found (initial seed should qualify)",
+                '{"check": "fz4144", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "no acyclic seed found (initial seed should qualify)",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17]}}',
+                id="fz4144-none",
+            ),
+            pytest.param(
+                "fz4144", "B2",
+                _patch(valq.verify, "subgraph_is_connected", lambda result, nodes: False),
+                "fz4144                 B2       FAIL exhaustive  acyclic-matrix seeds are disconnected",
+                '{"check": "fz4144", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "acyclic-matrix seeds are disconnected",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "seeds": [0, 1, 2, 3, 4, 5]}}',
+                id="fz4144-disconnected",
+            ),
+            pytest.param(
+                "characters", "B2",
+                _shallow_classical_graph,
+                "characters             B2       FAIL exhaustive  quantum and commutative exchange graphs differ",
+                '{"check": "characters", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "quantum and commutative exchange graphs differ",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17]}}',
+                id="characters-graphs",
+            ),
+            pytest.param(
+                "characters", "B2",
+                _patch(QTorusElem, "specialize_q1", lambda self: None),
+                "characters             B2       FAIL exhaustive  u=1 specialization disagrees with the commutative engine",
+                '{"check": "characters", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "u=1 specialization disagrees with the commutative engine",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [], "slot": 1}}',
+                id="characters-specialization",
+            ),
+            pytest.param(
+                "characters", "B2",
+                _patch_context("generic_char", _no_luck),
+                "characters             B2       FAIL exhaustive  character construction failed: no luck",
+                '{"check": "characters", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "character construction failed: no luck",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [0], "slot": 1, "d": [1, 0]}}',
+                id="characters-construction",
+            ),
+            pytest.param(
+                "characters", "B2",
+                _patch_context("generic_char", lambda v: None),
+                "characters             B2       FAIL exhaustive  generic character differs from mutated variable",
+                '{"check": "characters", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "generic character differs from mutated variable",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "history": [0], "slot": 1, "d": [1, 0]}}',
+                id="characters-differs",
+            ),
+            pytest.param(
+                "reflection", "B2",
+                _patch_context("generic_char", _no_luck),
+                "reflection             B2       FAIL exhaustive  vertex 1, d=(0, 1): no luck",
+                '{"check": "reflection", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "vertex 1, d=(0, 1): no luck",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "vertex": 1, "d": [0, 1]}}',
+                id="reflection-construction",
+            ),
+            pytest.param(
+                "reflection", "B2",
+                _patch(valq.verify, "character_in_seed", lambda seed, v, polys: None),
+                "reflection             B2       FAIL exhaustive  reflected character differs at vertex 1",
+                '{"check": "reflection", "target": {"name": "B2", "B": [[0, 1], [-2, 0]]}, "scope": "exhaustive", "status": "FAIL", "detail": "reflected character differs at vertex 1",'
+                ' "counterexample": {"B": [[0, 1], [-2, 0]], "rng_seed": 0, "primes": [2, 3, 5, 7, 11, 13, 17], "vertex": 1, "d": [0, 1]}}',
+                id="reflection-differs",
+            ),
+        ],
+    )
+    def test_payload(self, monkeypatch, check, matrix, patch, row, doc):
+        ctx = VerifyContext(builtin_exchange_data(matrix), name=matrix)
+        patch(monkeypatch, ctx)
+        r = run_check(check, ctx)
+        assert r.row() == row
+        assert json.dumps(r.to_dict()) == doc
 
 
 class TestDrawsExhausted:
@@ -898,6 +1157,11 @@ class TestCliErrors:
         )
         assert rc == 2 and "not a source" in err
 
+    def test_source_on_another_check(self):
+        rc, out, err = run_cli(["verify", "tropical", "--type", "B3", "--source", "2"])
+        assert rc == 2 and out == ""
+        assert err == "error: --source applies only to principal-source\n"
+
     def test_source_out_of_range(self):
         rc, _, err = run_cli(
             ["verify", "principal-source", "--type", "B2", "--source", "5"]
@@ -986,3 +1250,60 @@ class TestCliFuzz:
             assert rc in (0, 1, 2)
             if rc == 2:
                 assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _relabeled(b, sigma):
+    """The matrix of b with vertex i renamed sigma[i]."""
+    n = len(b)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[sigma[i]][sigma[j]] = b[i][j]
+    return out
+
+
+class TestRelabeling:
+    """Renaming the vertices changes nothing mathematical: not the
+    exchange graph, not its d-vectors up to the renaming, and not a
+    verify-all row up to the vertex numbers it names."""
+
+    # Vertex numbers in a detail: in the bracketed sink and source
+    # lists, and after "source" or "y".
+    VERTEX = re.compile(r"(?<=source )\d+|(?<=y)\d+|\d+(?=[\d, ]*\])")
+
+    def _summary(self, b, max_depth):
+        ctx = VerifyContext(
+            build_exchange_data(b), primes=(2, 3), max_depth=max_depth
+        )
+        graph = ctx.classical_graph()
+        dvecs = {seed.d_vector(i) for seed in graph.seeds for i in range(len(b))}
+        rows = [
+            (r.check, r.status, r.scope, self.VERTEX.sub("#", r.detail))
+            for r in run_all(ctx)
+        ]
+        return len(graph.seeds), graph.truncated, dvecs, rows
+
+    # A random matrix is walked to depth 2 only: on a wild one the
+    # original side of the sink-source pairing reaches one mutation past
+    # the walk, and at depth 3 that check alone can take minutes.
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_relabeled_runs_agree(self, data):
+        b, max_depth = data.draw(
+            st.one_of(
+                st.sampled_from(
+                    [BUILTIN_MATRICES[name] for name in ("B2", "G2", "B3")]
+                ).map(lambda b: (b, 3)),
+                acyclic_skew_symmetrizable().map(lambda b: (b, 2)),
+            )
+        )
+        n = len(b)
+        sigma = data.draw(st.permutations(range(n)))
+        size, truncated, dvecs, rows = self._summary(b, max_depth)
+        renamed = {tuple(d[sigma.index(j)] for j in range(n)) for d in dvecs}
+        assert self._summary(_relabeled(b, sigma), max_depth) == (
+            size,
+            truncated,
+            renamed,
+            rows,
+        )
