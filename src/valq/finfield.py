@@ -6,14 +6,19 @@ of sum(c_i * t**i) modulo a fixed monic irreducible of degree d.  The
 modulus is the irreducible with the smallest code, read the same way
 with the leading 1 dropped; it is found by trial division by every monic
 polynomial of degree at most d/2.  Multiplication runs through exp/log
-tables for a primitive element, and addition is digitwise.  Everything
-is exact and sized for desk-scale exhaustion, guarded by an
-element-count cap.
+tables for a primitive element gen.  The exp table is filled by applying
+multiplication by gen, a d x d matrix over the prime field, to digit
+vectors.  Over a prime field addition is integer arithmetic mod p; over
+an extension it is one lookup in the Zech table zech[k] = log(1 + gen**k)
+(Huber 1990), since a + b = a * (1 + b/a).  Everything is exact and
+sized for desk-scale exhaustion, guarded by an element-count cap.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 
 class NotPrime(ValueError):
@@ -136,28 +141,28 @@ class FiniteField:
         return code
 
     def add(self, a, b):
-        p = self.p
-        code = 0
-        mult = 1
-        for _ in range(self.d):
-            code += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return code
+        if self.d == 1:
+            return (a + b) % self.p
+        return self._plus(a, self.log[b]) if b else a
 
     def neg(self, a):
-        p = self.p
-        code = 0
-        mult = 1
-        for _ in range(self.d):
-            code += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return code
+        if self.d == 1:
+            return -a % self.p
+        return self.exp[(self.log[a] + self._minus) % (self.q - 1)] if a else 0
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self.d == 1:
+            return (a - b) % self.p
+        return self._plus(a, self.log[b] + self._minus) if b else a
+
+    def _plus(self, a, k):
+        """a + gen**k, through the Zech table: a * (1 + gen**(k - log a))."""
+        n = self.q - 1
+        if not a:
+            return self.exp[k % n]
+        la = self.log[a]
+        z = self.zech[(k - la) % n]
+        return self.exp[(la + z) % n] if z >= 0 else 0
 
     def _raw_mul(self, a, b):
         # convolution of digit vectors, then reduction by the t-power table
@@ -201,14 +206,32 @@ class FiniteField:
                     break
             else:
                 raise AssertionError("no primitive element found")
+        # exp[i] = gen * exp[i-1], by the matrix of multiplication by gen
+        # on digit vectors: column s holds the digits of gen * t**s
+        p, d = self.p, self.d
+        rows = list(
+            zip(*(self.digits(self._raw_mul(self.gen, p**s)) for s in range(d)))
+        )
+        weights = [p**s for s in range(d)]
         exp = [1] * (q - 1)
+        vec = self.digits(1)
         for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], self.gen)
+            vec = [sum(map(mul, row, vec)) % p for row in rows]
+            exp[i] = sum(map(mul, weights, vec))
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
+        # 1 + x adds 1 to the lowest digit of x, mod p
+        zech = [-1] * (q - 1)
+        for k, v in enumerate(exp):
+            one_plus = v + 1 if v % p != p - 1 else v + 1 - p
+            if one_plus:
+                zech[k] = log[one_plus]
         self.exp = tuple(exp)
         self.log = tuple(log)
+        self.zech = tuple(zech)
+        # log(-1): -1 = gen**((q-1)/2), and -1 = 1 when p = 2
+        self._minus = 0 if p == 2 else (q - 1) // 2
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -274,12 +297,33 @@ def f_matvec(field, a, v):
     return out
 
 
+def _scale(field, c, v):
+    """The vector c * v."""
+    if field.d == 1:
+        p = field.p
+        return [c * x % p for x in v]
+    exp, log, n = field.exp, field.log, field.q - 1
+    lc = log[c]
+    return [exp[(lc + log[x]) % n] if x else 0 for x in v]
+
+
+def _eliminate(field, v, c, row):
+    """The vector v - c * row."""
+    if field.d == 1:
+        # prime-field codes are residues: plain integer arithmetic
+        p = field.p
+        return [(x - c * y) % p for x, y in zip(v, row)]
+    # x - c*y = x + gen**(log(-c) + log y)
+    plus, log = field._plus, field.log
+    lc = log[c] + field._minus
+    return [plus(x, lc + log[y]) if y else x for x, y in zip(v, row)]
+
+
 def f_rref(field, rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    p = field.p
     pivots = []
     r = 0
     for col in range(ncols):
@@ -291,24 +335,44 @@ def f_rref(field, rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][col])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        m[r] = _scale(field, field.inv(m[r][col]), m[r])
         for i in range(nrows):
             if i != r and m[i][col]:
-                c = m[i][col]
-                if field.d == 1:
-                    # prime-field codes are residues: plain integer arithmetic
-                    m[i] = [(x - c * y) % p for x, y in zip(m[i], m[r])]
-                else:
-                    m[i] = [
-                        field.sub(x, field.mul(c, y))
-                        for x, y in zip(m[i], m[r])
-                    ]
+                m[i] = _eliminate(field, m[i], m[i][col], m[r])
         pivots.append(col)
         r += 1
         if r == nrows:
             break
     return m, pivots
+
+
+def f_insert(field, rows, pivots, vec):
+    """Insert vec into a reduced echelon basis.
+
+    ``rows`` is the basis with its pivot columns ``pivots``, sorted by
+    pivot.  Returns the reduced echelon basis of the span of both and its
+    pivots, as new lists, or the given lists when vec already lies in
+    their span.  Neither the lists nor their rows are changed, so a
+    caller may keep the old basis beside the new one.
+    """
+    v = vec
+    for row, pc in zip(rows, pivots):
+        if v[pc]:
+            v = _eliminate(field, v, v[pc], row)
+    for col, x in enumerate(v):
+        if x:
+            break
+    else:
+        return rows, pivots
+    if v[col] != 1:
+        v = _scale(field, field.inv(v[col]), v)
+    elif v is vec:
+        v = list(vec)
+    at = bisect(pivots, col)
+    rows = [
+        _eliminate(field, row, row[col], v) if row[col] else row for row in rows
+    ]
+    return rows[:at] + [v] + rows[at:], pivots[:at] + [col] + pivots[at:]
 
 
 def f_rank(field, rows):
@@ -392,21 +456,18 @@ def quotient_projection(field, n, sub_rows):
     image of a vector is its reduction by the subspace rows read off at
     the free columns.
     """
-    if sub_rows:
-        reduced, pivots = f_rref(field, sub_rows)
-        reduced = reduced[: len(pivots)]
-    else:
-        reduced, pivots = [], []
+    reduced, pivots = [], []
+    for row in sub_rows:
+        reduced, pivots = f_insert(field, reduced, pivots, row)
     free = [c for c in range(n) if c not in pivots]
     return reduced, pivots, free
 
 
 def project_to_quotient(field, vec, reduced, pivots, free):
-    v = list(vec)
-    for r, pc in enumerate(pivots):
+    v = vec
+    for row, pc in zip(reduced, pivots):
         if v[pc]:
-            c = v[pc]
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, reduced[r])]
+            v = _eliminate(field, v, v[pc], row)
     return [v[c] for c in free]
 
 
@@ -417,6 +478,9 @@ def enumerate_subspaces_containing(field, n, k, sub_rows, cap=2_000_000):
     is a Grassmannian of the quotient, not of the ambient space.
     """
     reduced, pivots, free = quotient_projection(field, n, sub_rows)
+    if not pivots:
+        yield from enumerate_subspaces(field, n, k, cap=cap)
+        return
     w = len(pivots)
     if k < w or k > n:
         return

@@ -14,9 +14,12 @@ below the representation's at once, by one walk.  It takes each arrow map
 once as prime-field matrices of x -> phi(t**l * x) and does its linear
 algebra on base-p digit vectors.  It enumerates the non-sinks in
 topological order, and at each one takes every subspace containing the
-images forced by the subspaces already chosen upstream.  A sink k with
-forced image of dimension u then contributes the Gaussian binomial
-[dim V_k - u, e_k - u] over its field, for every e_k.
+images forced by the subspaces already chosen upstream.  Each vertex
+keeps the span of the images it has received as a reduced echelon
+basis, extended one image at a time as the walk descends and restored
+to the parent's basis as it backs up, so no span is reduced twice.  A
+sink k with forced image of dimension u then contributes the Gaussian
+binomial [dim V_k - u, e_k - u] over its field, for every e_k.
 
 The walk may close its last enumerated vertex i instead of enumerating
 it: when one arrow leaves i, to a sink k of the same degree, each
@@ -43,6 +46,7 @@ from .exchange import topological_order, valued_arrows
 from .finfield import (
     build_tower,
     enumerate_subspaces_containing,
+    f_insert,
     f_kernel_basis,
     f_matmul,
     f_matvec,
@@ -124,9 +128,12 @@ class ValuedQuiver:
     def opposite(self):
         """The quiver with every arrow reversed, over the same degrees
         and tower, ordered by the reverse of this quiver's order."""
-        b = [[-x for x in row] for row in self.b]
-        op = ValuedQuiver(b, self.diag, self.tower)
+        op = ValuedQuiver.__new__(ValuedQuiver)
+        op.b = tuple(tuple(-x for x in row) for row in self.b)
+        op.n, op.diag, op.tower = self.n, self.diag, self.tower
         op.order = None if self.order is None else self.order[::-1]
+        op.arrow_keys = sorted((j, i, c) for i, j, c in self.arrow_keys)
+        op.valuation = {(j, i): g for (i, j), g in self.valuation.items()}
         return op
 
     def map_shape(self, key, dims):
@@ -242,21 +249,36 @@ def _fp_arrow_matrix(rep, key, scale=1):
     element ``scale``, as a matrix over the prime field.
 
     Input and output coordinates flatten vertex-field coordinates into
-    base-p digits (index r*d + s for coordinate r, digit s).
+    base-p digits (index r*d + s for coordinate r, digit s).  Over the
+    prime field, subfield coordinates are these digits, so an arrow of
+    valuation 1 is its map matrix times multiplication by ``scale`` on
+    each digit block.
     """
     i, j, _ = key
     quiver = rep.quiver
-    di, dj = quiver.diag[i], quiver.diag[j]
+    di = quiver.diag[i]
     fi = quiver.field(i)
+    vi = rep.dims[i]
+    if quiver.valuation[(i, j)] == 1:
+        p = quiver.p
+        # column s: the digits of scale * t**s
+        block = [fi.digits(fi.mul(scale, _tpow(fi, s))) for s in range(di)]
+        return [
+            [
+                sum(row[r * di + a] * block[s][a] for a in range(di)) % p
+                for r in range(vi)
+                for s in range(di)
+            ]
+            for row in rep.maps[key]
+        ]
     fj = quiver.field(j)
-    vi, vj = rep.dims[i], rep.dims[j]
     cols = []
     for r in range(vi):
         for s in range(di):
             vec = [0] * vi
             vec[r] = fi.mul(scale, _tpow(fi, s))
             cols.append(_to_digits(fj, rep.apply_arrow(key, vec)))
-    nrows = vj * dj
+    nrows = rep.dims[j] * quiver.diag[j]
     return [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
 
 
@@ -459,8 +481,11 @@ class _Walk:
 
     Enumerated vertices are visited one at a time; choosing a subspace
     there sends its arrow images, as vertex-field vectors, to the
-    out-neighbours it constrains, and every sink is counted in closed
-    form from the span of the images it received.
+    out-neighbours it constrains.  Each vertex keeps the span of the
+    images it received as a reduced echelon basis (``inbox``), extended
+    one image at a time by ``f_insert`` and restored to the parent's
+    basis when the walk backs up; every sink is counted in closed form
+    from the dimension of that span.
 
     When the last enumerated vertex i closes (``_closing_vertex``), its
     subspaces W are not enumerated.  Each parent fixes the space U that
@@ -480,7 +505,15 @@ class _Walk:
         self.links = {i: [] for i in range(quiver.n)}
         for (i, j), mats in _scaled_arrow_matrices(rep).items():
             self.links[i].append((j, mats))
-        self.inbox = {i: [] for i in range(quiver.n)}
+        self.inbox = {i: ([], []) for i in range(quiver.n)}
+        if self.closing is not None:
+            # the span of the closing arrow's columns, phi(V_i)
+            i = self.closing
+            ((k, _),) = self.links[i]
+            span = ([], [])
+            for col in zip(*rep.maps[(i, k, 0)]):
+                span = f_insert(quiver.field(i), *span, col)
+            self.closing_image = span
 
     def leaves(self):
         """Multiplicity of every (enumerated dims, sink ranks)."""
@@ -490,7 +523,7 @@ class _Walk:
         def recurse(idx):
             if idx == len(self.enumerated):
                 key = tuple(path) + tuple(
-                    self._terminal_param(k) for k in self.terminals
+                    len(self.inbox[k][0]) for k in self.terminals
                 )
                 out[key] = out.get(key, 0) + 1
                 return
@@ -499,14 +532,11 @@ class _Walk:
                 self._close(i, tuple(path), out)
                 return
             for w in self._subspaces(i):
-                sent = self._messages(i, w)
-                for j, msgs in sent:
-                    self.inbox[j].extend(msgs)
+                parents = self._send(i, w)
                 path.append(len(w))
                 recurse(idx + 1)
                 path.pop()
-                for j, msgs in sent:
-                    del self.inbox[j][len(self.inbox[j]) - len(msgs) :]
+                self.inbox.update(parents)
 
         recurse(0)
         return out
@@ -552,47 +582,52 @@ class _Walk:
         ((k, _),) = self.links[i]
         field = self.quiver.field(i)
         phi = self.rep.maps[(i, k, 0)]
-        forced = self.inbox[i]
-        got = self.inbox[k]
-        lift = f_rank(field, forced)
-        images = [f_matvec(field, phi, x) for x in forced]
-        base = f_rank(field, got + images)
-        n = self.rep.dims[i] - lift
-        columns = [list(col) for col in zip(*phi)]
-        m = n - f_rank(field, got + columns) + base
+        forced, _ = self.inbox[i]
+        got, _ = span = self.inbox[k]
+        for x in forced:
+            span = f_insert(field, *span, f_matvec(field, phi, x))
+        base = len(span[0])
+        # T + phi(V_i) grows from phi(V_i), whose basis is built once per
+        # walk, since T is often empty
+        whole = self.closing_image
+        for x in got:
+            whole = f_insert(field, *whole, x)
+        n = self.rep.dims[i] - len(forced)
+        m = n - len(whole[0]) + base
         params = [
-            self._terminal_param(x) if x != k else 0 for x in self.terminals
+            len(self.inbox[x][0]) if x != k else 0 for x in self.terminals
         ]
         slot = self.terminals.index(k)
         for a, j, count in _meet_counts(field.q, n, m):
             params[slot] = base + a - j
-            key = path + (lift + a,) + tuple(params)
+            key = path + (len(forced) + a,) + tuple(params)
             out[key] = out.get(key, 0) + count
 
     def _subspaces(self, i):
         """The subspaces at i containing the span of its forced images."""
         field = self.quiver.field(i)
         v = self.rep.dims[i]
-        got = self.inbox[i]
+        forced, _ = self.inbox[i]
         for k in range(v + 1):
-            yield from enumerate_subspaces_containing(field, v, k, got)
+            yield from enumerate_subspaces_containing(field, v, k, forced)
 
-    def _messages(self, i, w):
+    def _send(self, i, w):
+        """Insert the images of the subspace w at i into the bases of its
+        out-neighbours; returns their bases before, to restore."""
         p = self.p
-        xs = [_to_digits(self.quiver.field(i), row) for row in w]
-        sent = []
+        fi = self.quiver.field(i)
+        xs = [_to_digits(fi, row) for row in w]
+        parents = {}
         for j, mats in self.links[i]:
             fj = self.quiver.field(j)
-            images = (
-                [sum(map(mul, row, x)) % p for row in mat]
-                for mat in mats
-                for x in xs
-            )
-            sent.append((j, [_to_codes(fj, y) for y in images if any(y)]))
-        return sent
-
-    def _terminal_param(self, k):
-        return f_rank(self.quiver.field(k), self.inbox[k])
+            parents[j] = span = self.inbox[j]
+            for mat in mats:
+                for x in xs:
+                    y = [sum(map(mul, row, x)) % p for row in mat]
+                    if any(y):
+                        span = f_insert(fj, *span, _to_codes(fj, y))
+            self.inbox[j] = span
+        return parents
 
 
 def _walk_price(quiver, dims):

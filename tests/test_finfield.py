@@ -12,6 +12,7 @@ from valq.finfield import (
     build_tower,
     enumerate_subspaces,
     enumerate_subspaces_containing,
+    f_insert,
     f_inverse,
     f_kernel_basis,
     f_matmul,
@@ -26,6 +27,12 @@ from valq.finfield import (
 from conftest import f_in_span
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+# Every extension field the workloads count over: degrees 2 and 3 over
+# the primes up to 17.
+WORKLOAD_EXTENSIONS = [
+    (p, d) for p in (2, 3, 5, 7, 11, 13, 17) for d in (2, 3)
+]
 
 
 def frobenius(field, a):
@@ -82,6 +89,52 @@ class TestFieldArithmetic:
                 for c in els[:3]:
                     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+
+    @pytest.mark.parametrize("p,d", WORKLOAD_EXTENSIONS)
+    def test_additive_group_is_digitwise(self, p, d):
+        # add, sub and neg run through Zech logarithms; the oracle adds
+        # base-p digit vectors
+        import random
+        from itertools import product
+
+        F = field(p, d)
+        digits = [F.digits(a) for a in range(F.q)]
+
+        def oracle(a, b, sign):
+            return F.from_digits(
+                [x + sign * y for x, y in zip(digits[a], digits[b])]
+            )
+
+        assert [F.neg(a) for a in range(F.q)] == [
+            oracle(0, a, -1) for a in range(F.q)
+        ]
+        if F.q <= 343:
+            # every pair, a row at a time: a + sign * b for every code b,
+            # digit by digit, with the lowest digit varying fastest
+            for a in range(F.q):
+                for sign, op in ((1, F.add), (-1, F.sub)):
+                    columns = [
+                        [(x + sign * y) % p * p**i for y in range(p)]
+                        for i, x in enumerate(digits[a])
+                    ]
+                    row = [sum(c) for c in product(*reversed(columns))]
+                    assert [op(a, b) for b in range(F.q)] == row
+        else:
+            rng = random.Random(F.q)
+            pairs = [
+                (rng.randrange(F.q), rng.randrange(F.q)) for _ in range(20000)
+            ]
+            assert [(F.add(a, b), F.sub(a, b)) for a, b in pairs] == [
+                (oracle(a, b, 1), oracle(a, b, -1)) for a, b in pairs
+            ]
+
+    @pytest.mark.parametrize("p,d", WORKLOAD_EXTENSIONS)
+    def test_exp_is_the_chain_of_raw_products(self, p, d):
+        F = field(p, d)
+        chain = [1]
+        for _ in range(F.q - 1):
+            chain.append(F._raw_mul(chain[-1], F.gen))
+        assert list(F.exp) + [1] == chain
 
     def test_digits_round_trip(self):
         F9 = field(3, 2)
@@ -178,6 +231,34 @@ class TestLinearAlgebra:
         for r, pc in enumerate(pivots):
             col = [red[i][pc] for i in range(len(red))]
             assert col[r] == 1 and all(x == 0 for i, x in enumerate(col) if i != r)
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3)])
+    def test_insert_builds_the_rref_one_vector_at_a_time(self, p, d):
+        import random
+
+        F = field(p, d)
+        rng = random.Random(31 * F.q)
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            vectors = []
+            for _ in range(rng.randrange(1, 8)):
+                draw = rng.random()
+                if draw < 0.15:
+                    vectors.append([0] * n)
+                elif draw < 0.3 and vectors:
+                    vectors.append(list(rng.choice(vectors)))
+                else:
+                    vectors.append([rng.randrange(F.q) for _ in range(n)])
+            rows, pivots = [], []
+            for vec in vectors:
+                before = [list(r) for r in rows], list(pivots), list(vec)
+                rows_in, pivots_in = rows, pivots
+                rows, pivots = f_insert(F, rows, pivots, vec)
+                # the walk restores a parent's basis by keeping its lists
+                assert ([list(r) for r in rows_in], pivots_in, vec) == before
+            red, want = f_rref(F, vectors)
+            assert pivots == want
+            assert rows == [row for row in red if any(row)]
 
     def test_kernel_is_killed_and_has_right_dimension(self):
         F9 = field(3, 2)

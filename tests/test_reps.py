@@ -51,6 +51,12 @@ VAL2_B, VAL2_D = ((0, 2), (-1, 0)), (2, 4)
 # degrees (2, 2, 1, 1), so its arrows have valuations 2, 1 and 1.
 F4_B = ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -2, 0, 1), (0, 0, -1, 0))
 
+# D4 with arrows 1 -> 0, 2 -> 0 and 3 -> 0: the one branching quiver
+# here, with a vertex fed by three others (and, reflected at 0, one
+# feeding three).
+D4_B = ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0))
+LOCAL_MATRICES = {"F4": F4_B, "D4": D4_B}
+
 
 def count_subreps(rep, e):
     """Number of subrepresentations with dimension vector e; 0 outside
@@ -59,7 +65,7 @@ def count_subreps(rep, e):
 
 
 def quiver(name, p):
-    b = F4_B if name == "F4" else BUILTIN_MATRICES[name]
+    b = LOCAL_MATRICES.get(name) or BUILTIN_MATRICES[name]
     return ValuedQuiver.from_matrix(b, minimal_symmetrizer(b), p)
 
 
@@ -531,6 +537,7 @@ class TestClosedForm:
         ("F4", [(1, 1, 1, 1), (1, 2, 1, 1), (0, 1, 2, 1), (1, 1, 2, 2)]),
         ("A3", [(1, 2, 1), (2, 1, 2), (1, 1, 0), (2, 2, 1)]),
         ("B3", [(1, 1, 1), (1, 2, 1), (0, 1, 2), (2, 1, 1)]),
+        ("D4", [(1, 1, 1, 1), (2, 1, 1, 1), (1, 0, 1, 1)]),
     ]
 
     @pytest.mark.parametrize("p", [2, 3])

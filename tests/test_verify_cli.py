@@ -1307,3 +1307,62 @@ class TestRelabeling:
             renamed,
             rows,
         )
+
+
+class TestCharRelabeling:
+    """``char --dim sigma(v)`` on the relabeled matrix is ``char --dim
+    v`` renamed: its counting polynomials under permuted keys, its g- and
+    d-vectors permuted.  Relabeling changes the topological order and the
+    walk planner's choices, so this cross-checks subrepresentation
+    counting under different vertex orders."""
+
+    PRIMES = "2,3,5,7,11,13,17"
+
+    def _char(self, path, b, v):
+        path.write_text(json.dumps({"B": [list(row) for row in b]}))
+        rc, out, err = run_cli(
+            ["char", "--matrix", str(path), "--json", "--primes", self.PRIMES]
+            + ["--dim", ",".join(str(x) for x in v)]
+        )
+        assert rc == 0, err
+        return json.loads(out)
+
+    # Builtins are walked whole; a random matrix to depth 2, whose
+    # d-vectors already reach more than the seven primes can count.
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_relabeled_characters_agree(self, tmp_path_factory, data):
+        b, max_depth = data.draw(
+            st.one_of(
+                st.sampled_from(
+                    [BUILTIN_MATRICES[name] for name in ("B2", "G2", "B3")]
+                ).map(lambda b: (b, None)),
+                acyclic_skew_symmetrizable().map(lambda b: (b, 2)),
+            )
+        )
+        n = len(b)
+        exchange = build_exchange_data(b)
+        graph = enumerate_exchange_graph(exchange, max_depth=max_depth)
+        budget = len(self.PRIMES.split(","))
+        dvecs = sorted(
+            d
+            for d in {seed.d_vector(i) for seed in graph.seeds for i in range(n)}
+            if min(d) >= 0 and primes_needed(exchange.diag, d) <= budget
+        )
+        v = data.draw(st.sampled_from(dvecs))
+        sigma = data.draw(st.permutations(range(n)))
+
+        def renamed(x):
+            return [x[sigma.index(j)] for j in range(n)]
+
+        def renamed_key(e):
+            return ",".join(renamed(e.split(",")))
+
+        path = tmp_path_factory.getbasetemp() / "relabeled.json"
+        table = self._char(path, b, v)
+        other = self._char(path, _relabeled(b, sigma), renamed(v))
+        assert other["P"] == {
+            renamed_key(e): poly for e, poly in table["P"].items()
+        }
+        assert other["g"] == renamed(table["g"])
+        assert other["d"] == renamed(table["d"])
