@@ -3,7 +3,8 @@
 Seeds hold their 2n variables as exact Laurent polynomials in the
 initial cluster (n mutable x's followed by n frozen y's).  Exchange is
 literal: the new variable is an exact Laurent division, never a formal
-fraction, so the Laurent property is re-proved on every mutation.
+fraction, so the Laurent property is re-proved on every distinct
+exchange relation.
 """
 
 from .exchange import star_left_matrix
@@ -76,17 +77,29 @@ class ClassicalSeed(Seed):
                 out = out * self.variables[i] ** e
         return out
 
-    def mutate(self, k):
+    def _exchange_key(self, k):
+        """x_k followed by the set of (variable, b_ik) over the slots i
+        where b_ik is nonzero, which fixes the exchange as the variables
+        commute.  The set is flattened in the order of the variables'
+        hashes, which is one order for every slot order unless two
+        hashes tie; then a key can miss, but never hit wrongly."""
+        col = [row[k] for row in self.current.btilde]
+        pairs = [(x, b) for x, b in zip(self.variables, col) if b]
+        key = [self.variables[k]]
+        for pair in sorted(pairs, key=lambda pair: hash(pair[0])):
+            key += pair
+        return tuple(key)
+
+    def _exchange(self, k):
         cur = self.current
         size = 2 * cur.n
         col = tuple(cur.btilde[i][k] for i in range(size))
         bp = tuple(max(x, 0) for x in col)
         bm = tuple(max(-x, 0) for x in col)
-        new_var = exact_div(
+        return exact_div(
             self.cluster_monomial(bp) + self.cluster_monomial(bm),
             self.variables[k],
         )
-        return self._exchanged(k, new_var)
 
     def d_vector(self, i):
         """Denominator vector of variable i in the initial cluster."""

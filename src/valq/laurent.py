@@ -268,16 +268,13 @@ class SparseTerms:
         offset = bias - den_lead
         rem = dict(self.terms)
         quo = {}
-        steps = 0
         while rem:
-            steps += 1
-            if steps > 1_000_000:
-                raise InexactDivision("division did not terminate")
             lead = max(rem)
             q_key = lead + offset
             if _outside(q_key, lo, hi, guard):
                 raise InexactDivision("quotient exponent out of range")
-            # Leading keys strictly fall, so each q_key is new.
+            # Leading keys strictly fall, so each q_key is new; all lie in
+            # the finite box [lo, hi], so the loop ends.
             quo[q_key] = step(rem, q_key, rem[lead])
         bound = min(self._bound + den._bound, MAX_EXPONENT)
         return self._like(quo, bound)

@@ -12,10 +12,13 @@ powers, exponent ranges, denominator vectors and the division loop are
 shared with ``LaurentPoly``; right division adds only its twisted
 elimination step.  Quantum seeds keep their cluster variables expanded
 in the initial torus, so mutation needs one exact right division per
-step.
+distinct exchange relation: seeds mutated from one initial seed share
+the relations already divided, each read in both directions.  A divisor
+whose leading coefficient is a unit, a signed power of u, divides that
+coefficient by a shift and a sign.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, mul
 
 from .laurent import (
@@ -197,10 +200,12 @@ class QTorusElem(SparseTerms):
     def div_right(self, den):
         """Exact right quotient: the element Q with self == Q * den.
 
-        Runs the shared leading-term elimination.  Its step divides the
-        twisted leading coefficient by ``exact_div`` in one variable u,
-        whose own box bound decides exactness there, and unpacks each
-        quotient exponent once for the twists.
+        Runs the shared leading-term elimination, unpacking each quotient
+        exponent once for the twists.  Its step divides the twisted
+        leading coefficient by den's.  When that is a unit +-u^k the
+        quotient coefficient is the shift by -k and the sign; otherwise
+        ``exact_div`` in one variable u divides, and its own box bound
+        decides exactness there.
         """
         self._check(den)
         if den.is_zero():
@@ -208,7 +213,12 @@ class QTorusElem(SparseTerms):
         lay = _layout(self.nvars)
         unpack = lay.unpack
         den_lead = max(den.terms)
-        den_lead_poly = univariate(den.terms[den_lead])
+        den_lead_coeff = den.terms[den_lead]
+        if len(den_lead_coeff) == 1 and abs(*den_lead_coeff.values()) == 1:
+            ((unit_pow, sign),) = den_lead_coeff.items()
+            den_lead_poly = None
+        else:
+            den_lead_poly = univariate(den_lead_coeff)
         lead_dot = self._lam_dot(unpack(den_lead))
         den_terms = [
             (e - lay.bias, c, self._lam_dot(unpack(e)))
@@ -218,9 +228,13 @@ class QTorusElem(SparseTerms):
         def step(rem, q_key, lead_coeff):
             q_exp = unpack(q_key)
             twist = sum(map(mul, q_exp, lead_dot))
-            q_coeff = univariate_coeffs(
-                exact_div(univariate(lead_coeff, -twist), den_lead_poly)
-            )
+            if den_lead_poly is None:
+                shift = twist + unit_pow
+                q_coeff = {j - shift: sign * c for j, c in lead_coeff.items()}
+            else:
+                q_coeff = univariate_coeffs(
+                    exact_div(univariate(lead_coeff, -twist), den_lead_poly)
+                )
             neg_q = {k: -c for k, c in q_coeff.items()}
             for e, dc, e_dot in den_terms:
                 t = q_key + e
@@ -284,15 +298,23 @@ class Seed:
     ``initial`` is the starting exchange data, ``current`` the data after
     the mutations in ``history``, and ``variables`` lists the n mutable
     cluster variables followed by the n frozen ones (the frozen block
-    never changes).  Subclasses supply ``mutate``, which with ``depth``
-    and ``canonical_key`` is what ``walk_seeds`` needs.  Variables must
-    be hashable and have a ``sort_key()``, as the key uses both.
+    never changes).  Variables must be hashable and have a
+    ``sort_key()``, as the key uses both.
+
+    ``exchanges`` maps the key of an exchange relation to its new
+    variable, and each variable it computed to itself, so that two
+    relations giving equal variables keep one object.  An initial seed
+    starts it, and every seed mutated from that seed shares it, so each
+    relation of an algebra is computed once.  Subclasses supply
+    ``_exchange_key(k)``, which must fix the division that
+    ``_exchange(k)`` makes for the new k-th variable.
     """
 
     initial: object
     current: object
     variables: tuple
     history: tuple = ()
+    exchanges: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def depth(self):
@@ -307,7 +329,24 @@ class Seed:
             current=self.current.mutate(k),
             variables=tuple(variables),
             history=self.history + (k,),
+            exchanges=self.exchanges,
         )
+
+    def mutate(self, k):
+        """The seed mutated at k.  Its new variable is read from
+        ``exchanges`` when a seed of this algebra already made the same
+        exchange, and computed by ``_exchange`` otherwise.  Mutation is
+        an involution, so the new seed's exchange at k, which gives back
+        this seed's k-th variable, is stored too."""
+        key = self._exchange_key(k)
+        new_var = self.exchanges.get(key)
+        if new_var is None:
+            computed = self._exchange(k)
+            new_var = self.exchanges.setdefault(computed, computed)
+            self.exchanges[key] = new_var
+        seed = self._exchanged(k, new_var)
+        self.exchanges[seed._exchange_key(k)] = self.variables[k]
+        return seed
 
     def canonical_key(self):
         """Key identifying the seed up to renumbering its cluster: the
@@ -376,7 +415,21 @@ class QuantumSeed(Seed):
                 out = out * self.variables[i] ** c[i]
         return out
 
-    def mutate(self, k):
+    def _exchange_key(self, k):
+        """X_k, the variable, b_ik and lambda_ik of each slot i where b_ik
+        is nonzero, in slot order, and lambda_ij among those slots, in
+        one flat tuple: all that ``frame_monomial`` and the twists read.
+        Its length fixes the number of slots."""
+        cur = self.current
+        lam = cur.lam
+        slots = [i for i, row in enumerate(cur.btilde) if row[k]]
+        key = [self.variables[k]]
+        for i in slots:
+            key += (self.variables[i], cur.btilde[i][k], lam[i][k])
+        key += (lam[i][j] for a, i in enumerate(slots) for j in slots[a + 1 :])
+        return tuple(key)
+
+    def _exchange(self, k):
         cur = self.current
         n = cur.n
         size = 2 * n
@@ -392,7 +445,7 @@ class QuantumSeed(Seed):
         rhs = self.frame_monomial(bp).shift_u(twist(bp)) + self.frame_monomial(
             bm
         ).shift_u(twist(bm))
-        return self._exchanged(k, rhs.div_right(self.variables[k]))
+        return rhs.div_right(self.variables[k])
 
 
 @dataclass
@@ -416,22 +469,6 @@ class GraphResult:
     @property
     def edges(self):
         return {frozenset((i, j)) for (i, _), j in self.moves.items() if i != j}
-
-    def mutated(self, seed, k):
-        """``seed.mutate(k)``, read from the walk when it made that move
-        from the stored seed equal to ``seed``: the new variable is the
-        one that the move's target adds."""
-        i = self.index.get(seed.canonical_key())
-        if i is not None:
-            j = self.moves.get((i, self.seeds[i].slot_of(seed, k)))
-            if j is not None:
-                n = seed.current.n
-                stored = self.seeds[i].variables[:n]
-                (new_var,) = (
-                    v for v in self.seeds[j].variables[:n] if v not in stored
-                )
-                return seed._exchanged(k, new_var)
-        return seed.mutate(k)
 
 
 def walk_seeds(start, n, max_depth, max_seeds):

@@ -83,6 +83,12 @@ def _tpow(field, l):
     return field.p**l if l else 1
 
 
+def _sinks(b):
+    """The sinks of B, the vertices whose row has no negative entry,
+    ascending."""
+    return tuple(k for k, row in enumerate(b) if all(x >= 0 for x in row))
+
+
 class ValuedQuiver:
     """A valued quiver with a fixed tower of coefficient fields."""
 
@@ -93,6 +99,7 @@ class ValuedQuiver:
         self.tower = tower
         # vertices with every arrow pointing forward; None if cyclic
         self.order = topological_order(self.b)
+        self.sinks = _sinks(self.b)
         self.arrow_keys = []
         self.valuation = {}
         for i, j, mult, g in valued_arrows(self.b, self.diag):
@@ -113,7 +120,7 @@ class ValuedQuiver:
         return self.tower.field(self.diag[i])
 
     def is_sink(self, k):
-        return all(self.b[k][j] >= 0 for j in range(self.n))
+        return k in self.sinks
 
     def is_source(self, k):
         return all(self.b[i][k] >= 0 for i in range(self.n))
@@ -132,6 +139,7 @@ class ValuedQuiver:
         op.b = tuple(tuple(-x for x in row) for row in self.b)
         op.n, op.diag, op.tower = self.n, self.diag, self.tower
         op.order = None if self.order is None else self.order[::-1]
+        op.sinks = _sinks(op.b)
         op.arrow_keys = sorted((j, i, c) for i, j, c in self.arrow_keys)
         op.valuation = {(j, i): g for (i, j), g in self.valuation.items()}
         return op
@@ -435,9 +443,8 @@ def _walk_order(quiver):
     """The vertices the walk enumerates, the non-sinks in the quiver's
     order, and the sinks it counts from the messages they receive."""
     assert quiver.order is not None
-    sink = [quiver.is_sink(i) for i in range(quiver.n)]
-    enumerated = [i for i in quiver.order if not sink[i]]
-    return enumerated, [i for i in range(quiver.n) if sink[i]]
+    sinks = quiver.sinks
+    return [i for i in quiver.order if i not in sinks], list(sinks)
 
 
 def _closing_vertex(quiver):

@@ -21,7 +21,7 @@ of a budget (the field-size cap, the rigid-search draws) stops a check
 as SKIPPED, never as FAIL.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .characters import (
@@ -502,21 +502,19 @@ class _SeedPair:
     of the original algebra that the same mutation word reaches from the
     original initial seed mutated at k.  A vertex of the paired walk is a
     pair of canonical keys, so an inconsistent pairing shows up as two
-    vertices with one fresh key.  The original side is read from
-    ``graph``, the original algebra's walk, wherever it holds the move."""
+    vertices with one fresh key.  The original side starts from the
+    initial seed of the original algebra's walk, so it reads every
+    exchange relation that walk computed."""
 
     fresh: ClassicalSeed
     original: ClassicalSeed
-    graph: object = field(compare=False)
 
     @property
     def depth(self):
         return self.fresh.depth
 
     def mutate(self, k):
-        return _SeedPair(
-            self.fresh.mutate(k), self.graph.mutated(self.original, k), self.graph
-        )
+        return _SeedPair(self.fresh.mutate(k), self.original.mutate(k))
 
     def slot_of(self, other, k):
         """The slot both sides of this pair give for ``other``'s k-th
@@ -543,8 +541,7 @@ def check_sink_source_reflection(ctx):
         fresh = build_exchange_data(ctx.data.mutate(k).btilde[:n])
         start = _SeedPair(
             ClassicalSeed.initial_seed(fresh),
-            ClassicalSeed.initial_seed(ctx.data).mutate(k),
-            ctx.classical_graph(),
+            ctx.classical_graph().seeds[0].mutate(k),
         )
         walk = walk_seeds(start, n, ctx.max_depth, ctx.max_seeds)
         truncated = truncated or walk.truncated

@@ -213,15 +213,3 @@ class TestExchangeGraph:
         # Edges come from the walk's recorded moves.
         g = enumerate_exchange_graph(builtin_exchange_data(name))
         assert graph_to_dot(g) == (GRAPHS / ("%s.dot" % name.lower())).read_text()
-
-    @pytest.mark.parametrize("max_depth", [None, 2])
-    def test_mutated_reads_the_walk(self, b3, max_depth):
-        # Read from the graph where the walk made the move, computed past
-        # the truncation; equal to mutating either way.
-        g = enumerate_exchange_graph(b3, max_depth=max_depth)
-        for seed in g.seeds:
-            for k in range(3):
-                got, want = g.mutated(seed, k), seed.mutate(k)
-                assert got.variables == want.variables
-                assert got.current == want.current
-                assert got.history == want.history

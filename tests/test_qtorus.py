@@ -1,6 +1,7 @@
 """Quantum torus elements and quantum seed mutation."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -187,6 +188,70 @@ class TestDivRight:
         assert quotient == x
 
 
+# Leading coefficients that are units of Z[u, 1/u]: u^3, -u^-2 and -1.
+UNITS = [{3: 1}, {-2: -1}, {0: -1}]
+# Above every exponent vector that vec4 draws, so it leads.
+UNIT_LEAD = (3, 0, 0, 0)
+# Central and not a unit: scaling by it sends a division to exact_div.
+ONE_PLUS_Q = {0: 1, 2: 1}
+
+
+def unit_lead(unit, rest):
+    den = X(UNIT_LEAD, unit) + elem(rest)
+    assert den.sorted_terms()[0] == (UNIT_LEAD, unit)
+    return den
+
+
+class TestUnitDivision:
+    """A divisor whose leading coefficient is a unit divides by a shift
+    and a sign, and agrees with ``exact_div`` on the same division
+    scaled by 1 + u^2."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(UNITS),
+        st.dictionaries(vec4, multi_coeff, min_size=1, max_size=3),
+        st.dictionaries(vec4, multi_coeff, min_size=1, max_size=3),
+    )
+    def test_round_trip_and_exact_div_agree(self, unit, num_terms, rest):
+        num, den = elem(num_terms), unit_lead(unit, rest)
+        prod = num * den
+        assert prod.div_right(den) == num
+        scaled = den.scale(ONE_PLUS_Q)
+        assert prod.scale(ONE_PLUS_Q).div_right(scaled) == num
+        # den is no monomial, so no unit: prod + 1 has no exact quotient
+        # on either path.
+        bad = prod + X((0, 0, 0, 0))
+        with pytest.raises(InexactDivision):
+            bad.div_right(den)
+        with pytest.raises(InexactDivision):
+            bad.scale(ONE_PLUS_Q).div_right(scaled)
+
+    def test_unit_lead_needs_no_exact_div(self, monkeypatch):
+        import valq.qtorus
+
+        real = valq.qtorus.exact_div
+        calls = []
+
+        def counting(num, den):
+            calls.append(den)
+            return real(num, den)
+
+        monkeypatch.setattr(valq.qtorus, "exact_div", counting)
+        num = X((1, 0, 0, 0), {1: 1, -1: 2}) + X((0, 1, -1, 0))
+        rest = {(0, 0, 1, 1): {0: 1, 1: 1}, (-1, 0, 0, 2): {2: -3}}
+        for unit in UNITS:
+            den = unit_lead(unit, rest)
+            assert (num * den).div_right(den) == num
+            with pytest.raises(InexactDivision):
+                X((1, 0, 0, 0)).div_right(den)
+        assert not calls
+        assert (num * den).scale(ONE_PLUS_Q).div_right(
+            den.scale(ONE_PLUS_Q)
+        ) == num
+        assert calls
+
+
 class TestSeedMutation:
     def test_first_mutation_of_b2(self):
         s = QuantumSeed.initial_seed(B2)
@@ -358,7 +423,6 @@ class TestWalkOracle:
         start = _SeedPair(
             ClassicalSeed.initial_seed(fresh),
             ClassicalSeed.initial_seed(ctx.data).mutate(k),
-            ctx.classical_graph(),
         )
         assert_same_walk(*self._both(start, n))
 
@@ -376,3 +440,62 @@ class TestWalkOracle:
         g = walk_seeds(start, 3, None, 10000)
         assert not g.truncated
         assert len(calls) == len(g.edges) == 30
+
+
+class _Forgetful(dict):
+    """An exchange memo that keeps nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestExchangeMemo:
+    """Seeds of one algebra share their exchange relations; reading a
+    relation from the memo must give what computing it gives."""
+
+    CASES = [("B3", None), ("G2", None), ("F4", None), ("WILD3", 3)]
+
+    @staticmethod
+    def _walk(engine, name, depth, memo=None):
+        if name == "F4":
+            data = build_exchange_data(F4_MATRIX)
+        else:
+            data = builtin_exchange_data(name)
+        start = engine.initial_seed(data)
+        if memo is not None:
+            start = dataclasses.replace(start, exchanges=memo)
+        return walk_seeds(start, data.n, depth, 10000)
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    @pytest.mark.parametrize("name, depth", CASES)
+    def test_memo_changes_nothing(self, engine, name, depth):
+        got = self._walk(engine, name, depth)
+        want = self._walk(engine, name, depth, _Forgetful())
+        assert all(type(s.exchanges) is _Forgetful for s in want.seeds)
+        assert all(s.exchanges is got.seeds[0].exchanges for s in got.seeds)
+        assert_same_walk(got, want)
+        for a, b in zip(got.seeds, want.seeds):
+            assert a.variables == b.variables
+            assert a.current == b.current
+            assert a.history == b.history
+
+    def test_one_memo_for_algebras_with_one_initial_cluster(self):
+        # A2, B2, C2 and G2 start from the same four Laurent variables but
+        # differ in their b_ik, which the classical key keeps.  (Quantum
+        # variables carry their skew form, so there no two of these
+        # algebras share a key.)
+        shared = {}
+        for name in ["A2", "B2", "C2", "G2"]:
+            start = ClassicalSeed.initial_seed(builtin_exchange_data(name))
+            own = walk_seeds(start, 2, None, 10000)
+            start = dataclasses.replace(start, exchanges=shared)
+            assert_same_walk(walk_seeds(start, 2, None, 10000), own)
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    @pytest.mark.parametrize("name, depth", CASES)
+    def test_exchange_back_gives_the_old_variable(self, engine, name, depth):
+        # Mutation is an involution: the memo's reverse entries rely on it.
+        walk = self._walk(engine, name, depth)
+        for seed in walk.seeds:
+            for k in range(seed.current.n):
+                assert seed.mutate(k)._exchange(k) == seed.variables[k]

@@ -337,23 +337,22 @@ class TestCharactersPairing:
 
 class TestSinkSourceMutations:
     def test_original_side_is_read_from_the_graph(self, monkeypatch):
-        # B3 has a sink and a source.  The classical walk makes 30
-        # mutations, one per edge, each paired walk 30 fresh ones, and
-        # each start one original mutation; every other original seed is
-        # read from the classical walk's moves.
-        from valq.classical import ClassicalSeed
-
-        real = ClassicalSeed.mutate
+        # B3 has a sink and a source.  Once the classical walk has run,
+        # every exchange relation of the original algebra is known, in
+        # both directions, so the original side of each paired walk
+        # computes none; only the fresh sides do.
+        ctx = VerifyContext(builtin_exchange_data("B3"), name="B3")
+        ctx.classical_graph()
+        real = ClassicalSeed._exchange
         calls = []
 
         def counting(seed, k):
-            calls.append(k)
+            calls.append(seed.initial)
             return real(seed, k)
 
-        monkeypatch.setattr(ClassicalSeed, "mutate", counting)
-        rc, out, _ = run_cli(["verify", "sink-source-reflection", "--type", "B3"])
-        assert rc == 0 and " PASS " in out
-        assert len(calls) == 30 + 2 * 30 + 2
+        monkeypatch.setattr(ClassicalSeed, "_exchange", counting)
+        assert run_check("sink-source-reflection", ctx).status == PASS
+        assert calls and ctx.data not in calls
 
 
 class TestCheckErrors:
