@@ -139,6 +139,15 @@ def topological_order(b):
     return order if len(order) == n else None
 
 
+def sinks_and_sources(b):
+    """The sinks of B, whose rows have no negative entry, and its
+    sources, whose columns have none, each ascending."""
+    n, _ = mx.shape(b)
+    sinks = tuple(k for k in range(n) if all(x >= 0 for x in b[k]))
+    sources = tuple(k for k in range(n) if all(b[i][k] >= 0 for i in range(n)))
+    return sinks, sources
+
+
 def is_acyclic(b):
     return topological_order(b) is not None
 

@@ -463,14 +463,6 @@ def quotient_projection(field, n, sub_rows):
     return reduced, pivots, free
 
 
-def project_to_quotient(field, vec, reduced, pivots, free):
-    v = vec
-    for row, pc in zip(reduced, pivots):
-        if v[pc]:
-            v = _eliminate(field, v, v[pc], row)
-    return [v[c] for c in free]
-
-
 def enumerate_subspaces_containing(field, n, k, sub_rows, cap=2_000_000):
     """All k-dimensional subspaces of field**n containing a given one.
 
@@ -517,7 +509,6 @@ class FieldTower:
         self._emb = {}
         self._emb_inv = {}
         self._coords = {}
-        self._dual = {}
         self._gram = {}
         # inner loop descends so that when (a, b) routes through an
         # intermediate c, both (a, c) and (c, b) already exist
@@ -640,22 +631,6 @@ class FieldTower:
             ]
             self._gram[key] = (gram, f_inverse(self.fields[a], gram))
         return self._gram[key]
-
-    def trace_dual_basis(self, b, a):
-        """Basis dual to 1, t, ..., t**(e-1) under the relative trace form."""
-        key = (b, a)
-        if key not in self._dual:
-            fb = self.fields[b]
-            _, ginv = self.trace_gram(b, a)
-            dual = []
-            for col in zip(*ginv):
-                acc = 0
-                for i, x in enumerate(col):
-                    ti = fb.pow(self.p, i) if i else 1
-                    acc = fb.add(acc, fb.mul(self.embed(a, b, x), ti))
-                dual.append(acc)
-            self._dual[key] = tuple(dual)
-        return self._dual[key]
 
 
 _TOWERS = {}

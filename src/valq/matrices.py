@@ -44,13 +44,6 @@ def matmul(a, b):
     )
 
 
-def matvec(m, v):
-    nr, nc = shape(m)
-    if nc != len(v):
-        raise ValueError("dimension mismatch in matvec")
-    return tuple(sum(m[i][j] * v[j] for j in range(nc)) for i in range(nr))
-
-
 def add(a, b):
     if shape(a) != shape(b):
         raise ValueError("dimension mismatch in add")

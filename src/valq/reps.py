@@ -7,7 +7,10 @@ that expands each top-field coordinate into its d/g subfield
 coordinates (index r*(d/g) + m for coordinate r, subfield slot m).
 
 Everything downstream (hom and ext spaces, subrepresentation counts,
-sink and source reflections) is exhaustive exact linear algebra.
+sink and source reflections) is exhaustive exact linear algebra.  There
+is one reflection functor, the sink's S^+: its new fiber is the kernel
+of the summed evaluation map.  The source reflection is D S^+ D, the
+sink reflection of the dual representation, dualised back.
 
 Subrepresentations are counted for every dimension vector e in the box
 below the representation's at once, by one walk.  It takes each arrow map
@@ -42,7 +45,7 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .exchange import topological_order, valued_arrows
+from .exchange import sinks_and_sources, topological_order, valued_arrows
 from .finfield import (
     build_tower,
     enumerate_subspaces_containing,
@@ -52,8 +55,6 @@ from .finfield import (
     f_matvec,
     f_rank,
     gaussian_binomial,
-    project_to_quotient,
-    quotient_projection,
 )
 
 
@@ -83,12 +84,6 @@ def _tpow(field, l):
     return field.p**l if l else 1
 
 
-def _sinks(b):
-    """The sinks of B, the vertices whose row has no negative entry,
-    ascending."""
-    return tuple(k for k, row in enumerate(b) if all(x >= 0 for x in row))
-
-
 class ValuedQuiver:
     """A valued quiver with a fixed tower of coefficient fields."""
 
@@ -99,7 +94,7 @@ class ValuedQuiver:
         self.tower = tower
         # vertices with every arrow pointing forward; None if cyclic
         self.order = topological_order(self.b)
-        self.sinks = _sinks(self.b)
+        self.sinks, self.sources = sinks_and_sources(self.b)
         self.arrow_keys = []
         self.valuation = {}
         for i, j, mult, g in valued_arrows(self.b, self.diag):
@@ -123,7 +118,7 @@ class ValuedQuiver:
         return k in self.sinks
 
     def is_source(self, k):
-        return all(self.b[i][k] >= 0 for i in range(self.n))
+        return k in self.sources
 
     def reflected(self, k):
         rows = [list(row) for row in self.b]
@@ -139,7 +134,7 @@ class ValuedQuiver:
         op.b = tuple(tuple(-x for x in row) for row in self.b)
         op.n, op.diag, op.tower = self.n, self.diag, self.tower
         op.order = None if self.order is None else self.order[::-1]
-        op.sinks = _sinks(op.b)
+        op.sinks, op.sources = self.sources, self.sinks
         op.arrow_keys = sorted((j, i, c) for i, j, c in self.arrow_keys)
         op.valuation = {(j, i): g for (i, j), g in self.valuation.items()}
         return op
@@ -720,34 +715,22 @@ def count_all_subreps(rep):
     return walk_subreps(rep, prefers_backward(rep))
 
 
-def _arrows_at(rep, k, sink):
-    """The arrows into the sink k, or out of the source k, as (key,
-    valuation, width, offset): width is the dimension of the far vertex's
-    fiber over the valuation field, offset its place in the direct sum
-    of those fibers.  Also returns the dimension of that sum."""
+def _arrows_at(rep, k):
+    """The arrows into the sink k as (key, valuation, width, offset):
+    width is the dimension of the source fiber over the valuation field,
+    offset its place in the direct sum of those fibers.  Also returns the
+    dimension of that sum."""
     quiver = rep.quiver
-    near, far = (1, 0) if sink else (0, 1)
     layout = []
     total = 0
     for key in quiver.arrow_keys:
-        if key[near] == k:
-            g = quiver.valuation[key[:2]]
-            width = rep.dims[key[far]] * (quiver.diag[key[far]] // g)
+        i, j, _ = key
+        if j == k:
+            g = quiver.valuation[(i, j)]
+            width = rep.dims[i] * (quiver.diag[i] // g)
             layout.append((key, g, width, total))
             total += width
     return layout, total
-
-
-def _reflected_rep(rep, k, dim_k, reversed_maps):
-    """The representation of the quiver reflected at k with fiber
-    dimension dim_k there: the given maps on the reversed arrows, keyed
-    by the old arrow, and the old maps on every other arrow."""
-    dims = list(rep.dims)
-    dims[k] = dim_k
-    maps = {key: mat for key, mat in rep.maps.items() if k not in key[:2]}
-    for (i, j, copy), mat in reversed_maps.items():
-        maps[(j, i, copy)] = mat
-    return ValuedRep(rep.quiver.reflected(k), dims, maps)
 
 
 def reflect_sink(rep, k):
@@ -758,8 +741,8 @@ def reflect_sink(rep, k):
         raise NotSinkOrSource("vertex %d is not a sink" % k)
     fk = quiver.field(k)
     dk = quiver.diag[k]
-    layout, nbig = _arrows_at(rep, k, sink=True)
-    # one vertex-field column of the evaluation map per far coordinate
+    layout, nbig = _arrows_at(rep, k)
+    # one vertex-field column of the evaluation map per coordinate of the sum
     columns = [
         quiver.g_to_f(k, g, [row[m] for row in rep.maps[key]])
         for key, g, width, _ in layout
@@ -769,12 +752,15 @@ def reflect_sink(rep, k):
     # with a zero fiber at k, one zero equation leaves the whole sum free
     kernel = f_kernel_basis(fk, phi or [[0] * nbig])
     if nbig - len(kernel) < rep.dims[k]:
-        raise HasSimpleSummand("evaluation at the sink is not surjective")
+        raise HasSimpleSummand("the simple at the reflected vertex splits off")
     trace = quiver.tower.relative_trace
-    reversed_maps = {}
-    for key, g, width, offset in layout:
+    dims = list(rep.dims)
+    dims[k] = len(kernel)
+    # the old maps away from k, and each arrow i -> k reversed
+    maps = {key: mat for key, mat in rep.maps.items() if k not in key[:2]}
+    for (i, _, copy), g, width, offset in layout:
         steps = dk // g
-        reversed_maps[key] = [
+        maps[(k, i, copy)] = [
             [
                 trace(dk, g, fk.mul(kvec[offset + m], _tpow(fk, l)))
                 for kvec in kernel
@@ -782,57 +768,14 @@ def reflect_sink(rep, k):
             ]
             for m in range(width)
         ]
-    return _reflected_rep(rep, k, len(kernel), reversed_maps)
-
-
-def reflect_source(rep, k):
-    """Source reflection: the new fiber at k is the cokernel of the
-    coevaluation map built from the trace-dual basis."""
-    quiver = rep.quiver
-    if not quiver.is_source(k):
-        raise NotSinkOrSource("vertex %d is not a source" % k)
-    fk = quiver.field(k)
-    dk = quiver.diag[k]
-    layout, nbig = _arrows_at(rep, k, sink=False)
-    psi_cols = []
-    for r in range(rep.dims[k]):
-        col = []
-        for key, g, width, _ in layout:
-            dual = quiver.tower.trace_dual_basis(dk, g)
-            entry = [0] * width
-            for l in range(dk // g):
-                xv = [0] * rep.dims[k]
-                xv[r] = _tpow(fk, l)
-                gflat = quiver.f_to_g(key[1], g, rep.apply_arrow(key, xv))
-                for m in range(width):
-                    if gflat[m]:
-                        entry[m] = fk.add(
-                            entry[m],
-                            fk.mul(
-                                quiver.tower.embed(g, dk, gflat[m]), dual[l]
-                            ),
-                        )
-            col.extend(entry)
-        psi_cols.append(col)
-    reduced, pivots, free = quotient_projection(fk, nbig, psi_cols)
-    if len(pivots) < rep.dims[k]:
-        raise HasSimpleSummand("coevaluation at the source is not injective")
-    reversed_maps = {}
-    for key, g, width, offset in layout:
-        cols = []
-        for m in range(width):
-            w = [0] * nbig
-            w[offset + m] = 1
-            qcoords = project_to_quotient(fk, w, reduced, pivots, free)
-            cols.append(quiver.f_to_g(k, g, qcoords))
-        nrows = len(free) * (dk // g)
-        reversed_maps[key] = [[col[r] for col in cols] for r in range(nrows)]
-    return _reflected_rep(rep, k, len(free), reversed_maps)
+    return ValuedRep(quiver.reflected(k), dims, maps)
 
 
 def reflect(rep, k):
+    """The reflection at the sink or source k.  At a source it is the sink
+    reflection of the dual, whose k is a sink, dualised back."""
     if rep.quiver.is_sink(k):
         return reflect_sink(rep, k)
     if rep.quiver.is_source(k):
-        return reflect_source(rep, k)
+        return dual_rep(reflect_sink(dual_rep(rep), k))
     raise NotSinkOrSource("vertex %d is neither sink nor source" % k)

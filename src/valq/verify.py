@@ -41,7 +41,7 @@ from .classical import (
     variable_f_polynomial,
     variable_g_vector,
 )
-from .exchange import build_exchange_data, is_acyclic
+from .exchange import build_exchange_data, is_acyclic, sinks_and_sources
 from .finfield import CapExceeded
 from .laurent import LaurentPoly, tropical_evaluate
 from .matrices import det
@@ -238,13 +238,6 @@ def primes_needed(diag, v):
     for e in product(*(range(x + 1) for x in v)):
         worst = max(worst, dimension_bound(diag, v, e))
     return worst + 2
-
-
-def _sinks_and_sources(b):
-    n = len(b)
-    sinks = [k for k in range(n) if all(b[k][j] >= 0 for j in range(n))]
-    sources = [k for k in range(n) if all(b[i][k] >= 0 for i in range(n))]
-    return sinks, sources
 
 
 def _vertex_lists(sinks, sources):
@@ -533,7 +526,7 @@ def check_sink_source_reflection(ctx):
     the pairing of equal mutation words."""
     n = ctx.n
     b = ctx.b
-    sinks, sources = _sinks_and_sources(b)
+    sinks, sources = sinks_and_sources(b)
     fresh_initial = {LaurentPoly.variable(2 * n, i) for i in range(n)}
     truncated = False
     matched = 0
@@ -590,7 +583,7 @@ def check_principal_source(ctx, source=None):
     inverted k-th frozen variable."""
     n = ctx.n
     b = ctx.b
-    _, sources = _sinks_and_sources(b)
+    _, sources = sinks_and_sources(b)
     if source is not None:
         if source not in sources:
             raise NotSinkOrSource(
@@ -770,7 +763,7 @@ def check_reflection(ctx):
     quantum seed."""
     n = ctx.n
     b = ctx.b
-    sinks, sources = _sinks_and_sources(b)
+    sinks, sources = sinks_and_sources(b)
     vertices = sorted(set(sinks) | set(sources))
     records = ctx.variable_records()
     truncated = ctx.classical_graph().truncated

@@ -66,7 +66,6 @@ class TestMatrices:
     def test_matmul_identity(self):
         m = mx.freeze([[1, 2], [3, 4]])
         assert mx.matmul(m, mx.identity(2)) == m
-        assert mx.matvec(m, (1, 1)) == (3, 7)
 
 
 class TestSymmetrizer:

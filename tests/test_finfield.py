@@ -389,15 +389,23 @@ class TestTowers:
         for y in range(F3.q):
             assert t.relative_trace(2, 1, t.embed(1, 2, y)) == F3.mul(2 % 3, y)
 
-    def test_trace_dual_basis_gram_identity(self):
-        t = build_tower(3, (2,))
-        F9 = t.field(2)
-        dual = t.trace_dual_basis(2, 1)
-        power = [1, F9.from_digits((0, 1))]
-        for i, bi in enumerate(power):
-            for j, gj in enumerate(dual):
-                tr = t.relative_trace(2, 1, F9.mul(bi, gj))
-                assert tr == (1 if i == j else 0)
+    def test_trace_gram_entries_and_inverse(self):
+        # F_9 over F_3, and F_16 over F_4 inside the F_2 tower
+        for p, degrees, b, a in [(3, (2,), 2, 1), (2, (2, 4), 4, 2)]:
+            t = build_tower(p, degrees)
+            big, small = t.field(b), t.field(a)
+            e = b // a
+            gen = big.from_digits([0, 1] + [0] * (b - 2))
+            power = [1]
+            for _ in range(2 * e - 2):
+                power.append(big.mul(power[-1], gen))
+            gram, inverse = t.trace_gram(b, a)
+            assert gram == [
+                [t.relative_trace(b, a, power[i + l]) for l in range(e)]
+                for i in range(e)
+            ]
+            identity = [[int(i == l) for l in range(e)] for i in range(e)]
+            assert f_matmul(small, gram, inverse) == identity
 
     def test_subfield_coords_round_trip(self):
         t = build_tower(2, (2, 4))

@@ -10,7 +10,11 @@ from itertools import product
 
 import pytest
 
-from valq.exchange import BUILTIN_MATRICES, minimal_symmetrizer
+from valq.exchange import (
+    BUILTIN_MATRICES,
+    minimal_symmetrizer,
+    sinks_and_sources,
+)
 from valq.finfield import (
     build_tower,
     enumerate_subspaces,
@@ -35,7 +39,6 @@ from valq.reps import (
     random_rep,
     reflect,
     reflect_sink,
-    reflect_source,
     simple_reflection,
     walk_subreps,
 )
@@ -67,6 +70,26 @@ def count_subreps(rep, e):
 def quiver(name, p):
     b = LOCAL_MATRICES.get(name) or BUILTIN_MATRICES[name]
     return ValuedQuiver.from_matrix(b, minimal_symmetrizer(b), p)
+
+
+def simple_vector(n, k):
+    return tuple(1 if i == k else 0 for i in range(n))
+
+
+def positive_roots(b):
+    """The positive vectors reached from the simples by simple
+    reflections: the dimension vectors of the indecomposables in finite
+    type."""
+    simples = [simple_vector(len(b), k) for k in range(len(b))]
+    roots, todo = set(simples), list(simples)
+    while todo:
+        v = todo.pop()
+        for k in range(len(b)):
+            w = simple_reflection(b, k, v)
+            if min(w) >= 0 and w not in roots:
+                roots.add(w)
+                todo.append(w)
+    return sorted(roots)
 
 
 def subfield_basis(tower, d, g):
@@ -174,6 +197,13 @@ class TestQuiverStructure:
         b2 = quiver("B2", 3)
         assert b2.is_sink(0) and not b2.is_source(0)
         assert b2.is_source(1) and not b2.is_sink(1)
+
+    def test_opposite_swaps_sinks_and_sources(self):
+        for name in ("B2", "G2", "B3", "F4", "D4"):
+            for q in orientations(name, 2):
+                op = q.opposite()
+                assert (op.sinks, op.sources) == (q.sources, q.sinks)
+                assert (op.sinks, op.sources) == sinks_and_sources(op.b)
 
     def test_reflected_negates_row_and_column(self):
         b2 = quiver("B2", 3)
@@ -396,7 +426,7 @@ class TestReflectionFunctors:
     def test_source_then_sink_round_trip(self):
         q = quiver("B2", 3)
         rep = build_rigid_rep(q, (1, 2), rng_seed=0)
-        rt = reflect_source(reflect_sink(rep, 0), 0)
+        rt = reflect(reflect_sink(rep, 0), 0)
         assert rt.dims == rep.dims
         assert rt.quiver.b == q.b
         assert is_rigid(rt)
@@ -406,11 +436,29 @@ class TestReflectionFunctors:
         assert hom_dim(rep, rt) >= 1 and hom_dim(rt, rep) >= 1
 
     def test_sink_then_source_round_trip(self):
-        q = quiver("G2", 3)
-        rep = build_rigid_rep(q, (1, 2), rng_seed=0)
-        rt = reflect_sink(reflect_source(rep, 1), 1)
-        assert rt.dims == rep.dims
-        assert count_all_subreps(rt) == count_all_subreps(rep)
+        # Every positive root but the simple at each source k, reflected
+        # there (the sink reflection of the dual) and back at the sink.
+        cases = [("A3", 6), ("B3", 9), ("C2", 4), ("G2", 6), ("VAL2", 4),
+                 ("F4", 24)]
+        for (name, nroots), p in product(cases, (2, 3)):
+            if name == "VAL2":
+                q = ValuedQuiver.from_matrix(VAL2_B, VAL2_D, p)
+            else:
+                q = quiver(name, p)
+            roots = positive_roots(q.b)
+            assert len(roots) == nroots and q.sources
+            for k, v in product(q.sources, roots):
+                if v == simple_vector(q.n, k):
+                    continue
+                rep = build_rigid_rep(q, v, rng_seed=0)
+                out = reflect(rep, k)
+                assert out.quiver.b == q.reflected(k).b
+                assert out.dims == simple_reflection(q.b, k, v)
+                assert is_rigid(out)
+                rt = reflect_sink(out, k)
+                assert rt.quiver.b == q.b
+                assert count_all_subreps(rt) == count_all_subreps(rep)
+                assert hom_dim(rep, rt) >= 1 and hom_dim(rt, rep) >= 1
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_valuation_two(self, k):
@@ -427,10 +475,13 @@ class TestReflectionFunctors:
         with pytest.raises(NotSinkOrSource):
             reflect(rep, 1)
         b2 = quiver("B2", 2)
-        with pytest.raises(HasSimpleSummand):
-            reflect_sink(ValuedRep.simple(b2, 0), 0)
-        with pytest.raises(HasSimpleSummand):
-            reflect_source(ValuedRep.simple(b2, 1), 1)
+        # The simple at the sink 0, and at the source 1 through the dual.
+        for k in (0, 1):
+            with pytest.raises(HasSimpleSummand) as info:
+                reflect(ValuedRep.simple(b2, k), k)
+            assert str(info.value) == (
+                "the simple at the reflected vertex splits off"
+            )
         with pytest.raises(HasSimpleSummand):
             # Zero maps leave a simple summand at the sink.
             reflect_sink(ValuedRep.zero_maps(b2, (1, 1)), 0)
@@ -455,8 +506,8 @@ class TestWalkDirections:
     # (type, prime, dimension vector, 0-based reflection vertex): rigid
     # representations reflected at the sink 0 of G2 and B3 and at their
     # sources 1 and 2, over F_2 and F_3.  The planner walks all but the
-    # fourth backward; for the fourth both walks price 2 and it keeps
-    # the forward one.
+    # fourth and the sixth backward; for those both walks price the same,
+    # 2 and 12, and it keeps the forward one.
     REFLECTED_CASES = [
         ("G2", 3, (1, 3), 0),
         ("G2", 2, (1, 3), 1),
@@ -466,7 +517,9 @@ class TestWalkDirections:
         ("B3", 3, (1, 2, 2), 2),
         ("B3", 2, (1, 1, 2), 0),
     ]
-    BACKWARD_CASES = REFLECTED_CASES[:3] + REFLECTED_CASES[4:]
+    BACKWARD_CASES = (
+        REFLECTED_CASES[:3] + REFLECTED_CASES[4:5] + REFLECTED_CASES[6:]
+    )
 
     @pytest.mark.parametrize("name,p,v,k", REFLECTED_CASES)
     def test_reflected_rigid_reps_against_brute_force(self, name, p, v, k):
@@ -481,6 +534,15 @@ class TestWalkDirections:
     def test_planner_walks_the_reflected_reps_backward(self, name, p, v, k):
         rep = reflect(build_rigid_rep(quiver(name, p), v, rng_seed=0), k)
         assert prefers_backward(rep)
+
+    def test_planner_keeps_the_reflected_b3_source_forward(self):
+        from valq.reps import _walk_price
+
+        rep = build_rigid_rep(quiver("B3", 3), (1, 2, 2), rng_seed=0)
+        rep = reflect(rep, 2)
+        assert _walk_price(rep.quiver, rep.dims) == 12
+        assert _walk_price(rep.quiver.opposite(), rep.dims) == 12
+        assert not prefers_backward(rep)
 
     def test_planner_keeps_the_original_g2_orientation_forward(self):
         # The F_{p^3} vertex is a sink here, so the forward walk never

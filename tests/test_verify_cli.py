@@ -902,6 +902,12 @@ class TestGoldenDocuments:
                  "--primes", "2,3,5,7,11,13,17", "--max-depth", "16",
                  "--json"],
             ),
+            (
+                "b3-verify-all.json",
+                ["verify-all", "--type", "B3",
+                 "--primes", "2,3,5,7,11,13,17", "--max-depth", "16",
+                 "--json"],
+            ),
         ],
     )
     def test_output_is_the_committed_document(self, name, argv):
