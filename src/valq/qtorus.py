@@ -521,9 +521,13 @@ def walk_seeds(start, n, max_depth, max_seeds):
     return GraphResult(seeds=seeds, moves=moves, index=index, truncated=truncated)
 
 
-def enumerate_quantum_seeds(data, max_depth=None, max_seeds=10000):
+def enumerate_quantum_seeds(
+    data, max_depth=None, max_seeds=10000, start=None
+):
     """Breadth-first walk of the quantum exchange graph, with seeds
-    identified up to cluster renumbering."""
-    return walk_seeds(
-        QuantumSeed.initial_seed(data), data.n, max_depth, max_seeds
-    )
+    identified up to cluster renumbering.  It starts from ``start``, an
+    initial seed of ``data`` whose ``exchanges`` memo the walk then
+    shares, or from a new initial seed."""
+    if start is None:
+        start = QuantumSeed.initial_seed(data)
+    return walk_seeds(start, data.n, max_depth, max_seeds)

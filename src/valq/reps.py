@@ -25,10 +25,16 @@ sink k with forced image of dimension u then contributes the Gaussian
 binomial [dim V_k - u, e_k - u] over its field, for every e_k.
 
 The walk may close its last enumerated vertex i instead of enumerating
-it: when one arrow leaves i, to a sink k of the same degree, each
-subspace at i acts on k only through the dimension of its meet with one
-fixed subspace, and a q-Vandermonde count of subspaces by that dimension
-replaces the enumeration.
+it, when one arrow leaves i, to a sink k.  Each subspace W at i acts on
+k only through dim W and the dimension of one meet: of W with a fixed
+subspace when k has the degree of i, and otherwise, when no other arrow
+enters k, of the span of W's subfield coordinates over the field at k
+with the kernel K of the arrow's evaluation map.  Counts of the W by
+that dimension come from sums over the subspaces of the fixed space
+containing a given one, inverted on the lattice of subspaces
+(Goldman-Rota): between equal degrees the sums have a closed form and
+the inversion is the q-Vandermonde count; between different degrees the
+close enumerates the subspaces of K instead of those of V_i.
 
 The dual representation D(V), over the opposite quiver, has a
 subrepresentation of dimension v - e for each one of V of dimension e
@@ -36,8 +42,11 @@ subrepresentation of dimension v - e for each one of V of dimension e
 the sinks up, enumerating the non-sources and counting at the sources.
 The planner prices both trees by the product, over the vertices the walk
 still enumerates (so not the one it closes), of their numbers of
-subspaces of all dimensions, and walks D(V) exactly when its price is
-lower.  It looks at nothing but the quiver, fields and dimension vector.
+subspaces of all dimensions, times the number of subspaces of K for a
+close between different degrees, and walks D(V) exactly when its price
+is lower.  Such a close happens only when K has fewer subspaces than
+V_i, so the planner reads the rank of that one arrow, or of its adjoint
+for the backward walk, besides the quiver, fields and dimension vector.
 """
 
 import random
@@ -434,6 +443,11 @@ def _scaled_arrow_matrices(rep):
 _gaussian_binomial = lru_cache(maxsize=4096)(gaussian_binomial)
 
 
+def _subspace_total(q, n):
+    """Number of subspaces, of every dimension, of an n-space over F_q."""
+    return sum(_gaussian_binomial(q, n, k) for k in range(n + 1))
+
+
 def _walk_order(quiver):
     """The vertices the walk enumerates, the non-sinks in the quiver's
     order, and the sinks it counts from the messages they receive."""
@@ -442,40 +456,80 @@ def _walk_order(quiver):
     return [i for i in quiver.order if i not in sinks], list(sinks)
 
 
-def _closing_vertex(quiver):
-    """The last vertex the walk enumerates, when its subspaces can be
-    counted in closed form; otherwise None.
+def _closing_vertex(quiver, dims, matrix):
+    """(i, k, K) when the last vertex i the walk enumerates is counted in
+    closed form over its one arrow to the sink k; otherwise None.
 
-    Every out-neighbour of that vertex is a sink.  It closes when exactly
-    one arrow leaves it, to a sink k of the same degree, so that the
-    arrow is one matrix over their field.
+    Every out-neighbour of i is a sink.  i closes only when exactly one
+    arrow leaves it.  When k has the degree of i, the arrow is one matrix
+    over their field, i always closes and K is None.  Otherwise k must
+    have no other in-arrow, and K is a basis of the kernel of the arrow's
+    evaluation map (``_sink_kernel``), read from ``matrix(key)``; i
+    closes only when K has fewer subspaces, which the close enumerates,
+    than V_i has.
     """
     enumerated, _ = _walk_order(quiver)
     if not enumerated:
         return None
     i = enumerated[-1]
     keys = [key for key in quiver.arrow_keys if key[0] == i]
-    if len(keys) == 1 and quiver.diag[keys[0][1]] == quiver.diag[i]:
-        return i
+    if len(keys) != 1:
+        return None
+    k = keys[0][1]
+    if quiver.diag[k] == quiver.diag[i]:
+        return i, k, None
+    if sum(key[1] == k for key in quiver.arrow_keys) > 1:
+        return None
+    fk, fi = quiver.field(k), quiver.field(i)
+    enumerating = _subspace_total(fi.q, dims[i])
+    # the evaluation map has rank at most dim V_k, so K has dimension at
+    # least its number of columns less dim V_k: if even that many is too
+    # many, K is not computed
+    width = dims[i] * (quiver.diag[i] // quiver.valuation[(i, k)])
+    if _subspace_total(fk.q, max(width - dims[k], 0)) >= enumerating:
+        return None
+    _, _, kernel = _sink_kernel(quiver, dims, matrix, k)
+    if _subspace_total(fk.q, len(kernel)) < enumerating:
+        return i, k, kernel
     return None
+
+
+@lru_cache(maxsize=4096)
+def _by_meet(q, sums):
+    """Counts by the dimension of a meet, from counts above subspaces.
+
+    ``sums`` holds ((a, l), A_l(a)): the sum, over the subspaces L of
+    dimension l above a fixed base in a space over F_q, of the number of
+    subspaces W of dimension a whose meet with that space contains L.
+    Returns (a, j, number of W whose meet is j above the base) for every
+    nonzero number, by Moebius inversion on the lattice of subspaces
+    (Goldman-Rota): N_a(j) = sum over l of (-1)**(l-j) q**C(l-j, 2)
+    [l, j]_q A_l(a).
+    """
+    out = {}
+    for (a, l), total in sums:
+        for j in range(l + 1):
+            r = l - j
+            term = q ** (r * (r - 1) // 2) * _gaussian_binomial(q, l, j)
+            term *= -total if r % 2 else total
+            out[a, j] = out.get((a, j), 0) + term
+    return tuple((a, j, count) for (a, j), count in out.items() if count)
 
 
 @lru_cache(maxsize=4096)
 def _meet_counts(q, n, m):
     """(a, j, number of a-dimensional subspaces of an n-space over F_q
     that meet a fixed m-dimensional subspace in dimension j), for every
-    nonzero number (q-Vandermonde)."""
-    return tuple(
-        (
-            a,
-            j,
-            q ** ((m - j) * (a - j))
-            * _gaussian_binomial(q, m, j)
-            * _gaussian_binomial(q, n - m, a - j),
-        )
+    nonzero number: the l-dimensional subspaces of the fixed one number
+    [m, l]_q, and [n - l, a - l]_q subspaces contain each, so
+    ``_by_meet`` gives the q-Vandermonde counts."""
+    binomial = _gaussian_binomial
+    sums = tuple(
+        ((a, l), binomial(q, m, l) * binomial(q, n - l, a - l))
         for a in range(n + 1)
-        for j in range(max(0, a - (n - m)), min(a, m) + 1)
+        for l in range(min(a, m) + 1)
     )
+    return _by_meet(q, sums)
 
 
 class _Walk:
@@ -490,30 +544,29 @@ class _Walk:
     from the dimension of that span.
 
     When the last enumerated vertex i closes (``_closing_vertex``), its
-    subspaces W are not enumerated.  Each parent fixes the space U that
-    W ranges over and a subspace I of U, and the parameter of i's one
-    sink neighbour k depends on W only through dim W and
-    j = dim(W meet I); ``_meet_counts`` gives how many W share both.
+    subspaces W are not enumerated.  The rank at i's one sink neighbour k
+    depends on W only through dim W and the dimension of the meet of W,
+    or of its span over the field at k, with one subspace that the
+    parent fixes; ``_close`` counts the W by both.
     """
 
-    def __init__(self, rep):
+    def __init__(self, rep, closing):
         quiver = rep.quiver
         self.rep = rep
         self.quiver = quiver
         self.p = quiver.p
         self.enumerated, self.terminals = _walk_order(quiver)
-        self.closing = _closing_vertex(quiver)
+        self.closing, self.sink, self.kernel = closing or (None, None, None)
         # the out-neighbours of each vertex, with the arrow matrices
         self.links = {i: [] for i in range(quiver.n)}
         for (i, j), mats in _scaled_arrow_matrices(rep).items():
             self.links[i].append((j, mats))
         self.inbox = {i: ([], []) for i in range(quiver.n)}
-        if self.closing is not None:
+        if closing is not None and self.kernel is None:
             # the span of the closing arrow's columns, phi(V_i)
             i = self.closing
-            ((k, _),) = self.links[i]
             span = ([], [])
-            for col in zip(*rep.maps[(i, k, 0)]):
+            for col in zip(*rep.maps[(i, self.sink, 0)]):
                 span = f_insert(quiver.field(i), *span, col)
             self.closing_image = span
 
@@ -572,19 +625,34 @@ class _Walk:
 
     def _close(self, i, path, out):
         """Add the leaves below the current parent, with the closing
-        vertex i counted in closed form.
+        vertex i counted in closed form: every subspace W of V_i above
+        its forced span G, by dim W and the rank it leaves at k."""
+        k = self.sink
+        forced, _ = self.inbox[i]
+        if self.kernel is None:
+            counts = self._equal_close(i, k, forced)
+        else:
+            counts = self._mixed_close(i, k, forced)
+        params = [len(self.inbox[x][0]) for x in self.terminals]
+        slot = self.terminals.index(k)
+        for a, rank, count in counts:
+            params[slot] = rank
+            key = path + (a,) + tuple(params)
+            out[key] = out.get(key, 0) + count
 
-        W ranges over the subspaces above the forced span G at i, so over
-        subspaces of U = V_i / G.  The rank at k becomes
-        dim(T + phi(W)) = t + dim W - dim(W meet J) with J = phi^-1(T),
-        which reads dim(T + phi(G)) + a - j for a = dim W / G and
-        I = (J + G) / G, of dimension
-        n - dim(T + phi(V_i)) + dim(T + phi(G)).
+    def _equal_close(self, i, k, forced):
+        """(dim W, rank at k, count) when k has the degree of i.
+
+        W ranges over the subspaces above G, so over subspaces of
+        U = V_i / G.  The rank at k is dim(T + phi(W)) = t + dim W -
+        dim(W meet J), with T the span that k has received and
+        J = phi^-1(T).  That reads dim(T + phi(G)) + a - j for
+        a = dim W / G and j = dim(W / G meet I), I = (J + G) / G, of
+        dimension n - dim(T + phi(V_i)) + dim(T + phi(G)), and
+        ``_meet_counts`` counts the W by (a, j).
         """
-        ((k, _),) = self.links[i]
         field = self.quiver.field(i)
         phi = self.rep.maps[(i, k, 0)]
-        forced, _ = self.inbox[i]
         got, _ = span = self.inbox[k]
         for x in forced:
             span = f_insert(field, *span, f_matvec(field, phi, x))
@@ -596,14 +664,63 @@ class _Walk:
             whole = f_insert(field, *whole, x)
         n = self.rep.dims[i] - len(forced)
         m = n - len(whole[0]) + base
-        params = [
-            len(self.inbox[x][0]) if x != k else 0 for x in self.terminals
-        ]
-        slot = self.terminals.index(k)
         for a, j, count in _meet_counts(field.q, n, m):
-            params[slot] = base + a - j
-            key = path + (len(forced) + a,) + tuple(params)
-            out[key] = out.get(key, 0) + count
+            yield len(forced) + a, base + a - j, count
+
+    def _mixed_close(self, i, k, forced):
+        """(dim W, rank at k, count) when the arrow phi from i to k joins
+        different degrees, over their common subfield F_g.
+
+        W(x) is the span over F_k of the F_g-coordinate vectors of W, of
+        dimension e * dim W with e = d_i / g.  k receives nothing else,
+        so its rank is the dimension of the image of W(x) under the
+        evaluation map, e * dim W - dim(W(x) meet K).  That meet contains
+        J0 = G(x) meet K.  An F_k-subspace L of K lies in W(x) exactly
+        when W contains R(L), the F_i-span of the F_g-coordinate vectors
+        of L's basis, so [n - r, a - r] of the W of dimension a contain
+        it, with r = dim(G + R(L)).  Summed over the L above J0 by
+        dim L / J0, these are what ``_by_meet`` inverts.
+        """
+        quiver = self.quiver
+        tower = quiver.tower
+        g = quiver.valuation[(i, k)]
+        dk = quiver.diag[k]
+        e = quiver.diag[i] // g
+        fi, fk = quiver.field(i), quiver.field(k)
+        kernel = self.kernel
+        m = len(kernel)
+        # J0 in coordinates over the kernel basis: the c with c.K in G(x),
+        # which the F_g-basis t**l * x of G spans
+        meet = []
+        if forced and kernel:
+            tensor = []
+            for x in forced:
+                for l in range(e):
+                    tx = [fi.mul(_tpow(fi, l), a) for a in x]
+                    coords = quiver.f_to_g(i, g, tx)
+                    tensor.append([tower.embed(g, dk, c) for c in coords])
+            rows = [list(row) for row in zip(*kernel, *tensor)]
+            meet = [v[:m] for v in f_kernel_basis(fk, rows)]
+        columns = [list(col) for col in zip(*kernel)]
+        n = self.rep.dims[i]
+        sums = {}
+        for l in range(m - len(meet) + 1):
+            for coords in enumerate_subspaces_containing(
+                fk, m, len(meet) + l, meet
+            ):
+                span = self.inbox[i]
+                for c in coords:
+                    y = f_matvec(fk, columns, c)
+                    # the F_g-coordinate vectors of y, as vectors at i
+                    parts = [tower.subfield_coords(dk, g, x) for x in y]
+                    for part in zip(*parts):
+                        span = f_insert(fi, *span, quiver.g_to_f(i, g, part))
+                r = len(span[0])
+                for a in range(r, n + 1):
+                    step = _gaussian_binomial(fi.q, n - r, a - r)
+                    sums[a, l] = sums.get((a, l), 0) + step
+        for a, j, count in _by_meet(fk.q, tuple(sorted(sums.items()))):
+            yield a, e * a - len(meet) - j, count
 
     def _subspaces(self, i):
         """The subspaces at i containing the span of its forced images."""
@@ -632,57 +749,81 @@ class _Walk:
         return parents
 
 
-def _walk_price(quiver, dims):
+def _walk_price(quiver, dims, closing):
     """Size of the walk tree, bounded by the product of the numbers of
-    subspaces of the vertices it enumerates, less the one it closes."""
+    subspaces of the vertices it enumerates, less the one it closes,
+    times the number of subspaces of K that a close between different
+    degrees enumerates."""
     enumerated, _ = _walk_order(quiver)
-    closing = _closing_vertex(quiver)
+    i, k, kernel = closing or (None, None, None)
     price = 1
-    for i in enumerated:
-        if i != closing:
-            q = quiver.field(i).q
-            v = dims[i]
-            price *= sum(_gaussian_binomial(q, v, k) for k in range(v + 1))
+    if kernel is not None:
+        price = _subspace_total(quiver.field(k).q, len(kernel))
+    for x in enumerated:
+        if x != i:
+            price *= _subspace_total(quiver.field(x).q, dims[x])
     return price
+
+
+def _plan(rep, backward):
+    """(price, closing) of the walk in the given direction: its
+    ``_walk_price`` and its ``_closing_vertex``.  The backward walk is
+    the walk of the dual, so it reads the adjoint of a closing arrow
+    (``_adjoint``) without building the whole dual."""
+    quiver, dims = rep.quiver, rep.dims
+    if backward:
+        quiver = quiver.opposite()
+
+        def matrix(key):
+            i, j, copy = key
+            return _adjoint(rep, (j, i, copy))
+
+    else:
+        matrix = rep.maps.get
+    closing = _closing_vertex(quiver, dims, matrix)
+    return _walk_price(quiver, dims, closing), closing
 
 
 def prefers_backward(rep):
     """The planner: walk backward, as the walk of the dual over the
-    opposite quiver, when that tree is the smaller one, pricing each
-    walk by the product, over the vertices it still enumerates, of their
-    numbers of subspaces."""
-    quiver, dims = rep.quiver, rep.dims
-    return _walk_price(quiver.opposite(), dims) < _walk_price(quiver, dims)
+    opposite quiver, when that tree is the smaller one.  A close between
+    different degrees is priced by the rank of its arrow, read from the
+    representation, so the planner reads more than the quiver, fields
+    and dimension vector."""
+    return _plan(rep, True)[0] < _plan(rep, False)[0]
 
 
 def dual_rep(rep):
     """The dual representation D(V) = Hom(V, F) over the opposite quiver.
 
-    An arrow i -> j of valuation g with matrix M becomes j -> i with the
-    adjoint P_i^-1 M^T P_j under the trace forms (x, y) -> tr(x y) from
-    the vertex fields to F = F_{p^g}, where P is the block-diagonal Gram
-    matrix of that form in the subfield coordinates of each fiber.  The
-    annihilator of a subrepresentation of dimension e is one of D(V) of
-    dimension v - e, and D(D(V)) = V.
+    An arrow i -> j of valuation g becomes j -> i with the adjoint of its
+    matrix (``_adjoint``) under the trace forms (x, y) -> tr(x y) from
+    the vertex fields to F = F_{p^g}.  The annihilator of a
+    subrepresentation of dimension e is one of D(V) of dimension v - e,
+    and D(D(V)) = V.
     """
-    quiver = rep.quiver
+    maps = {(j, i, c): _adjoint(rep, (i, j, c)) for i, j, c in rep.maps}
+    return ValuedRep(rep.quiver.opposite(), rep.dims, maps)
+
+
+def _adjoint(rep, key):
+    """The matrix of D(V) on the reverse of the arrow ``key`` = (i, j, _):
+    P_i^-1 M^T P_j for the arrow's matrix M, where P is the
+    block-diagonal Gram matrix of the trace form in the subfield
+    coordinates of each fiber."""
+    quiver, dims = rep.quiver, rep.dims
+    i, j, _ = key
+    ncols, nrows = quiver.map_shape(key, dims)
+    if not (nrows and ncols):
+        return [[0] * ncols for _ in range(nrows)]
     tower = quiver.tower
-    opposite = quiver.opposite()
-    maps = {}
-    for (i, j, copy), mat in rep.maps.items():
-        nrows, ncols = opposite.map_shape((j, i, copy), rep.dims)
-        if not (nrows and ncols):
-            maps[(j, i, copy)] = [[0] * ncols for _ in range(nrows)]
-            continue
-        g = quiver.valuation[(i, j)]
-        field = tower.field(g)
-        _, inverse_i = tower.trace_gram(quiver.diag[i], g)
-        gram_j, _ = tower.trace_gram(quiver.diag[j], g)
-        left = _block_diagonal(inverse_i, rep.dims[i])
-        left = f_matmul(field, left, [list(col) for col in zip(*mat)])
-        right = _block_diagonal(gram_j, rep.dims[j])
-        maps[(j, i, copy)] = f_matmul(field, left, right)
-    return ValuedRep(opposite, rep.dims, maps)
+    g = quiver.valuation[(i, j)]
+    field = tower.field(g)
+    _, inverse_i = tower.trace_gram(quiver.diag[i], g)
+    gram_j, _ = tower.trace_gram(quiver.diag[j], g)
+    left = _block_diagonal(inverse_i, dims[i])
+    left = f_matmul(field, left, [list(col) for col in zip(*rep.maps[key])])
+    return f_matmul(field, left, _block_diagonal(gram_j, dims[j]))
 
 
 def _block_diagonal(block, copies):
@@ -699,10 +840,25 @@ def _block_diagonal(block, copies):
 def walk_subreps(rep, backward):
     """Subrepresentation counts for every e below the rep's dimension
     vector, from one walk in the given direction."""
+    return _walk_table(rep, backward, _plan(rep, backward)[1])
+
+
+def count_all_subreps(rep):
+    """Map every dimension vector below the rep's to its count, from the
+    walk that ``prefers_backward`` picks."""
+    forward, backward = _plan(rep, False), _plan(rep, True)
+    if backward[0] < forward[0]:
+        return _walk_table(rep, True, backward[1])
+    return _walk_table(rep, False, forward[1])
+
+
+def _walk_table(rep, backward, closing):
+    """The table of the walk in the given direction, which closes as
+    ``closing`` says."""
     if not backward:
-        return _Walk(rep).table()
+        return _Walk(rep, closing).table()
     dims = rep.dims
-    table = _Walk(dual_rep(rep)).table()
+    table = _Walk(dual_rep(rep), closing).table()
     # e -> v - e reverses the box's lexicographic order
     return {
         tuple(v - x for v, x in zip(dims, e)): count
@@ -710,27 +866,32 @@ def walk_subreps(rep, backward):
     }
 
 
-def count_all_subreps(rep):
-    """Map every dimension vector below the rep's to its count."""
-    return walk_subreps(rep, prefers_backward(rep))
-
-
-def _arrows_at(rep, k):
-    """The arrows into the sink k as (key, valuation, width, offset):
-    width is the dimension of the source fiber over the valuation field,
-    offset its place in the direct sum of those fibers.  Also returns the
-    dimension of that sum."""
-    quiver = rep.quiver
+def _sink_kernel(quiver, dims, matrix, k):
+    """The arrows into k as (key, valuation, width, offset), where width
+    is the dimension of the source fiber over the valuation field and
+    offset its place in the direct sum of those fibers; the dimension of
+    that sum; and a basis of the kernel of the evaluation map from the
+    sum to V_k.  That map is linear over the field at k: one column per
+    coordinate of the sum, the column of the arrow's matrix read as a
+    vector over that field.  ``matrix(key)`` gives an arrow's matrix."""
     layout = []
     total = 0
     for key in quiver.arrow_keys:
         i, j, _ = key
         if j == k:
             g = quiver.valuation[(i, j)]
-            width = rep.dims[i] * (quiver.diag[i] // g)
+            width = dims[i] * (quiver.diag[i] // g)
             layout.append((key, g, width, total))
             total += width
-    return layout, total
+    columns = [
+        quiver.g_to_f(k, g, [row[m] for row in matrix(key)])
+        for key, g, width, _ in layout
+        for m in range(width)
+    ]
+    phi = [[col[r] for col in columns] for r in range(dims[k])]
+    # with a zero fiber at k, one zero equation leaves the whole sum free
+    kernel = f_kernel_basis(quiver.field(k), phi or [[0] * total])
+    return layout, total, kernel
 
 
 def reflect_sink(rep, k):
@@ -741,16 +902,7 @@ def reflect_sink(rep, k):
         raise NotSinkOrSource("vertex %d is not a sink" % k)
     fk = quiver.field(k)
     dk = quiver.diag[k]
-    layout, nbig = _arrows_at(rep, k)
-    # one vertex-field column of the evaluation map per coordinate of the sum
-    columns = [
-        quiver.g_to_f(k, g, [row[m] for row in rep.maps[key]])
-        for key, g, width, _ in layout
-        for m in range(width)
-    ]
-    phi = [[col[r] for col in columns] for r in range(rep.dims[k])]
-    # with a zero fiber at k, one zero equation leaves the whole sum free
-    kernel = f_kernel_basis(fk, phi or [[0] * nbig])
+    layout, nbig, kernel = _sink_kernel(quiver, rep.dims, rep.maps.get, k)
     if nbig - len(kernel) < rep.dims[k]:
         raise HasSimpleSummand("the simple at the reflected vertex splits off")
     trace = quiver.tower.relative_trace

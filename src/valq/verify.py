@@ -131,6 +131,7 @@ class VerifyContext:
         self.max_seeds = max_seeds
         self.name = name
         self._classical = None
+        self._quantum_seed = None
         self._quantum = None
         self._variables = None
         self._rigid = {}
@@ -151,10 +152,22 @@ class VerifyContext:
             )
         return self._classical
 
+    def quantum_seed(self):
+        """The initial quantum seed, built once.  Every seed mutated from
+        it shares its ``exchanges`` memo, so the quantum walk and the
+        mutations of the ``reflection`` check make each exchange once,
+        and that check builds no walk of its own."""
+        if self._quantum_seed is None:
+            self._quantum_seed = QuantumSeed.initial_seed(self.data)
+        return self._quantum_seed
+
     def quantum_graph(self):
         if self._quantum is None:
             self._quantum = enumerate_quantum_seeds(
-                self.data, max_depth=self.max_depth, max_seeds=self.max_seeds
+                self.data,
+                max_depth=self.max_depth,
+                max_seeds=self.max_seeds,
+                start=self.quantum_seed(),
             )
         return self._quantum
 
@@ -713,7 +726,7 @@ def check_characters(ctx):
         raise _Stop(
             FAIL, "quantum and commutative exchange graphs differ", truncated
         )
-    q0 = QuantumSeed.initial_seed(ctx.data)
+    q0 = ctx.quantum_seed()
     initial_vars = set(q0.variables[:n])
     seen = set()
     checked = 0
@@ -767,7 +780,7 @@ def check_reflection(ctx):
     vertices = sorted(set(sinks) | set(sources))
     records = ctx.variable_records()
     truncated = ctx.classical_graph().truncated
-    q0 = QuantumSeed.initial_seed(ctx.data)
+    q0 = ctx.quantum_seed()
     checked = 0
     skipped = 0
     for k in vertices:

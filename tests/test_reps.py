@@ -536,18 +536,25 @@ class TestWalkDirections:
         assert prefers_backward(rep)
 
     def test_planner_keeps_the_reflected_b3_source_forward(self):
-        from valq.reps import _walk_price
+        from valq.reps import _plan
 
         rep = build_rigid_rep(quiver("B3", 3), (1, 2, 2), rng_seed=0)
         rep = reflect(rep, 2)
-        assert _walk_price(rep.quiver, rep.dims) == 12
-        assert _walk_price(rep.quiver.opposite(), rep.dims) == 12
+        assert _plan(rep, False) == (12, None)
+        assert _plan(rep, True) == (12, None)
         assert not prefers_backward(rep)
 
     def test_planner_keeps_the_original_g2_orientation_forward(self):
-        # The F_{p^3} vertex is a sink here, so the forward walk never
-        # enumerates it.
+        # Forward, the F_3 vertex of dimension 3 closes over its arrow of
+        # rank 2 into F_27^2, enumerating the 2 subspaces of the kernel:
+        # price 2.  Backward, the F_27 vertex closes over a kernel of
+        # dimension 3 over F_3, with 28 subspaces.
+        from valq.reps import _plan
+
         rep = build_rigid_rep(quiver("G2", 3), (2, 3), rng_seed=0)
+        (forward, closing), (backward, _) = _plan(rep, False), _plan(rep, True)
+        assert closing[:2] == (1, 0) and len(closing[2]) == 1
+        assert (forward, backward) == (2, 28)
         assert not prefers_backward(rep)
 
     @pytest.mark.parametrize(
@@ -622,32 +629,62 @@ class TestClosedForm:
     def test_which_walks_close(self):
         # The cases above close both ways: F4 forward at 1 over the arrow
         # 1 -> 0 of valuation 2, backward (the walk of the opposite
-        # quiver) at 2 over 3 -> 2 of valuation 1.
-        from valq.reps import _closing_vertex
+        # quiver) at 2 over 3 -> 2 of valuation 1.  In the reflected
+        # orientations the other candidate's arrow joins degrees 1 and 2,
+        # into the sink 1 (at 0) or 2 (at 3) that a second arrow also
+        # enters, so it never closes.
+        import random
+
+        from valq.reps import _plan
+
+        rng = random.Random(5)
 
         def closing(q):
-            return [_closing_vertex(q), _closing_vertex(q.opposite())]
+            vertices = set()
+            for dims in product(range(3), repeat=q.n):
+                rep = random_rep(q, dims, rng)
+                for backward in (False, True):
+                    plan = _plan(rep, backward)[1]
+                    vertices.add((backward, plan and plan[0]))
+            return sorted(vertices, key=str)
 
-        assert closing(quiver("A3", 2)) == [1, 1]
+        assert closing(quiver("A3", 2)) == [(False, 1), (True, 1)]
         f4, ref0, ref3 = orientations("F4", 2)
         assert f4.valuation[(1, 0)] == 2 and f4.valuation[(3, 2)] == 1
-        assert closing(f4) == [1, 2]
-        assert closing(ref0) == [None, 2]
-        assert closing(ref3) == [1, None]
+        assert closing(f4) == [(False, 1), (True, 2)]
+        assert closing(ref0) == [(False, None), (True, 2)]
+        assert closing(ref3) == [(False, 1), (True, None)]
+        assert ref0.diag[2] != ref0.diag[1] and ref3.diag[1] != ref3.diag[2]
 
-    @pytest.mark.parametrize(
-        "b,diag",
-        [(((0, 2), (-2, 0)), (1, 1)), (BUILTIN_MATRICES["G2"], (1, 3))],
-        ids=["Kronecker", "G2"],
-    )
-    def test_kronecker_and_g2_never_close(self, b, diag):
-        from valq.reps import _closing_vertex
+    def test_kronecker_never_closes(self):
+        # Two arrow copies leave the last enumerated vertex.
+        import random
 
-        q = ValuedQuiver.from_matrix(b, diag, 2)
+        from valq.reps import _plan
+
+        rng = random.Random(3)
+        q = ValuedQuiver.from_matrix(((0, 2), (-2, 0)), (1, 1), 2)
         for oriented in (q, q.reflected(0), q.reflected(1)):
-            assert _closing_vertex(oriented) is None
-            assert _closing_vertex(oriented.opposite()) is None
+            for dims in product(range(3), repeat=2):
+                rep = random_rep(oriented, dims, rng)
+                assert _plan(rep, False)[1] is None
+                assert _plan(rep, True)[1] is None
 
+    def test_g2_closes_by_the_rank_of_its_arrow(self):
+        # The F_2 vertex of dimension 3 has 16 subspaces.  A generic
+        # arrow into F_8^2 has rank 2 over F_8, a kernel of dimension 1
+        # and 2 subspaces of it to enumerate, so the vertex closes; the
+        # zero arrow leaves the whole F_8^3, with 146 subspaces.
+        import random
+
+        from valq.reps import _plan
+
+        q = quiver("G2", 2)
+        assert q.diag == (3, 1) and q.sinks == (0,)
+        rep = random_rep(q, (2, 3), random.Random(1))
+        price, (i, k, kernel) = _plan(rep, False)
+        assert (i, k, len(kernel), price) == (1, 0, 1, 2)
+        assert _plan(ValuedRep.zero_maps(q, (2, 3)), False) == (16, None)
     @pytest.mark.parametrize("backward", [False, True])
     def test_no_subspaces_enumerated_at_the_closing_vertex(
         self, monkeypatch, backward
@@ -685,11 +722,151 @@ class TestClosedForm:
         q = ValuedQuiver.from_matrix(F4_B, [2 * d for d in diag], 2)
         rep = build_rigid_rep(q, (1, 2, 4, 2), rng_seed=0)
         backward = prefers_backward(rep)
-        walked = q.opposite() if backward else q
-        assert valq.reps._closing_vertex(walked) is not None
+        assert valq.reps._plan(rep, backward)[1] is not None
         table = walk_subreps(rep, backward)
         monkeypatch.setattr(valq.reps, "_closing_vertex", lambda *args: None)
         assert walk_subreps(rep, backward) == table
+
+
+def mixed_quiver(name, p):
+    """A builtin quiver, VAL2 (one arrow of valuation 2 from F_{p^4} to
+    F_{p^2}), or G2x2, the species of G2 with doubled degrees: over
+    F_2 it is G2 over F_4."""
+    if name == "VAL2":
+        return ValuedQuiver.from_matrix(VAL2_B, VAL2_D, p)
+    if name == "G2x2":
+        b = BUILTIN_MATRICES["G2"]
+        diag = [2 * d for d in minimal_symmetrizer(b)]
+        return ValuedQuiver.from_matrix(b, diag, p)
+    return quiver(name, p)
+
+
+def subspace_total(q, n):
+    return sum(gaussian_binomial(q, n, k) for k in range(n + 1))
+
+
+class TestMixedClose:
+    """The close of a last enumerated vertex whose one arrow joins fields
+    of different degrees, against brute force and against the walk with
+    no close, in every orientation and both directions.  Sparse maps are
+    rank-deficient, so their kernels have dimension above 1.  B3 closes
+    its F_2-vertex over the arrow into F_4 below a vertex it receives
+    from, so its closes start from a nonzero forced span."""
+
+    CASES = [
+        ("G2", 2, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2), (2, 3)]),
+        ("G2", 3, [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)]),
+        ("B2", 2, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]),
+        ("B2", 3, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]),
+        ("C2", 2, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]),
+        ("C2", 3, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]),
+        ("VAL2", 2, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]),
+        ("VAL2", 3, [(1, 1), (1, 2), (2, 1), (2, 2)]),
+        ("G2x2", 2, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]),
+        ("B3", 2, [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (2, 2, 1),
+                   (1, 2, 2), (0, 1, 2), (2, 2, 2)]),
+        ("B3", 3, [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2)]),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,p,vectors", CASES, ids=["%s-%d" % c[:2] for c in CASES]
+    )
+    def test_tables_against_brute_force_and_the_enumerating_walk(
+        self, monkeypatch, name, p, vectors
+    ):
+        import random
+
+        import valq.reps
+
+        closes = []
+        mixed_close = valq.reps._Walk._mixed_close
+
+        def recorded(walk, i, k, forced):
+            closes.append(len(forced))
+            return mixed_close(walk, i, k, forced)
+
+        monkeypatch.setattr(valq.reps._Walk, "_mixed_close", recorded)
+        closing_vertex = valq.reps._closing_vertex
+        rng = random.Random(p)
+        q0 = mixed_quiver(name, p)
+        for q in [q0] + [q0.reflected(k) for k in q0.sinks + q0.sources]:
+            for dims in vectors:
+                # the brute force tries every tuple of subspaces
+                tuples = 1
+                for i, v in enumerate(dims):
+                    tuples *= subspace_total(q.field(i).q, v)
+                for build in (random_rep, sparse_rep):
+                    rep = build(q, dims, rng)
+                    for backward in (False, True):
+                        table = walk_subreps(rep, backward)
+                        monkeypatch.setattr(
+                            valq.reps, "_closing_vertex", lambda *args: None
+                        )
+                        assert walk_subreps(rep, backward) == table
+                        monkeypatch.setattr(
+                            valq.reps, "_closing_vertex", closing_vertex
+                        )
+                        if tuples <= 400:
+                            for e, cnt in table.items():
+                                assert cnt == brute_count_subreps(rep, e)
+        assert closes
+        if name == "B3":
+            assert any(closes)
+
+    def test_g2_at_17_enumerates_a_handful_of_subspaces(self, monkeypatch):
+        # The rigid G2 representation of dimension (2, 3) over F_17 and
+        # its reflections at 0 and 1.  Without the close, the walks of
+        # (2, 3) enumerate all 616 subspaces of F_17^3.
+        import valq.reps
+
+        yielded = []
+        original = valq.reps.enumerate_subspaces_containing
+
+        def counted(*args, **kwargs):
+            for w in original(*args, **kwargs):
+                yielded.append(len(w))
+                yield w
+
+        monkeypatch.setattr(
+            valq.reps, "enumerate_subspaces_containing", counted
+        )
+        rep = build_rigid_rep(quiver("G2", 17), (2, 3), rng_seed=0)
+        reps = [rep, reflect(rep, 0), reflect(rep, 1)]
+
+        def walk_all():
+            tables, counts = [], []
+            for r in reps:
+                yielded.clear()
+                tables.append(count_all_subreps(r))
+                counts.append(len(yielded))
+            return tables, counts
+
+        tables, counts = walk_all()
+        assert max(counts) <= 2
+        monkeypatch.setattr(valq.reps, "_closing_vertex", lambda *args: None)
+        enumerated, counts = walk_all()
+        assert enumerated == tables
+        assert [r.dims for r in reps] == [(2, 3), (1, 3), (2, 3)]
+        assert counts[0] == counts[2] == 616
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_the_inversion_gives_q_vandermonde(self, q):
+        # Counting by the meet with a fixed m-dimensional subspace of an
+        # n-space, the inversion of the sums over its subspaces gives
+        # back q**((m - j)(a - j)) [m, j] [n - m, a - j].
+        from valq.reps import _meet_counts
+
+        for n in range(5):
+            for m in range(n + 1):
+                expected = {
+                    (a, j): q ** ((m - j) * (a - j))
+                    * gaussian_binomial(q, m, j)
+                    * gaussian_binomial(q, n - m, a - j)
+                    for a in range(n + 1)
+                    for j in range(a + 1)
+                }
+                got = {(a, j): c for a, j, c in _meet_counts(q, n, m)}
+                assert got == {k: c for k, c in expected.items() if c}
 
 
 def subfield_vectors(q, i, g, dim):

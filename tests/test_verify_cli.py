@@ -355,6 +355,47 @@ class TestSinkSourceMutations:
         assert calls and ctx.data not in calls
 
 
+class TestSharedQuantumSeed:
+    def test_reflection_reads_the_walks_exchanges(self, monkeypatch):
+        # The characters check walks the quantum graph from the context's
+        # initial seed.  The reflection check mutates that seed at the
+        # sink 1 and the source 2 of B2, whose exchanges the walk has
+        # made, so it computes none and gives the row of a fresh context.
+        from valq.qtorus import QuantumSeed
+
+        fresh = VerifyContext(builtin_exchange_data("B2"), name="B2")
+        expected = run_check("reflection", fresh).row()
+        ctx = VerifyContext(builtin_exchange_data("B2"), name="B2")
+        assert run_check("characters", ctx).status == PASS
+        real = QuantumSeed._exchange
+        calls = []
+
+        def counting(seed, k):
+            calls.append(k)
+            return real(seed, k)
+
+        monkeypatch.setattr(QuantumSeed, "_exchange", counting)
+        assert run_check("reflection", ctx).row() == expected
+        assert calls == []
+
+    def test_reflection_alone_builds_no_quantum_walk(self, monkeypatch):
+        import valq.verify
+
+        walks = []
+        real = valq.verify.enumerate_quantum_seeds
+
+        def counting(*args, **kwargs):
+            walks.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(valq.verify, "enumerate_quantum_seeds", counting)
+        ctx = VerifyContext(builtin_exchange_data("B2"), name="B2")
+        assert run_check("reflection", ctx).status == PASS
+        assert walks == []
+        assert run_check("characters", ctx).status == PASS
+        assert len(walks) == 1
+
+
 class TestCheckErrors:
     """Only the listed exceptions of character construction become FAIL
     rows; any other error is a bug and propagates."""
