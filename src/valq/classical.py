@@ -78,17 +78,12 @@ class ClassicalSeed(Seed):
         return out
 
     def _exchange_key(self, k):
-        """x_k followed by the set of (variable, b_ik) over the slots i
-        where b_ik is nonzero, which fixes the exchange as the variables
-        commute.  The set is flattened in the order of the variables'
-        hashes, which is one order for every slot order unless two
-        hashes tie; then a key can miss, but never hit wrongly."""
+        """x_k and the set of (variable, b_ik) over the slots i where b_ik
+        is nonzero, which fixes the exchange exactly: the variables
+        commute, and none repeats within a seed."""
         col = [row[k] for row in self.current.btilde]
-        pairs = [(x, b) for x, b in zip(self.variables, col) if b]
-        key = [self.variables[k]]
-        for pair in sorted(pairs, key=lambda pair: hash(pair[0])):
-            key += pair
-        return tuple(key)
+        pairs = frozenset((x, b) for x, b in zip(self.variables, col) if b)
+        return self.variables[k], pairs
 
     def _exchange(self, k):
         cur = self.current

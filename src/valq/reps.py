@@ -40,13 +40,14 @@ The dual representation D(V), over the opposite quiver, has a
 subrepresentation of dimension v - e for each one of V of dimension e
 (their annihilators), so the same walk over D(V) walks V backward: from
 the sinks up, enumerating the non-sources and counting at the sources.
-The planner prices both trees by the product, over the vertices the walk
-still enumerates (so not the one it closes), of their numbers of
-subspaces of all dimensions, times the number of subspaces of K for a
-close between different degrees, and walks D(V) exactly when its price
-is lower.  Such a close happens only when K has fewer subspaces than
-V_i, so the planner reads the rank of that one arrow, or of its adjoint
-for the backward walk, besides the quiver, fields and dimension vector.
+The planner builds D(V) and prices the walks of V and D(V) alike, by the
+product, over the vertices a walk still enumerates (so not the one it
+closes), of their numbers of subspaces of all dimensions, times the
+number of subspaces of K for a close between different degrees.  It
+walks D(V) exactly when its price is lower.  Such a close happens only
+when K has fewer subspaces than V_i, so the price of a representation's
+walk reads the rank of that one arrow besides the quiver, fields and
+dimension vector.
 """
 
 import random
@@ -294,45 +295,17 @@ def _fp_arrow_matrix(rep, key, scale=1):
     return [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
 
 
-def _fp_mult_blocks(field, w, v):
-    """Prime-field matrices of the maps x -> t**s * x_c placed at row r.
-
-    Returns a dict (r, c, s) -> matrix of shape (w*d, v*d); these span
-    the vertex-field linear maps from a v-dim to a w-dim space.
-    """
-    d = field.d
-    blocks = {}
-    for s in range(d):
-        ts = _tpow(field, s)
-        small = []
-        for srow in range(d):
-            small.append(
-                [
-                    field.digits(field.mul(ts, _tpow(field, sc)))[srow]
-                    for sc in range(d)
-                ]
-            )
-        blocks[s] = small
-    out = {}
-    for r in range(w):
-        for c in range(v):
-            for s in range(d):
-                mat = [[0] * (v * d) for _ in range(w * d)]
-                small = blocks[s]
-                for a in range(d):
-                    for b2 in range(d):
-                        mat[r * d + a][c * d + b2] = small[a][b2]
-                out[(r, c, s)] = mat
-    return out
-
-
 def hom_dim(repv, repw):
     """Prime-field dimension of the space of homomorphisms V -> W.
 
-    Every prime-field basis map f of one vertex space is an unknown.  Its
-    column stacks theta_W f over the arrows leaving f's vertex and
-    -f theta_V over the arrows entering it, zero elsewhere, so the
-    homomorphisms are the kernel of the matrix of these columns.
+    The unknowns are the prime-field basis maps f = t**s * E_rc of each
+    vertex space, x -> t**s * x_c at coordinate r.  The column of f holds
+    theta_W f in the block of each arrow leaving f's vertex and -f theta_V
+    in the block of each arrow entering it, zero elsewhere, so the
+    homomorphisms are the kernel of the matrix of these columns.  theta_W
+    f is block r of the arrow matrix of W after scaling by t**s
+    (``_fp_arrow_matrix``), moved to block c; f theta_V is t**s times
+    coordinate c of each image of theta_V, placed in block r.
     """
     if repv.quiver is not repw.quiver and (
         repv.quiver.b != repw.quiver.b
@@ -341,26 +314,47 @@ def hom_dim(repv, repw):
     ):
         raise TowerMismatch("representations live over different quivers")
     quiver = repv.quiver
-    prime = quiver.tower.field(1)
-    keys = quiver.arrow_keys
-    theta_v = [_fp_arrow_matrix(repv, key) for key in keys]
-    theta_w = [_fp_arrow_matrix(repw, key) for key in keys]
+    # the block of an arrow h -> j: maps V_h -> W_j over the prime field
+    offsets, total = {}, 0
+    for key in quiver.arrow_keys:
+        h, j, _ = key
+        offsets[key] = total
+        total += repw.dims[j] * quiver.diag[j] * repv.dims[h] * quiver.diag[h]
     columns = []
     for i in range(quiver.n):
-        blocks = _fp_mult_blocks(quiver.field(i), repw.dims[i], repv.dims[i])
-        for f in blocks.values():
-            col = []
-            for (h, j, _), tv, tw in zip(keys, theta_v, theta_w):
-                if h == i:
-                    col.extend(x for row in f_matmul(prime, tw, f) for x in row)
-                elif j == i:
-                    col.extend(
-                        prime.neg(x) for row in f_matmul(prime, f, tv) for x in row
-                    )
-                else:
-                    col.extend([0] * (len(tw) * repv.dims[h] * quiver.diag[h]))
-            columns.append(col)
-    return len(columns) - f_rank(prime, columns)
+        fi, d = quiver.field(i), quiver.diag[i]
+        v, w = repv.dims[i], repw.dims[i]
+        if not v * w:
+            continue
+        # theta_V's image of each input digit, per arrow into i
+        images = {
+            key: [_to_codes(fi, y) for y in zip(*_fp_arrow_matrix(repv, key))]
+            for key in offsets
+            if key[1] == i
+        }
+        for s in range(d):
+            ts = _tpow(fi, s)
+            scaled = {
+                key: _fp_arrow_matrix(repw, key, ts)
+                for key in offsets
+                if key[0] == i
+            }
+            for c in range(v):
+                minus = {}
+                for key, ys in images.items():
+                    digits = [fi.digits(fi.neg(fi.mul(ts, y[c]))) for y in ys]
+                    minus[key] = [x for row in zip(*digits) for x in row]
+                for r in range(w):
+                    col = [0] * total
+                    for key, mat in scaled.items():
+                        for m, row in enumerate(mat):
+                            at = offsets[key] + (m * v + c) * d
+                            col[at : at + d] = row[r * d : (r + 1) * d]
+                    for key, block in minus.items():
+                        at = offsets[key] + r * len(block)
+                        col[at : at + len(block)] = block
+                    columns.append(col)
+    return len(columns) - f_rank(quiver.tower.field(1), columns)
 
 
 def ext_dim(repv, repw):
@@ -456,18 +450,19 @@ def _walk_order(quiver):
     return [i for i in quiver.order if i not in sinks], list(sinks)
 
 
-def _closing_vertex(quiver, dims, matrix):
-    """(i, k, K) when the last vertex i the walk enumerates is counted in
-    closed form over its one arrow to the sink k; otherwise None.
+def _closing_vertex(rep):
+    """(i, k, K) when the last vertex i that the walk of ``rep`` enumerates
+    is counted in closed form over its one arrow to the sink k; otherwise
+    None.
 
     Every out-neighbour of i is a sink.  i closes only when exactly one
     arrow leaves it.  When k has the degree of i, the arrow is one matrix
     over their field, i always closes and K is None.  Otherwise k must
     have no other in-arrow, and K is a basis of the kernel of the arrow's
-    evaluation map (``_sink_kernel``), read from ``matrix(key)``; i
-    closes only when K has fewer subspaces, which the close enumerates,
-    than V_i has.
+    evaluation map (``_sink_kernel``); i closes only when K has fewer
+    subspaces, which the close enumerates, than V_i has.
     """
+    quiver, dims = rep.quiver, rep.dims
     enumerated, _ = _walk_order(quiver)
     if not enumerated:
         return None
@@ -488,7 +483,7 @@ def _closing_vertex(quiver, dims, matrix):
     width = dims[i] * (quiver.diag[i] // quiver.valuation[(i, k)])
     if _subspace_total(fk.q, max(width - dims[k], 0)) >= enumerating:
         return None
-    _, _, kernel = _sink_kernel(quiver, dims, matrix, k)
+    _, _, kernel = _sink_kernel(rep, k)
     if _subspace_total(fk.q, len(kernel)) < enumerating:
         return i, k, kernel
     return None
@@ -749,48 +744,22 @@ class _Walk:
         return parents
 
 
-def _walk_price(quiver, dims, closing):
-    """Size of the walk tree, bounded by the product of the numbers of
-    subspaces of the vertices it enumerates, less the one it closes,
-    times the number of subspaces of K that a close between different
-    degrees enumerates."""
-    enumerated, _ = _walk_order(quiver)
+def _plan(rep):
+    """(price, closing) of the walk of ``rep``: the size of its tree,
+    bounded by the product of the numbers of subspaces of the vertices
+    it enumerates, less the one it closes, times the number of subspaces
+    of K that a close between different degrees enumerates; and its
+    ``_closing_vertex``."""
+    quiver, dims = rep.quiver, rep.dims
+    closing = _closing_vertex(rep)
     i, k, kernel = closing or (None, None, None)
     price = 1
     if kernel is not None:
         price = _subspace_total(quiver.field(k).q, len(kernel))
-    for x in enumerated:
+    for x in _walk_order(quiver)[0]:
         if x != i:
             price *= _subspace_total(quiver.field(x).q, dims[x])
-    return price
-
-
-def _plan(rep, backward):
-    """(price, closing) of the walk in the given direction: its
-    ``_walk_price`` and its ``_closing_vertex``.  The backward walk is
-    the walk of the dual, so it reads the adjoint of a closing arrow
-    (``_adjoint``) without building the whole dual."""
-    quiver, dims = rep.quiver, rep.dims
-    if backward:
-        quiver = quiver.opposite()
-
-        def matrix(key):
-            i, j, copy = key
-            return _adjoint(rep, (j, i, copy))
-
-    else:
-        matrix = rep.maps.get
-    closing = _closing_vertex(quiver, dims, matrix)
-    return _walk_price(quiver, dims, closing), closing
-
-
-def prefers_backward(rep):
-    """The planner: walk backward, as the walk of the dual over the
-    opposite quiver, when that tree is the smaller one.  A close between
-    different degrees is priced by the rank of its arrow, read from the
-    representation, so the planner reads more than the quiver, fields
-    and dimension vector."""
-    return _plan(rep, True)[0] < _plan(rep, False)[0]
+    return price, closing
 
 
 def dual_rep(rep):
@@ -837,43 +806,36 @@ def _block_diagonal(block, copies):
     ]
 
 
-def walk_subreps(rep, backward):
-    """Subrepresentation counts for every e below the rep's dimension
-    vector, from one walk in the given direction."""
-    return _walk_table(rep, backward, _plan(rep, backward)[1])
-
-
 def count_all_subreps(rep):
-    """Map every dimension vector below the rep's to its count, from the
-    walk that ``prefers_backward`` picks."""
-    forward, backward = _plan(rep, False), _plan(rep, True)
-    if backward[0] < forward[0]:
-        return _walk_table(rep, True, backward[1])
-    return _walk_table(rep, False, forward[1])
+    """Map every dimension vector below the rep's to its count.
 
-
-def _walk_table(rep, backward, closing):
-    """The table of the walk in the given direction, which closes as
-    ``closing`` says."""
-    if not backward:
+    The walk of V and the walk of its dual D(V) count the same
+    subrepresentations, those of D(V) by the dimension v - e of their
+    annihilators.  ``_plan`` prices both, and the cheaper one is walked,
+    V on a tie.
+    """
+    dual = dual_rep(rep)
+    price, closing = _plan(rep)
+    dual_price, dual_closing = _plan(dual)
+    if price <= dual_price:
         return _Walk(rep, closing).table()
-    dims = rep.dims
-    table = _Walk(dual_rep(rep), closing).table()
+    table = _Walk(dual, dual_closing).table()
     # e -> v - e reverses the box's lexicographic order
     return {
-        tuple(v - x for v, x in zip(dims, e)): count
+        tuple(v - x for v, x in zip(rep.dims, e)): count
         for e, count in reversed(table.items())
     }
 
 
-def _sink_kernel(quiver, dims, matrix, k):
+def _sink_kernel(rep, k):
     """The arrows into k as (key, valuation, width, offset), where width
     is the dimension of the source fiber over the valuation field and
     offset its place in the direct sum of those fibers; the dimension of
     that sum; and a basis of the kernel of the evaluation map from the
     sum to V_k.  That map is linear over the field at k: one column per
     coordinate of the sum, the column of the arrow's matrix read as a
-    vector over that field.  ``matrix(key)`` gives an arrow's matrix."""
+    vector over that field."""
+    quiver, dims = rep.quiver, rep.dims
     layout = []
     total = 0
     for key in quiver.arrow_keys:
@@ -884,7 +846,7 @@ def _sink_kernel(quiver, dims, matrix, k):
             layout.append((key, g, width, total))
             total += width
     columns = [
-        quiver.g_to_f(k, g, [row[m] for row in matrix(key)])
+        quiver.g_to_f(k, g, [row[m] for row in rep.maps[key]])
         for key, g, width, _ in layout
         for m in range(width)
     ]
@@ -902,7 +864,7 @@ def reflect_sink(rep, k):
         raise NotSinkOrSource("vertex %d is not a sink" % k)
     fk = quiver.field(k)
     dk = quiver.diag[k]
-    layout, nbig, kernel = _sink_kernel(quiver, rep.dims, rep.maps.get, k)
+    layout, nbig, kernel = _sink_kernel(rep, k)
     if nbig - len(kernel) < rep.dims[k]:
         raise HasSimpleSummand("the simple at the reflected vertex splits off")
     trace = quiver.tower.relative_trace

@@ -510,14 +510,16 @@ class _SeedPair:
     pair of canonical keys, so an inconsistent pairing shows up as two
     vertices with one fresh key.  The original side starts from the
     initial seed of the original algebra's walk, so it reads every
-    exchange relation that walk computed."""
+    exchange relation that walk computed.  Its depth, one more than the
+    fresh side's, is the pair's, so a depth bound keeps the original
+    side among the seeds that walk reaches."""
 
     fresh: ClassicalSeed
     original: ClassicalSeed
 
     @property
     def depth(self):
-        return self.fresh.depth
+        return self.original.depth
 
     def mutate(self, k):
         return _SeedPair(self.fresh.mutate(k), self.original.mutate(k))

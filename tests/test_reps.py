@@ -35,13 +35,12 @@ from valq.reps import (
     ext_dim,
     hom_dim,
     is_rigid,
-    prefers_backward,
     random_rep,
     reflect,
     reflect_sink,
     simple_reflection,
-    walk_subreps,
 )
+from valq.reps import _Walk, _plan
 
 from conftest import f_in_span
 
@@ -65,6 +64,16 @@ def count_subreps(rep, e):
     """Number of subrepresentations with dimension vector e; 0 outside
     the box below the rep's dimension vector."""
     return count_all_subreps(rep).get(tuple(e), 0)
+
+
+def walk(rep, backward=False):
+    """The table of one walk: of V, or backward, of D(V) with each e read
+    as v - e."""
+    if not backward:
+        return _Walk(rep, _plan(rep)[1]).table()
+    v = rep.dims
+    table = walk(dual_rep(rep))
+    return {tuple(a - x for a, x in zip(v, e)): c for e, c in table.items()}
 
 
 def quiver(name, p):
@@ -524,45 +533,68 @@ class TestWalkDirections:
     @pytest.mark.parametrize("name,p,v,k", REFLECTED_CASES)
     def test_reflected_rigid_reps_against_brute_force(self, name, p, v, k):
         rep = reflect(build_rigid_rep(quiver(name, p), v, rng_seed=0), k)
-        table = walk_subreps(rep, True)
-        assert table == walk_subreps(rep, False)
+        table = walk(rep, True)
+        assert table == walk(rep, False)
         assert table == count_all_subreps(rep)
         for e, cnt in table.items():
             assert cnt == brute_count_subreps(rep, e)
 
+    @staticmethod
+    def walked(monkeypatch, rep):
+        """The matrices of the quivers whose walks ``count_all_subreps``
+        tables for ``rep``, one per walk."""
+        import valq.reps
+
+        quivers = []
+        table = valq.reps._Walk.table
+
+        def recorded(walk):
+            quivers.append(walk.rep.quiver.b)
+            return table(walk)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(valq.reps._Walk, "table", recorded)
+            count_all_subreps(rep)
+        return quivers
+
     @pytest.mark.parametrize("name,p,v,k", BACKWARD_CASES)
-    def test_planner_walks_the_reflected_reps_backward(self, name, p, v, k):
+    def test_planner_walks_the_reflected_reps_backward(
+        self, monkeypatch, name, p, v, k
+    ):
         rep = reflect(build_rigid_rep(quiver(name, p), v, rng_seed=0), k)
-        assert prefers_backward(rep)
+        dual = dual_rep(rep)
+        assert _plan(dual)[0] < _plan(rep)[0]
+        assert self.walked(monkeypatch, rep) == [dual.quiver.b]
+        assert dual.quiver.b != rep.quiver.b
 
-    def test_planner_keeps_the_reflected_b3_source_forward(self):
-        from valq.reps import _plan
-
+    def test_planner_keeps_the_reflected_b3_source_forward(self, monkeypatch):
         rep = build_rigid_rep(quiver("B3", 3), (1, 2, 2), rng_seed=0)
         rep = reflect(rep, 2)
-        assert _plan(rep, False) == (12, None)
-        assert _plan(rep, True) == (12, None)
-        assert not prefers_backward(rep)
+        assert _plan(rep) == (12, None)
+        assert _plan(dual_rep(rep)) == (12, None)
+        assert self.walked(monkeypatch, rep) == [rep.quiver.b]
 
-    def test_planner_keeps_the_original_g2_orientation_forward(self):
+    def test_planner_keeps_the_original_g2_orientation_forward(
+        self, monkeypatch
+    ):
         # Forward, the F_3 vertex of dimension 3 closes over its arrow of
         # rank 2 into F_27^2, enumerating the 2 subspaces of the kernel:
         # price 2.  Backward, the F_27 vertex closes over a kernel of
         # dimension 3 over F_3, with 28 subspaces.
-        from valq.reps import _plan
-
         rep = build_rigid_rep(quiver("G2", 3), (2, 3), rng_seed=0)
-        (forward, closing), (backward, _) = _plan(rep, False), _plan(rep, True)
+        (forward, closing), (backward, _) = _plan(rep), _plan(dual_rep(rep))
         assert closing[:2] == (1, 0) and len(closing[2]) == 1
         assert (forward, backward) == (2, 28)
-        assert not prefers_backward(rep)
+        assert self.walked(monkeypatch, rep) == [rep.quiver.b]
 
     @pytest.mark.parametrize(
         "b", [BUILTIN_MATRICES["B2"], BUILTIN_MATRICES["G2"],
               BUILTIN_MATRICES["B3"], ((0, 2), (-2, 0))],
         ids=["B2", "G2", "B3", "Kronecker"],
     )
-    def test_both_walks_agree_on_random_reps(self, b):
+    def test_both_walks_agree_on_random_reps(self, monkeypatch, b):
+        # and a count walks one of them: of D(V), over the opposite
+        # quiver, exactly when its price is lower, and of V otherwise
         import random
 
         rng = random.Random(11)
@@ -571,7 +603,10 @@ class TestWalkDirections:
             for _ in range(6):
                 dims = tuple(rng.randrange(3) for _ in range(q.n))
                 rep = random_rep(q, dims, rng)
-                assert walk_subreps(rep, False) == walk_subreps(rep, True)
+                assert walk(rep, False) == walk(rep, True)
+                dual = dual_rep(rep)
+                cheaper = dual if _plan(dual)[0] < _plan(rep)[0] else rep
+                assert self.walked(monkeypatch, rep) == [cheaper.quiver.b]
 
     def test_table_covers_the_dimension_box(self):
         rep = build_rigid_rep(quiver("B3", 2), (1, 2, 2), rng_seed=0)
@@ -621,8 +656,8 @@ class TestClosedForm:
             for dims in vectors:
                 for build in (random_rep, sparse_rep):
                     rep = build(q, dims, rng)
-                    table = walk_subreps(rep, True)
-                    assert table == walk_subreps(rep, False)
+                    table = walk(rep, True)
+                    assert table == walk(rep, False)
                     for e, cnt in table.items():
                         assert cnt == brute_count_subreps(rep, e)
 
@@ -635,8 +670,6 @@ class TestClosedForm:
         # enters, so it never closes.
         import random
 
-        from valq.reps import _plan
-
         rng = random.Random(5)
 
         def closing(q):
@@ -644,7 +677,7 @@ class TestClosedForm:
             for dims in product(range(3), repeat=q.n):
                 rep = random_rep(q, dims, rng)
                 for backward in (False, True):
-                    plan = _plan(rep, backward)[1]
+                    plan = _plan(dual_rep(rep) if backward else rep)[1]
                     vertices.add((backward, plan and plan[0]))
             return sorted(vertices, key=str)
 
@@ -660,15 +693,13 @@ class TestClosedForm:
         # Two arrow copies leave the last enumerated vertex.
         import random
 
-        from valq.reps import _plan
-
         rng = random.Random(3)
         q = ValuedQuiver.from_matrix(((0, 2), (-2, 0)), (1, 1), 2)
         for oriented in (q, q.reflected(0), q.reflected(1)):
             for dims in product(range(3), repeat=2):
                 rep = random_rep(oriented, dims, rng)
-                assert _plan(rep, False)[1] is None
-                assert _plan(rep, True)[1] is None
+                assert _plan(rep)[1] is None
+                assert _plan(dual_rep(rep))[1] is None
 
     def test_g2_closes_by_the_rank_of_its_arrow(self):
         # The F_2 vertex of dimension 3 has 16 subspaces.  A generic
@@ -677,14 +708,12 @@ class TestClosedForm:
         # zero arrow leaves the whole F_8^3, with 146 subspaces.
         import random
 
-        from valq.reps import _plan
-
         q = quiver("G2", 2)
         assert q.diag == (3, 1) and q.sinks == (0,)
         rep = random_rep(q, (2, 3), random.Random(1))
-        price, (i, k, kernel) = _plan(rep, False)
+        price, (i, k, kernel) = _plan(rep)
         assert (i, k, len(kernel), price) == (1, 0, 1, 2)
-        assert _plan(ValuedRep.zero_maps(q, (2, 3)), False) == (16, None)
+        assert _plan(ValuedRep.zero_maps(q, (2, 3))) == (16, None)
     @pytest.mark.parametrize("backward", [False, True])
     def test_no_subspaces_enumerated_at_the_closing_vertex(
         self, monkeypatch, backward
@@ -709,7 +738,7 @@ class TestClosedForm:
             valq.reps, "enumerate_subspaces_containing", counted
         )
         rep = random_rep(quiver("A3", 3), (1, 2, 1), random.Random(2))
-        table = walk_subreps(rep, backward)
+        table = walk(rep, backward)
         assert calls == [1, 1]
         for e, cnt in table.items():
             assert cnt == brute_count_subreps(rep, e)
@@ -721,11 +750,11 @@ class TestClosedForm:
         diag = minimal_symmetrizer(F4_B)
         q = ValuedQuiver.from_matrix(F4_B, [2 * d for d in diag], 2)
         rep = build_rigid_rep(q, (1, 2, 4, 2), rng_seed=0)
-        backward = prefers_backward(rep)
-        assert valq.reps._plan(rep, backward)[1] is not None
-        table = walk_subreps(rep, backward)
+        backward = _plan(dual_rep(rep))[0] < _plan(rep)[0]
+        assert _plan(dual_rep(rep) if backward else rep)[1] is not None
+        table = walk(rep, backward)
         monkeypatch.setattr(valq.reps, "_closing_vertex", lambda *args: None)
-        assert walk_subreps(rep, backward) == table
+        assert walk(rep, backward) == table
 
 
 def mixed_quiver(name, p):
@@ -798,11 +827,11 @@ class TestMixedClose:
                 for build in (random_rep, sparse_rep):
                     rep = build(q, dims, rng)
                     for backward in (False, True):
-                        table = walk_subreps(rep, backward)
+                        table = walk(rep, backward)
                         monkeypatch.setattr(
                             valq.reps, "_closing_vertex", lambda *args: None
                         )
-                        assert walk_subreps(rep, backward) == table
+                        assert walk(rep, backward) == table
                         monkeypatch.setattr(
                             valq.reps, "_closing_vertex", closing_vertex
                         )

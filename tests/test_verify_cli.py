@@ -240,16 +240,39 @@ class TestTruncationSemantics:
         assert "one direction of part 2" in r.detail
 
     def test_truncated_sink_source_rows(self, ctx_for):
+        # The original side of each pair is one mutation deeper than the
+        # fresh side, so the bound stops the pairs one step earlier than
+        # the classical walk and matches only variables that walk built.
         r = run_check("sink-source-reflection", ctx_for("WILD3", max_depth=3))
         assert r.row() == (
             "sink-source-reflection WILD3    PASS truncated   "
-            "sinks [1], sources [3], 27 variables matched"
+            "sinks [1], sources [3], 16 variables matched"
         )
         r = run_check("sink-source-reflection", ctx_for("B3", max_seeds=7))
         assert r.row() == (
             "sink-source-reflection B3       PASS truncated   "
             "sinks [1], sources [3], 8 variables matched"
         )
+
+
+    def test_sink_source_pairs_stay_inside_the_depth_bound(self, monkeypatch):
+        # On this wild matrix a mutation of a seed at depth 3 builds
+        # variables of tens of thousands of terms; with --max-depth 3 no
+        # walk of the check may make one.
+        from valq.qtorus import Seed
+
+        mutate = Seed.mutate
+
+        def bounded(seed, k):
+            assert seed.depth < 3, "mutated a seed at depth %d" % seed.depth
+            return mutate(seed, k)
+
+        monkeypatch.setattr(Seed, "mutate", bounded)
+        b = [[0, 0, -2], [0, 0, -2], [6, 6, 0]]
+        ctx = VerifyContext(build_exchange_data(b), primes=(2, 3), max_depth=3)
+        r = run_check("sink-source-reflection", ctx)
+        assert (r.status, r.scope) == (PASS, "truncated")
+        assert r.detail == "sinks [3], sources [1, 2], 21 variables matched"
 
 
 class TestSinkSourcePairing:
@@ -1329,9 +1352,9 @@ class TestRelabeling:
         ]
         return len(graph.seeds), graph.truncated, dvecs, rows
 
-    # A random matrix is walked to depth 2 only: on a wild one the
-    # original side of the sink-source pairing reaches one mutation past
-    # the walk, and at depth 3 that check alone can take minutes.
+    # A random matrix is walked to depth 2 only: on a wild one a third
+    # quantum mutation, which the characters check makes, can take
+    # minutes.
     @settings(max_examples=10, deadline=None)
     @given(st.data())
     def test_relabeled_runs_agree(self, data):
