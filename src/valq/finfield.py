@@ -6,11 +6,11 @@ of sum(c_i * t**i) modulo a fixed monic irreducible of degree d.  The
 modulus is the irreducible with the smallest code, read the same way
 with the leading 1 dropped; it is found by trial division by every monic
 polynomial of degree at most d/2.  Multiplication runs through exp/log
-tables for a primitive element gen.  The exp table is filled by applying
-multiplication by gen, a d x d matrix over the prime field, to digit
-vectors.  Over a prime field addition is integer arithmetic mod p; over
-an extension it is one lookup in the Zech table zech[k] = log(1 + gen**k)
-(Huber 1990), since a + b = a * (1 + b/a).  Everything is exact and
+tables for a primitive element gen, filled by following a table of
+multiplication by gen from 1 (see FiniteField).  Over a prime field
+addition is integer arithmetic mod p; over an extension it is one lookup
+in the Zech table zech[k] = log(1 + gen**k) (Huber 1990), since
+a + b = a * (1 + b/a).  Everything is exact and
 sized for desk-scale exhaustion, guarded by an element-count cap.
 """
 
@@ -18,7 +18,6 @@ from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
-from operator import mul
 
 
 class NotPrime(ValueError):
@@ -103,7 +102,20 @@ def _smallest_modulus(p, d):
 
 
 class FiniteField:
-    """The field with p**d elements, with exp/log multiplication tables."""
+    """The field with p**d elements, with exp/log multiplication tables.
+
+    gen is the primitive element with the smallest code.  An extension's
+    search starts at the code p of t: codes below p are the prime-field
+    constants, whose order divides p - 1 < q - 1, so none is primitive.
+    Multiplication by gen is linear over the prime field, so the table
+    step[x] = gen * x is built from the d images gen * t**s alone: digit i
+    of gen * x is the sum over s of x_s times digit i of gen * t**s, mod
+    p.  The list of digit i over all codes grows one digit position s of
+    x at a time: it becomes p copies of itself, copy a shifted by a times
+    digit i of gen * t**s.  The d digit lists are then folded into codes.
+    exp follows step from 1; log inverts exp, and zech reads 1 + x by
+    adding 1 to the lowest digit of x.
+    """
 
     def __init__(self, p, d, cap=1 << 16):
         p, d = int(p), int(d)
@@ -193,12 +205,14 @@ class FiniteField:
         return out
 
     def _build_tables(self):
-        q = self.q
+        q, p, d = self.q, self.p, self.d
         if q == 2:
             self.gen = 1
         else:
+            # codes below p are prime-field constants, whose order divides
+            # p - 1, so an extension's search starts at p
             factors = prime_factors(q - 1)
-            for cand in range(2, q):
+            for cand in range(p if d > 1 else 2, q):
                 if all(
                     self._raw_pow(cand, (q - 1) // ell) != 1 for ell in factors
                 ):
@@ -206,18 +220,21 @@ class FiniteField:
                     break
             else:
                 raise AssertionError("no primitive element found")
-        # exp[i] = gen * exp[i-1], by the matrix of multiplication by gen
-        # on digit vectors: column s holds the digits of gen * t**s
-        p, d = self.p, self.d
-        rows = list(
-            zip(*(self.digits(self._raw_mul(self.gen, p**s)) for s in range(d)))
-        )
-        weights = [p**s for s in range(d)]
+        # step[x] = gen * x, one digit i of every code at a time, then
+        # folded into codes highest digit first (see the class docstring)
+        images = [self.digits(self._raw_mul(self.gen, p**s)) for s in range(d)]
+        step = [0] * q
+        for i in reversed(range(d)):
+            lst = [0]
+            for image in images:
+                k = image[i]
+                lst = [(y + a * k) % p for a in range(p) for y in lst]
+            step = [c * p + y for c, y in zip(step, lst)]
         exp = [1] * (q - 1)
-        vec = self.digits(1)
+        x = 1
         for i in range(1, q - 1):
-            vec = [sum(map(mul, row, vec)) % p for row in rows]
-            exp[i] = sum(map(mul, weights, vec))
+            x = step[x]
+            exp[i] = x
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -376,10 +393,25 @@ def f_insert(field, rows, pivots, vec):
 
 
 def f_rank(field, rows):
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = f_rref(field, rows)
-    return len(pivots)
+    """The rank, by elimination below each pivot only."""
+    m = [r for r in rows if any(r)]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        for i in range(rank, len(m)):
+            if m[i][col]:
+                break
+        else:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        pivot = m[rank]
+        inv = field.inv(pivot[col])
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                m[i] = _eliminate(field, m[i], field.mul(m[i][col], inv), pivot)
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def f_kernel_basis(field, rows):
@@ -578,9 +610,12 @@ class FieldTower:
 
     def subfield_coords(self, b, a, y):
         """Coordinates of y over the degree-a subfield in the basis of
-        powers 1, t, ..., t**(b/a - 1) of the big field's generator."""
+        powers 1, t, ..., t**(b/a - 1) of the big field's generator.
+        Over the prime field that basis is the digit basis."""
         if a == b:
             return (y,)
+        if a == 1:
+            return tuple(self.fields[b].digits(y))
         fa = self.fields[a]
         fb = self.fields[b]
         e = b // a
@@ -609,6 +644,8 @@ class FieldTower:
 
     def from_subfield_coords(self, b, a, coords):
         fb = self.fields[b]
+        if a == 1:
+            return fb.from_digits(coords)
         acc = 0
         for l, c in enumerate(coords):
             tb_l = fb.pow(self.p, l) if l else 1

@@ -34,6 +34,18 @@ WORKLOAD_EXTENSIONS = [
     (p, d) for p in (2, 3, 5, 7, 11, 13, 17) for d in (2, 3)
 ]
 
+# Every extension field with at most 4096 elements.
+EXTENSIONS_TO_4096 = [
+    (p, d)
+    for p in range(2, 65)
+    if is_prime(p)
+    for d in range(2, 13)
+    if p**d <= 4096
+]
+
+# Fields near the default cap of 65536 elements, with p past 127.
+FIELDS_AT_THE_CAP = [(2, 16), (251, 2), (37, 3)]
+
 
 def frobenius(field, a):
     """The Frobenius map a -> a^p of a field of characteristic p."""
@@ -128,13 +140,48 @@ class TestFieldArithmetic:
                 (oracle(a, b, 1), oracle(a, b, -1)) for a, b in pairs
             ]
 
-    @pytest.mark.parametrize("p,d", WORKLOAD_EXTENSIONS)
+    @pytest.mark.parametrize(
+        "p,d",
+        WORKLOAD_EXTENSIONS
+        + [f for f in EXTENSIONS_TO_4096 if f not in WORKLOAD_EXTENSIONS],
+    )
     def test_exp_is_the_chain_of_raw_products(self, p, d):
         F = field(p, d)
         chain = [1]
         for _ in range(F.q - 1):
             chain.append(F._raw_mul(chain[-1], F.gen))
         assert list(F.exp) + [1] == chain
+
+    @pytest.mark.parametrize("p,d", EXTENSIONS_TO_4096)
+    def test_gen_is_the_smallest_primitive_code(self, p, d):
+        # element orders by chains of raw products, without the tables;
+        # the codes below p are the prime-field constants that the
+        # search skips
+        F = field(p, d)
+
+        def order(a):
+            x, k = a, 1
+            while x != 1:
+                x, k = F._raw_mul(x, a), k + 1
+            return k
+
+        assert order(F.gen) == F.q - 1
+        assert all(order(a) < F.q - 1 for a in range(1, F.gen))
+
+    @pytest.mark.parametrize("p,d", FIELDS_AT_THE_CAP)
+    def test_fields_at_the_cap(self, p, d):
+        import random
+
+        F = field(p, d)
+        assert len(set(F.exp)) == F.q - 1 and 0 not in F.exp
+        chain = [1]
+        for _ in range(2000):
+            chain.append(F._raw_mul(chain[-1], F.gen))
+        assert list(F.exp[:2001]) == chain
+        # and steps spread over the whole table, the last one wrapping
+        rng = random.Random(F.q)
+        for k in [F.q - 2] + [rng.randrange(F.q - 1) for _ in range(500)]:
+            assert F.exp[(k + 1) % (F.q - 1)] == F._raw_mul(F.exp[k], F.gen)
 
     def test_digits_round_trip(self):
         F9 = field(3, 2)
@@ -183,13 +230,7 @@ class TestModulus:
     def test_generator_powers_fill_the_unit_group(self):
         # Over a reducible modulus the codes form a ring with zero
         # divisors, and no element's powers reach every nonzero code.
-        sizes = [
-            (p, d)
-            for p in range(2, 65)
-            if is_prime(p)
-            for d in range(2, 13)
-            if p**d <= 4096
-        ]
+        sizes = EXTENSIONS_TO_4096
         assert len(sizes) == 40
         for p, d in sizes:
             assert len(set(FiniteField(p, d).exp)) == p**d - 1
@@ -207,6 +248,31 @@ class TestLinearAlgebra:
                     v[j] = F.add(v[j], F.mul(c, x))
             span.add(tuple(v))
         return len(span)
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (17, 1), (3, 2), (5, 2)])
+    def test_rank_matches_the_rref_pivots(self, p, d):
+        import random
+
+        F = field(p, d)
+        rng = random.Random(13 * F.q)
+        for _ in range(60):
+            nrows, ncols = rng.randrange(0, 9), rng.randrange(1, 9)
+            rows = []
+            for _ in range(nrows):
+                draw = rng.random()
+                if draw < 0.15:
+                    rows.append([0] * ncols)
+                elif draw < 0.3 and rows:
+                    rows.append(list(rng.choice(rows)))
+                elif draw < 0.45 and rows:
+                    c = rng.randrange(1, F.q)
+                    rows.append([F.mul(c, x) for x in rng.choice(rows)])
+                else:
+                    rows.append([rng.randrange(F.q) for _ in range(ncols)])
+            before = [list(r) for r in rows]
+            assert f_rank(F, rows) == len(f_rref(F, rows)[1])
+            assert rows == before
+        assert f_rank(F, []) == 0 and f_rank(F, [[], []]) == 0
 
     @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])
     def test_rank_matches_span_size(self, p, d):
@@ -407,10 +473,33 @@ class TestTowers:
             identity = [[int(i == l) for l in range(e)] for i in range(e)]
             assert f_matmul(small, gram, inverse) == identity
 
+    @pytest.mark.parametrize("p,degrees", [(2, (1, 3)), (3, (1, 2)), (17, (1, 3))])
+    def test_prime_subfield_coords_sum_back(self, p, degrees):
+        # y = sum c_l * t**l with t the code p, through field operations
+        t = build_tower(p, degrees)
+        b = max(degrees)
+        F = t.field(b)
+        for y in range(F.q):
+            coords = t.subfield_coords(b, 1, y)
+            assert len(coords) == b and all(0 <= c < p for c in coords)
+            acc = 0
+            for l, c in enumerate(coords):
+                acc = F.add(acc, F.mul(c, F.pow(p, l)))
+            assert acc == y
+            assert t.from_subfield_coords(b, 1, coords) == y
+
     def test_subfield_coords_round_trip(self):
-        t = build_tower(2, (2, 4))
-        F16 = t.field(4)
-        for y in range(F16.q):
-            coords = t.subfield_coords(4, 2, y)
-            assert len(coords) == 2
-            assert t.from_subfield_coords(4, 2, coords) == y
+        # F_16 over F_4, and F_64 over F_4 and over F_8: the subfield
+        # branch, with y = sum of embedded c_l times t**l
+        for degrees, b, a in [((2, 4), 4, 2), ((2, 3, 6), 6, 2), ((2, 3, 6), 6, 3)]:
+            t = build_tower(2, degrees)
+            F = t.field(b)
+            for y in range(F.q):
+                coords = t.subfield_coords(b, a, y)
+                assert len(coords) == b // a
+                assert all(0 <= c < t.field(a).q for c in coords)
+                assert t.from_subfield_coords(b, a, coords) == y
+                acc = 0
+                for l, c in enumerate(coords):
+                    acc = F.add(acc, F.mul(t.embed(a, b, c), F.pow(2, l)))
+                assert acc == y
