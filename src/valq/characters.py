@@ -16,6 +16,7 @@ representations themselves come from ``VerifyContext.rigid_rep``.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .exchange import framed_star_matrix
 from .qtorus import QTorusElem, QuantumSeed
@@ -75,13 +76,6 @@ def eval_poly(coeffs, x):
     return acc
 
 
-def _dimension_box(v):
-    out = [()]
-    for top in v:
-        out = [prefix + (x,) for prefix in out for x in range(top + 1)]
-    return out
-
-
 def interpolate_counts(diag, v, tables, primes):
     """Counting polynomials from per-prime tables, with validation.
 
@@ -93,7 +87,7 @@ def interpolate_counts(diag, v, tables, primes):
             "primes must be distinct, got %s" % (list(primes),)
         )
     polys = {}
-    for e in _dimension_box(v):
+    for e in product(*(range(x + 1) for x in v)):
         bound = dimension_bound(diag, v, e)
         if bound + 2 > len(primes):
             raise InterpolationInconsistent(

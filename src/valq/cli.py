@@ -40,7 +40,7 @@ from .exchange import (
 )
 from .finfield import CapExceeded, NotPrime, is_prime
 from .laurent import ExponentOverflow
-from .qtorus import QuantumSeed, render_coeff
+from .qtorus import render_coeff
 from .reps import NoRigidFound, NotSinkOrSource
 from .verify import (
     ALL_CHECKS,
@@ -308,7 +308,7 @@ def character_table(ctx, v):
             % (",".join(map(str, v)), need, len(ctx.primes))
         )
     polys = counting_polynomials(ctx.rigid_reps(v))
-    x_v = character_in_seed(QuantumSeed.initial_seed(ctx.data), v, polys)
+    x_v = character_in_seed(ctx.quantum_seed(), v, polys)
     classical = x_v.specialize_q1()
     frozen = variable_f_polynomial(classical, n)
     names = default_names(n)

@@ -203,11 +203,7 @@ def framed_star_matrix(btilde):
     principal framing itself (unit rows) the frozen block vanishes.
     """
     n = len(btilde[0])
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple((1 if i == j else 0) + min(btilde[i][j], 0) for j in range(n))
-        )
+    rows = list(star_left_matrix(btilde[:n]))
     for i in range(n):
         frozen = btilde[n + i]
         if all(x <= 0 for x in frozen):

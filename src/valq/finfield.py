@@ -336,33 +336,6 @@ def _eliminate(field, v, c, row):
     return [plus(x, lc + log[y]) if y else x for x, y in zip(v, row)]
 
 
-def f_rref(field, rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = _scale(field, field.inv(m[r][col]), m[r])
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                m[i] = _eliminate(field, m[i], m[i][col], m[r])
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def f_insert(field, rows, pivots, vec):
     """Insert vec into a reduced echelon basis.
 
@@ -390,6 +363,16 @@ def f_insert(field, rows, pivots, vec):
         _eliminate(field, row, row[col], v) if row[col] else row for row in rows
     ]
     return rows[:at] + [v] + rows[at:], pivots[:at] + [col] + pivots[at:]
+
+
+def f_rref(field, rows):
+    """The reduced row echelon basis of the span of ``rows`` and its
+    pivot columns, built by ``f_insert`` of each row in turn.  A zero or
+    dependent row adds nothing, so there is one basis row per pivot."""
+    red, pivots = [], []
+    for row in rows:
+        red, pivots = f_insert(field, red, pivots, row)
+    return red, pivots
 
 
 def f_rank(field, rows):
@@ -439,7 +422,7 @@ def f_inverse(field, rows):
     m, pivots = f_rref(field, aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in m[:n]]
+    return [row[n:] for row in m]
 
 
 # -- Grassmannians --
@@ -481,33 +464,24 @@ def enumerate_subspaces(field, n, k, cap=2_000_000):
             yield rows
 
 
-def quotient_projection(field, n, sub_rows):
-    """Projection data for field**n onto the quotient by a subspace.
-
-    Returns (reduced subspace rows, pivot columns, free columns); the
-    image of a vector is its reduction by the subspace rows read off at
-    the free columns.
-    """
-    reduced, pivots = [], []
-    for row in sub_rows:
-        reduced, pivots = f_insert(field, reduced, pivots, row)
-    free = [c for c in range(n) if c not in pivots]
-    return reduced, pivots, free
-
-
 def enumerate_subspaces_containing(field, n, k, sub_rows, cap=2_000_000):
-    """All k-dimensional subspaces of field**n containing a given one.
+    """All k-dimensional subspaces of field**n containing the span of
+    ``sub_rows``, which may be zero, repeated, dependent or unreduced.
 
-    Enumerated through the quotient by the given subspace, so the count
-    is a Grassmannian of the quotient, not of the ambient space.
+    ``f_rref`` reduces that span to a basis with w pivots.  Each
+    (k - w)-dimensional subspace of the quotient, read in the n - w free
+    columns, is yielded as that basis followed by its own rows placed in
+    the free columns.  So the count is a Grassmannian of the quotient,
+    not of the ambient space.
     """
-    reduced, pivots, free = quotient_projection(field, n, sub_rows)
+    reduced, pivots = f_rref(field, sub_rows)
     if not pivots:
         yield from enumerate_subspaces(field, n, k, cap=cap)
         return
     w = len(pivots)
     if k < w or k > n:
         return
+    free = [c for c in range(n) if c not in pivots]
     for qrows in enumerate_subspaces(field, n - w, k - w, cap=cap):
         lifted = [list(r) for r in reduced]
         for qr in qrows:

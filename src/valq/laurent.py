@@ -3,11 +3,14 @@ the quantum torus shares.
 
 ``SparseTerms`` holds what both rings share: equality, powers, exponent
 ranges and the one leading-term division loop, to which each ring gives
-its own elimination step.  ``LaurentPoly`` is its ring of integer
-Laurent polynomials in commuting variables.  It is the engine for
-commutative cluster variables, and in one variable it divides the
-u-coefficients of the quantum torus.  ``exact_div`` raises
-``InexactDivision`` instead of ever returning an approximation.
+its own elimination step.  ``_add_product`` is the one multiply-
+accumulate over coefficient dicts: ``LaurentPoly`` sums, products and
+division steps run it over packed keys, and the quantum torus over its
+u-coefficients.  ``LaurentPoly`` is the ring of integer Laurent
+polynomials in commuting variables.  It is the engine for commutative
+cluster variables, and in one variable it divides the u-coefficients of
+the quantum torus.  ``exact_div`` raises ``InexactDivision`` instead of
+ever returning an approximation.
 
 Both rings key their terms by packed exponents: one int per exponent
 vector (see ``_Layout``).  A product's key is one addition and a
@@ -137,6 +140,25 @@ def _check_range(bound):
             "exponents up to %d leave the packed range of +-%d"
             % (bound, MAX_EXPONENT)
         )
+
+
+_ONE = {0: 1}
+
+
+def _add_product(acc, a, b, shift):
+    """Add a * b into ``acc`` in place: each pair of terms adds ca * cb
+    at key ka + kb + shift, and a key that cancels to zero leaves
+    ``acc``.  Over u-coefficients the shift is a power of u; over packed
+    keys it is minus the bias, which a sum of two keys holds twice."""
+    for ka, ca in a.items():
+        ka += shift
+        for kb, cb in b.items():
+            k = ka + kb
+            s = acc.get(k, 0) + ca * cb
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
 
 
 def _outside(key, lo, hi, guard):
@@ -356,12 +378,7 @@ class LaurentPoly(SparseTerms):
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+        _add_product(out, other.terms, _ONE, 0)
         return self._like(out, max(self._bound, other._bound))
 
     def __neg__(self):
@@ -376,18 +393,8 @@ class LaurentPoly(SparseTerms):
             )
         self._check(other)
         bound = self._product_bound(other)
-        bias = _layout(self.nvars).bias
-        other_terms = other.terms.items()
         out = {}
-        for ea, ca in self.terms.items():
-            ea -= bias
-            for eb, cb in other_terms:
-                e = ea + eb
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        _add_product(out, self.terms, other.terms, -_layout(self.nvars).bias)
         return self._like(out, bound)
 
     __rmul__ = __mul__
@@ -489,7 +496,9 @@ def univariate_coeffs(poly):
 
 def exact_div(num, den):
     """Exact quotient of integer Laurent polynomials: the shared
-    leading-term elimination, whose step divides integer coefficients."""
+    leading-term elimination.  Its step divides the leading integer
+    coefficient by den's and takes that quotient term times den off the
+    remainder with ``_add_product``."""
     if not isinstance(num, LaurentPoly) or not isinstance(den, LaurentPoly):
         raise TypeError("exact_div expects LaurentPoly operands")
     if num.nvars != den.nvars:
@@ -498,20 +507,13 @@ def exact_div(num, den):
         raise ZeroPolynomial("division by zero polynomial")
     den_lead = max(den.terms)
     den_lead_coeff = den.terms[den_lead]
-    bias = _layout(num.nvars).bias
-    den_items = [(e - bias, dc) for e, dc in den.terms.items()]
+    shift = -_layout(num.nvars).bias
 
     def step(rem, q_key, lead_coeff):
         c, r = divmod(lead_coeff, den_lead_coeff)
         if r:
             raise InexactDivision("leading coefficient does not divide")
-        for e, dc in den_items:
-            t = q_key + e
-            s = rem.get(t, 0) - c * dc
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
+        _add_product(rem, {q_key: -c}, den.terms, shift)
         return c
 
     return num._divide(den, den_lead, step)

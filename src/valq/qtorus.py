@@ -10,12 +10,14 @@ a coefficient dict that an element already holds, so elements may share
 them.  Elements extend the sparse-term core of ``valq.laurent``, so
 powers, exponent ranges, denominator vectors and the division loop are
 shared with ``LaurentPoly``; right division adds only its twisted
-elimination step.  Quantum seeds keep their cluster variables expanded
-in the initial torus, so mutation needs one exact right division per
-distinct exchange relation: seeds mutated from one initial seed share
-the relations already divided, each read in both directions.  A divisor
-whose leading coefficient is a unit, a signed power of u, divides that
-coefficient by a shift and a sign.
+elimination step.  Every sum and product of coefficients, twisted or
+not, runs the multiply-accumulate ``_add_product`` of ``valq.laurent``.
+Quantum seeds keep their cluster variables expanded in the initial
+torus, so mutation needs one exact right division per distinct exchange
+relation: seeds mutated from one initial seed share the relations
+already divided, each read in both directions.  A divisor whose leading
+coefficient is a unit, a signed power of u, divides that coefficient by
+a shift and a sign.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +27,8 @@ from .laurent import (
     LaurentPoly,
     SparseTerms,
     ZeroPolynomial,
+    _ONE,
+    _add_product,
     _layout,
     exact_div,
     univariate,
@@ -36,27 +40,11 @@ class LambdaMismatch(ValueError):
     """Operands live over different skew forms."""
 
 
-_ONE = {0: 1}
-
-
 def _coeff(value):
     """A coefficient dict from an int or a {u-exponent: int} mapping."""
     if isinstance(value, int):
         return {0: value} if value else {}
     return {int(k): int(c) for k, c in value.items() if c}
-
-
-def _add_product(acc, a, b, shift):
-    """Add a * b * u**shift into the coefficient dict ``acc``."""
-    for ka, ca in a.items():
-        ka += shift
-        for kb, cb in b.items():
-            k = ka + kb
-            s = acc.get(k, 0) + ca * cb
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
 
 
 def render_coeff(coeff):

@@ -324,7 +324,7 @@ class TestLinearAlgebra:
                 assert ([list(r) for r in rows_in], pivots_in, vec) == before
             red, want = f_rref(F, vectors)
             assert pivots == want
-            assert rows == [row for row in red if any(row)]
+            assert rows == red
 
     def test_kernel_is_killed_and_has_right_dimension(self):
         F9 = field(3, 2)
@@ -401,6 +401,46 @@ class TestGrassmannian:
         fixed = ((0, 0, 1),)
         count = sum(1 for _ in enumerate_subspaces_containing(F4, 3, 2, fixed))
         assert count == gaussian_binomial(4, 2, 1)
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_subspaces_containing_match_brute_force(self, p, d):
+        # Forced rows with zero, repeated, scaled and summed rows, none of
+        # them reduced: the subspaces yielded are those of field**n that
+        # contain their span, each once, as many as the quotient's.
+        import random
+
+        F = field(p, d)
+        rng = random.Random(13 * F.q)
+
+        def rref_key(rows):
+            return tuple(map(tuple, f_rref(F, rows)[0]))
+
+        for n in range(1, 4):
+            for _ in range(5):
+                base = [
+                    [rng.randrange(F.q) for _ in range(n)]
+                    for _ in range(rng.randrange(3))
+                ]
+                forced = base + [[0] * n]
+                if base:
+                    c = rng.randrange(1, F.q)
+                    forced.append(list(base[0]))
+                    forced.append([F.mul(c, x) for x in base[-1]])
+                    forced.append([F.add(x, y) for x, y in zip(base[0], base[-1])])
+                rng.shuffle(forced)
+                w = f_rank(F, forced)
+                for k in range(n + 1):
+                    got = [
+                        rref_key(rows)
+                        for rows in enumerate_subspaces_containing(F, n, k, forced)
+                    ]
+                    want = {
+                        rref_key(rows)
+                        for rows in enumerate_subspaces(F, n, k)
+                        if all(f_in_span(F, rows, v) for v in forced)
+                    }
+                    assert len(got) == gaussian_binomial(F.q, n - w, k - w)
+                    assert set(got) == want and len(set(got)) == len(got)
 
     def test_subspaces_containing_really_contain(self):
         F3 = field(3, 1)

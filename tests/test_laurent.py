@@ -278,6 +278,53 @@ def tuple_product(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def tuple_sum(a, b):
+    """The sum of two polynomials' exponent terms, on tuples."""
+    out = dict(a.exponent_terms())
+    for e, c in b.exponent_terms().items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def accumulate_pairs(draw):
+    """Two polynomials in 1 to 3 variables, drawn free, as a and -a (a
+    sum that cancels to zero), as a and a partial negation of it, or as a
+    geometric sum a and b = x^s - 1, whose product cancels every term but
+    its two ends."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)
+    terms = st.dictionaries(exps, st.integers(min_value=-4, max_value=4), max_size=6)
+    a, b = draw(terms), draw(terms)
+    mode = draw(st.sampled_from(["free", "negated", "partial", "telescoping"]))
+    if mode == "negated":
+        b = {e: -c for e, c in a.items()}
+    elif mode == "partial":
+        b.update({e: -c for e, c in a.items() if draw(st.booleans())})
+    elif mode == "telescoping":
+        s = draw(exps.filter(any))
+        c = draw(st.integers(min_value=1, max_value=4))
+        a = {tuple(k * x for x in s): c for k in range(draw(st.integers(1, 3)))}
+        b = {s: 1, (0,) * n: -1}
+    return LaurentPoly(n, a), LaurentPoly(n, b)
+
+
+class TestMultiplyAccumulate:
+    """Sums, products and exact quotients, all on the one sparse
+    multiply-accumulate, against convolution on exponent tuples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(accumulate_pairs())
+    def test_sum_product_and_quotient_match_tuples(self, pair):
+        a, b = pair
+        assert (a + b).exponent_terms() == tuple_sum(a, b)
+        product = tuple_product(a, b)
+        assert (a * b).exponent_terms() == product
+        if not b.is_zero():
+            num = LaurentPoly(a.nvars, product)
+            assert exact_div(num, b).exponent_terms() == a.exponent_terms()
+
+
 class TestPackedKeys:
     @settings(max_examples=80, deadline=None)
     @given(edge_vectors)
