@@ -11,12 +11,15 @@ of the rigid representation of dimension v over the field with q
 elements.  P_e is recovered exactly by Lagrange interpolation from
 counts over small prime fields (degree is bounded by the fiberwise
 Grassmannian dimension) and validated on held-out primes.  The
-representations themselves come from ``VerifyContext.rigid_rep``.
+interpolation is in integers: cached Lagrange numerators over one
+common denominator, with each coefficient's exactness checked by
+``divmod``.  The representations themselves come from
+``VerifyContext.rigid_rep``.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
 
 from .exchange import framed_star_matrix
 from .qtorus import QTorusElem, QuantumSeed
@@ -37,36 +40,46 @@ def dimension_bound(diag, v, e):
 
 @lru_cache(maxsize=64)
 def lagrange_basis(xs):
-    """The Lagrange basis of the distinct points xs (a tuple): the i-th
-    polynomial, in ascending coefficients, is 1 at xs[i] and 0 at the
-    other points."""
-    basis = []
+    """The Lagrange basis of the distinct points xs (a tuple) over one
+    common denominator: (den, numerators), where den > 0 is the least
+    common multiple of the products prod_{j != i} (x_i - x_j), and the
+    i-th numerator, in ascending integer coefficients, is den times the
+    polynomial that is 1 at xs[i] and 0 at the other points."""
+    products = []
+    weights = []
     for i, xi in enumerate(xs):
-        num = [Fraction(1)]
-        denom = Fraction(1)
+        num = [1]
+        weight = 1
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            new = [Fraction(0)] * (len(num) + 1)
+            new = [0] * (len(num) + 1)
             for deg, c in enumerate(num):
-                new[deg] += c * (-xj)
+                new[deg] -= c * xj
                 new[deg + 1] += c
             num = new
-            denom *= xi - xj
-        basis.append(tuple(c / denom for c in num))
-    return tuple(basis)
+            weight *= xi - xj
+        products.append(num)
+        weights.append(weight)
+    den = lcm(*weights)
+    return den, tuple(
+        tuple(den // w * c for c in num) for num, w in zip(products, weights)
+    )
 
 
 def lagrange_poly(xs, ys):
-    """Interpolating polynomial through (xs, ys), ascending coefficients."""
-    coeffs = [Fraction(0)] * len(xs)
-    for y, poly in zip(ys, lagrange_basis(tuple(xs))):
+    """The polynomial through (xs, ys) over the common denominator of
+    ``lagrange_basis``: (numerators, den), the ascending coefficients
+    times den, without trailing zeros."""
+    den, basis = lagrange_basis(tuple(xs))
+    coeffs = [0] * len(xs)
+    for y, poly in zip(ys, basis):
         if y:
             for deg, c in enumerate(poly):
                 coeffs[deg] += y * c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return coeffs
+    return coeffs, den
 
 
 def eval_poly(coeffs, x):
@@ -95,13 +108,19 @@ def interpolate_counts(diag, v, tables, primes):
             )
         pts = primes[: bound + 1]
         ys = [tables[p][e] for p in pts]
-        coeffs = lagrange_poly(pts, ys)
-        for c in coeffs:
-            if c.denominator != 1:
+        numerators, den = lagrange_poly(pts, ys)
+        coeffs = []
+        for c in numerators:
+            quotient, rest = divmod(c, den)
+            if rest:
+                # c/den in lowest terms, as a fraction prints
+                g = gcd(c, den)
                 raise InterpolationInconsistent(
-                    "non-integer coefficient %s at %s" % (c, e)
+                    "non-integer coefficient %d/%d at %s"
+                    % (c // g, den // g, e)
                 )
-        coeffs = tuple(int(c) for c in coeffs)
+            coeffs.append(quotient)
+        coeffs = tuple(coeffs)
         for p in primes[bound + 1 :]:
             if eval_poly(coeffs, p) != tables[p][e]:
                 raise InterpolationInconsistent(

@@ -12,8 +12,7 @@ nonnegative and columns nonpositive.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import matrices as mx
 
@@ -68,46 +67,53 @@ def minimal_symmetrizer(b):
                 raise NotSkewSymmetrizable(
                     "entries %d,%d have the same sign" % (i, j)
                 )
-    ratio = [None] * n
+    d = [0] * n
     for start in range(n):
-        if ratio[start] is not None:
+        if d[start]:
             continue
+        # d stays integral on the component: before d_j = d_i * |b_ij| /
+        # |b_ji| is set, the component is scaled so that it divides
+        d[start] = 1
         component = [start]
-        ratio[start] = Fraction(1)
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
                 if b[i][j] == 0:
                     continue
-                forced = ratio[i] * Fraction(-b[i][j], b[j][i])
-                if forced <= 0:
-                    raise NotSkewSymmetrizable("negative forced ratio")
-                if ratio[j] is None:
-                    ratio[j] = forced
+                num, den = d[i] * abs(b[i][j]), abs(b[j][i])
+                if not d[j]:
+                    scale = den // gcd(num, den)
+                    for x in component:
+                        d[x] *= scale
+                    d[j] = num * scale // den
                     component.append(j)
                     queue.append(j)
-                elif ratio[j] != forced:
+                elif d[j] * den != num:
                     raise NotSkewSymmetrizable("inconsistent ratios on a cycle")
-        scale = lcm(*(r.denominator for r in (ratio[i] for i in component)))
-        ints = [int(ratio[i] * scale) for i in component]
-        shrink = gcd(*ints)
-        for i, v in zip(component, ints):
-            ratio[i] = v // shrink
-    return tuple(int(r) for r in ratio)
+        shrink = gcd(*(d[x] for x in component))
+        for x in component:
+            d[x] //= shrink
+    return tuple(d)
 
 
 def check_symmetrizer(b, diag):
     n, _ = mx.shape(b)
     if len(diag) != n:
-        raise BadSymmetrizer("wrong length")
+        entries = "entry" if len(diag) == 1 else "entries"
+        rows = "row" if n == 1 else "rows"
+        raise BadSymmetrizer(
+            "D has %d %s, B has %d %s" % (len(diag), entries, n, rows)
+        )
     if any(d <= 0 for d in diag):
         raise BadSymmetrizer("symmetrizer entries must be positive")
     for i in range(n):
         for j in range(n):
             if diag[i] * b[i][j] != -diag[j] * b[j][i]:
+                # numbered from 1, as the command line numbers vertices
+                a, c = i + 1, j + 1
                 raise BadSymmetrizer(
-                    "d_%d*b_%d%d != -d_%d*b_%d%d" % (i, i, j, j, j, i)
+                    "d_%d*b_%d,%d != -d_%d*b_%d,%d" % (a, a, c, c, c, a)
                 )
 
 

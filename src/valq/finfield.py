@@ -11,11 +11,11 @@ multiplication by gen from 1 (see FiniteField).  Over a prime field
 addition is integer arithmetic mod p; over an extension it is one lookup
 in the Zech table zech[k] = log(1 + gen**k) (Huber 1990), since
 a + b = a * (1 + b/a).  Everything is exact and
-sized for desk-scale exhaustion, guarded by an element-count cap.
+sized for desk-scale exhaustion, guarded by an element-count cap, and
+integer: Gaussian binomials too are products with exact divisions.
 """
 
 from bisect import bisect
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -432,11 +432,12 @@ def gaussian_binomial(q, n, k):
     """Number of k-dimensional subspaces of an n-space over a q-element field."""
     if k < 0 or k > n:
         return 0
-    out = Fraction(1)
+    # after step i the product is [n, i + 1]_q, an integer, so each
+    # division is exact
+    out = 1
     for i in range(k):
-        out *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
-    assert out.denominator == 1
-    return int(out)
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
 
 
 def enumerate_subspaces(field, n, k, cap=2_000_000):

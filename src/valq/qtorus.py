@@ -17,7 +17,11 @@ torus, so mutation needs one exact right division per distinct exchange
 relation: seeds mutated from one initial seed share the relations
 already divided, each read in both directions.  A divisor whose leading
 coefficient is a unit, a signed power of u, divides that coefficient by
-a shift and a sign.
+a shift and a sign.  A frame monomial, the ordered product of powers of
+one cluster's variables, folds the factors that are still basis
+monomials with coefficient 1 into one basis element in front of the
+others, using the quasi-commutation of one cluster's variables, and
+multiplies only the rest.
 """
 
 from dataclasses import dataclass, field
@@ -146,6 +150,31 @@ class QTorusElem(SparseTerms):
                     acc = out[e] = {}
                 _add_product(acc, ca, cb, sum(map(mul, ea, lb)))
         return self._like({e: c for e, c in out.items() if c}, bound)
+
+    def translate(self, exp, k):
+        """``u**k * X^exp * self`` for an exponent tuple ``exp``: each term
+        X^b moves to X^(exp+b), its coefficient shifted by k + exp^T L b."""
+        lay = _layout(self.nvars)
+        unpack = lay.unpack
+        mono = QTorusElem.basis_elem(self.lam, exp)
+        (key,) = mono.terms
+        key -= lay.bias
+        # exp^T L, so that exp^T L b is its dot product with b
+        row = [sum(map(mul, exp, col)) for col in zip(*self.lam)]
+        out = {}
+        for kb, cb in self.terms.items():
+            shift = k + sum(map(mul, row, unpack(kb)))
+            out[key + kb] = {j + shift: x for j, x in cb.items()}
+        return self._like(out, mono._product_bound(self))
+
+    def basis_exponent(self):
+        """The exponent tuple a when the element is X^a with coefficient
+        1, else None."""
+        if len(self.terms) == 1:
+            ((key, coeff),) = self.terms.items()
+            if coeff == _ONE:
+                return _layout(self.nvars).unpack(key)
+        return None
 
     def scale(self, coeff):
         """Multiply every coefficient by ``coeff`` (an int or a
@@ -381,10 +410,20 @@ class QuantumSeed(Seed):
         return cls(initial=data, current=data, variables=variables)
 
     def frame_monomial(self, c):
-        """The bar-invariant ordered monomial of the current cluster.
+        """The bar-invariant ordered monomial of the current cluster,
+        u^-t X_1^c_1 ... X_2n^c_2n with t the sum over i < j of
+        lambda_ij c_i c_j, for the current skew form lambda.
 
         Mutable entries of c must be nonnegative unless the variable is
         still a basis monomial; frozen entries may have either sign.
+
+        The factors whose variable is still a basis monomial X^a with
+        coefficient 1 fold into one basis element in front of the
+        others.  Variables of one cluster quasi-commute, X_i X_j =
+        u^(2 lambda_ij) X_j X_i, so moving X_i^c_i left past X_j^c_j
+        pays u^(2 lambda_ji c_j c_i).  Only the other factors are
+        multiplied, in order, and the folded element translates their
+        product.
         """
         c = tuple(int(x) for x in c)
         size = 2 * self.current.n
@@ -397,11 +436,28 @@ class QuantumSeed(Seed):
                 for j in range(i + 1, size):
                     if c[j] and lam[i][j]:
                         twist += lam[i][j] * c[i] * c[j]
-        out = QTorusElem.basis_elem(self.initial.lam, (0,) * size, {-twist: 1})
+        shift = -twist
+        folded = (0,) * size
+        rest = []
         for i in range(size):
-            if c[i]:
-                out = out * self.variables[i] ** c[i]
-        return out
+            if not c[i]:
+                continue
+            var = self.variables[i]
+            a = var.basis_exponent()
+            if a is None:
+                rest.append(i)
+                continue
+            # X^folded * X^(c_i a) = u^(c_i folded^T L a) X^(folded + c_i a)
+            shift += c[i] * sum(map(mul, folded, var._lam_dot(a)))
+            shift += 2 * c[i] * sum(lam[j][i] * c[j] for j in rest)
+            folded = tuple(x + c[i] * y for x, y in zip(folded, a))
+        out = None
+        for j in rest:
+            power = self.variables[j] ** c[j]
+            out = power if out is None else out * power
+        if out is None:
+            return QTorusElem.basis_elem(self.initial.lam, folded, {shift: 1})
+        return out.translate(folded, shift)
 
     def _exchange_key(self, k):
         """X_k, the variable, b_ik and lambda_ik of each slot i where b_ik

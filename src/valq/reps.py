@@ -48,6 +48,15 @@ walks D(V) exactly when its price is lower.  Such a close happens only
 when K has fewer subspaces than V_i, so the price of a representation's
 walk reads the rank of that one arrow besides the quiver, fields and
 dimension vector.
+
+What every count re-derives is built once, by exact identities only.  A
+quiver keeps its opposite and its reflections, the opposite of the
+opposite and a reflection reflected back being the quiver itself.  A
+walk builds the arrow matrices of a vertex on its first send.  The dual
+multiplies by no Gram matrix of a trace form at an end whose degree is
+the arrow's valuation, where it is the 1x1 identity, so it transposes an
+arrow between two such ends.  The dual and the sink reflection build
+their results without the public constructor's checks.
 """
 
 import random
@@ -95,7 +104,10 @@ def _tpow(field, l):
 
 
 class ValuedQuiver:
-    """A valued quiver with a fixed tower of coefficient fields."""
+    """A valued quiver with a fixed tower of coefficient fields.
+
+    Quivers are immutable.  Each builds its opposite and each reflection
+    once, on first request, and shares it with later requests."""
 
     def __init__(self, b, diag, tower):
         self.b = tuple(tuple(int(x) for x in row) for row in b)
@@ -111,6 +123,8 @@ class ValuedQuiver:
             self.valuation[(i, j)] = g
             for copy in range(mult):
                 self.arrow_keys.append((i, j, copy))
+        self._opposite = None
+        self._reflected = {}
 
     @classmethod
     def from_matrix(cls, b, diag, p, cap=1 << 16):
@@ -131,15 +145,28 @@ class ValuedQuiver:
         return k in self.sources
 
     def reflected(self, k):
-        rows = [list(row) for row in self.b]
-        for j in range(self.n):
-            rows[k][j] = -rows[k][j]
-            rows[j][k] = -rows[j][k]
-        return ValuedQuiver(rows, self.diag, self.tower)
+        """The quiver with the arrows at k reversed; reflecting it at k
+        again gives back this quiver."""
+        out = self._reflected.get(k)
+        if out is None:
+            rows = [list(row) for row in self.b]
+            for j in range(self.n):
+                rows[k][j] = -rows[k][j]
+                rows[j][k] = -rows[j][k]
+            out = ValuedQuiver(rows, self.diag, self.tower)
+            out._reflected[k] = self
+            self._reflected[k] = out
+        return out
 
     def opposite(self):
         """The quiver with every arrow reversed, over the same degrees
-        and tower, ordered by the reverse of this quiver's order."""
+        and tower, ordered by the reverse of this quiver's order; its
+        opposite is this quiver."""
+        if self._opposite is None:
+            self._opposite = self._build_opposite()
+        return self._opposite
+
+    def _build_opposite(self):
         op = ValuedQuiver.__new__(ValuedQuiver)
         op.b = tuple(tuple(-x for x in row) for row in self.b)
         op.n, op.diag, op.tower = self.n, self.diag, self.tower
@@ -147,6 +174,8 @@ class ValuedQuiver:
         op.sinks, op.sources = self.sources, self.sinks
         op.arrow_keys = sorted((j, i, c) for i, j, c in self.arrow_keys)
         op.valuation = {(j, i): g for (i, j), g in self.valuation.items()}
+        op._opposite = self
+        op._reflected = {}
         return op
 
     def map_shape(self, key, dims):
@@ -190,6 +219,17 @@ class ValuedRep:
             assert len(mat) == nrows
             assert all(len(row) == ncols for row in mat)
             self.maps[key] = mat
+
+    @classmethod
+    def _trusted(cls, quiver, dims, maps):
+        """The representation with maps that are already tuples of int
+        rows of the right shapes, as the functors build them; skips the
+        checks of the public constructor."""
+        rep = cls.__new__(cls)
+        rep.quiver = quiver
+        rep.dims = tuple(dims)
+        rep.maps = {key: maps[key] for key in quiver.arrow_keys}
+        return rep
 
     @classmethod
     def zero_maps(cls, quiver, dims):
@@ -417,21 +457,22 @@ def _to_codes(field, digs):
     return [field.from_digits(digs[r : r + d]) for r in range(0, len(digs), d)]
 
 
-def _scaled_arrow_matrices(rep):
+def _scaled_arrow_matrices(rep, i):
     """Prime-field matrices of x -> phi(t**l * x) for every arrow map phi
-    and every l below the degree of the source field over the arrow's
-    valuation field, grouped by (source, target).  Their images of a
-    vertex-field subspace span its image over the valuation field."""
+    leaving i and every l below the degree of the field at i over the
+    arrow's valuation field, as (target, matrices) per target.  Their
+    images of a subspace at i span its image over the valuation field."""
     quiver = rep.quiver
+    fi = quiver.field(i)
     out = {}
     for key in quiver.arrow_keys:
-        i, j, _ = key
-        fi = quiver.field(i)
-        for l in range(quiver.diag[i] // quiver.valuation[(i, j)]):
-            out.setdefault((i, j), []).append(
-                _fp_arrow_matrix(rep, key, _tpow(fi, l))
-            )
-    return out
+        if key[0] == i:
+            j = key[1]
+            for l in range(quiver.diag[i] // quiver.valuation[(i, j)]):
+                out.setdefault(j, []).append(
+                    _fp_arrow_matrix(rep, key, _tpow(fi, l))
+                )
+    return list(out.items())
 
 
 _gaussian_binomial = lru_cache(maxsize=4096)(gaussian_binomial)
@@ -536,7 +577,9 @@ class _Walk:
     images it received as a reduced echelon basis (``inbox``), extended
     one image at a time by ``f_insert`` and restored to the parent's
     basis when the walk backs up; every sink is counted in closed form
-    from the dimension of that span.
+    from the dimension of that span.  The arrow matrices of a vertex are
+    built on its first ``_send``, so a walk that closes its first vertex
+    builds none.
 
     When the last enumerated vertex i closes (``_closing_vertex``), its
     subspaces W are not enumerated.  The rank at i's one sink neighbour k
@@ -552,10 +595,9 @@ class _Walk:
         self.p = quiver.p
         self.enumerated, self.terminals = _walk_order(quiver)
         self.closing, self.sink, self.kernel = closing or (None, None, None)
-        # the out-neighbours of each vertex, with the arrow matrices
-        self.links = {i: [] for i in range(quiver.n)}
-        for (i, j), mats in _scaled_arrow_matrices(rep).items():
-            self.links[i].append((j, mats))
+        # the out-neighbours of each vertex sent from, with the arrow
+        # matrices
+        self.links = {}
         self.inbox = {i: ([], []) for i in range(quiver.n)}
         if closing is not None and self.kernel is None:
             # the span of the closing arrow's columns, phi(V_i)
@@ -731,8 +773,11 @@ class _Walk:
         p = self.p
         fi = self.quiver.field(i)
         xs = [_to_digits(fi, row) for row in w]
+        links = self.links.get(i)
+        if links is None:
+            links = self.links[i] = _scaled_arrow_matrices(self.rep, i)
         parents = {}
-        for j, mats in self.links[i]:
+        for j, mats in links:
             fj = self.quiver.field(j)
             parents[j] = span = self.inbox[j]
             for mat in mats:
@@ -772,27 +817,32 @@ def dual_rep(rep):
     and D(D(V)) = V.
     """
     maps = {(j, i, c): _adjoint(rep, (i, j, c)) for i, j, c in rep.maps}
-    return ValuedRep(rep.quiver.opposite(), rep.dims, maps)
+    return ValuedRep._trusted(rep.quiver.opposite(), rep.dims, maps)
 
 
 def _adjoint(rep, key):
     """The matrix of D(V) on the reverse of the arrow ``key`` = (i, j, _):
     P_i^-1 M^T P_j for the arrow's matrix M, where P is the
     block-diagonal Gram matrix of the trace form in the subfield
-    coordinates of each fiber."""
+    coordinates of each fiber.  At an end whose degree is the arrow's
+    valuation g, P is the 1x1 identity and is not multiplied, so between
+    two such ends the adjoint is M^T."""
     quiver, dims = rep.quiver, rep.dims
     i, j, _ = key
     ncols, nrows = quiver.map_shape(key, dims)
     if not (nrows and ncols):
-        return [[0] * ncols for _ in range(nrows)]
+        return ((0,) * ncols,) * nrows
     tower = quiver.tower
     g = quiver.valuation[(i, j)]
     field = tower.field(g)
-    _, inverse_i = tower.trace_gram(quiver.diag[i], g)
-    gram_j, _ = tower.trace_gram(quiver.diag[j], g)
-    left = _block_diagonal(inverse_i, dims[i])
-    left = f_matmul(field, left, [list(col) for col in zip(*rep.maps[key])])
-    return f_matmul(field, left, _block_diagonal(gram_j, dims[j]))
+    adjoint = tuple(zip(*rep.maps[key]))
+    if quiver.diag[i] != g:
+        _, inverse_i = tower.trace_gram(quiver.diag[i], g)
+        adjoint = f_matmul(field, _block_diagonal(inverse_i, dims[i]), adjoint)
+    if quiver.diag[j] != g:
+        gram_j, _ = tower.trace_gram(quiver.diag[j], g)
+        adjoint = f_matmul(field, adjoint, _block_diagonal(gram_j, dims[j]))
+    return tuple(map(tuple, adjoint))
 
 
 def _block_diagonal(block, copies):
@@ -874,15 +924,15 @@ def reflect_sink(rep, k):
     maps = {key: mat for key, mat in rep.maps.items() if k not in key[:2]}
     for (i, _, copy), g, width, offset in layout:
         steps = dk // g
-        maps[(k, i, copy)] = [
-            [
+        maps[(k, i, copy)] = tuple(
+            tuple(
                 trace(dk, g, fk.mul(kvec[offset + m], _tpow(fk, l)))
                 for kvec in kernel
                 for l in range(steps)
-            ]
+            )
             for m in range(width)
-        ]
-    return ValuedRep(quiver.reflected(k), dims, maps)
+        )
+    return ValuedRep._trusted(quiver.reflected(k), dims, maps)
 
 
 def reflect(rep, k):

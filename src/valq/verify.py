@@ -110,8 +110,9 @@ class VerificationReport:
 
 class VerifyContext:
     """Shared state for one verification run: the input, the budgets, and
-    lazily built exchange graphs, rigid representations keyed by prime
-    and dimension vector, and characters keyed by dimension vector."""
+    lazily built exchange graphs, one quiver per prime, rigid
+    representations keyed by prime and dimension vector, and characters
+    keyed by dimension vector."""
 
     def __init__(
         self,
@@ -134,6 +135,7 @@ class VerifyContext:
         self._quantum_seed = None
         self._quantum = None
         self._variables = None
+        self._quivers = {}
         self._rigid = {}
         self._chars = {}
 
@@ -175,12 +177,15 @@ class VerifyContext:
         """The rigid representation of dimension v over the prime field
         with p elements, built once and shared by every check.  A search
         that found none is not repeated: its ``NoRigidFound`` is kept
-        and raised again."""
+        and raised again.  The representations over one prime share one
+        quiver, so its opposite and reflections are built once."""
         key = (p, tuple(v))
         if key not in self._rigid:
-            quiver = ValuedQuiver.from_matrix(
-                self.b, self.data.diag, p, cap=self.cap
-            )
+            quiver = self._quivers.get(p)
+            if quiver is None:
+                quiver = self._quivers[p] = ValuedQuiver.from_matrix(
+                    self.b, self.data.diag, p, cap=self.cap
+                )
             try:
                 self._rigid[key] = build_rigid_rep(
                     quiver, key[1], rng_seed=self.rng_seed

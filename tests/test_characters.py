@@ -9,8 +9,12 @@ over the counted dimension vectors e.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valq.characters import (
     DEFAULT_PRIMES,
@@ -78,14 +82,62 @@ def exponent_floor(b, v, polys):
     return tuple(floor)
 
 
+def fraction_lagrange(xs, ys):
+    """The textbook interpolant sum y_i * prod (x - x_j) / (x_i - x_j)
+    in Fraction coefficients, ascending, without trailing zeros."""
+    coeffs = [Fraction(0)] * len(xs)
+    for i, xi in enumerate(xs):
+        num = [Fraction(ys[i])]
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = [Fraction(0)] + num
+                for deg in range(len(num) - 1):
+                    num[deg] += num[deg + 1] * -xj
+                num = [c / (xi - xj) for c in num]
+        for deg, c in enumerate(num):
+            coeffs[deg] += c
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def fraction_interpolate_counts(diag, v, tables, primes):
+    """``interpolate_counts`` as it was defined in Fraction arithmetic:
+    its polynomials, or its error text."""
+    if len(set(primes)) != len(primes):
+        return "primes must be distinct, got %s" % (list(primes),)
+    polys = {}
+    for e in product(*(range(x + 1) for x in v)):
+        bound = dimension_bound(diag, v, e)
+        if bound + 2 > len(primes):
+            return "need %d primes for %s, have %d" % (bound + 2, e, len(primes))
+        pts = primes[: bound + 1]
+        coeffs = fraction_lagrange(pts, [tables[p][e] for p in pts])
+        for c in coeffs:
+            if c.denominator != 1:
+                return "non-integer coefficient %s at %s" % (c, e)
+        coeffs = tuple(int(c) for c in coeffs)
+        for p in primes[bound + 1 :]:
+            if sum(c * p**deg for deg, c in enumerate(coeffs)) != tables[p][e]:
+                return "held-out prime %d disagrees at %s" % (p, e)
+        if coeffs:
+            polys[e] = coeffs
+    return polys
+
+
+def as_fractions(xs, ys):
+    numerators, den = lagrange_poly(xs, ys)
+    return [Fraction(c, den) for c in numerators]
+
+
 class TestLagrange:
     def test_interpolates_exactly(self):
         xs = (2, 3, 5)
         ys = (5, 10, 26)  # x**2 + 1
-        assert lagrange_poly(xs, ys) == [1, 0, 1]
+        assert as_fractions(xs, ys) == [1, 0, 1]
 
     def test_constant(self):
-        assert lagrange_poly((2, 3), (7, 7)) == [7]
+        assert as_fractions((2, 3), (7, 7)) == [7]
 
     def test_shared_basis_on_random_points(self):
         # One basis per point set serves every list of values; check it
@@ -93,35 +145,78 @@ class TestLagrange:
         # built afresh for each list.
         import random
 
-        def direct(xs, ys):
-            coeffs = [Fraction(0)] * len(xs)
-            for i, xi in enumerate(xs):
-                num = [Fraction(ys[i])]
-                for j, xj in enumerate(xs):
-                    if j != i:
-                        num = [Fraction(0)] + num
-                        for deg in range(len(num) - 1):
-                            num[deg] += num[deg + 1] * -xj
-                        num = [c / (xi - xj) for c in num]
-                for deg, c in enumerate(num):
-                    coeffs[deg] += c
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            return coeffs
-
         rng = random.Random(3)
         for _ in range(30):
             xs = tuple(rng.sample(range(-20, 40), rng.randrange(1, 8)))
-            basis = lagrange_basis(xs)
-            assert lagrange_basis(xs) is basis
+            den, basis = lagrange_basis(xs)
+            assert lagrange_basis(xs)[1] is basis
             for i, poly in enumerate(basis):
                 assert [
                     sum(c * x**deg for deg, c in enumerate(poly)) for x in xs
-                ] == [int(i == j) for j in range(len(xs))]
+                ] == [den * (i == j) for j in range(len(xs))]
             for _ in range(5):
                 ys = [rng.randrange(-50, 50) for _ in xs]
-                assert lagrange_poly(xs, ys) == direct(xs, ys)
-                assert lagrange_poly(list(xs), ys) == direct(xs, ys)
+                assert as_fractions(xs, ys) == fraction_lagrange(xs, ys)
+                assert as_fractions(list(xs), ys) == fraction_lagrange(xs, ys)
+
+    def test_common_denominator_is_the_least(self):
+        # den is the lcm of the node products, so some numerator
+        # coefficient shares no factor with it
+        for xs in [(2,), (2, 3), (2, 3, 5, 7), (2, 3, 5, 7, 11, 13, 17)]:
+            den, basis = lagrange_basis(xs)
+            weights = [
+                prod(xi - xj for xj in xs if xj != xi) for xi in xs
+            ]
+            assert den == lcm(*weights) and den > 0
+            assert gcd(den, *(c for poly in basis for c in poly)) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_interpolate_counts_matches_fractions(self, data):
+        # Tables from integer polynomials of degree up to the bound, then
+        # optionally one count bent at an interpolation node (a
+        # non-integer or a held-out failure) or at a held-out prime.
+        diag = data.draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2, 2)]))
+        v = tuple(data.draw(st.integers(0, 2)) for _ in diag)
+        nprimes = data.draw(st.integers(1, len(DEFAULT_PRIMES)))
+        primes = DEFAULT_PRIMES[:nprimes]
+        if data.draw(st.booleans()):
+            primes = tuple(data.draw(st.permutations(primes)))
+        box = list(product(*(range(x + 1) for x in v)))
+        tables = {p: {} for p in primes}
+        for e in box:
+            degree = min(dimension_bound(diag, v, e), nprimes - 1)
+            coeffs = [data.draw(st.integers(-9, 9)) for _ in range(degree + 1)]
+            for p in primes:
+                tables[p][e] = sum(c * p**k for k, c in enumerate(coeffs))
+        if data.draw(st.booleans()):
+            e = data.draw(st.sampled_from(box))
+            p = data.draw(st.sampled_from(primes))
+            tables[p][e] += data.draw(st.integers(-3, 3))
+        want = fraction_interpolate_counts(diag, v, tables, primes)
+        if isinstance(want, str):
+            with pytest.raises(InterpolationInconsistent) as exc:
+                interpolate_counts(diag, v, tables, primes)
+            assert str(exc.value) == want
+        else:
+            assert interpolate_counts(diag, v, tables, primes) == want
+
+    def test_error_texts(self):
+        # (0, 1) has bound 1: nodes 3 and 5, and 2 held out
+        diag, v, primes = (1, 1), (0, 2), (3, 5, 2)
+        ones = {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+        tables = {p: dict(ones) for p in primes}
+        assert interpolate_counts(diag, v, tables, primes) == {
+            e: (1,) for e in ones
+        }
+        for count, text in [
+            (2, "non-integer coefficient -1/2 at (0, 1)"),
+            (3, "held-out prime 2 disagrees at (0, 1)"),
+        ]:
+            tables[5][(0, 1)] = count
+            with pytest.raises(InterpolationInconsistent) as exc:
+                interpolate_counts(diag, v, tables, primes)
+            assert str(exc.value) == text
 
 
 class TestCountingPolynomials:

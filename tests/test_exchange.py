@@ -1,6 +1,8 @@
 """Exchange matrices: symmetrizers, framing, mutation, compatible pairs."""
 
 import json
+from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -92,6 +94,118 @@ class TestSymmetrizer:
         with pytest.raises(NotSkewSymmetrizable):
             # Zero pattern must be symmetric.
             minimal_symmetrizer(((0, 1), (0, 0)))
+
+
+def fraction_symmetrizer(b):
+    """``minimal_symmetrizer`` as it was defined in Fraction arithmetic,
+    for a matrix that passes its sign checks: the ratios d_j/d_i forced
+    from each component's first vertex, scaled to coprime integers."""
+    n = len(b)
+    ratio = [None] * n
+    for start in range(n):
+        if ratio[start] is not None:
+            continue
+        component = [start]
+        ratio[start] = Fraction(1)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if b[i][j] and ratio[j] is None:
+                    ratio[j] = ratio[i] * Fraction(-b[i][j], b[j][i])
+                    component.append(j)
+                    queue.append(j)
+        scale = lcm(*(ratio[i].denominator for i in component))
+        ints = [int(ratio[i] * scale) for i in component]
+        shrink = gcd(*ints)
+        for i, v in zip(component, ints):
+            ratio[i] = v // shrink
+    return tuple(ratio)
+
+
+def components(b):
+    """The vertex sets of the connected components of b's graph."""
+    n = len(b)
+    seen, out = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if b[i][j] and j not in comp:
+                    comp.add(j)
+                    queue.append(j)
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+# A matrix with the symmetrizer diag: for each pair i < j, either no
+# edge, or b_ij = s * m * d_j / g and b_ji = -s * m * d_i / g with
+# g = gcd(d_i, d_j), a sign s and a multiplier m.
+@st.composite
+def rescaled_matrix(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    diag = [draw(st.integers(min_value=1, max_value=12)) for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = draw(st.integers(min_value=-2, max_value=2))
+            if m:
+                g = gcd(diag[i], diag[j])
+                b[i][j] = m * diag[j] // g
+                b[j][i] = -m * diag[i] // g
+    return mx.freeze(b), tuple(diag)
+
+
+class TestSymmetrizerArithmetic:
+    def test_builtins(self):
+        for name, b in BUILTIN_MATRICES.items():
+            d = minimal_symmetrizer(b)
+            assert d == fraction_symmetrizer(b), name
+            check_symmetrizer(b, d)
+            for comp in components(b):
+                assert gcd(*(d[i] for i in comp)) == 1, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(rescaled_matrix())
+    def test_random_rescalings(self, case):
+        # The symmetrizer of each component is unique up to scale, so the
+        # minimal one is diag divided by its gcd there.
+        b, diag = case
+        want = list(diag)
+        for comp in components(b):
+            shrink = gcd(*(diag[i] for i in comp))
+            for i in comp:
+                want[i] //= shrink
+        assert minimal_symmetrizer(b) == tuple(want) == fraction_symmetrizer(b)
+        check_symmetrizer(b, diag)
+
+    def test_inconsistent_cycle(self):
+        # 0 -> 1 -> 2 -> 0 forces d_1 = d_0, d_2 = 2 d_1 and d_0 = d_2
+        b = ((0, 1, -1), (-1, 0, 2), (1, -1, 0))
+        with pytest.raises(NotSkewSymmetrizable, match="inconsistent ratios"):
+            minimal_symmetrizer(b)
+
+    @pytest.mark.parametrize(
+        "diag, text",
+        [
+            ((2,), "D has 1 entry, B has 2 rows"),
+            ((2, 1, 1), "D has 3 entries, B has 2 rows"),
+            ((1, 1), "d_1*b_1,2 != -d_2*b_2,1"),
+        ],
+    )
+    def test_check_messages(self, diag, text):
+        with pytest.raises(BadSymmetrizer) as exc:
+            check_symmetrizer(BUILTIN_MATRICES["B2"], diag)
+        assert str(exc.value) == text
+
+    def test_check_message_for_one_row(self):
+        with pytest.raises(BadSymmetrizer) as exc:
+            check_symmetrizer(((0,),), ())
+        assert str(exc.value) == "D has 0 entries, B has 1 row"
 
 
 class TestQuiverShape:

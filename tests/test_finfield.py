@@ -1,5 +1,7 @@
 """Finite fields, towers of embeddings, and subspace enumeration."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +362,17 @@ class TestGrassmannian:
         assert gaussian_binomial(4, 2, 1) == 5
         assert gaussian_binomial(2, 3, 3) == 1
         assert gaussian_binomial(2, 3, 4) == 0
+
+    def test_gaussian_binomial_matches_the_fraction_product(self):
+        # the definition, prod over i < k of (q^(n-i) - 1) / (q^(i+1) - 1)
+        for q in range(2, 65):
+            for n in range(9):
+                for k in range(-1, n + 2):
+                    want = Fraction(int(0 <= k <= n))
+                    for i in range(max(k, 0) if k <= n else 0):
+                        want *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
+                    got = gaussian_binomial(q, n, k)
+                    assert type(got) is int and got == want, (q, n, k)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -302,6 +302,67 @@ class TestSeedMutation:
             s.frame_monomial((1, 0))
 
 
+def ordered_frame(seed, c):
+    """The definition of ``frame_monomial``: u^-t times the ordered
+    product of the powers X_i^c_i, t the sum over i < j of lambda_ij c_i
+    c_j for the seed's current skew form."""
+    size = 2 * seed.current.n
+    lam = seed.current.lam
+    twist = sum(
+        lam[i][j] * c[i] * c[j] for i in range(size) for j in range(i + 1, size)
+    )
+    out = QTorusElem.basis_elem(seed.initial.lam, (0,) * size, {-twist: 1})
+    for i in range(size):
+        if c[i]:
+            out = out * seed.variables[i] ** c[i]
+    return out
+
+
+# Every seed of the B3 and G2 exchange graphs and of the WILD3 graph to
+# depth 3.
+FRAME_SEEDS = [
+    seed
+    for name, depth in (("B3", None), ("G2", None), ("WILD3", 3))
+    for seed in enumerate_quantum_seeds(
+        builtin_exchange_data(name), max_depth=depth
+    ).seeds
+]
+
+
+class TestFrameFold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fold_equals_the_ordered_product(self, data):
+        # Exponents may be negative only at variables that are still
+        # basis monomials, which the fold moves in front.
+        seed = data.draw(st.sampled_from(FRAME_SEEDS))
+        c = tuple(
+            data.draw(
+                st.integers(
+                    min_value=-3 if var.basis_exponent() is not None else 0,
+                    max_value=3,
+                )
+            )
+            for var in seed.variables
+        )
+        assert seed.frame_monomial(c) == ordered_frame(seed, c)
+
+    def test_initial_and_depth_one_frames_take_no_product(self, monkeypatch):
+        start = QuantumSeed.initial_seed(builtin_exchange_data("G2"))
+        seeds = [start] + [start.mutate(k) for k in range(2)]
+        calls = count_products(monkeypatch, QTorusElem)
+        for seed in seeds:
+            for c in [(1, 1, 0, 0), (0, 1, -1, 2), (1, 0, 1, -1)]:
+                seed.frame_monomial(c)
+        assert calls == []
+
+    def test_basis_exponent(self):
+        assert X((1, -2, 0, 3)).basis_exponent() == (1, -2, 0, 3)
+        assert X((1, 0, 0, 0), {1: 1}).basis_exponent() is None
+        assert X((1, 0, 0, 0), 2).basis_exponent() is None
+        assert (X((1, 0, 0, 0)) + X((0, 1, 0, 0))).basis_exponent() is None
+
+
 class TestCanonicalKey:
     def test_double_mutation_returns_to_start(self):
         s = QuantumSeed.initial_seed(A2)

@@ -6,12 +6,16 @@ library implementation: homs by trying every tuple of vertex-field
 matrices, subrepresentation counts by trying every tuple of subspaces.
 """
 
+from functools import reduce
 from itertools import product
 
 import pytest
 
+from valq import reps
 from valq.exchange import (
     BUILTIN_MATRICES,
+    build_exchange_data,
+    builtin_exchange_data,
     minimal_symmetrizer,
     sinks_and_sources,
 )
@@ -41,6 +45,7 @@ from valq.reps import (
     simple_reflection,
 )
 from valq.reps import _Walk, _plan
+from valq.verify import VerifyContext, run_all, run_check
 
 from conftest import f_in_span
 
@@ -980,6 +985,142 @@ class TestDual:
         for dims in vectors:
             for build in (random_rep, sparse_rep):
                 self.check(build(q, dims, rng))
+
+
+def gram_adjoint(rep, key):
+    """The adjoint of the arrow ``key`` = (i, j, _) under the trace forms,
+    by its definition P_i^-1 M^T P_j with block-diagonal Gram matrices."""
+    q, dims = rep.quiver, rep.dims
+    i, j, _ = key
+    g = q.valuation[(i, j)]
+    field = q.tower.field(g)
+    _, inverse_i = q.tower.trace_gram(q.diag[i], g)
+    gram_j, _ = q.tower.trace_gram(q.diag[j], g)
+
+    def blocks(block, copies):
+        e = len(block)
+        return [
+            [block[a][b] if r == c else 0 for c in range(copies) for b in range(e)]
+            for r in range(copies)
+            for a in range(e)
+        ]
+
+    def matmul(x, y):
+        return [
+            [
+                reduce(field.add, (field.mul(a, b) for a, b in zip(row, col)), 0)
+                for col in zip(*y)
+            ]
+            for row in x
+        ]
+
+    ncols, nrows = q.map_shape(key, dims)
+    if not (nrows and ncols):
+        return tuple((0,) * ncols for _ in range(nrows))
+    m_t = [list(col) for col in zip(*rep.maps[key])]
+    out = matmul(matmul(blocks(inverse_i, dims[i]), m_t), blocks(gram_j, dims[j]))
+    return tuple(map(tuple, out))
+
+
+class TestDualTranspose:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4"])
+    def test_every_arrow_matches_the_gram_path(self, name, p):
+        # an end of degree g has the 1x1 identity as its Gram matrix, so
+        # dual_rep transposes an arrow between two such ends and skips
+        # one product on an arrow with one
+        import random
+
+        rng = random.Random(5 * p)
+        transposed = 0
+        for q in orientations(name, p):
+            for build in (random_rep, sparse_rep):
+                dims = tuple(rng.randrange(3) for _ in range(q.n))
+                rep = build(q, dims, rng)
+                dual = dual_rep(rep)
+                for key in q.arrow_keys:
+                    i, j, c = key
+                    assert dual.maps[(j, i, c)] == gram_adjoint(rep, key)
+                    transposed += q.diag[i] == q.diag[j]
+        # G2's one arrow joins degrees 3 and 1
+        assert bool(transposed) == (name != "G2")
+
+    def test_dual_is_exact_like_a_public_build(self):
+        # the trusted build of D(V) equals the checked one on its maps
+        q = quiver("F4", 2)
+        rep = random_rep(q, (1, 2, 1, 1), __import__("random").Random(1))
+        dual = dual_rep(rep)
+        assert dual == ValuedRep(dual.quiver, dual.dims, dual.maps)
+        assert list(dual.maps) == dual.quiver.arrow_keys
+
+
+class TestWorkShape:
+    def test_quivers_and_opposites_are_shared(self):
+        # opposite() and reflected(k) build once, and the opposite of an
+        # opposite, like a reflection reflected back, is the quiver itself
+        q = quiver("B3", 2)
+        op = q.opposite()
+        assert q.opposite() is op and op.opposite() is q
+        for k in q.sinks + q.sources:
+            r = q.reflected(k)
+            assert q.reflected(k) is r and r.reflected(k) is q
+
+    def test_f4_reflection_builds_three_quivers_per_prime(self, monkeypatch):
+        built, opposites = {}, {}
+        real_init = ValuedQuiver.__init__
+        real_opposite = ValuedQuiver._build_opposite
+
+        def init(self, b, diag, tower):
+            built[tower.p] = built.get(tower.p, 0) + 1
+            real_init(self, b, diag, tower)
+
+        def build_opposite(self):
+            opposites[self.p] = opposites.get(self.p, 0) + 1
+            return real_opposite(self)
+
+        monkeypatch.setattr(ValuedQuiver, "__init__", init)
+        monkeypatch.setattr(ValuedQuiver, "_build_opposite", build_opposite)
+        data = build_exchange_data(F4_B)
+        ctx = VerifyContext(data, max_depth=16)
+        assert run_check("reflection", ctx).status == "PASS"
+        assert set(built) == set(opposites) == set(ctx.primes)
+        assert max(built.values()) <= 3 and max(opposites.values()) <= 3
+
+    def test_g2_walks_closing_first_build_no_arrow_matrix(self, monkeypatch):
+        # the arrow matrices of a vertex are built on its first send, and
+        # a walk that closes its first vertex sends nothing
+        calls = []
+        walks = []
+        started = {}
+        real_matrix = reps._fp_arrow_matrix
+        real_init = _Walk.__init__
+        real_table = _Walk.table
+
+        def matrix(*args):
+            calls.append(args)
+            return real_matrix(*args)
+
+        def init(walk, rep, closing):
+            started[id(walk)] = len(calls)
+            real_init(walk, rep, closing)
+
+        def table(walk):
+            out = real_table(walk)
+            first = walk.closing is not None and walk.closing == walk.enumerated[0]
+            walks.append((first, len(calls) - started.pop(id(walk))))
+            return out
+
+        monkeypatch.setattr(reps, "_fp_arrow_matrix", matrix)
+        monkeypatch.setattr(_Walk, "__init__", init)
+        monkeypatch.setattr(_Walk, "table", table)
+        data = builtin_exchange_data("G2")
+        ctx = VerifyContext(data, max_depth=16)
+        for report in run_all(ctx):
+            assert report.status == "PASS", report.check
+        assert len(walks) == 112
+        assert sum(first for first, _ in walks) == 70
+        assert all(n == 0 for first, n in walks if first)
+        assert any(n for first, n in walks if not first)
 
 
 class TestTowerCache:

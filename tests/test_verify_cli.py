@@ -972,6 +972,14 @@ class TestGoldenDocuments:
                  "--primes", "2,3,5,7,11,13,17", "--max-depth", "16",
                  "--json"],
             ),
+            (
+                "char-g2-2-3.json",
+                ["char", "--type", "G2", "--dim", "2,3", "--json"],
+            ),
+            (
+                "char-b3-1-2-2.json",
+                ["char", "--type", "B3", "--dim", "1,2,2", "--json"],
+            ),
         ],
     )
     def test_output_is_the_committed_document(self, name, argv):
@@ -1277,6 +1285,22 @@ class TestCliErrors:
         rc, out, err = run_cli(["seeds", "--matrix", str(path)])
         assert rc == 2 and out == ""
         assert err.startswith("error: %s" % message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "diag, message",
+        [
+            ([2], "D has 1 entry, B has 2 rows"),
+            ([2, 1, 1], "D has 3 entries, B has 2 rows"),
+            ([1, 1], "d_1*b_1,2 != -d_2*b_2,1"),
+        ],
+    )
+    def test_symmetrizer_that_does_not_fit(self, tmp_path, diag, message):
+        # vertices are numbered from 1, as on the rest of the command line
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"B": [[0, 1], [-2, 0]], "D": diag}))
+        rc, out, err = run_cli(["seeds", "--matrix", str(path)])
+        assert rc == 2 and out == ""
+        assert err == "error: %s\n" % message
 
     @pytest.mark.parametrize("exc", [ValueError("bug"), KeyError("bug")])
     def test_plain_errors_inside_a_command_propagate(self, monkeypatch, exc):
