@@ -59,14 +59,12 @@ def minimal_symmetrizer(b):
         if b[i][i] != 0:
             raise NotSkewSymmetrizable("nonzero diagonal entry")
         for j in range(n):
+            # numbered from 1, as the command line numbers vertices
+            pair = "b_%d,%d and b_%d,%d" % (i + 1, j + 1, j + 1, i + 1)
             if (b[i][j] == 0) != (b[j][i] == 0):
-                raise NotSkewSymmetrizable(
-                    "entries %d,%d do not vanish together" % (i, j)
-                )
+                raise NotSkewSymmetrizable("%s do not vanish together" % pair)
             if b[i][j] * b[j][i] > 0:
-                raise NotSkewSymmetrizable(
-                    "entries %d,%d have the same sign" % (i, j)
-                )
+                raise NotSkewSymmetrizable("%s have the same sign" % pair)
     d = [0] * n
     for start in range(n):
         if d[start]:

@@ -3,13 +3,12 @@ the quantum torus shares.
 
 ``SparseTerms`` holds what both rings share: equality, powers, exponent
 ranges and the one leading-term division loop, to which each ring gives
-its own elimination step.  ``_add_product`` is the one multiply-
-accumulate over coefficient dicts: ``LaurentPoly`` sums, products and
-division steps run it over packed keys, and the quantum torus over its
-u-coefficients.  ``LaurentPoly`` is the ring of integer Laurent
-polynomials in commuting variables.  It is the engine for commutative
-cluster variables, and in one variable it divides the u-coefficients of
-the quantum torus.  ``exact_div`` raises ``InexactDivision`` instead of
+its own elimination step.  ``_add_product`` is the multiply-accumulate
+of ``LaurentPoly`` sums, products and division steps over packed keys.
+``LaurentPoly`` is the ring of integer Laurent polynomials in commuting
+variables.  It is the engine for commutative cluster variables, and in
+one variable it divides a quantum torus coefficient by a divisor's lead
+that is no unit.  ``exact_div`` raises ``InexactDivision`` instead of
 ever returning an approximation.
 
 Both rings key their terms by packed exponents: one int per exponent
@@ -26,6 +25,7 @@ Arithmetic results (sums, negatives, products, powers and exact
 quotients) are already clean and are trusted: they skip that pass.
 """
 
+from heapq import heapify, heappop, heappush
 from operator import add, attrgetter, sub
 from struct import Struct
 
@@ -148,8 +148,8 @@ _ONE = {0: 1}
 def _add_product(acc, a, b, shift):
     """Add a * b into ``acc`` in place: each pair of terms adds ca * cb
     at key ka + kb + shift, and a key that cancels to zero leaves
-    ``acc``.  Over u-coefficients the shift is a power of u; over packed
-    keys it is minus the bias, which a sum of two keys holds twice."""
+    ``acc``.  Over packed keys the shift is minus the bias, which a sum
+    of two keys holds twice."""
     for ka, ca in a.items():
         ka += shift
         for kb, cb in b.items():
@@ -259,24 +259,31 @@ class SparseTerms:
         k = self.nvars if upto is None else int(upto)
         return tuple(-m for m in self.min_exponents()[:k])
 
-    def _divide(self, den, den_lead, step):
-        """The quotient Q with ``self == Q * den`` by leading-term
-        elimination in descending lexicographic order.  ``den_lead`` is
-        the top key of the nonzero den; ``step(rem, q_key, c)`` divides
-        the leading coefficient c by den's, takes that term times den
-        off ``rem`` and returns the quotient coefficient.
+    def _divide(self, terms, den, den_lead, step):
+        """The quotient terms Q with ``terms == Q * den``, for numerator
+        ``terms`` of this ring, by leading-term elimination in descending
+        lexicographic order.  ``den_lead`` is the top key of the nonzero
+        den; ``step(rem, q_key, c)`` divides the leading coefficient c by
+        den's, takes that term times den off ``rem`` and returns the
+        quotient coefficient.
 
-        An exact quotient's exponents fill the box [min(self) - min(den),
-        max(self) - max(den)] coordinatewise, so a candidate outside it
+        Each step can add to ``rem`` only the keys lead + e - den_lead for
+        the keys e of den, so a max-heap of the keys pushed finds the next
+        lead: keys popped that left ``rem`` are dropped, and never come
+        back, as every later key lies below the lead.
+
+        An exact quotient's exponents fill the box [min(terms) - min(den),
+        max(terms) - max(den)] coordinatewise, so a candidate outside it
         proves the division inexact, and an exact quotient that needs a
         box beyond the range raises ExponentOverflow.  Every key taken
-        off ``rem`` then stays in the box of self: no key the loop forms,
-        even for an inexact division, carries into the next field."""
-        if not self.terms:
-            return self._like({}, 0)
+        off ``rem`` then stays in the box of the numerator: no key the
+        loop forms, even for an inexact division, carries into the next
+        field."""
+        if not terms:
+            return {}
         lay = _layout(self.nvars)
         bias, guard = lay.bias, lay.guard
-        num_lo, num_hi = lay.corners(self.terms)
+        num_lo, num_hi = lay.corners(terms)
         den_lo, den_hi = lay.corners(den.terms)
         lo = num_lo - den_lo + bias
         hi = num_hi - den_hi + bias
@@ -288,18 +295,25 @@ class SparseTerms:
                 % MAX_EXPONENT
             )
         offset = bias - den_lead
-        rem = dict(self.terms)
+        drops = [den_lead - e for e in den.terms if e != den_lead]
+        rem = dict(terms)
+        # Keys negated, so that heapq's least is the greatest.
+        heap = [-k for k in rem]
+        heapify(heap)
         quo = {}
         while rem:
-            lead = max(rem)
+            lead = -heappop(heap)
+            if lead not in rem:
+                continue
             q_key = lead + offset
             if _outside(q_key, lo, hi, guard):
                 raise InexactDivision("quotient exponent out of range")
             # Leading keys strictly fall, so each q_key is new; all lie in
             # the finite box [lo, hi], so the loop ends.
             quo[q_key] = step(rem, q_key, rem[lead])
-        bound = min(self._bound + den._bound, MAX_EXPONENT)
-        return self._like(quo, bound)
+            for d in drops:
+                heappush(heap, d - lead)
+        return quo
 
     def __str__(self):
         return self.render()
@@ -476,16 +490,15 @@ class LaurentPoly(SparseTerms):
         return "LaurentPoly(%d, %s)" % (self.nvars, self.render())
 
 
-def univariate(coeffs, shift=0):
-    """The one-variable polynomial summing c * t**(k + shift) over the
-    {k: c} mapping ``coeffs`` of nonzero ints."""
+def univariate(coeffs):
+    """The one-variable polynomial summing c * t**k over the {k: c}
+    mapping ``coeffs`` of nonzero ints."""
     if not coeffs:
         return LaurentPoly.zero(1)
-    bound = max(-(min(coeffs) + shift), max(coeffs) + shift)
+    bound = max(-min(coeffs), max(coeffs))
     _check_range(bound)
-    base = shift + _BIAS
     return LaurentPoly._trusted(
-        1, {k + base: c for k, c in coeffs.items()}, bound
+        1, {k + _BIAS: c for k, c in coeffs.items()}, bound
     )
 
 
@@ -516,7 +529,10 @@ def exact_div(num, den):
         _add_product(rem, {q_key: -c}, den.terms, shift)
         return c
 
-    return num._divide(den, den_lead, step)
+    return num._like(
+        num._divide(num.terms, den, den_lead, step),
+        min(num._bound + den._bound, MAX_EXPONENT),
+    )
 
 
 def tropical_evaluate(poly, assignment):

@@ -1,38 +1,37 @@
 """Quantum torus elements and quantum seed mutation.
 
-The torus is based: elements are finite sums of bar-invariant basis
-monomials X^a (a in Z^{2n}) with coefficients in the u-Laurent ring
-Z[u, 1/u], u**2 = q, multiplying by X^a * X^b = u^(a^T L b) * X^(a+b)
-for the fixed skew form L.  A coefficient is a plain dict from
-u-exponents to nonzero ints, and an element maps packed exponent keys
-(see ``valq.laurent``) to nonempty coefficients.  No operation changes
-a coefficient dict that an element already holds, so elements may share
-them.  Elements extend the sparse-term core of ``valq.laurent``, so
-powers, exponent ranges, denominator vectors and the division loop are
-shared with ``LaurentPoly``; right division adds only its twisted
-elimination step.  Every sum and product of coefficients, twisted or
-not, runs the multiply-accumulate ``_add_product`` of ``valq.laurent``.
-Quantum seeds keep their cluster variables expanded in the initial
-torus, so mutation needs one exact right division per distinct exchange
-relation: seeds mutated from one initial seed share the relations
-already divided, each read in both directions.  A divisor whose leading
-coefficient is a unit, a signed power of u, divides that coefficient by
-a shift and a sign.  A frame monomial, the ordered product of powers of
-one cluster's variables, folds the factors that are still basis
-monomials with coefficient 1 into one basis element in front of the
-others, using the quasi-commutation of one cluster's variables, and
-multiplies only the rest.
+Elements are sums of bar-invariant basis monomials X^a over Z[u, 1/u],
+u**2 = q, with X^a * X^b = u^(a^T L b) X^(a+b) for the skew form L, keyed
+by packed exponents (``valq.laurent``).  A coefficient c = sum c_k u^k is
+one pair (lo, N): lo its lowest power of u, N = c / u^lo at u = 2^W, each
+c_k a balanced W-bit slot of N, the lowest nonzero.  W is the least
+multiple of 64 with 2^(W-1) above every coefficient's l1 norm, so equal
+elements hold equal pairs and N mod (2^W - 1) is c(1).  W is never
+guessed: elements carry bounds l1max and l1sum on the norm of each
+coefficient and of all, sums and products compute at the width their
+bounds give, and results past 64 bits are read back for their own width.
+
+Right division eliminates in the torus at u = 2^W, where a unit lead
++-u^k stays a unit, and certifies its quotient Q when l1max(num) +
+l1max(Q) l1sum(den) < 2^(W-1): every slot of num - Q den is then in
+range, so its zero value at u = 2^W makes it zero.  Otherwise it divides
+again at the width that bound asks for.
+
+Seeds mutated from one initial seed share the exchange relations already
+divided, and a frame monomial folds its basis-monomial factors into one
+basis element.
 """
 
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, mul
+from struct import pack, unpack
 
 from .laurent import (
+    MAX_EXPONENT,
+    InexactDivision,
     LaurentPoly,
     SparseTerms,
     ZeroPolynomial,
-    _ONE,
-    _add_product,
     _layout,
     exact_div,
     univariate,
@@ -44,6 +43,119 @@ class LambdaMismatch(ValueError):
     """Operands live over different skew forms."""
 
 
+# The narrowest slot width, and the mask of one slot of it.
+_W = 64
+_LOW = (1 << _W) - 1
+
+
+def _width(l1):
+    """The narrowest slot width, a multiple of 64, at which a coefficient
+    of l1 norm at most ``l1`` fits: 2^(W-1) > l1."""
+    return (l1.bit_length() // _W + 1) * _W
+
+
+def _slots(n, w):
+    """The balanced w-bit slots of the nonzero n, lowest first: the digits
+    of n plus 2^(w-1) in each slot, top bits flipped."""
+    count = n.bit_length() // w + 2
+    half = _halves(w, count)
+    data = ((n + half) ^ half).to_bytes(count * w // 8, "little")
+    if w == _W:
+        slots = list(unpack("<%dq" % count, data))
+    else:
+        size = w // 8
+        slots = [
+            int.from_bytes(data[i : i + size], "little", signed=True)
+            for i in range(0, len(data), size)
+        ]
+    while not slots[-1]:
+        slots.pop()
+    return slots
+
+
+def _halves(w, count):
+    """2^(w-1) in each of ``count`` w-bit slots."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * count, "little")
+
+
+def _pack(slots, w):
+    """The int whose balanced w-bit slots are ``slots``, lowest first."""
+    if w == _W:
+        data = pack("<%dq" % len(slots), *slots)
+    else:
+        size = w // 8
+        data = b"".join(c.to_bytes(size, "little", signed=True) for c in slots)
+    half = _halves(w, len(slots))
+    return (int.from_bytes(data, "little") ^ half) - half
+
+
+def _pair(coeff, w):
+    """The pair of a nonempty {u-exponent: int} dict at width w."""
+    if len(coeff) == 1:
+        # one slot, whatever the width
+        return next(iter(coeff.items()))
+    lo = min(coeff)
+    return lo, _pack([coeff.get(k, 0) for k in range(lo, max(coeff) + 1)], w)
+
+
+def _unpair(pair, w):
+    """The {u-exponent: int} dict of a pair at width w."""
+    lo, n = pair
+    return {lo + i: c for i, c in enumerate(_slots(n, w)) if c}
+
+
+def _strip(pair, w):
+    """A pair with a nonzero N, its zero low slots moved into lo."""
+    lo, n = pair
+    if n & ((1 << w) - 1):
+        return pair
+    zeros = ((n & -n).bit_length() - 1) // w
+    return lo + zeros, n >> (w * zeros)
+
+
+def _add(a, b, w):
+    """The sum of two pairs at width w, or None when it is zero.  Only
+    pairs with one lo can cancel a lowest slot."""
+    alo, an = a
+    blo, bn = b
+    if alo < blo:
+        return alo, an + (bn << w * (blo - alo))
+    if blo < alo:
+        return blo, bn + (an << w * (alo - blo))
+    n = an + bn
+    return _strip((alo, n), w) if n else None
+
+
+def _settle(raw, w):
+    """(terms, width, l1max, l1sum) of pairs at width w read back: zero
+    pairs dropped, the rest normalized at their own width, exact norms."""
+    read = {}
+    l1max = l1sum = 0
+    one_slot = 1 << (w - 1)
+    for e, (lo, n) in raw.items():
+        if not n:
+            continue
+        if -one_slot < n < one_slot:
+            slots = [n]
+        else:
+            slots = _slots(n, w)
+            low = 0
+            while not slots[low]:
+                low += 1
+            if low:
+                slots, lo, n = slots[low:], lo + low, n >> (w * low)
+        l1 = sum(map(abs, slots))
+        l1max = max(l1max, l1)
+        l1sum += l1
+        read[e] = (lo, slots, n)
+    width = _width(l1max)
+    if width == w:
+        terms = {e: (lo, n) for e, (lo, _, n) in read.items()}
+    else:
+        terms = {e: (lo, _pack(s, width)) for e, (lo, s, _) in read.items()}
+    return terms, width, l1max, l1sum
+
+
 def _coeff(value):
     """A coefficient dict from an int or a {u-exponent: int} mapping."""
     if isinstance(value, int):
@@ -52,30 +164,35 @@ def _coeff(value):
 
 
 def render_coeff(coeff):
-    """A coefficient as text, highest power of u first: ``u + u^-1``."""
+    """A coefficient dict as text, highest power of u first: ``u + u^-1``."""
     return univariate(coeff).render(["u"])
 
 
 class QTorusElem(SparseTerms):
     """Element of the based quantum torus attached to a skew form.
 
-    The constructor takes packed ``terms`` and their exponent ``bound``
-    as they are; build elements from outside data with ``zero``, ``one``
-    and ``basis_elem``.
+    The constructor takes packed ``terms``, their exponent ``bound``, the
+    slot width and the norm bounds as they are; build elements from
+    outside data with ``zero``, ``one`` and ``basis_elem``.
     """
 
-    __slots__ = ("lam", "nvars", "terms", "_bound", "_hash")
+    __slots__ = (
+        "lam", "nvars", "terms", "_bound", "_w", "_l1max", "_l1sum", "_hash"
+    )
 
-    def __init__(self, lam, terms, bound):
+    def __init__(self, lam, terms, bound, w, l1max, l1sum):
         self.lam = lam
         self.nvars = len(lam)
         self.terms = terms
         self._bound = bound
+        self._w = w
+        self._l1max = l1max
+        self._l1sum = l1sum
         self._hash = None
 
     @classmethod
     def zero(cls, lam):
-        return cls(lam, {}, 0)
+        return cls(lam, {}, 0, _W, 0, 0)
 
     @classmethod
     def one(cls, lam):
@@ -88,21 +205,52 @@ class QTorusElem(SparseTerms):
         exp = tuple(int(e) for e in exp)
         if len(exp) != len(lam):
             raise LambdaMismatch("exponent length mismatch")
-        coeff = _coeff(coeff)
-        if not coeff:
-            return cls.zero(lam)
+        if isinstance(coeff, int):
+            if not coeff:
+                return cls.zero(lam)
+            pair, l1 = (0, coeff), abs(coeff)
+        else:
+            coeff = _coeff(coeff)
+            if not coeff:
+                return cls.zero(lam)
+            l1 = sum(map(abs, coeff.values()))
+            pair = _pair(coeff, _width(l1))
         key = _layout(len(lam)).pack(exp)
-        return cls(lam, {key: coeff}, max(map(abs, exp), default=0))
+        return cls(
+            lam, {key: pair}, max(map(abs, exp), default=0), _width(l1), l1, l1
+        )
 
     ring = property(attrgetter("lam"))
 
     def _like(self, terms, bound):
-        return QTorusElem(self.lam, terms, bound)
+        # Terms whose coefficients have self's width and norm bounds.
+        return QTorusElem(
+            self.lam, terms, bound, self._w, self._l1max, self._l1sum
+        )
+
+    def _made(self, terms, bound, w, l1max, l1sum):
+        """An element over pairs at width w, normalized at 64 bits and
+        read back when wider."""
+        if w > _W:
+            terms, w, l1max, l1sum = _settle(terms, w)
+        return QTorusElem(self.lam, terms, bound, w, min(l1max, l1sum), l1sum)
+
+    def _at(self, w):
+        """The terms at a width w of at least the element's own."""
+        if w == self._w:
+            return self.terms
+        own = self._w
+        return {
+            e: (lo, _pack(_slots(n, own), w)) for e, (lo, n) in self.terms.items()
+        }
 
     @staticmethod
     def _coeff_inverse(coeff):
         # The units of Z[u, 1/u] are the signed powers of u.
-        return univariate_coeffs(univariate(coeff) ** -1)
+        lo, n = coeff
+        if n not in (1, -1):
+            raise InexactDivision("negative power needs a unit coefficient")
+        return -lo, n
 
     def _check(self, other):
         if self.lam is not other.lam and self.lam != other.lam:
@@ -112,59 +260,95 @@ class QTorusElem(SparseTerms):
         """The vector L*b, so that a^T L b is its dot product with a."""
         return tuple([sum(map(mul, row, b)) for row in self.lam])
 
+    def __eq__(self, other):
+        if not isinstance(other, QTorusElem):
+            return NotImplemented
+        return (
+            self._w == other._w
+            and self.terms == other.terms
+            and (self.lam is other.lam or self.lam == other.lam)
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            terms = frozenset(self.terms.items())
+            self._hash = hash((self.lam, self._w, terms))
+        return self._hash
+
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            if exp in out:
-                s = dict(out[exp])
-                _add_product(s, c, _ONE, 0)
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
+        l1max = self._l1max + other._l1max
+        w = _width(l1max)
+        out = dict(self._at(w))
+        for e, c in other._at(w).items():
+            acc = out.get(e)
+            if acc is None:
+                out[e] = c
             else:
-                out[exp] = c
-        return self._like(out, max(self._bound, other._bound))
+                s = _add(acc, c, w)
+                if s is None:
+                    del out[e]
+                else:
+                    out[e] = s
+        return self._made(
+            out, max(self._bound, other._bound), w, l1max,
+            self._l1sum + other._l1sum,
+        )
 
     def __neg__(self):
         return self._like(
-            {e: {k: -x for k, x in c.items()} for e, c in self.terms.items()},
-            self._bound,
+            {e: (lo, -n) for e, (lo, n) in self.terms.items()}, self._bound
         )
 
     def __mul__(self, other):
-        """The twisted product; each left exponent is unpacked once."""
+        """The twisted product; each left exponent is unpacked once, and
+        each pair of terms costs one multiplication."""
         self._check(other)
+        if not (self.terms and other.terms):
+            return QTorusElem.zero(self.lam)
         bound = self._product_bound(other)
+        l1max = min(self._l1max * other._l1sum, self._l1sum * other._l1max)
+        w = _width(l1max)
         lay = _layout(self.nvars)
-        unpack = lay.unpack
-        left = [(ka - lay.bias, ca, unpack(ka)) for ka, ca in self.terms.items()]
+        unpack_key = lay.unpack
+        left = [
+            (ka - lay.bias, lo, n, unpack_key(ka))
+            for ka, (lo, n) in self._at(w).items()
+        ]
         out = {}
-        for kb, cb in other.terms.items():
-            lb = self._lam_dot(unpack(kb))
-            for ka, ca, ea in left:
+        for kb, (lb, nb) in other._at(w).items():
+            row = self._lam_dot(unpack_key(kb))
+            for ka, la, na, ea in left:
                 e = ka + kb
+                lo = la + lb + sum(map(mul, ea, row))
                 acc = out.get(e)
                 if acc is None:
-                    acc = out[e] = {}
-                _add_product(acc, ca, cb, sum(map(mul, ea, lb)))
-        return self._like({e: c for e, c in out.items() if c}, bound)
+                    out[e] = (lo, na * nb)
+                elif lo < acc[0]:
+                    out[e] = (lo, na * nb + (acc[1] << w * (acc[0] - lo)))
+                else:
+                    out[e] = (acc[0], acc[1] + (na * nb << w * (lo - acc[0])))
+        if w == _W:
+            out = {
+                e: c if c[1] & _LOW else _strip(c, w)
+                for e, c in out.items()
+                if c[1]
+            }
+        return self._made(out, bound, w, l1max, self._l1sum * other._l1sum)
 
     def translate(self, exp, k):
         """``u**k * X^exp * self`` for an exponent tuple ``exp``: each term
         X^b moves to X^(exp+b), its coefficient shifted by k + exp^T L b."""
         lay = _layout(self.nvars)
-        unpack = lay.unpack
+        unpack_key = lay.unpack
         mono = QTorusElem.basis_elem(self.lam, exp)
         (key,) = mono.terms
         key -= lay.bias
         # exp^T L, so that exp^T L b is its dot product with b
         row = [sum(map(mul, exp, col)) for col in zip(*self.lam)]
         out = {}
-        for kb, cb in self.terms.items():
-            shift = k + sum(map(mul, row, unpack(kb)))
-            out[key + kb] = {j + shift: x for j, x in cb.items()}
+        for kb, (lo, n) in self.terms.items():
+            out[key + kb] = (lo + k + sum(map(mul, row, unpack_key(kb))), n)
         return self._like(out, mono._product_bound(self))
 
     def basis_exponent(self):
@@ -172,7 +356,7 @@ class QTorusElem(SparseTerms):
         1, else None."""
         if len(self.terms) == 1:
             ((key, coeff),) = self.terms.items()
-            if coeff == _ONE:
+            if coeff == (0, 1):
                 return _layout(self.nvars).unpack(key)
         return None
 
@@ -180,114 +364,137 @@ class QTorusElem(SparseTerms):
         """Multiply every coefficient by ``coeff`` (an int or a
         {u-exponent: int} mapping)."""
         coeff = _coeff(coeff)
-        out = {}
-        for e, c in self.terms.items():
-            acc = {}
-            _add_product(acc, c, coeff, 0)
-            if acc:
-                out[e] = acc
-        return self._like(out, self._bound)
+        if not coeff or not self.terms:
+            return QTorusElem.zero(self.lam)
+        l1 = sum(map(abs, coeff.values()))
+        w = _width(self._l1max * l1)
+        clo, cn = _pair(coeff, w)
+        # Z[u, 1/u] is a domain: no coefficient vanishes, and each lowest
+        # slot is the product of two nonzero ones.
+        return self._made(
+            {e: (lo + clo, n * cn) for e, (lo, n) in self._at(w).items()},
+            self._bound, w, self._l1max * l1, self._l1sum * l1,
+        )
 
     def shift_u(self, k):
         """Multiply by u**k."""
         return self._like(
-            {e: {j + k: x for j, x in c.items()} for e, c in self.terms.items()},
-            self._bound,
+            {e: (lo + k, n) for e, (lo, n) in self.terms.items()}, self._bound
         )
 
     def bar(self):
-        """Bar involution: u -> 1/u in every coefficient, basis fixed."""
-        return self._like(
-            {e: {-k: x for k, x in c.items()} for e, c in self.terms.items()},
-            self._bound,
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (
-                    self.lam,
-                    frozenset(
-                        (e, frozenset(c.items())) for e, c in self.terms.items()
-                    ),
-                )
-            )
-        return self._hash
+        """Bar involution: u -> 1/u in every coefficient, basis fixed.  The
+        slots of each coefficient reverse."""
+        w = self._w
+        out = {}
+        for e, (lo, n) in self.terms.items():
+            slots = _slots(n, w)
+            out[e] = (1 - lo - len(slots), _pack(slots[::-1], w))
+        return self._like(out, self._bound)
 
     def div_right(self, den):
-        """Exact right quotient: the element Q with self == Q * den.
-
-        Runs the shared leading-term elimination, unpacking each quotient
-        exponent once for the twists.  Its step divides the twisted
-        leading coefficient by den's.  When that is a unit +-u^k the
-        quotient coefficient is the shift by -k and the sign; otherwise
-        ``exact_div`` in one variable u divides, and its own box bound
-        decides exactness there.
+        """Exact right quotient: the element Q with self == Q * den, by
+        the shared elimination at u = 2^W until the norms certify Q (see
+        the module docstring).  Each step divides the twisted leading
+        coefficient by den's: by a shift and a sign when that is a unit
+        +-u^k, otherwise by ``exact_div`` in one variable u.
         """
         self._check(den)
         if den.is_zero():
             raise ZeroPolynomial("division by zero")
         lay = _layout(self.nvars)
-        unpack = lay.unpack
+        unpack_key = lay.unpack
         den_lead = max(den.terms)
-        den_lead_coeff = den.terms[den_lead]
-        if len(den_lead_coeff) == 1 and abs(*den_lead_coeff.values()) == 1:
-            ((unit_pow, sign),) = den_lead_coeff.items()
-            den_lead_poly = None
+        lead_dot = self._lam_dot(unpack_key(den_lead))
+        lead_pair = den.terms[den_lead]
+        unit = lead_pair[1] in (1, -1)
+        if unit:
+            unit_pow, sign = lead_pair
         else:
-            den_lead_poly = univariate(den_lead_coeff)
-        lead_dot = self._lam_dot(unpack(den_lead))
-        den_terms = [
-            (e - lay.bias, c, self._lam_dot(unpack(e)))
-            for e, c in den.terms.items()
-        ]
+            den_lead_poly = univariate(_unpair(lead_pair, den._w))
+        bound = min(self._bound + den._bound, MAX_EXPONENT)
+        w = max(self._w, den._w)
+        while True:
+            den_terms = [
+                (e - lay.bias, lo, n, self._lam_dot(unpack_key(e)))
+                for e, (lo, n) in den._at(w).items()
+            ]
+            # The largest l1 norm of a quotient coefficient that exact_div
+            # gave so far.
+            q_l1 = 0
 
-        def step(rem, q_key, lead_coeff):
-            q_exp = unpack(q_key)
-            twist = sum(map(mul, q_exp, lead_dot))
-            if den_lead_poly is None:
-                shift = twist + unit_pow
-                q_coeff = {j - shift: sign * c for j, c in lead_coeff.items()}
-            else:
-                q_coeff = univariate_coeffs(
-                    exact_div(univariate(lead_coeff, -twist), den_lead_poly)
-                )
-            neg_q = {k: -c for k, c in q_coeff.items()}
-            for e, dc, e_dot in den_terms:
-                t = q_key + e
-                acc = dict(rem.get(t, ()))
-                _add_product(acc, neg_q, dc, sum(map(mul, q_exp, e_dot)))
-                if acc:
-                    rem[t] = acc
+            def step(rem, q_key, lead):
+                nonlocal q_l1
+                q_exp = unpack_key(q_key)
+                lo = lead[0] - sum(map(mul, q_exp, lead_dot))
+                if not unit:
+                    lead_poly = univariate(_unpair((lo, lead[1]), w))
+                    q = univariate_coeffs(exact_div(lead_poly, den_lead_poly))
+                    q_l1 = max(q_l1, sum(map(abs, q.values())))
+                    q_lo, q_n = _pair(q, w)
                 else:
-                    del rem[t]
-            return q_coeff
+                    q_lo, q_n = lo - unit_pow, sign * lead[1]
+                neg = -q_n
+                for e, d_lo, d_n, e_dot in den_terms:
+                    t = q_key + e
+                    c = (q_lo + d_lo + sum(map(mul, q_exp, e_dot)), neg * d_n)
+                    acc = rem.get(t)
+                    if acc is None:
+                        rem[t] = c
+                    else:
+                        s = _add(acc, c, w)
+                        if s is None:
+                            del rem[t]
+                        else:
+                            rem[t] = s
+                return q_lo, q_n
 
-        return self._divide(den, den_lead, step)
+            try:
+                raw = self._divide(self._at(w), den, den_lead, step)
+            except InexactDivision:
+                # A unit step never fails, so the elimination at u = 2^W
+                # has no quotient and neither has the torus.  exact_div
+                # read true leads while the remainder's norms, at most
+                # l1max(num) + q_l1 l1sum(den), were in range.
+                need = self._l1max + q_l1 * den._l1sum
+                if unit or need < 1 << (w - 1):
+                    raise
+            else:
+                terms, width, l1max, l1sum = _settle(raw, w)
+                need = self._l1max + l1max * den._l1sum
+                if need < 1 << (w - 1):
+                    return QTorusElem(
+                        self.lam, terms, bound, width, l1max, l1sum
+                    )
+            w = _width(need)
 
     def specialize_q1(self):
         """Set u to 1, landing in the commutative Laurent ring; the keys
-        carry over as they are."""
+        carry over as they are.  A coefficient at u = 1 is its N mod
+        2^W - 1, balanced."""
+        m = (1 << self._w) - 1
+        half = m >> 1
         out = {}
-        for e, c in self.terms.items():
-            s = sum(c.values())
+        for e, (_, n) in self.terms.items():
+            s = n % m
             if s:
-                out[e] = s
+                out[e] = s - m if s > half else s
         return LaurentPoly._trusted(self.nvars, out, self._bound)
 
     def sorted_terms(self):
-        """(exponent tuple, coefficient) pairs, highest exponent first."""
-        unpack = _layout(self.nvars).unpack
+        """(exponent tuple, coefficient dict) pairs, highest exponent
+        first."""
+        unpack_key = _layout(self.nvars).unpack
+        w = self._w
         return [
-            (unpack(e), self.terms[e]) for e in sorted(self.terms, reverse=True)
+            (unpack_key(e), _unpair(self.terms[e], w))
+            for e in sorted(self.terms, reverse=True)
         ]
 
     def sort_key(self):
-        """A total order on the elements of one torus, from their terms."""
-        return tuple(
-            (e, tuple(sorted(self.terms[e].items())))
-            for e in sorted(self.terms)
-        )
+        """A total order on the elements of one torus, from their width
+        and packed terms."""
+        return self._w, tuple(sorted(self.terms.items()))
 
     def render(self):
         if not self.terms:

@@ -492,16 +492,18 @@ def _walk_order(quiver):
 
 
 def _closing_vertex(rep):
-    """(i, k, K) when the last vertex i that the walk of ``rep`` enumerates
-    is counted in closed form over its one arrow to the sink k; otherwise
-    None.
+    """(i, k, m, phi) when the last vertex i that the walk of ``rep``
+    enumerates is counted in closed form over its one arrow to the sink
+    k; otherwise None.
 
     Every out-neighbour of i is a sink.  i closes only when exactly one
     arrow leaves it.  When k has the degree of i, the arrow is one matrix
-    over their field, i always closes and K is None.  Otherwise k must
-    have no other in-arrow, and K is a basis of the kernel of the arrow's
-    evaluation map (``_sink_kernel``); i closes only when K has fewer
-    subspaces, which the close enumerates, than V_i has.
+    over their field, i always closes and m and phi are None.  Otherwise
+    k must have no other in-arrow, phi is the rows of the arrow's
+    evaluation map (``_evaluation``) and m the dimension of its kernel K,
+    read off its rank; i closes only when K has fewer subspaces, which
+    the close enumerates, than V_i has.  A basis of K is built only for
+    the walk that is taken.
     """
     quiver, dims = rep.quiver, rep.dims
     enumerated, _ = _walk_order(quiver)
@@ -513,20 +515,21 @@ def _closing_vertex(rep):
         return None
     k = keys[0][1]
     if quiver.diag[k] == quiver.diag[i]:
-        return i, k, None
+        return i, k, None, None
     if sum(key[1] == k for key in quiver.arrow_keys) > 1:
         return None
     fk, fi = quiver.field(k), quiver.field(i)
     enumerating = _subspace_total(fi.q, dims[i])
     # the evaluation map has rank at most dim V_k, so K has dimension at
     # least its number of columns less dim V_k: if even that many is too
-    # many, K is not computed
+    # many, the rank is not computed
     width = dims[i] * (quiver.diag[i] // quiver.valuation[(i, k)])
     if _subspace_total(fk.q, max(width - dims[k], 0)) >= enumerating:
         return None
-    _, _, kernel = _sink_kernel(rep, k)
-    if _subspace_total(fk.q, len(kernel)) < enumerating:
-        return i, k, kernel
+    _, total, phi = _evaluation(rep, k)
+    m = total - f_rank(fk, phi)
+    if _subspace_total(fk.q, m) < enumerating:
+        return i, k, m, phi
     return None
 
 
@@ -594,7 +597,14 @@ class _Walk:
         self.quiver = quiver
         self.p = quiver.p
         self.enumerated, self.terminals = _walk_order(quiver)
-        self.closing, self.sink, self.kernel = closing or (None, None, None)
+        self.closing, self.sink, kernel_dim, phi = closing or (None,) * 4
+        self.kernel = None
+        if kernel_dim is not None:
+            # with a zero fiber at k, one zero equation leaves the whole
+            # sum free
+            self.kernel = f_kernel_basis(
+                quiver.field(self.sink), phi or [[0] * kernel_dim]
+            )
         # the out-neighbours of each vertex sent from, with the arrow
         # matrices
         self.links = {}
@@ -797,10 +807,10 @@ def _plan(rep):
     ``_closing_vertex``."""
     quiver, dims = rep.quiver, rep.dims
     closing = _closing_vertex(rep)
-    i, k, kernel = closing or (None, None, None)
+    i, k, kernel_dim, _ = closing or (None,) * 4
     price = 1
-    if kernel is not None:
-        price = _subspace_total(quiver.field(k).q, len(kernel))
+    if kernel_dim is not None:
+        price = _subspace_total(quiver.field(k).q, kernel_dim)
     for x in _walk_order(quiver)[0]:
         if x != i:
             price *= _subspace_total(quiver.field(x).q, dims[x])
@@ -877,14 +887,14 @@ def count_all_subreps(rep):
     }
 
 
-def _sink_kernel(rep, k):
+def _evaluation(rep, k):
     """The arrows into k as (key, valuation, width, offset), where width
     is the dimension of the source fiber over the valuation field and
     offset its place in the direct sum of those fibers; the dimension of
-    that sum; and a basis of the kernel of the evaluation map from the
-    sum to V_k.  That map is linear over the field at k: one column per
-    coordinate of the sum, the column of the arrow's matrix read as a
-    vector over that field."""
+    that sum; and the rows of the evaluation map from the sum to V_k.
+    That map is linear over the field at k: one column per coordinate of
+    the sum, the column of the arrow's matrix read as a vector over that
+    field."""
     quiver, dims = rep.quiver, rep.dims
     layout = []
     total = 0
@@ -901,9 +911,7 @@ def _sink_kernel(rep, k):
         for m in range(width)
     ]
     phi = [[col[r] for col in columns] for r in range(dims[k])]
-    # with a zero fiber at k, one zero equation leaves the whole sum free
-    kernel = f_kernel_basis(quiver.field(k), phi or [[0] * total])
-    return layout, total, kernel
+    return layout, total, phi
 
 
 def reflect_sink(rep, k):
@@ -914,7 +922,9 @@ def reflect_sink(rep, k):
         raise NotSinkOrSource("vertex %d is not a sink" % k)
     fk = quiver.field(k)
     dk = quiver.diag[k]
-    layout, nbig, kernel = _sink_kernel(rep, k)
+    layout, nbig, phi = _evaluation(rep, k)
+    # with a zero fiber at k, one zero equation leaves the whole sum free
+    kernel = f_kernel_basis(fk, phi or [[0] * nbig])
     if nbig - len(kernel) < rep.dims[k]:
         raise HasSimpleSummand("the simple at the reflected vertex splits off")
     trace = quiver.tower.relative_trace

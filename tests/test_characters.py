@@ -359,7 +359,7 @@ class TestGenericCharacter:
 
     def test_coefficients_are_positive_symmetric_laurent(self, g2):
         x = generic_character(g2, reps_of(g2, (2, 3)))
-        for exp, coeff in x.terms.items():
+        for exp, coeff in x.sorted_terms():
             assert coeff == {-k: c for k, c in coeff.items()}
             assert all(c > 0 for c in coeff.values())
 

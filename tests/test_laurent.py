@@ -482,8 +482,8 @@ class TestTropical:
 
 
 class TestQCoeff:
-    """The u-coefficients of the quantum torus: {u-exponent: int} dicts,
-    with quotients taken by ``exact_div`` in one variable."""
+    """The u-coefficients of the quantum torus, read as {u-exponent: int}
+    dicts, with quotients taken by ``exact_div`` in one variable."""
 
     LAM = ((0, 1), (-1, 0))
 
@@ -496,20 +496,20 @@ class TestQCoeff:
         return LaurentPoly(1, {(k,): c for k, c in coeff.items()})
 
     def test_u_power_and_integer(self):
-        assert self.c({2: 1}).exponent_terms() == {(0, 0): {2: 1}}
-        assert self.c(-3).exponent_terms() == {(0, 0): {0: -3}}
+        assert self.c({2: 1}).sorted_terms() == [((0, 0), {2: 1})]
+        assert self.c(-3).sorted_terms() == [((0, 0), {0: -3})]
         assert self.c(0).is_zero()
         assert self.c({1: 0}).is_zero()
 
     def test_arithmetic(self):
         a = self.c({1: 1, -1: 1})
         b = self.c({1: 1})
-        assert (a * b).exponent_terms() == {(0, 0): {2: 1, 0: 1}}
+        assert (a * b).sorted_terms() == [((0, 0), {2: 1, 0: 1})]
         assert (a - a).is_zero()
 
     def test_bar_negates_exponents(self):
         a = self.c({2: 1, 0: 3})
-        assert a.bar().exponent_terms() == {(0, 0): {-2: 1, 0: 3}}
+        assert a.bar().sorted_terms() == [((0, 0), {-2: 1, 0: 3})]
         assert not is_bar_invariant(a)
         assert is_bar_invariant(self.c({1: 1, -1: 1}))
 

@@ -252,6 +252,142 @@ class TestUnitDivision:
         assert calls
 
 
+# Coefficients past the 64-bit slot: values at and beyond 2^63, 2^64
+# and 2^128, either sign, with negative powers of u.
+huge_int = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from(
+        [2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**129]
+    ).flatmap(lambda m: st.sampled_from([m, -m])),
+    st.integers(min_value=-(2**130), max_value=2**130),
+).filter(bool)
+huge_coeff = st.dictionaries(
+    st.integers(min_value=-4, max_value=4), huge_int, min_size=1, max_size=4
+)
+huge_terms = st.dictionaries(vec4, huge_coeff, min_size=1, max_size=3)
+
+
+def twist(a, b):
+    return sum(a[i] * B2.lam[i][j] * b[j] for i in range(4) for j in range(4))
+
+
+def dict_clean(terms):
+    out = {}
+    for e, c in terms.items():
+        c = {k: x for k, x in c.items() if x}
+        if c:
+            out[e] = c
+    return out
+
+
+def dict_add(a, b):
+    out = {e: dict(c) for e, c in a.items()}
+    for e, c in b.items():
+        acc = out.setdefault(e, {})
+        for k, x in c.items():
+            acc[k] = acc.get(k, 0) + x
+    return dict_clean(out)
+
+
+def dict_mul(a, b):
+    """The twisted product by convolving {u-exponent: int} dicts."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            t = twist(ea, eb)
+            acc = out.setdefault(tuple(x + y for x, y in zip(ea, eb)), {})
+            for ka, xa in ca.items():
+                for kb, xb in cb.items():
+                    acc[ka + kb + t] = acc.get(ka + kb + t, 0) + xa * xb
+    return dict_clean(out)
+
+
+def as_dicts(x):
+    return dict(x.sorted_terms())
+
+
+class TestPackedCoefficients:
+    """Each coefficient is one int of balanced slots; every operation must
+    agree with convolving {u-exponent: int} dicts, at every slot width."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(huge_terms, huge_terms)
+    def test_sum_and_product(self, a, b):
+        x, y = elem(a), elem(b)
+        assert as_dicts(x) == dict_clean(a)
+        assert as_dicts(x + y) == dict_add(a, b)
+        assert as_dicts(x * y) == dict_mul(a, b)
+        assert as_dicts(x - x) == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(huge_terms, vec4, st.integers(min_value=-5, max_value=5))
+    def test_translate_bar_and_specialize(self, a, exp, k):
+        x = elem(a)
+        moved = {
+            tuple(p + q for p, q in zip(exp, e)): {
+                j + k + twist(exp, e): c for j, c in coeff.items()
+            }
+            for e, coeff in a.items()
+        }
+        assert as_dicts(x.translate(exp, k)) == dict_clean(moved)
+        assert as_dicts(x.shift_u(k)) == {
+            e: {j + k: c for j, c in coeff.items()}
+            for e, coeff in dict_clean(a).items()
+        }
+        assert as_dicts(x.bar()) == {
+            e: {-j: c for j, c in coeff.items()}
+            for e, coeff in dict_clean(a).items()
+        }
+        at_one = {e: sum(c.values()) for e, c in a.items()}
+        assert x.specialize_q1() == LaurentPoly(
+            4, {e: c for e, c in at_one.items() if c}
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(huge_terms, huge_terms, huge_coeff)
+    def test_equal_elements_hold_equal_pairs(self, a, b, c):
+        x, y = elem(a), elem(b)
+        for z in [(x + y) - y, (x * y) + x - x * y, -(-x)]:
+            assert z == x and hash(z) == hash(x) and z.terms == x.terms
+        assert x.scale(c).scale({0: 1}) == x.scale(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        huge_terms,
+        st.one_of(st.sampled_from(UNITS), huge_coeff),
+        st.dictionaries(vec4, huge_coeff, min_size=1, max_size=2),
+    )
+    def test_division(self, q, lead, rest):
+        # den's leading coefficient is a unit or not; either way num =
+        # q * den divides back to q, and num + 1 has no quotient.
+        den = X(UNIT_LEAD, lead) + elem(rest)
+        num = elem(dict_mul(q, as_dicts(den)))
+        assert num.div_right(den) == elem(q)
+        with pytest.raises(InexactDivision):
+            (num + X((0, 0, 0, 0))).div_right(den)
+
+    def test_a_quotient_wider_than_its_operands_divides_again(self, monkeypatch):
+        # (1 - x^10)^22 / (1 - x)^22 = (1 + x + ... + x^9)^22: the
+        # quotient's coefficients pass 2^64 while the numerator's stay
+        # below 2^20, so the first certificate at 64 bits fails.
+        x = X((1, 0, 0, 0))
+        one = QTorusElem.one(B2.lam)
+        num = (one - x ** 10) ** 22
+        den = (one - x) ** 22
+        quotient = sum((x ** j for j in range(1, 10)), one) ** 22
+        assert num._w == den._w == 64 and quotient._w == 128
+        calls = []
+        real = QTorusElem._divide
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(QTorusElem, "_divide", counting)
+        assert num.div_right(den) == quotient
+        assert len(calls) == 2
+
+
 class TestSeedMutation:
     def test_first_mutation_of_b2(self):
         s = QuantumSeed.initial_seed(B2)
@@ -272,6 +408,17 @@ class TestSeedMutation:
                     assert back.variables == s.variables
                     assert back.current.btilde == s.current.btilde
                     assert back.current.lam == s.current.lam
+
+    def test_wild_mutation_agrees_with_the_classical_engine(self):
+        # A wild matrix whose fifth quantum step multiplies variables of
+        # hundreds of terms, each coefficient hundreds of powers of u.
+        data = build_exchange_data([[0, -2, -2], [2, 0, -2], [2, 2, 0]])
+        word = [0, 1, 2, 0, 1]
+        quantum = QuantumSeed.initial_seed(data).mutate_sequence(word)
+        classical = ClassicalSeed.initial_seed(data).mutate_sequence(word)
+        assert [v.specialize_q1() for v in quantum.variables] == list(
+            classical.variables
+        )
 
     def test_variables_stay_bar_invariant(self):
         s = QuantumSeed.initial_seed(B2).mutate_sequence([0, 1, 0])

@@ -588,7 +588,7 @@ class TestWalkDirections:
         # dimension 3 over F_3, with 28 subspaces.
         rep = build_rigid_rep(quiver("G2", 3), (2, 3), rng_seed=0)
         (forward, closing), (backward, _) = _plan(rep), _plan(dual_rep(rep))
-        assert closing[:2] == (1, 0) and len(closing[2]) == 1
+        assert closing[:3] == (1, 0, 1)
         assert (forward, backward) == (2, 28)
         assert self.walked(monkeypatch, rep) == [rep.quiver.b]
 
@@ -716,8 +716,8 @@ class TestClosedForm:
         q = quiver("G2", 2)
         assert q.diag == (3, 1) and q.sinks == (0,)
         rep = random_rep(q, (2, 3), random.Random(1))
-        price, (i, k, kernel) = _plan(rep)
-        assert (i, k, len(kernel), price) == (1, 0, 1, 2)
+        price, (i, k, kernel_dim, _) = _plan(rep)
+        assert (i, k, kernel_dim, price) == (1, 0, 1, 2)
         assert _plan(ValuedRep.zero_maps(q, (2, 3))) == (16, None)
     @pytest.mark.parametrize("backward", [False, True])
     def test_no_subspaces_enumerated_at_the_closing_vertex(
@@ -1121,6 +1121,49 @@ class TestWorkShape:
         assert sum(first for first, _ in walks) == 70
         assert all(n == 0 for first, n in walks if first)
         assert any(n for first, n in walks if not first)
+
+    def test_g2_builds_one_kernel_per_walk_that_closes_across_degrees(
+        self, monkeypatch
+    ):
+        # The planner prices V and D(V) from the rank of each closing
+        # arrow; only the walked side builds a basis of its kernel.
+        kernels = []
+        walks = []
+        real_kernel = reps.f_kernel_basis
+        real_init = _Walk.__init__
+        real_table = _Walk.table
+
+        def kernel_basis(field, rows):
+            kernels.append(rows)
+            return real_kernel(field, rows)
+
+        def init(walk, rep, closing):
+            built = len(kernels)
+            real_init(walk, rep, closing)
+            walk.built = len(kernels) - built
+            walk.plan = closing
+
+        def table(walk):
+            out = real_table(walk)
+            walks.append((walk, out))
+            return out
+
+        monkeypatch.setattr(reps, "f_kernel_basis", kernel_basis)
+        monkeypatch.setattr(_Walk, "__init__", init)
+        monkeypatch.setattr(_Walk, "table", table)
+        ctx = VerifyContext(builtin_exchange_data("G2"), max_depth=16)
+        for report in run_all(ctx):
+            assert report.status == "PASS", report.check
+        assert len(walks) == 112
+        assert sum(w.kernel is not None for w, _ in walks) == 70
+        assert all(w.built == (w.kernel is not None) for w, _ in walks)
+        monkeypatch.undo()
+        for walk, out in walks:
+            # the kernel has the dimension the planner read off the rank,
+            # and the close counts what the walk without it counts
+            if walk.kernel is not None:
+                assert len(walk.kernel) == walk.plan[2]
+            assert out == _Walk(walk.rep, None).table()
 
 
 class TestTowerCache:

@@ -1302,6 +1302,21 @@ class TestCliErrors:
         assert rc == 2 and out == ""
         assert err == "error: %s\n" % message
 
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            ([[0, 1], [1, 0]], "b_1,2 and b_2,1 have the same sign"),
+            ([[0, 1], [0, 0]], "b_1,2 and b_2,1 do not vanish together"),
+        ],
+    )
+    def test_matrix_that_no_diagonal_symmetrizes(self, tmp_path, b, message):
+        # vertices are numbered from 1, as on the rest of the command line
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"B": b}))
+        rc, out, err = run_cli(["seeds", "--matrix", str(path)])
+        assert rc == 2 and out == ""
+        assert err == "error: %s\n" % message
+
     @pytest.mark.parametrize("exc", [ValueError("bug"), KeyError("bug")])
     def test_plain_errors_inside_a_command_propagate(self, monkeypatch, exc):
         # Only the listed input errors exit 2; a bare ValueError or
