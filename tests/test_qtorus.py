@@ -387,6 +387,31 @@ class TestPackedCoefficients:
         assert num.div_right(den) == quotient
         assert len(calls) == 2
 
+    def test_a_wide_quotient_coefficient_over_a_non_unit_lead_divides_again(
+        self,
+    ):
+        # The same quotient inside one coefficient: den's lead (1 - u)^22
+        # is no unit, and exact_div's quotient passes 2^64 while every
+        # operand fits 64-bit slots.
+        zero = (0, 0, 0, 0)
+
+        def power(coeff, k):
+            out = {zero: {0: 1}}
+            for _ in range(k):
+                out = dict_mul(out, {zero: coeff})
+            return out[zero]
+
+        num = X(zero, power({0: 1, 10: -1}, 22))
+        den = X(zero, power({0: 1, 1: -1}, 22))
+        quotient = power(dict.fromkeys(range(10), 1), 22)
+        assert num._w == den._w == 64 and max(quotient.values()) > 2**64
+        assert as_dicts(num.div_right(den)) == {zero: quotient}
+
+    @settings(max_examples=30, deadline=None)
+    @given(huge_terms)
+    def test_exponent_terms_unpack_the_coefficients(self, a):
+        assert elem(a).exponent_terms() == dict_clean(a)
+
 
 class TestSeedMutation:
     def test_first_mutation_of_b2(self):
