@@ -14,8 +14,9 @@ bounds give, and results past 64 bits are read back for their own width.
 Right division eliminates in the torus at u = 2^W, where a unit lead
 +-u^k stays a unit, and certifies its quotient Q when l1max(num) +
 l1max(Q) l1sum(den) < 2^(W-1): every slot of num - Q den is then in
-range, so its zero value at u = 2^W makes it zero.  Otherwise it divides
-again at the width that bound asks for.
+range, so its zero value at u = 2^W makes it zero.  Otherwise, or when a
+quotient coefficient over a lead that is no unit outgrows the slots, it
+divides again at the width that bound asks for.
 
 Seeds mutated from one initial seed share the exchange relations already
 divided, and a frame monomial folds its basis-monomial factors into one
