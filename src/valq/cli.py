@@ -38,7 +38,7 @@ from .exchange import (
     build_exchange_data,
     builtin_exchange_data,
 )
-from .finfield import CapExceeded, NotPrime, is_prime
+from .finfield import DEFAULT_CAP, CapExceeded, NotPrime, is_prime
 from .laurent import ExponentOverflow
 from .qtorus import render_coeff
 from .reps import NoRigidFound, NotSinkOrSource
@@ -101,7 +101,7 @@ def _add_common(parser):
     parser.add_argument("--primes", metavar="p1,p2,...", default=None)
     parser.add_argument("--max-depth", type=int, default=None)
     parser.add_argument("--max-seeds", type=int, default=10000)
-    parser.add_argument("--cap", type=int, default=1 << 16)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     parser.add_argument("--rng-seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", dest="as_json")
 

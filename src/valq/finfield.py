@@ -28,6 +28,10 @@ class CapExceeded(RuntimeError):
     """A field or an enumeration would exceed the configured size cap."""
 
 
+# The largest field a tower builds unless told otherwise.
+DEFAULT_CAP = 1 << 16
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -117,18 +121,15 @@ class FiniteField:
     adding 1 to the lowest digit of x.
     """
 
-    def __init__(self, p, d, cap=1 << 16):
+    def __init__(self, p, d):
         p, d = int(p), int(d)
         if not is_prime(p):
             raise NotPrime("characteristic %d is not prime" % p)
         if d < 1:
             raise ValueError("degree must be positive")
-        q = p**d
-        if q > cap:
-            raise CapExceeded("field size %d exceeds cap %d" % (q, cap))
         self.p = p
         self.d = d
-        self.q = q
+        self.q = p**d
         self.modulus = _smallest_modulus(p, d)
         # digit vectors of t**k mod modulus for k < 2d-1, for raw products
         red = []
@@ -500,7 +501,7 @@ class FieldTower:
     """A family of fields of one characteristic, closed under gcd of
     degrees, with fixed pairwise embeddings along divisibility."""
 
-    def __init__(self, p, degrees, cap=1 << 16):
+    def __init__(self, p, degrees, cap=DEFAULT_CAP):
         p = int(p)
         if not is_prime(p):
             raise NotPrime("characteristic %d is not prime" % p)
@@ -510,9 +511,12 @@ class FieldTower:
             for b in list(degs):
                 degs.add(gcd(a, b))
         self.p = p
-        self.cap = cap
         self.degrees = tuple(sorted(degs))
-        self.fields = {d: FiniteField(p, d, cap=cap) for d in self.degrees}
+        # Before any field is built, the smallest field over the cap.
+        for d in self.degrees:
+            if p**d > cap:
+                raise CapExceeded("field size %d exceeds cap %d" % (p**d, cap))
+        self.fields = {d: FiniteField(p, d) for d in self.degrees}
         self._emb = {}
         self._emb_inv = {}
         self._coords = {}
@@ -648,7 +652,7 @@ class FieldTower:
 _TOWERS = {}
 
 
-def build_tower(p, degrees, cap=1 << 16):
+def build_tower(p, degrees, cap=DEFAULT_CAP):
     """The tower for (p, degrees, cap), built on first request and shared
     by every later one; towers are immutable apart from lazy caches."""
     key = (int(p), tuple(sorted(set(int(d) for d in degrees))), int(cap))

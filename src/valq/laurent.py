@@ -7,9 +7,9 @@ its own elimination step.  ``_add_product`` is the multiply-accumulate
 of ``LaurentPoly`` sums, products and division steps over packed keys.
 ``LaurentPoly`` is the ring of integer Laurent polynomials in commuting
 variables.  It is the engine for commutative cluster variables, and in
-one variable it divides a quantum torus coefficient by a divisor's lead
-that is no unit.  ``exact_div`` raises ``InexactDivision`` instead of
-ever returning an approximation.
+one variable it renders a quantum torus coefficient; torus coefficients
+are never divided here.  ``exact_div`` raises ``InexactDivision``
+instead of ever returning an approximation.
 
 Both rings key their terms by packed exponents: one int per exponent
 vector (see ``_Layout``).  A product's key is one addition and a
@@ -500,11 +500,6 @@ def univariate(coeffs):
     return LaurentPoly._trusted(
         1, {k + _BIAS: c for k, c in coeffs.items()}, bound
     )
-
-
-def univariate_coeffs(poly):
-    """The {k: c} mapping of a one-variable polynomial, c * t**k summed."""
-    return {k - _BIAS: c for k, c in poly.terms.items()}
 
 
 def exact_div(num, den):

@@ -14,9 +14,24 @@ bounds give, and results past 64 bits are read back for their own width.
 Right division eliminates in the torus at u = 2^W, where a unit lead
 +-u^k stays a unit, and certifies its quotient Q when l1max(num) +
 l1max(Q) l1sum(den) < 2^(W-1): every slot of num - Q den is then in
-range, so its zero value at u = 2^W makes it zero.  Otherwise, or when a
-quotient coefficient over a lead that is no unit outgrows the slots, it
-divides again at the width that bound asks for.
+range, so its zero value at u = 2^W makes it zero.  Otherwise it divides
+again at the width that bound asks for.
+
+A divisor must lead with a unit, else ``NonUnitLead``, and every divisor
+the program forms does.  Let l(X) be an element's leading exponent and
+L_t the 2n x 2n matrix whose columns are the l of seed t's variables.
+Induct over the mutations from the initial seed, where L = I.  Suppose
+every variable of t leads with a unit and det L_t = +-1.  Leading terms
+multiply, so the two terms of the exchange numerator, frame monomials,
+lead with units at l+ = L_t b+ and l- = L_t b-.  Also l+ - l- = L_t b_k
+is nonzero, because L_t is invertible and b_k is a column of the framed
+matrix, which mutation keeps at rank n (Berenstein-Fomin-Zelevinsky,
+Cluster algebras III, Lemma 3.2).  So the numerator leads with a unit,
+and so does the new X_k' = numerator / X_k.  l(X_k') = max(l+, l-) -
+l(X_k) replaces column k of L_t by minus itself plus a combination of
+the other columns, so det L stays +-1.  A frame monomial is a product of
+powers of such variables, so the divisor of ``characters`` also leads
+with a unit.  Nothing catches ``NonUnitLead``: it can only mean a bug.
 
 Seeds mutated from one initial seed share the exchange relations already
 divided, and a frame monomial folds its basis-monomial factors into one
@@ -33,14 +48,17 @@ from .laurent import (
     SparseTerms,
     ZeroPolynomial,
     _layout,
-    exact_div,
     univariate,
-    univariate_coeffs,
 )
 
 
 class LambdaMismatch(ValueError):
     """Operands live over different skew forms."""
+
+
+class NonUnitLead(ArithmeticError):
+    """A divisor's leading coefficient is no unit +-u^k (see the module
+    docstring: no divisor the program forms has one)."""
 
 
 # The narrowest slot width, and the mask of one slot of it.
@@ -395,23 +413,19 @@ class QTorusElem(SparseTerms):
     def div_right(self, den):
         """Exact right quotient: the element Q with self == Q * den, by
         the shared elimination at u = 2^W until the norms certify Q (see
-        the module docstring).  Each step divides the twisted leading
-        coefficient by den's: by a shift and a sign when that is a unit
-        +-u^k, otherwise by ``exact_div`` in one variable u.
+        the module docstring).  den must lead with a unit +-u^k, else
+        ``NonUnitLead``; each step divides by a shift and a sign.
         """
         self._check(den)
         if den.is_zero():
             raise ZeroPolynomial("division by zero")
+        den_lead = max(den.terms)
+        unit_pow, sign = den.terms[den_lead]
+        if sign not in (1, -1):
+            raise NonUnitLead("the divisor's leading coefficient is no unit")
         lay = _layout(self.nvars)
         unpack_key = lay.unpack
-        den_lead = max(den.terms)
         lead_dot = self._lam_dot(unpack_key(den_lead))
-        lead_pair = den.terms[den_lead]
-        unit = lead_pair[1] in (1, -1)
-        if unit:
-            unit_pow, sign = lead_pair
-        else:
-            den_lead_poly = univariate(_unpair(lead_pair, den._w))
         bound = min(self._bound + den._bound, MAX_EXPONENT)
         w = max(self._w, den._w)
         while True:
@@ -419,25 +433,11 @@ class QTorusElem(SparseTerms):
                 (e - lay.bias, lo, n, self._lam_dot(unpack_key(e)))
                 for e, (lo, n) in den._at(w).items()
             ]
-            # The largest l1 norm of a quotient coefficient that exact_div
-            # gave so far.
-            q_l1 = 0
 
             def step(rem, q_key, lead):
-                nonlocal q_l1
                 q_exp = unpack_key(q_key)
-                lo = lead[0] - sum(map(mul, q_exp, lead_dot))
-                if not unit:
-                    lead_poly = univariate(_unpair((lo, lead[1]), w))
-                    q = univariate_coeffs(exact_div(lead_poly, den_lead_poly))
-                    q_l1 = max(q_l1, sum(map(abs, q.values())))
-                    if q_l1 >> (w - 1):
-                        # No w-bit slot holds q: the handler below
-                        # divides again wider.
-                        raise InexactDivision("quotient wider than its slots")
-                    q_lo, q_n = _pair(q, w)
-                else:
-                    q_lo, q_n = lo - unit_pow, sign * lead[1]
+                q_lo = lead[0] - sum(map(mul, q_exp, lead_dot)) - unit_pow
+                q_n = sign * lead[1]
                 neg = -q_n
                 for e, d_lo, d_n, e_dot in den_terms:
                     t = q_key + e
@@ -453,24 +453,13 @@ class QTorusElem(SparseTerms):
                             rem[t] = s
                 return q_lo, q_n
 
-            try:
-                raw = self._divide(self._at(w), den, den_lead, step)
-            except InexactDivision:
-                # A unit step never fails, so the elimination at u = 2^W
-                # has no quotient and neither has the torus.  exact_div
-                # read true leads while the remainder's norms, at most
-                # l1max(num) + q_l1 l1sum(den), were in range; a quotient
-                # coefficient too wide for the slots puts them out of it.
-                need = self._l1max + q_l1 * den._l1sum
-                if unit or need < 1 << (w - 1):
-                    raise
-            else:
-                terms, width, l1max, l1sum = _settle(raw, w)
-                need = self._l1max + l1max * den._l1sum
-                if need < 1 << (w - 1):
-                    return QTorusElem(
-                        self.lam, terms, bound, width, l1max, l1sum
-                    )
+            # A unit step never fails, so an elimination at u = 2^W that
+            # finds no quotient proves the torus has none either.
+            raw = self._divide(self._at(w), den, den_lead, step)
+            terms, width, l1max, l1sum = _settle(raw, w)
+            need = self._l1max + l1max * den._l1sum
+            if need < 1 << (w - 1):
+                return QTorusElem(self.lam, terms, bound, width, l1max, l1sum)
             w = _width(need)
 
     def specialize_q1(self):

@@ -66,6 +66,7 @@ from operator import mul
 
 from .exchange import sinks_and_sources, topological_order, valued_arrows
 from .finfield import (
+    DEFAULT_CAP,
     build_tower,
     enumerate_subspaces_containing,
     f_insert,
@@ -127,7 +128,7 @@ class ValuedQuiver:
         self._reflected = {}
 
     @classmethod
-    def from_matrix(cls, b, diag, p, cap=1 << 16):
+    def from_matrix(cls, b, diag, p, cap=DEFAULT_CAP):
         tower = build_tower(p, diag, cap=cap)
         return cls(b, diag, tower)
 

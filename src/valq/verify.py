@@ -42,7 +42,7 @@ from .classical import (
     variable_g_vector,
 )
 from .exchange import build_exchange_data, is_acyclic, sinks_and_sources
-from .finfield import CapExceeded
+from .finfield import DEFAULT_CAP, CapExceeded
 from .laurent import LaurentPoly, tropical_evaluate
 from .matrices import det
 from .qtorus import QuantumSeed, enumerate_quantum_seeds, walk_seeds
@@ -119,7 +119,7 @@ class VerifyContext:
         data,
         primes=DEFAULT_PRIMES,
         rng_seed=0,
-        cap=1 << 16,
+        cap=DEFAULT_CAP,
         max_depth=None,
         max_seeds=10000,
         name=None,

@@ -211,8 +211,9 @@ class TestFieldArithmetic:
             FiniteField(4, 1)
         with pytest.raises(ValueError):
             FiniteField(2, 0)
-        with pytest.raises(CapExceeded):
-            FiniteField(2, 20, cap=1024)
+        # A tower names its smallest field over the cap.
+        with pytest.raises(CapExceeded, match="^field size 16 exceeds cap 8$"):
+            build_tower(2, (20, 4), cap=8)
         with pytest.raises(ZeroDivisionError):
             field(5, 1).inv(0)
 

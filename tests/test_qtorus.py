@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valq import matrices as mx
 from valq.classical import ClassicalSeed, enumerate_exchange_graph
 from valq.exchange import build_exchange_data, builtin_exchange_data
-from valq.laurent import InexactDivision, LaurentPoly
+from valq.laurent import InexactDivision, LaurentPoly, exact_div
 from valq.qtorus import (
     LambdaMismatch,
+    NonUnitLead,
     QTorusElem,
     QuantumSeed,
     enumerate_quantum_seeds,
@@ -161,20 +163,29 @@ class TestDivRight:
     )
     def test_round_trip_with_u_coefficients(self, num_terms, den_terms):
         # Every coefficient of den, its leading one too, has at least two
-        # powers of u, so the leading u-slices need a real division.
+        # powers of u, so den leads with no unit and is refused; under a
+        # unit lead the same terms divide back.
         num, den = elem(num_terms), elem(den_terms)
         assert len(den.terms) >= 2
+        with pytest.raises(NonUnitLead):
+            (num * den).div_right(den)
+        den = X(UNIT_LEAD, {1: -1}) + den
         assert (num * den).div_right(den) == num
 
-    def test_leading_slice_must_divide(self):
-        # 1 / (u + u^-1) is not a Laurent polynomial in u.
+    def test_leading_slice_must_divide(self, monkeypatch):
+        # The lead u + u^-1 is no unit: refused before any elimination.
         den = X((0, 0, 1, 0), {1: 1, -1: 1}) + X((0, 0, 0, 1))
-        with pytest.raises(InexactDivision):
+        calls = []
+        monkeypatch.setattr(
+            QTorusElem, "_divide", lambda *args: calls.append(args)
+        )
+        with pytest.raises(NonUnitLead):
             X((1, 0, 1, 0)).div_right(den)
+        assert not calls
 
     def test_operands_are_left_unchanged(self):
         x = X((1, 0, 0, 0), {1: 1, -1: 1}) + X((0, 1, 0, 0), {0: 2})
-        y = X((1, 0, 0, 0), {1: -1, 3: 1}) + X((0, 0, 1, 0), {-1: 1})
+        y = X((1, 0, 0, 0), {3: -1}) + X((0, 0, 1, 0), {-1: 1, 1: 2})
         prod = x * y
         before = copy.deepcopy((x.terms, y.terms, prod.terms))
         quotient = prod.div_right(y)
@@ -192,7 +203,7 @@ class TestDivRight:
 UNITS = [{3: 1}, {-2: -1}, {0: -1}]
 # Above every exponent vector that vec4 draws, so it leads.
 UNIT_LEAD = (3, 0, 0, 0)
-# Central and not a unit: scaling by it sends a division to exact_div.
+# Central and not a unit: a divisor scaled by it is refused.
 ONE_PLUS_Q = {0: 1, 2: 1}
 
 
@@ -204,8 +215,8 @@ def unit_lead(unit, rest):
 
 class TestUnitDivision:
     """A divisor whose leading coefficient is a unit divides by a shift
-    and a sign, and agrees with ``exact_div`` on the same division
-    scaled by 1 + u^2."""
+    and a sign, and agrees at u = 1 with ``exact_div``; the same divisor
+    scaled by 1 + u^2 leads with no unit and is refused."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -217,39 +228,15 @@ class TestUnitDivision:
         num, den = elem(num_terms), unit_lead(unit, rest)
         prod = num * den
         assert prod.div_right(den) == num
-        scaled = den.scale(ONE_PLUS_Q)
-        assert prod.scale(ONE_PLUS_Q).div_right(scaled) == num
-        # den is no monomial, so no unit: prod + 1 has no exact quotient
-        # on either path.
-        bad = prod + X((0, 0, 0, 0))
+        # Its lead survives u = 1, so the classical quotient is num's.
+        assert exact_div(
+            prod.specialize_q1(), den.specialize_q1()
+        ) == num.specialize_q1()
+        with pytest.raises(NonUnitLead):
+            prod.scale(ONE_PLUS_Q).div_right(den.scale(ONE_PLUS_Q))
+        # den is no monomial, so no unit: prod + 1 has no exact quotient.
         with pytest.raises(InexactDivision):
-            bad.div_right(den)
-        with pytest.raises(InexactDivision):
-            bad.scale(ONE_PLUS_Q).div_right(scaled)
-
-    def test_unit_lead_needs_no_exact_div(self, monkeypatch):
-        import valq.qtorus
-
-        real = valq.qtorus.exact_div
-        calls = []
-
-        def counting(num, den):
-            calls.append(den)
-            return real(num, den)
-
-        monkeypatch.setattr(valq.qtorus, "exact_div", counting)
-        num = X((1, 0, 0, 0), {1: 1, -1: 2}) + X((0, 1, -1, 0))
-        rest = {(0, 0, 1, 1): {0: 1, 1: 1}, (-1, 0, 0, 2): {2: -3}}
-        for unit in UNITS:
-            den = unit_lead(unit, rest)
-            assert (num * den).div_right(den) == num
-            with pytest.raises(InexactDivision):
-                X((1, 0, 0, 0)).div_right(den)
-        assert not calls
-        assert (num * den).scale(ONE_PLUS_Q).div_right(
-            den.scale(ONE_PLUS_Q)
-        ) == num
-        assert calls
+            (prod + X((0, 0, 0, 0))).div_right(den)
 
 
 # Coefficients past the 64-bit slot: values at and beyond 2^63, 2^64
@@ -354,17 +341,22 @@ class TestPackedCoefficients:
     @settings(max_examples=60, deadline=None)
     @given(
         huge_terms,
-        st.one_of(st.sampled_from(UNITS), huge_coeff),
+        st.sampled_from(UNITS),
+        huge_coeff,
         st.dictionaries(vec4, huge_coeff, min_size=1, max_size=2),
     )
-    def test_division(self, q, lead, rest):
-        # den's leading coefficient is a unit or not; either way num =
-        # q * den divides back to q, and num + 1 has no quotient.
+    def test_division(self, q, lead, huge_lead, rest):
+        # Under a unit lead num = q * den divides back to q, and num + 1
+        # has no quotient; a lead of huge_coeff that is no unit is
+        # refused.
         den = X(UNIT_LEAD, lead) + elem(rest)
         num = elem(dict_mul(q, as_dicts(den)))
         assert num.div_right(den) == elem(q)
         with pytest.raises(InexactDivision):
             (num + X((0, 0, 0, 0))).div_right(den)
+        if len(huge_lead) > 1 or abs(*huge_lead.values()) != 1:
+            with pytest.raises(NonUnitLead):
+                num.div_right(X(UNIT_LEAD, huge_lead) + elem(rest))
 
     def test_a_quotient_wider_than_its_operands_divides_again(self, monkeypatch):
         # (1 - x^10)^22 / (1 - x)^22 = (1 + x + ... + x^9)^22: the
@@ -386,26 +378,6 @@ class TestPackedCoefficients:
         monkeypatch.setattr(QTorusElem, "_divide", counting)
         assert num.div_right(den) == quotient
         assert len(calls) == 2
-
-    def test_a_wide_quotient_coefficient_over_a_non_unit_lead_divides_again(
-        self,
-    ):
-        # The same quotient inside one coefficient: den's lead (1 - u)^22
-        # is no unit, and exact_div's quotient passes 2^64 while every
-        # operand fits 64-bit slots.
-        zero = (0, 0, 0, 0)
-
-        def power(coeff, k):
-            out = {zero: {0: 1}}
-            for _ in range(k):
-                out = dict_mul(out, {zero: coeff})
-            return out[zero]
-
-        num = X(zero, power({0: 1, 10: -1}, 22))
-        den = X(zero, power({0: 1, 1: -1}, 22))
-        quotient = power(dict.fromkeys(range(10), 1), 22)
-        assert num._w == den._w == 64 and max(quotient.values()) > 2**64
-        assert as_dicts(num.div_right(den)) == {zero: quotient}
 
     @settings(max_examples=30, deadline=None)
     @given(huge_terms)
@@ -732,3 +704,47 @@ class TestExchangeMemo:
         for seed in walk.seeds:
             for k in range(seed.current.n):
                 assert seed.mutate(k)._exchange(k) == seed.variables[k]
+
+
+def lead(var):
+    """A variable's leading exponent, and whether its coefficient there
+    is a unit: +-1 classically, +-u^k in the torus."""
+    if isinstance(var, QTorusElem):
+        exp, coeff = var.sorted_terms()[0]
+        return exp, len(coeff) == 1 and abs(*coeff.values()) == 1
+    terms = var.exponent_terms()
+    exp = max(terms)
+    return exp, abs(terms[exp]) == 1
+
+
+def assert_unit_leads(seeds):
+    # Every variable leads with a unit, and the leading exponents of a
+    # seed's 2n variables form a matrix of determinant +-1.
+    for seed in seeds:
+        leads = [lead(v) for v in seed.variables]
+        assert all(unit for _, unit in leads), seed.history
+        assert abs(mx.det([exp for exp, _ in leads])) == 1, seed.history
+
+
+class TestUnitLeads:
+    """The induction behind ``div_right``'s refusal of a divisor that
+    leads with no unit (the ``qtorus`` docstring), checked seed by seed
+    on whole walks of both engines."""
+
+    @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
+    @pytest.mark.parametrize(
+        "name, depth",
+        [(name, None) for name in ("A2", "B2", "C2", "G2", "A3", "B3", "F4")]
+        + [("WILD3", 4)],
+    )
+    def test_builtin_walks(self, engine, name, depth):
+        assert_unit_leads(TestExchangeMemo._walk(engine, name, depth).seeds)
+
+    @pytest.mark.parametrize(
+        "engine, depth", [(ClassicalSeed, 3), (QuantumSeed, 2)]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(acyclic_skew_symmetrizable())
+    def test_random_acyclic_walks(self, engine, depth, b):
+        start = engine.initial_seed(build_exchange_data(b))
+        assert_unit_leads(walk_seeds(start, 3, depth, 10000).seeds)
