@@ -58,6 +58,8 @@ def variable_g_vector(poly, n):
 class ClassicalSeed(Seed):
     """A commutative seed: framed matrix plus expanded cluster."""
 
+    __slots__ = ()
+
     @classmethod
     def initial_seed(cls, data):
         size = 2 * data.n

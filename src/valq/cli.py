@@ -9,7 +9,6 @@ Vertex numbers on the command line are 1-based.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -176,6 +175,8 @@ def load_data(args):
         name = args.type_name.upper()
         return builtin_exchange_data(name), name
     if args.matrix:
+        import json
+
         try:
             with open(args.matrix, "r", encoding="utf-8") as handle:
                 obj = json.load(handle)
@@ -257,7 +258,7 @@ def cmd_seeds(args):
             ],
             "edges": sorted(sorted(edge) for edge in result.edges),
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(
             "%d seeds%s" % (len(result.seeds), " (truncated)" if result.truncated else "")
@@ -289,7 +290,7 @@ def cmd_mutate(args):
             ],
             "d_vectors": [list(seed.d_vector(i)) for i in range(data.n)],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         for i in range(data.n):
             print("x%d = %s" % (i + 1, seed.variables[i].render(names)))
@@ -333,7 +334,7 @@ def cmd_char(args):
     v = tuple(_int_list(args.dim, "--dim"))
     table = character_table(_context(args, data, name), v)
     if args.as_json:
-        print(json.dumps(table, indent=2))
+        _print_json(table)
     else:
         print("v = (%s)" % ", ".join(str(x) for x in table["v"]))
         for key in sorted(table["P"]):
@@ -357,12 +358,20 @@ def _context(args, data, name):
     )
 
 
+def _print_json(doc):
+    """Print ``doc`` as indented JSON.  ``json`` is imported here, so a
+    run without ``--json`` or ``--matrix`` never loads it."""
+    import json
+
+    print(json.dumps(doc, indent=2))
+
+
 def _emit_reports(reports, as_json, note=None):
     if as_json:
         doc = {"reports": [r.to_dict() for r in reports]}
         if note:
             doc["note"] = note
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         for report in reports:
             print(report.row())

@@ -11,10 +11,10 @@ an arrow i -> j exactly when b_ij < 0, so sinks k have row k of B
 nonnegative and columns nonpositive.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import matrices as mx
+from .record import FrozenRecord
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -256,8 +256,7 @@ def mutate_btilde(btilde, k):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExchangeData:
+class ExchangeData(FrozenRecord):
     """Framed exchange matrix plus symmetrizer and compatible skew form.
 
     ``btilde`` is 2n x n with the mutable block on top, ``diag`` is the
@@ -265,10 +264,10 @@ class ExchangeData:
     it), and ``lam`` is the 2n x 2n skew form.
     """
 
-    n: int
-    btilde: tuple
-    diag: tuple
-    lam: tuple
+    __slots__ = _fields = ("n", "btilde", "diag", "lam")
+
+    def __init__(self, n, btilde, diag, lam):
+        self._fill(n, btilde, diag, lam)
 
     def principal(self):
         return self.btilde[: self.n]

@@ -38,7 +38,6 @@ divided, and a frame monomial folds its basis-monomial factors into one
 basis element.
 """
 
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter, mul
 
 from .laurent import (
@@ -50,6 +49,7 @@ from .laurent import (
     _layout,
     univariate,
 )
+from .record import FrozenRecord, Record
 
 
 class LambdaMismatch(ValueError):
@@ -514,8 +514,7 @@ class QTorusElem(SparseTerms):
         return "QTorusElem(%s)" % self.render()
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(FrozenRecord):
     """A seed with its cluster expanded in the initial one.
 
     ``initial`` is the starting exchange data, ``current`` the data after
@@ -528,16 +527,19 @@ class Seed:
     variable, and each variable it computed to itself, so that two
     relations giving equal variables keep one object.  An initial seed
     starts it, and every seed mutated from that seed shares it, so each
-    relation of an algebra is computed once.  Subclasses supply
-    ``_exchange_key(k)``, which must fix the division that
-    ``_exchange(k)`` makes for the new k-th variable.
+    relation of an algebra is computed once; equality, hash and repr
+    ignore it.  Subclasses supply ``_exchange_key(k)``, which must fix
+    the division that ``_exchange(k)`` makes for the new k-th variable.
     """
 
-    initial: object
-    current: object
-    variables: tuple
-    history: tuple = ()
-    exchanges: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("initial", "current", "variables", "history")
+    __slots__ = _fields + ("exchanges",)
+
+    def __init__(self, initial, current, variables, history=(), exchanges=None):
+        self._fill(initial, current, variables, history)
+        if exchanges is None:
+            exchanges = {}
+        object.__setattr__(self, "exchanges", exchanges)
 
     @property
     def depth(self):
@@ -603,6 +605,8 @@ class Seed:
 class QuantumSeed(Seed):
     """A quantum seed with variables expanded in the initial torus, whose
     skew form ``initial.lam`` fixes the ambient torus."""
+
+    __slots__ = ()
 
     @classmethod
     def initial_seed(cls, data):
@@ -698,8 +702,7 @@ class QuantumSeed(Seed):
         return rhs.div_right(self.variables[k])
 
 
-@dataclass
-class GraphResult:
+class GraphResult(Record):
     """Outcome of an exchange graph walk: the seeds in the order found,
     ``index`` from canonical key to seed index, and ``moves``, which maps
     (i, k) to the index of ``seeds[i]`` mutated at slot k for every move
@@ -707,10 +710,13 @@ class GraphResult:
     crossed is in ``moves`` too, though the walk read it rather than
     mutated again."""
 
-    seeds: list
-    moves: dict
-    index: dict
-    truncated: bool
+    __slots__ = _fields = ("seeds", "moves", "index", "truncated")
+
+    def __init__(self, seeds, moves, index, truncated):
+        self.seeds = seeds
+        self.moves = moves
+        self.index = index
+        self.truncated = truncated
 
     @property
     def count(self):

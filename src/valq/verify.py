@@ -21,14 +21,10 @@ of a budget (the field-size cap, the rigid-search draws) stops a check
 as SKIPPED, never as FAIL.
 """
 
-from dataclasses import asdict, dataclass
-from itertools import product
-
 from .characters import (
     DEFAULT_PRIMES,
     character_in_seed,
     counting_polynomials,
-    dimension_bound,
     generic_character,
     InterpolationInconsistent,
 )
@@ -46,6 +42,7 @@ from .finfield import DEFAULT_CAP, CapExceeded
 from .laurent import LaurentPoly, tropical_evaluate
 from .matrices import det
 from .qtorus import QuantumSeed, enumerate_quantum_seeds, walk_seeds
+from .record import FrozenRecord, Record
 from .reps import (
     DrawsExhausted,
     HasSimpleSummand,
@@ -78,16 +75,27 @@ _CHECK_ERRORS = (
 _BUDGET_ERRORS = (CapExceeded, DrawsExhausted)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one named check on one input."""
 
-    check: str
-    target: dict
-    scope: str
-    status: str
-    detail: str = ""
-    counterexample: dict = None
+    __slots__ = _fields = (
+        "check",
+        "target",
+        "scope",
+        "status",
+        "detail",
+        "counterexample",
+    )
+
+    def __init__(
+        self, check, target, scope, status, detail="", counterexample=None
+    ):
+        self.check = check
+        self.target = target
+        self.scope = scope
+        self.status = status
+        self.detail = detail
+        self.counterexample = counterexample
 
     def row(self):
         name = self.target.get("name") or "B=%s" % (
@@ -102,7 +110,8 @@ class VerificationReport:
         )
 
     def to_dict(self):
-        out = asdict(self)
+        """The fields in order, without a None counterexample."""
+        out = {name: getattr(self, name) for name in self._fields}
         if self.counterexample is None:
             del out["counterexample"]
         return out
@@ -251,11 +260,10 @@ class VerifyContext:
 
 def primes_needed(diag, v):
     """Smallest prime-list length able to pin down and cross-validate all
-    counting polynomials for dimension vector v."""
-    worst = 0
-    for e in product(*(range(x + 1) for x in v)):
-        worst = max(worst, dimension_bound(diag, v, e))
-    return worst + 2
+    counting polynomials for the nonnegative dimension vector v: the
+    largest ``dimension_bound`` over 0 <= e <= v, plus 2.  Each term
+    d x (v - x) of that bound peaks at x = v // 2, at d * (v^2 // 4)."""
+    return sum(d * (x * x // 4) for d, x in zip(diag, v)) + 2
 
 
 def _vertex_lists(sinks, sources):
@@ -507,8 +515,7 @@ def check_g_formula(ctx):
     return "%d variables checked" % len(records), len(records), truncated
 
 
-@dataclass(frozen=True)
-class _SeedPair:
+class _SeedPair(FrozenRecord):
     """A seed of the algebra of the k-mutated matrix, paired with the seed
     of the original algebra that the same mutation word reaches from the
     original initial seed mutated at k.  A vertex of the paired walk is a
@@ -519,8 +526,10 @@ class _SeedPair:
     fresh side's, is the pair's, so a depth bound keeps the original
     side among the seeds that walk reaches."""
 
-    fresh: ClassicalSeed
-    original: ClassicalSeed
+    __slots__ = _fields = ("fresh", "original")
+
+    def __init__(self, fresh, original):
+        self._fill(fresh, original)
 
     @property
     def depth(self):

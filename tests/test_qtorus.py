@@ -1,7 +1,6 @@
 """Quantum torus elements and quantum seed mutation."""
 
 import copy
-import dataclasses
 import json
 from pathlib import Path
 
@@ -11,9 +10,10 @@ from hypothesis import strategies as st
 
 from valq import matrices as mx
 from valq.classical import ClassicalSeed, enumerate_exchange_graph
-from valq.exchange import build_exchange_data, builtin_exchange_data
+from valq.exchange import ExchangeData, build_exchange_data, builtin_exchange_data
 from valq.laurent import InexactDivision, LaurentPoly, exact_div
 from valq.qtorus import (
+    GraphResult,
     LambdaMismatch,
     NonUnitLead,
     QTorusElem,
@@ -21,7 +21,7 @@ from valq.qtorus import (
     enumerate_quantum_seeds,
     walk_seeds,
 )
-from valq.verify import _SeedPair
+from valq.verify import VerificationReport, _SeedPair
 
 from conftest import context_for, count_products, is_bar_invariant, reference_walk
 from test_exchange import acyclic_skew_symmetrizable
@@ -668,7 +668,7 @@ class TestExchangeMemo:
             data = builtin_exchange_data(name)
         start = engine.initial_seed(data)
         if memo is not None:
-            start = dataclasses.replace(start, exchanges=memo)
+            start = engine(data, data, start.variables, exchanges=memo)
         return walk_seeds(start, data.n, depth, 10000)
 
     @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
@@ -693,7 +693,9 @@ class TestExchangeMemo:
         for name in ["A2", "B2", "C2", "G2"]:
             start = ClassicalSeed.initial_seed(builtin_exchange_data(name))
             own = walk_seeds(start, 2, None, 10000)
-            start = dataclasses.replace(start, exchanges=shared)
+            start = ClassicalSeed(
+                start.initial, start.current, start.variables, exchanges=shared
+            )
             assert_same_walk(walk_seeds(start, 2, None, 10000), own)
 
     @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
@@ -704,6 +706,128 @@ class TestExchangeMemo:
         for seed in walk.seeds:
             for k in range(seed.current.n):
                 assert seed.mutate(k)._exchange(k) == seed.variables[k]
+
+
+def _pair(name):
+    data = builtin_exchange_data(name)
+    return _SeedPair(
+        ClassicalSeed.initial_seed(data), ClassicalSeed.initial_seed(data)
+    )
+
+
+class TestValueClasses:
+    """The seed, exchange-data, walk and report classes compare by value
+    like the dataclasses they replaced; the frozen ones also hash by value
+    and refuse assignment."""
+
+    FROZEN = {
+        "ExchangeData": lambda: builtin_exchange_data("B3"),
+        "ClassicalSeed": lambda: ClassicalSeed.initial_seed(B2),
+        "QuantumSeed": lambda: QuantumSeed.initial_seed(B2),
+        "_SeedPair": lambda: _pair("B2"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_equal_instances_compare_and_hash_equal(self, name):
+        a, b = self.FROZEN[name](), self.FROZEN[name]()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_unequal_fields_compare_unequal(self):
+        b2, c2 = builtin_exchange_data("B2"), builtin_exchange_data("C2")
+        assert b2 != c2
+        assert ClassicalSeed.initial_seed(b2) != ClassicalSeed.initial_seed(c2)
+        assert _pair("B2") != _pair("C2")
+        seed = ClassicalSeed.initial_seed(b2)
+        assert seed != seed.mutate(0)
+        # Equal fields of different classes do not make equal values.
+        quantum = QuantumSeed(seed.initial, seed.current, seed.variables)
+        assert seed != quantum
+
+    def test_constructors_take_positions_and_keywords(self):
+        data = builtin_exchange_data("G2")
+        assert data == ExchangeData(data.n, data.btilde, data.diag, data.lam)
+        assert data == ExchangeData(
+            n=data.n, btilde=data.btilde, diag=data.diag, lam=data.lam
+        )
+        seed = ClassicalSeed.initial_seed(data)
+        assert seed.history == ()
+        assert seed == ClassicalSeed(
+            initial=data, current=data, variables=seed.variables, history=()
+        )
+        walk = walk_seeds(seed, 2, None, 10000)
+        assert walk == GraphResult(
+            walk.seeds, walk.moves, walk.index, walk.truncated
+        )
+
+    def test_seed_ignores_exchanges(self):
+        seed = ClassicalSeed.initial_seed(B2)
+        other = ClassicalSeed(
+            seed.initial, seed.current, seed.variables, exchanges={"x": 1}
+        )
+        assert seed == other and hash(seed) == hash(other)
+        assert "exchanges" not in repr(seed)
+        assert repr(seed).startswith("ClassicalSeed(initial=ExchangeData(n=2,")
+
+    def test_seed_starts_a_new_memo(self):
+        a = ClassicalSeed(B2, B2, ClassicalSeed.initial_seed(B2).variables)
+        b = ClassicalSeed(B2, B2, a.variables)
+        assert a.exchanges == {} and a.exchanges is not b.exchanges
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("ExchangeData", "lam"),
+            ("ClassicalSeed", "variables"),
+            ("QuantumSeed", "exchanges"),
+            ("_SeedPair", "fresh"),
+        ],
+    )
+    def test_frozen_fields_refuse_assignment(self, name, field):
+        value = self.FROZEN[name]()
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.other = 1
+        assert getattr(value, field) is before
+
+    def test_mutable_classes_have_no_hash(self):
+        walk = walk_seeds(ClassicalSeed.initial_seed(B2), 2, None, 10000)
+        report = VerificationReport("tropical", {"name": "B2"}, "exhaustive", "PASS")
+        for value in (walk, report):
+            with pytest.raises(TypeError):
+                hash(value)
+        report.status = "FAIL"
+        assert report.status == "FAIL"
+
+    def test_report_dict_drops_a_none_counterexample(self):
+        report = VerificationReport("tropical", {"name": "B2"}, "exhaustive", "PASS")
+        assert report == VerificationReport(
+            check="tropical",
+            target={"name": "B2"},
+            scope="exhaustive",
+            status="PASS",
+            detail="",
+            counterexample=None,
+        )
+        assert list(report.to_dict().items()) == [
+            ("check", "tropical"),
+            ("target", {"name": "B2"}),
+            ("scope", "exhaustive"),
+            ("status", "PASS"),
+            ("detail", ""),
+        ]
+        failed = VerificationReport(
+            "tropical", {"name": "B2"}, "exhaustive", "FAIL", "bad", {"d": [1]}
+        )
+        assert list(failed.to_dict()) == [
+            "check", "target", "scope", "status", "detail", "counterexample"
+        ]
+        assert failed.to_dict()["counterexample"] == {"d": [1]}
 
 
 def lead(var):

@@ -1,12 +1,14 @@
 """Verification checks and the command line front end."""
 
 import io
+import itertools
 import json
 import contextlib
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import valq.verify
 from valq import cli
+from valq.characters import dimension_bound
 from valq.classical import ClassicalSeed, enumerate_exchange_graph
 from valq.exchange import (
     BUILTIN_MATRICES,
@@ -177,6 +180,16 @@ class TestRegistry:
     def test_primes_needed(self, b2, g2):
         assert primes_needed(b2.diag, (1, 2)) == 3
         assert primes_needed(g2.diag, (2, 3)) == 7
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MATRICES))
+    def test_primes_needed_is_the_box_maximum(self, name):
+        # The closed form against the largest degree bound over the box
+        # 0 <= e <= v, for every v up to 5 per entry.
+        diag = builtin_exchange_data(name).diag
+        for v in itertools.product(range(6), repeat=len(diag)):
+            box = itertools.product(*(range(x + 1) for x in v))
+            worst = max(dimension_bound(diag, v, e) for e in box)
+            assert primes_needed(diag, v) == worst + 2, v
 
 
 class TestChecksPass:
@@ -900,6 +913,28 @@ class TestReportFormatting:
         assert r.to_dict()["counterexample"] == {"history": [1], "d": [1, 0]}
 
 
+class TestImports:
+    def test_a_run_loads_no_unused_module(self):
+        # Neither the value classes nor a run without --json or --matrix
+        # may load dataclasses (and with it inspect) or json.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys\n"
+            "from valq import cli, verify\n"
+            "cli.main(['verify-all', '--type', 'B2'])\n"
+            "cli.main(['char', '--type', 'B2', '--dim', '1,1'])\n"
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestCliSeeds:
     def test_human_output(self):
         rc, out, _ = run_cli(["seeds", "--type", "A2"])
@@ -1223,6 +1258,19 @@ class TestCliErrors:
         )
         assert rc == 2 and out == ""
         assert err == "error: --dim 2,3 needs 7 primes, --primes gives 3\n"
+
+    def test_huge_dimension_is_rejected_at_once(self):
+        # 10^6 per entry: a scan of the box 0 <= e <= v would never end.
+        began = time.process_time()
+        rc, out, err = run_cli(
+            ["char", "--type", "B3", "--dim", "1000000,1000000,1000000"]
+        )
+        assert time.process_time() - began < 1
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: --dim 1000000,1000000,1000000 needs 1250000000002 primes,"
+            " --primes gives 7\n"
+        )
 
     def test_bad_dimension_length(self):
         rc, _, err = run_cli(["char", "--type", "B2", "--dim", "1,1,1"])
