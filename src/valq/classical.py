@@ -7,7 +7,7 @@ fraction, so the Laurent property is re-proved on every distinct
 exchange relation.
 """
 
-from .exchange import star_left_matrix
+from .exchange import ExchangeData, star_left_matrix
 from .laurent import LaurentPoly, NegativeExponentInF, exact_div
 from .qtorus import Seed, walk_seeds
 
@@ -56,7 +56,7 @@ def variable_g_vector(poly, n):
 
 
 class ClassicalSeed(Seed):
-    """A commutative seed: framed matrix plus expanded cluster."""
+    """A commutative seed: framed matrix, no form, expanded cluster."""
 
     __slots__ = ()
 
@@ -66,7 +66,8 @@ class ClassicalSeed(Seed):
         variables = tuple(
             LaurentPoly.variable(size, i) for i in range(size)
         )
-        return cls(initial=data, current=data, variables=variables)
+        current = ExchangeData(data.n, data.btilde, data.diag, None)
+        return cls(initial=data, current=current, variables=variables)
 
     def cluster_monomial(self, c):
         """Product of current variables with nonnegative exponents c."""
@@ -78,14 +79,6 @@ class ClassicalSeed(Seed):
             if e:
                 out = out * self.variables[i] ** e
         return out
-
-    def _exchange_key(self, k):
-        """x_k and the set of (variable, b_ik) over the slots i where b_ik
-        is nonzero, which fixes the exchange exactly: the variables
-        commute, and none repeats within a seed."""
-        col = [row[k] for row in self.current.btilde]
-        pairs = frozenset((x, b) for x, b in zip(self.variables, col) if b)
-        return self.variables[k], pairs
 
     def _exchange(self, k):
         cur = self.current

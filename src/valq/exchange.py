@@ -261,7 +261,8 @@ class ExchangeData(FrozenRecord):
 
     ``btilde`` is 2n x n with the mutable block on top, ``diag`` is the
     length-n symmetrizer of the initial principal part (mutation keeps
-    it), and ``lam`` is the 2n x 2n skew form.
+    it), and ``lam`` is the 2n x 2n skew form, or None in the data of a
+    classical seed, which never reads it.
     """
 
     __slots__ = _fields = ("n", "btilde", "diag", "lam")
@@ -288,17 +289,17 @@ class ExchangeData(FrozenRecord):
 
     def mutate(self, k):
         """The data mutated at k.  The framed matrix follows the exchange
-        rule.  The form becomes E^T * lam * E, where E = I + (c - e_k) e_k^T
+        rule.  A form becomes E^T * lam * E, where E = I + (c - e_k) e_k^T
         is a rank-one change of the identity (column k replaced by the c
         of ``mutate_lam``).  Only row k and column k of lam change, so the
         update costs O(n^2) instead of two dense 2n x 2n products."""
         if not 0 <= k < self.n:
             raise IndexOutOfRange("mutable index %d out of range" % k)
+        lam = self.lam
+        if lam is not None:
+            lam = mutate_lam(lam, self.btilde, k)
         return ExchangeData(
-            n=self.n,
-            btilde=mutate_btilde(self.btilde, k),
-            diag=self.diag,
-            lam=mutate_lam(self.lam, self.btilde, k),
+            self.n, mutate_btilde(self.btilde, k), self.diag, lam
         )
 
     def lam_pairing(self, a, b):

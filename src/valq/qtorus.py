@@ -33,6 +33,13 @@ the other columns, so det L stays +-1.  A frame monomial is a product of
 powers of such variables, so the divisor of ``characters`` also leads
 with a unit.  Nothing catches ``NonUnitLead``: it can only mean a bug.
 
+The cluster fixes the skew form, so no seed key holds it: seed t's form
+is L_t^T L L_t.  Variables of a seed quasi-commute, X_i X_j =
+u^(2 lambda_ij) X_j X_i, and leading terms multiply, so the leads of the
+two sides give lambda_ij = l(X_i)^T L l(X_j).  A classical variable is
+the quantum one at u = 1, where its unit lead +-u^k is +-1, so it leads
+at the same exponent and fixes the same L_t.
+
 Seeds mutated from one initial seed share the exchange relations already
 divided, and a frame monomial folds its basis-monomial factors into one
 basis element.
@@ -528,8 +535,8 @@ class Seed(FrozenRecord):
     relations giving equal variables keep one object.  An initial seed
     starts it, and every seed mutated from that seed shares it, so each
     relation of an algebra is computed once; equality, hash and repr
-    ignore it.  Subclasses supply ``_exchange_key(k)``, which must fix
-    the division that ``_exchange(k)`` makes for the new k-th variable.
+    ignore it.  Subclasses supply ``_exchange(k)``, the new k-th
+    variable.
     """
 
     _fields = ("initial", "current", "variables", "history")
@@ -557,6 +564,16 @@ class Seed(FrozenRecord):
             exchanges=self.exchanges,
         )
 
+    def _exchange_key(self, k):
+        """x_k and the set of (variable, b_ik) over the slots i where b_ik
+        is nonzero, which fixes the exchange exactly: the variables fix
+        the form (module docstring), none repeats within a seed, and the
+        exchange reads the slots in no order, as classical variables
+        commute and frame monomials are bar-invariant."""
+        col = [row[k] for row in self.current.btilde]
+        pairs = frozenset((x, b) for x, b in zip(self.variables, col) if b)
+        return self.variables[k], pairs
+
     def mutate(self, k):
         """The seed mutated at k.  Its new variable is read from
         ``exchanges`` when a seed of this algebra already made the same
@@ -576,7 +593,8 @@ class Seed(FrozenRecord):
     def canonical_key(self):
         """Key identifying the seed up to renumbering its cluster: the
         mutable variables in ``sort_key`` order, with the framed matrix
-        and the skew form permuted to match."""
+        permuted to match.  The variables fix the form (module
+        docstring)."""
         n = self.current.n
         mutable = self.variables[:n]
         order = sorted(range(n), key=lambda i: mutable[i].sort_key())
@@ -587,7 +605,6 @@ class Seed(FrozenRecord):
         return (
             rows(self.variables)[:n],
             tuple(map(cols, rows(self.current.btilde))),
-            tuple(map(rows, rows(self.current.lam))),
         )
 
     def slot_of(self, other, k):
@@ -668,20 +685,6 @@ class QuantumSeed(Seed):
         if out is None:
             return QTorusElem.basis_elem(self.initial.lam, folded, {shift: 1})
         return out.translate(folded, shift)
-
-    def _exchange_key(self, k):
-        """X_k, the variable, b_ik and lambda_ik of each slot i where b_ik
-        is nonzero, in slot order, and lambda_ij among those slots, in
-        one flat tuple: all that ``frame_monomial`` and the twists read.
-        Its length fixes the number of slots."""
-        cur = self.current
-        lam = cur.lam
-        slots = [i for i, row in enumerate(cur.btilde) if row[k]]
-        key = [self.variables[k]]
-        for i in slots:
-            key += (self.variables[i], cur.btilde[i][k], lam[i][k])
-        key += (lam[i][j] for a, i in enumerate(slots) for j in slots[a + 1 :])
-        return tuple(key)
 
     def _exchange(self, k):
         cur = self.current

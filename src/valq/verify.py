@@ -560,11 +560,9 @@ def check_sink_source_reflection(ctx):
     truncated = False
     matched = 0
     for k in sorted(set(sinks) | set(sources)):
-        fresh = build_exchange_data(ctx.data.mutate(k).btilde[:n])
-        start = _SeedPair(
-            ClassicalSeed.initial_seed(fresh),
-            ctx.classical_graph().seeds[0].mutate(k),
-        )
+        original = ctx.classical_graph().seeds[0].mutate(k)
+        fresh = build_exchange_data(original.current.principal())
+        start = _SeedPair(ClassicalSeed.initial_seed(fresh), original)
         walk = walk_seeds(start, n, ctx.max_depth, ctx.max_seeds)
         truncated = truncated or walk.truncated
         fresh_keys = set()

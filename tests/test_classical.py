@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import valq.exchange
 from valq.classical import (
     ClassicalSeed,
     NoConstantTerm,
@@ -18,6 +19,7 @@ from valq.classical import (
 )
 from valq.exchange import builtin_exchange_data
 from valq.laurent import LaurentPoly, NegativeExponentInF
+from valq.verify import PASS, VerifyContext, run_check
 
 from conftest import shift, substitute_monomials
 
@@ -58,8 +60,18 @@ class TestMutation:
                 for k in range(s.current.n):
                     back = s.mutate(k).mutate(k)
                     assert back.variables == s.variables
-                    assert back.current.btilde == s.current.btilde
-                    assert back.current.lam == s.current.lam
+                    assert back.current == s.current
+
+    def test_no_classical_seed_mutates_a_form(self, monkeypatch):
+        # The commutative exchange never reads the skew form, so neither
+        # a classical walk nor the sink-source pairing carries one.
+        def refuse(*args):
+            raise AssertionError("a classical seed mutated a form")
+
+        monkeypatch.setattr(valq.exchange, "mutate_lam", refuse)
+        ctx = VerifyContext(builtin_exchange_data("B3"))
+        assert run_check("sink-source-reflection", ctx).status == PASS
+        assert all(s.current.lam is None for s in ctx.classical_graph().seeds)
 
     def test_variables_are_laurent_with_positive_coefficients(self, b3):
         s = ClassicalSeed.initial_seed(b3).mutate_sequence([0, 1, 2, 1, 0])

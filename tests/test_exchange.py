@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from pathlib import Path
 
@@ -386,23 +387,41 @@ class TestBuildAndBuiltins:
         assert build_exchange_data(b).is_finite_type() is finite
 
 
-# Random acyclic skew-symmetrizable matrices: pick symmetrizer entries
-# d_i and a nonnegative strength t for each i < j, then set
+# Acyclic skew-symmetrizable matrices: pick symmetrizer entries d_i in
+# {1, 2, 3} and a strength t in {0, 1, 2} for each i < j, then set
 # b_ij = -t * lcm / d_i and b_ji = t * lcm / d_j so that all arrows
 # point from lower to higher index.
+SYMMETRIZER_ENTRIES = (1, 2, 3)
+
+
+def _acyclic_matrix(diag, strengths):
+    n = len(diag)
+    b = [[0] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), t in zip(pairs, strengths):
+        l = lcm(diag[i], diag[j])
+        b[i][j] = -t * l // diag[i]
+        b[j][i] = t * l // diag[j]
+    return mx.freeze(b)
+
+
 @st.composite
 def acyclic_skew_symmetrizable(draw):
-    n = 3
-    diag = [draw(st.sampled_from([1, 2, 3])) for _ in range(n)]
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = draw(st.integers(min_value=0, max_value=2))
-            if t:
-                l = diag[i] * diag[j] // __import__("math").gcd(diag[i], diag[j])
-                b[i][j] = -t * l // diag[i]
-                b[j][i] = t * l // diag[j]
-    return mx.freeze(b)
+    diag = [draw(st.sampled_from(SYMMETRIZER_ENTRIES)) for _ in range(3)]
+    strengths = [draw(st.integers(min_value=0, max_value=2)) for _ in range(3)]
+    return _acyclic_matrix(diag, strengths)
+
+
+def all_acyclic_skew_symmetrizable():
+    """Every distinct matrix that ``acyclic_skew_symmetrizable`` can
+    draw, in a fixed order."""
+    return list(
+        dict.fromkeys(
+            _acyclic_matrix(diag, strengths)
+            for diag in product(SYMMETRIZER_ENTRIES, repeat=3)
+            for strengths in product(range(3), repeat=3)
+        )
+    )
 
 
 class TestRandomMatrices:

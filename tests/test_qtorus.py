@@ -2,6 +2,7 @@
 
 import copy
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,10 @@ from valq.qtorus import (
 from valq.verify import VerificationReport, _SeedPair
 
 from conftest import context_for, count_products, is_bar_invariant, reference_walk
-from test_exchange import acyclic_skew_symmetrizable
+from test_exchange import (
+    acyclic_skew_symmetrizable,
+    all_acyclic_skew_symmetrizable,
+)
 
 B2 = builtin_exchange_data("B2")
 A2 = builtin_exchange_data("A2")
@@ -546,12 +550,12 @@ class TestCanonicalKey:
     def test_key_holds_the_variables_in_order(self, engine):
         seed = engine.initial_seed(builtin_exchange_data("B3"))
         seed = seed.mutate_sequence([2, 0, 1])
-        variables, btilde, lam = seed.canonical_key()
+        variables, btilde = seed.canonical_key()
         assert set(variables) == set(seed.variables[:3])
         assert [v.sort_key() for v in variables] == sorted(
             v.sort_key() for v in variables
         )
-        assert len(btilde) == 6 and len(lam) == 6
+        assert len(btilde) == 6
 
 
 class TestGraph:
@@ -668,7 +672,9 @@ class TestExchangeMemo:
             data = builtin_exchange_data(name)
         start = engine.initial_seed(data)
         if memo is not None:
-            start = engine(data, data, start.variables, exchanges=memo)
+            start = engine(
+                data, start.current, start.variables, exchanges=memo
+            )
         return walk_seeds(start, data.n, depth, 10000)
 
     @pytest.mark.parametrize("engine", [ClassicalSeed, QuantumSeed])
@@ -754,7 +760,10 @@ class TestValueClasses:
         seed = ClassicalSeed.initial_seed(data)
         assert seed.history == ()
         assert seed == ClassicalSeed(
-            initial=data, current=data, variables=seed.variables, history=()
+            initial=data,
+            current=seed.current,
+            variables=seed.variables,
+            history=(),
         )
         walk = walk_seeds(seed, 2, None, 10000)
         assert walk == GraphResult(
@@ -872,3 +881,114 @@ class TestUnitLeads:
     def test_random_acyclic_walks(self, engine, depth, b):
         start = engine.initial_seed(build_exchange_data(b))
         assert_unit_leads(walk_seeds(start, 3, depth, 10000).seeds)
+
+
+def form_from_leads(seed, lam0):
+    """L_t^T lam0 L_t, the columns of L_t the leading exponents of the
+    seed's variables."""
+    leads = [lead(v)[0] for v in seed.variables]
+    return mx.matmul(mx.matmul(leads, lam0), mx.transpose(leads))
+
+
+def walk_and_check_forms(data, depth):
+    """Walk ``data`` with both engines, which must find the same seeds
+    in the same order, and check at every seed that the quantum form is
+    L_t^T Lambda_0 L_t for the leads of either engine's variables.
+    Returns the number of seeds."""
+    walks = [
+        walk_seeds(engine.initial_seed(data), data.n, depth, 10000)
+        for engine in (ClassicalSeed, QuantumSeed)
+    ]
+    classical, quantum = ([s.history for s in w.seeds] for w in walks)
+    assert classical == quantum
+    for c, q in zip(*(w.seeds for w in walks)):
+        assert q.current.lam == form_from_leads(q, data.lam), q.history
+        assert q.current.lam == form_from_leads(c, data.lam), q.history
+    return len(quantum)
+
+
+class TestFormFromLeads:
+    """The cluster fixes the skew form, Lambda_t = L_t^T Lambda_0 L_t
+    (the ``qtorus`` docstring), which is why no seed key holds it."""
+
+    def test_every_small_matrix(self):
+        # Every matrix the acyclic strategy can draw: the 31 of finite
+        # type walked to closure, the others to depth 2.
+        seeds = 0
+        for b in all_acyclic_skew_symmetrizable():
+            data = build_exchange_data(b)
+            depth = None if data.is_finite_type() else 2
+            seeds += walk_and_check_forms(data, depth)
+        # The count when the seed keys still held the form: dropping it
+        # merged no two vertices.
+        assert seeds == 5269
+
+    @pytest.mark.parametrize(
+        "b, lambda0, count",
+        [
+            (
+                F4_MATRIX,
+                [[0, 1, 2, 3], [-1, 0, 1, 2], [-2, -1, 0, 1], [-3, -2, -1, 0]],
+                105,
+            ),
+            (
+                builtin_exchange_data("B3").principal(),
+                [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]],
+                20,
+            ),
+        ],
+    )
+    def test_nonzero_base_form(self, b, lambda0, count):
+        data = build_exchange_data(b, lambda0)
+        assert walk_and_check_forms(data, None) == count
+
+
+class TestTorusInvariants:
+    """What lets the quantum engine share the classical seed keys: the
+    variables of a seed quasi-commute by its form, and an exchange reads
+    its slots in no order."""
+
+    def test_cluster_variables_quasi_commute(self):
+        cases = [(name, None) for name in ("A2", "B2", "C2", "G2", "A3", "B3")]
+        pairs = 0
+        for name, depth in cases + [("WILD3", 2), ("F4", None)]:
+            for seed in TestExchangeMemo._walk(QuantumSeed, name, depth).seeds:
+                lam = seed.current.lam
+                xs = seed.variables
+                for i, j in combinations(range(len(xs)), 2):
+                    twisted = (xs[j] * xs[i]).shift_u(2 * lam[i][j])
+                    assert xs[i] * xs[j] == twisted, (name, seed.history)
+                    pairs += 1
+        assert pairs == 3750
+
+    def test_renumbered_slots_share_the_exchange(self, monkeypatch):
+        seed = QuantumSeed.initial_seed(builtin_exchange_data("B3"))
+        seed = seed.mutate_sequence([2, 0])
+        cur = seed.current
+        # slots 0 and 2 swapped, frozen slots kept
+        swap = (2, 1, 0, 3, 4, 5)
+        renumbered = QuantumSeed(
+            seed.initial,
+            ExchangeData(
+                cur.n,
+                tuple(tuple(cur.btilde[i][j] for j in swap[:3]) for i in swap),
+                cur.diag,
+                tuple(tuple(cur.lam[i][j] for j in swap) for i in swap),
+            ),
+            tuple(seed.variables[i] for i in swap),
+            seed.history,
+            exchanges=seed.exchanges,
+        )
+        assert renumbered.canonical_key() == seed.canonical_key()
+        calls = []
+        real = QuantumSeed._exchange
+
+        def counting(s, k):
+            calls.append(k)
+            return real(s, k)
+
+        monkeypatch.setattr(QuantumSeed, "_exchange", counting)
+        new = seed.mutate(1).variables[1]
+        assert calls == [1]
+        assert renumbered.mutate(1).variables[1] is new
+        assert calls == [1]
