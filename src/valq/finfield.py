@@ -16,6 +16,7 @@ integer: Gaussian binomials too are products with exact divisions.
 """
 
 from bisect import bisect
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -30,6 +31,8 @@ class CapExceeded(RuntimeError):
 
 # The largest field a tower builds unless told otherwise.
 DEFAULT_CAP = 1 << 16
+# The most subspaces one Grassmannian may enumerate.
+ENUMERATION_CAP = 2_000_000
 
 
 def is_prime(n):
@@ -398,11 +401,9 @@ def f_rank(field, rows):
     return rank
 
 
-def f_kernel_basis(field, rows):
-    """Basis of the right kernel of the matrix (one vector per free column)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def f_kernel_basis(field, rows, ncols):
+    """Basis of the right kernel of the matrix with ``ncols`` columns (one
+    vector per free column); with no rows, of the whole space."""
     m, pivots = f_rref(field, rows)
     pivset = set(pivots)
     basis = []
@@ -417,6 +418,55 @@ def f_kernel_basis(field, rows):
     return basis
 
 
+def to_digits(field, vec):
+    """Flatten codes of ``field`` into base-p digits (index r*d + s)."""
+    if field.d == 1:
+        return list(vec)
+    out = []
+    for a in vec:
+        out.extend(field.digits(a))
+    return out
+
+
+def to_codes(field, digs):
+    """The codes of ``field`` whose base-p digits ``digs`` holds."""
+    if field.d == 1:
+        return list(digs)
+    d = field.d
+    return [field.from_digits(digs[r : r + d]) for r in range(0, len(digs), d)]
+
+
+def digit_span(field, rows):
+    """Digit vectors spanning over the prime field what ``rows`` spans over
+    ``field``: those of t**s * row for each row and s < d, independent
+    when the rows are, since 1, t, ..., t**(d-1) is a prime-field basis."""
+    return [
+        to_digits(field, _scale(field, field.p**s, row) if s else row)
+        for row in rows
+        for s in range(field.d)
+    ]
+
+
+def f_preimage(field, matrix, rows, ncols):
+    """A basis of the x in field**ncols that ``matrix`` maps into the span
+    of the independent ``rows``: the first ncols coordinates of the kernel
+    of [matrix | rows^T], which are zero on no nonzero kernel vector."""
+    tails = list(zip(*rows)) if rows else [()] * len(matrix)
+    system = [list(head) + list(tail) for head, tail in zip(matrix, tails)]
+    return [v[:ncols] for v in f_kernel_basis(field, system, ncols + len(rows))]
+
+
+def block_diagonal(block, copies):
+    """The square matrix with the given block repeated down its diagonal,
+    as a map of a fiber in subfield coordinates."""
+    e = len(block)
+    return [
+        [block[a][b] if r == c else 0 for c in range(copies) for b in range(e)]
+        for r in range(copies)
+        for a in range(e)
+    ]
+
+
 def f_inverse(field, rows):
     n = len(rows)
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
@@ -429,6 +479,7 @@ def f_inverse(field, rows):
 # -- Grassmannians --
 
 
+@lru_cache(maxsize=4096)
 def gaussian_binomial(q, n, k):
     """Number of k-dimensional subspaces of an n-space over a q-element field."""
     if k < 0 or k > n:
@@ -441,12 +492,55 @@ def gaussian_binomial(q, n, k):
     return out
 
 
-def enumerate_subspaces(field, n, k, cap=2_000_000):
+def subspace_total(q, n):
+    """Number of subspaces, of every dimension, of an n-space over F_q."""
+    return sum(gaussian_binomial(q, n, k) for k in range(n + 1))
+
+
+@lru_cache(maxsize=4096)
+def by_meet(q, sums):
+    """Counts by the dimension of a meet, from counts above subspaces.
+
+    ``sums`` holds ((a, l), A_l(a)): the sum, over the subspaces L of
+    dimension l above a fixed base in a space over F_q, of the number of
+    subspaces W of dimension a whose meet with that space contains L.
+    Returns (a, j, number of W whose meet is j above the base) for every
+    nonzero number, by Moebius inversion on the lattice of subspaces
+    (Goldman-Rota): N_a(j) = sum over l of (-1)**(l-j) q**C(l-j, 2)
+    [l, j]_q A_l(a).
+    """
+    out = {}
+    for (a, l), total in sums:
+        for j in range(l + 1):
+            r = l - j
+            term = q ** (r * (r - 1) // 2) * gaussian_binomial(q, l, j)
+            term *= -total if r % 2 else total
+            out[a, j] = out.get((a, j), 0) + term
+    return tuple((a, j, count) for (a, j), count in out.items() if count)
+
+
+@lru_cache(maxsize=4096)
+def meet_counts(q, n, m):
+    """(a, j, number of a-dimensional subspaces of an n-space over F_q
+    that meet a fixed m-dimensional subspace in dimension j), for every
+    nonzero number: the l-dimensional subspaces of the fixed one number
+    [m, l]_q, and [n - l, a - l]_q subspaces contain each, so
+    ``by_meet`` gives the q-Vandermonde counts."""
+    binomial = gaussian_binomial
+    sums = tuple(
+        ((a, l), binomial(q, m, l) * binomial(q, n - l, a - l))
+        for a in range(n + 1)
+        for l in range(min(a, m) + 1)
+    )
+    return by_meet(q, sums)
+
+
+def enumerate_subspaces(field, n, k):
     """All k-dimensional subspaces of field**n as RREF basis row-lists."""
     if k < 0 or k > n:
         return
     total = gaussian_binomial(field.q, n, k)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise CapExceeded("grassmannian has %d points" % total)
     if k == 0:
         yield []
@@ -466,7 +560,7 @@ def enumerate_subspaces(field, n, k, cap=2_000_000):
             yield rows
 
 
-def enumerate_subspaces_containing(field, n, k, sub_rows, cap=2_000_000):
+def enumerate_subspaces_containing(field, n, k, sub_rows):
     """All k-dimensional subspaces of field**n containing the span of
     ``sub_rows``, which may be zero, repeated, dependent or unreduced.
 
@@ -478,13 +572,13 @@ def enumerate_subspaces_containing(field, n, k, sub_rows, cap=2_000_000):
     """
     reduced, pivots = f_rref(field, sub_rows)
     if not pivots:
-        yield from enumerate_subspaces(field, n, k, cap=cap)
+        yield from enumerate_subspaces(field, n, k)
         return
     w = len(pivots)
     if k < w or k > n:
         return
     free = [c for c in range(n) if c not in pivots]
-    for qrows in enumerate_subspaces(field, n - w, k - w, cap=cap):
+    for qrows in enumerate_subspaces(field, n - w, k - w):
         lifted = [list(r) for r in reduced]
         for qr in qrows:
             v = [0] * n
@@ -492,6 +586,54 @@ def enumerate_subspaces_containing(field, n, k, sub_rows, cap=2_000_000):
                 v[col] = qr[idx]
             lifted.append(v)
         yield lifted
+
+
+def special_subspaces(field, prime, n, forced, maps):
+    """(special, shared) for the subspaces W of field**n above the span F
+    of ``forced``, a reduced echelon basis with its pivots; None when the
+    preimages below hold as many prime-field lines outside F as there
+    are W.
+
+    ``maps`` holds (chi, target, rows): a prime-field matrix on the digits
+    of field**n and a basis over the field ``target`` of a subspace T.
+    W is special when it meets a preimage chi^-1(T) outside F, so when it
+    contains the span of F and x for a prime-field line x of a preimage
+    outside F.  x and x + y give one span for y in F, so the lines are
+    those of a complement of F in each preimage: the preimage's vectors
+    that raise the rank of F's digit span.  ``special`` lists those W
+    once each, as reduced echelon bases, and shared[a] counts the others
+    of dimension dim F + a.
+    """
+    rows, pivots = forced
+    f, p = len(rows), field.p
+    shared = [gaussian_binomial(field.q, n - f, a) for a in range(n - f + 1)]
+    span = f_rref(prime, digit_span(field, rows))
+    complements, lines = [], 0
+    for chi, target, t_rows in maps:
+        grown, kept = span, []
+        for y in f_preimage(prime, chi, digit_span(target, t_rows), n * field.d):
+            bigger = f_insert(prime, *grown, y)
+            if bigger[0] is not grown[0]:
+                grown = bigger
+                kept.append(y)
+        lines += (p ** len(kept) - 1) // (p - 1)
+        if lines >= sum(shared):
+            return None
+        complements.append(kept)
+    spans, special = {}, {}
+    for kept in complements:
+        for (coeffs,) in enumerate_subspaces(prime, len(kept), 1):
+            x = [sum(c * y for c, y in zip(coeffs, col)) % p for col in zip(*kept)]
+            above, _ = f_insert(field, rows, pivots, to_codes(field, x))
+            spans[tuple(map(tuple, above))] = above
+    for above in spans.values():
+        for k in range(len(above), n + 1):
+            for w in enumerate_subspaces_containing(field, n, k, above):
+                red, _ = f_rref(field, w)
+                special.setdefault(tuple(map(tuple, red)), red)
+    for w in special.values():
+        shared[len(w) - f] -= 1
+    return list(special.values()), shared
 
 
 # -- towers of fields with compatible embeddings --
@@ -630,6 +772,23 @@ class FieldTower:
             tb_l = fb.pow(self.p, l) if l else 1
             acc = fb.add(acc, fb.mul(self.embed(a, b, c), tb_l))
         return acc
+
+    def to_subfield(self, b, a, vec):
+        """A vector over the degree-b field flattened into its coordinates
+        over the degree-a subfield (``subfield_coords`` of each entry)."""
+        out = []
+        for x in vec:
+            out.extend(self.subfield_coords(b, a, x))
+        return out
+
+    def from_subfield(self, b, a, gvec):
+        """The vector over the degree-b field whose ``to_subfield`` is
+        gvec."""
+        e = b // a
+        return [
+            self.from_subfield_coords(b, a, gvec[r : r + e])
+            for r in range(0, len(gvec), e)
+        ]
 
     def trace_gram(self, b, a):
         """The Gram matrix tr(t**i * t**l) of the relative trace form from

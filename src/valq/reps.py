@@ -22,19 +22,38 @@ keeps the span of the images it has received as a reduced echelon
 basis, extended one image at a time as the walk descends and restored
 to the parent's basis as it backs up, so no span is reduced twice.  A
 sink k with forced image of dimension u then contributes the Gaussian
-binomial [dim V_k - u, e_k - u] over its field, for every e_k.
+binomial [dim V_k - u, e_k - u] over its field, for every e_k.  Leaves
+are tallied by class, the dimensions and ranks their counts read, and
+each class is expanded once.
 
-The walk may close its last enumerated vertex i instead of enumerating
-it, when one arrow leaves i, to a sink k.  Each subspace W at i acts on
-k only through dim W and the dimension of one meet: of W with a fixed
-subspace when k has the degree of i, and otherwise, when no other arrow
-enters k, of the span of W's subfield coordinates over the field at k
-with the kernel K of the arrow's evaluation map.  Counts of the W by
-that dimension come from sums over the subspaces of the fixed space
+The walk may close its last enumerated vertex C instead of enumerating
+it, when one arrow psi leaves C, to a sink K.  Each subspace W at C acts
+on K only through dim W and the dimension of one meet: of W with a fixed
+subspace when K has the degree of C, and otherwise, when no other arrow
+enters K, of the span of W's subfield coordinates over the field at K
+with the kernel of the arrow's evaluation map.  Counts of the W by that
+dimension come from sums over the subspaces of the fixed space
 containing a given one, inverted on the lattice of subspaces
-(Goldman-Rota): between equal degrees the sums have a closed form and
-the inversion is the q-Vandermonde count; between different degrees the
-close enumerates the subspaces of K instead of those of V_i.
+(Goldman-Rota).  Between equal degrees the sums have a closed form, the
+inversion is the q-Vandermonde count, and the close reads three ranks:
+dim G for the forced span G at C, dim(T + psi(G)) and dim(T + psi(V_C))
+for the span T that K received.  Between different degrees the close
+enumerates the subspaces of the kernel instead of those of V_C.
+
+At the last vertex P that the walk enumerates, a subspace W above the
+forced span F reaches its leaf only through ranks dim(T + chi(W)), T
+fixed by the parent: one per sink that P feeds, and the three of a close
+between equal degrees.  When chi is one map, linear over the field of
+its target j, such a rank is dim T + (d_P / d_j) dim W -
+dim(W meet chi^-1(T)).  So every W that meets each preimage chi^-1(T)
+only inside F shares the class of F, each rank raised by
+(d_P / d_j)(dim W - dim F), and counts by Gaussian binomials.  Only the
+special W, those containing F and a prime-field line of a preimage
+outside F, are sent.  P is enumerated whole when an arrow from it is
+one of several to its target or leads to a degree that does not divide
+d_P, when P feeds both C and K, when the close joins two degrees, when
+V_P / F has dimension below 2, and when the preimages hold as many
+prime-field lines as there are subspaces above F.
 
 The dual representation D(V), over the opposite quiver, has a
 subrepresentation of dimension v - e for each one of V of dimension e
@@ -47,34 +66,43 @@ number of subspaces of K for a close between different degrees.  It
 walks D(V) exactly when its price is lower.  Such a close happens only
 when K has fewer subspaces than V_i, so the price of a representation's
 walk reads the rank of that one arrow besides the quiver, fields and
-dimension vector.
+dimension vector.  The price does not read whether P splits.
 
 What every count re-derives is built once, by exact identities only.  A
 quiver keeps its opposite and its reflections, the opposite of the
 opposite and a reflection reflected back being the quiver itself.  A
-walk builds the arrow matrices of a vertex on its first send.  The dual
-multiplies by no Gram matrix of a trace form at an end whose degree is
-the arrow's valuation, where it is the 1x1 identity, so it transposes an
-arrow between two such ends.  The dual and the sink reflection build
+walk builds the arrow matrices of a vertex on its first send, and those
+of P, which the split reads, when it starts.  The dual multiplies by no
+Gram matrix of a trace form at an end whose degree is the arrow's
+valuation, where it is the 1x1 identity, so it transposes an arrow
+between two such ends.  The dual and the sink reflection build
 their results without the public constructor's checks.
 """
 
 import random
-from functools import lru_cache
+from collections import Counter
 from itertools import product
 from operator import mul
 
 from .exchange import sinks_and_sources, topological_order, valued_arrows
 from .finfield import (
     DEFAULT_CAP,
+    block_diagonal,
     build_tower,
+    by_meet,
     enumerate_subspaces_containing,
     f_insert,
     f_kernel_basis,
     f_matmul,
     f_matvec,
+    f_preimage,
     f_rank,
     gaussian_binomial,
+    meet_counts,
+    special_subspaces,
+    subspace_total,
+    to_codes,
+    to_digits,
 )
 
 
@@ -187,22 +215,6 @@ class ValuedQuiver:
             dims[i] * (self.diag[i] // g),
         )
 
-    def f_to_g(self, i, g, vec):
-        """Flatten a vector over the vertex field into subfield coords."""
-        d = self.diag[i]
-        out = []
-        for x in vec:
-            out.extend(self.tower.subfield_coords(d, g, x))
-        return out
-
-    def g_to_f(self, i, g, gvec):
-        d = self.diag[i]
-        e = d // g
-        out = []
-        for r in range(0, len(gvec), e):
-            out.append(self.tower.from_subfield_coords(d, g, gvec[r : r + e]))
-        return out
-
 
 class ValuedRep:
     """Dimension vector plus one subfield-linear matrix per arrow."""
@@ -248,11 +260,11 @@ class ValuedRep:
     def apply_arrow(self, key, vec):
         """Image of a vertex-field vector under one arrow map."""
         i, j, _ = key
-        g = self.quiver.valuation[(i, j)]
-        gfield = self.quiver.tower.field(g)
-        gin = self.quiver.f_to_g(i, g, vec)
-        gout = f_matvec(gfield, self.maps[key], gin)
-        return self.quiver.g_to_f(j, g, gout)
+        quiver = self.quiver
+        g, tower = quiver.valuation[(i, j)], quiver.tower
+        gin = tower.to_subfield(quiver.diag[i], g, vec)
+        gout = f_matvec(tower.field(g), self.maps[key], gin)
+        return tower.from_subfield(quiver.diag[j], g, gout)
 
     def __eq__(self, other):
         if not isinstance(other, ValuedRep):
@@ -331,7 +343,7 @@ def _fp_arrow_matrix(rep, key, scale=1):
         for s in range(di):
             vec = [0] * vi
             vec[r] = fi.mul(scale, _tpow(fi, s))
-            cols.append(_to_digits(fj, rep.apply_arrow(key, vec)))
+            cols.append(to_digits(fj, rep.apply_arrow(key, vec)))
     nrows = rep.dims[j] * quiver.diag[j]
     return [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
 
@@ -369,7 +381,7 @@ def hom_dim(repv, repw):
             continue
         # theta_V's image of each input digit, per arrow into i
         images = {
-            key: [_to_codes(fi, y) for y in zip(*_fp_arrow_matrix(repv, key))]
+            key: [to_codes(fi, y) for y in zip(*_fp_arrow_matrix(repv, key))]
             for key in offsets
             if key[1] == i
         }
@@ -441,23 +453,6 @@ def build_rigid_rep(quiver, dims, rng_seed=0, attempts=400):
 # -- subrepresentation counting over the prime field --
 
 
-def _to_digits(field, vec):
-    """Flatten vertex-field codes into base-p digits (index r*d + s)."""
-    if field.d == 1:
-        return list(vec)
-    out = []
-    for a in vec:
-        out.extend(field.digits(a))
-    return out
-
-
-def _to_codes(field, digs):
-    if field.d == 1:
-        return list(digs)
-    d = field.d
-    return [field.from_digits(digs[r : r + d]) for r in range(0, len(digs), d)]
-
-
 def _scaled_arrow_matrices(rep, i):
     """Prime-field matrices of x -> phi(t**l * x) for every arrow map phi
     leaving i and every l below the degree of the field at i over the
@@ -474,14 +469,6 @@ def _scaled_arrow_matrices(rep, i):
                     _fp_arrow_matrix(rep, key, _tpow(fi, l))
                 )
     return list(out.items())
-
-
-_gaussian_binomial = lru_cache(maxsize=4096)(gaussian_binomial)
-
-
-def _subspace_total(q, n):
-    """Number of subspaces, of every dimension, of an n-space over F_q."""
-    return sum(_gaussian_binomial(q, n, k) for k in range(n + 1))
 
 
 def _walk_order(quiver):
@@ -520,56 +507,18 @@ def _closing_vertex(rep):
     if sum(key[1] == k for key in quiver.arrow_keys) > 1:
         return None
     fk, fi = quiver.field(k), quiver.field(i)
-    enumerating = _subspace_total(fi.q, dims[i])
+    enumerating = subspace_total(fi.q, dims[i])
     # the evaluation map has rank at most dim V_k, so K has dimension at
     # least its number of columns less dim V_k: if even that many is too
     # many, the rank is not computed
     width = dims[i] * (quiver.diag[i] // quiver.valuation[(i, k)])
-    if _subspace_total(fk.q, max(width - dims[k], 0)) >= enumerating:
+    if subspace_total(fk.q, max(width - dims[k], 0)) >= enumerating:
         return None
     _, total, phi = _evaluation(rep, k)
     m = total - f_rank(fk, phi)
-    if _subspace_total(fk.q, m) < enumerating:
+    if subspace_total(fk.q, m) < enumerating:
         return i, k, m, phi
     return None
-
-
-@lru_cache(maxsize=4096)
-def _by_meet(q, sums):
-    """Counts by the dimension of a meet, from counts above subspaces.
-
-    ``sums`` holds ((a, l), A_l(a)): the sum, over the subspaces L of
-    dimension l above a fixed base in a space over F_q, of the number of
-    subspaces W of dimension a whose meet with that space contains L.
-    Returns (a, j, number of W whose meet is j above the base) for every
-    nonzero number, by Moebius inversion on the lattice of subspaces
-    (Goldman-Rota): N_a(j) = sum over l of (-1)**(l-j) q**C(l-j, 2)
-    [l, j]_q A_l(a).
-    """
-    out = {}
-    for (a, l), total in sums:
-        for j in range(l + 1):
-            r = l - j
-            term = q ** (r * (r - 1) // 2) * _gaussian_binomial(q, l, j)
-            term *= -total if r % 2 else total
-            out[a, j] = out.get((a, j), 0) + term
-    return tuple((a, j, count) for (a, j), count in out.items() if count)
-
-
-@lru_cache(maxsize=4096)
-def _meet_counts(q, n, m):
-    """(a, j, number of a-dimensional subspaces of an n-space over F_q
-    that meet a fixed m-dimensional subspace in dimension j), for every
-    nonzero number: the l-dimensional subspaces of the fixed one number
-    [m, l]_q, and [n - l, a - l]_q subspaces contain each, so
-    ``_by_meet`` gives the q-Vandermonde counts."""
-    binomial = _gaussian_binomial
-    sums = tuple(
-        ((a, l), binomial(q, m, l) * binomial(q, n - l, a - l))
-        for a in range(n + 1)
-        for l in range(min(a, m) + 1)
-    )
-    return _by_meet(q, sums)
 
 
 class _Walk:
@@ -582,14 +531,13 @@ class _Walk:
     one image at a time by ``f_insert`` and restored to the parent's
     basis when the walk backs up; every sink is counted in closed form
     from the dimension of that span.  The arrow matrices of a vertex are
-    built on its first ``_send``, so a walk that closes its first vertex
-    builds none.
+    built on its first ``_send`` (of P by ``_split_plan``), so a walk
+    that closes its first vertex builds none.
 
-    When the last enumerated vertex i closes (``_closing_vertex``), its
-    subspaces W are not enumerated.  The rank at i's one sink neighbour k
-    depends on W only through dim W and the dimension of the meet of W,
-    or of its span over the field at k, with one subspace that the
-    parent fixes; ``_close`` counts the W by both.
+    Each leaf adds one to its class (``_key``), which ``leaves`` expands
+    at a close.  The last vertex P that is enumerated sends only its
+    special subspaces (``_split``); the others share the class of P's
+    forced span, shifted by their dimension (``_split_plan``).
     """
 
     def __init__(self, rep, closing):
@@ -601,47 +549,70 @@ class _Walk:
         self.closing, self.sink, kernel_dim, phi = closing or (None,) * 4
         self.kernel = None
         if kernel_dim is not None:
-            # with a zero fiber at k, one zero equation leaves the whole
-            # sum free
-            self.kernel = f_kernel_basis(
-                quiver.field(self.sink), phi or [[0] * kernel_dim]
-            )
+            i, k = self.closing, self.sink
+            width = rep.dims[i] * (quiver.diag[i] // quiver.valuation[(i, k)])
+            self.kernel = f_kernel_basis(quiver.field(k), phi, width)
         # the out-neighbours of each vertex sent from, with the arrow
         # matrices
         self.links = {}
         self.inbox = {i: ([], []) for i in range(quiver.n)}
+        if closing is not None:
+            self.slot = self.terminals.index(self.sink)
         if closing is not None and self.kernel is None:
-            # the span of the closing arrow's columns, phi(V_i)
+            # the span of the closing arrow's columns, psi(V_C)
             i = self.closing
             span = ([], [])
             for col in zip(*rep.maps[(i, self.sink, 0)]):
                 span = f_insert(quiver.field(i), *span, col)
             self.closing_image = span
+        self.plan = self._split_plan()
 
     def leaves(self):
         """Multiplicity of every (enumerated dims, sink ranks)."""
-        out = {}
+        classes = Counter()
         path = []
 
         def recurse(idx):
-            if idx == len(self.enumerated):
-                key = tuple(path) + tuple(
-                    len(self.inbox[k][0]) for k in self.terminals
-                )
-                out[key] = out.get(key, 0) + 1
+            i = self.enumerated[idx] if idx < len(self.enumerated) else None
+            if i is None or i == self.closing:
+                classes[self._key(path)] += 1
                 return
-            i = self.enumerated[idx]
-            if i == self.closing:
-                self._close(i, tuple(path), out)
-                return
-            for w in self._subspaces(i):
+            split = self._split(i) if self.plan and i == self.plan[0] else None
+            for w in self._subspaces(i) if split is None else split[0]:
                 parents = self._send(i, w)
                 path.append(len(w))
                 recurse(idx + 1)
                 path.pop()
                 self.inbox.update(parents)
+            if split is not None:
+                # the others share the class of the forced span, shifted
+                forced = self.inbox[i][0]
+                parents = self._send(i, forced)
+                key = self._key(path + [len(forced)])
+                self.inbox.update(parents)
+                for a, count in enumerate(split[1]):
+                    if count:
+                        shift = zip(key, self.plan[1])
+                        classes[tuple(x + a * s for x, s in shift)] += count
 
         recurse(0)
+        if self.closing is None:
+            return classes
+        out = Counter()
+        v = self.rep.dims[self.closing]
+        q = self.quiver.field(self.closing).q
+        c, t = len(self.enumerated) - 1, len(self.terminals)
+        for key, mult in classes.items():
+            ranks, tail = list(key[c : c + t]), key[c + t :]
+            if self.kernel is None:
+                (g, whole), base, n = tail, ranks[self.slot], v - tail[0]
+                tail = [
+                    (g + a, base + a - j, count)
+                    for a, j, count in meet_counts(q, n, n - whole + base)
+                ]
+            for a, rank, count in tail:
+                ranks[self.slot] = rank
+                out[key[:c] + (a,) + tuple(ranks)] += mult * count
         return out
 
     def table(self):
@@ -659,7 +630,7 @@ class _Walk:
                 q = self.quiver.field(k).q
                 options.append(
                     [
-                        (x, _gaussian_binomial(q, dims[k] - u, x - u))
+                        (x, gaussian_binomial(q, dims[k] - u, x - u))
                         for x in range(u, dims[k] + 1)
                     ]
                 )
@@ -671,49 +642,103 @@ class _Walk:
                 table[tuple(e)] += count
         return table
 
-    def _close(self, i, path, out):
-        """Add the leaves below the current parent, with the closing
-        vertex i counted in closed form: every subspace W of V_i above
-        its forced span G, by dim W and the rank it leaves at k."""
-        k = self.sink
-        forced, _ = self.inbox[i]
-        if self.kernel is None:
-            counts = self._equal_close(i, k, forced)
-        else:
-            counts = self._mixed_close(i, k, forced)
-        params = [len(self.inbox[x][0]) for x in self.terminals]
-        slot = self.terminals.index(k)
-        for a, rank, count in counts:
-            params[slot] = rank
-            key = path + (a,) + tuple(params)
-            out[key] = out.get(key, 0) + count
+    def _key(self, path):
+        """The class of the current leaf: the dimensions ``path`` and the
+        rank at each sink; below a close, the close's outcomes too.
 
-    def _equal_close(self, i, k, forced):
-        """(dim W, rank at k, count) when k has the degree of i.
-
-        W ranges over the subspaces above G, so over subspaces of
-        U = V_i / G.  The rank at k is dim(T + phi(W)) = t + dim W -
-        dim(W meet J), with T the span that k has received and
-        J = phi^-1(T).  That reads dim(T + phi(G)) + a - j for
-        a = dim W / G and j = dim(W / G meet I), I = (J + G) / G, of
-        dimension n - dim(T + phi(V_i)) + dim(T + phi(G)), and
-        ``_meet_counts`` counts the W by (a, j).
+        A close across degrees adds its (dim W, rank at k, count) from
+        ``_mixed_close``.  A close of C into K between equal degrees puts
+        dim(T + psi(G)) in K's place and adds (dim G, dim(T + psi(V_C))).
+        There W ranges over the subspaces of V_C above its forced span G,
+        and the rank at K is dim(T + psi(W)) = t + dim W - dim(W meet J)
+        for the span T that K received and J = psi^-1(T).  It reads
+        dim(T + psi(G)) + a - j for a = dim W / G and j = dim(W / G meet
+        I), I = (J + G) / G, of dimension n - dim(T + psi(V_C)) +
+        dim(T + psi(G)) in V_C / G of dimension n: ``meet_counts``.
         """
+        ranks = [len(self.inbox[k][0]) for k in self.terminals]
+        i, k = self.closing, self.sink
+        if i is None:
+            return tuple(path) + tuple(ranks)
+        forced = self.inbox[i][0]
+        if self.kernel is not None:
+            tail = tuple(self._mixed_close(i, k, forced))
+            return tuple(path) + tuple(ranks) + tail
+        base, whole = self._close_spans()
+        ranks[self.slot] = len(base[0])
+        return tuple(path) + tuple(ranks) + (len(forced), len(whole[0]))
+
+    def _close_spans(self):
+        """T + psi(G) and T + psi(V_C) at the close of C into K; psi(V_C)
+        is built once per walk, since T is often empty."""
+        i = self.closing
         field = self.quiver.field(i)
-        phi = self.rep.maps[(i, k, 0)]
-        got, _ = span = self.inbox[k]
-        for x in forced:
-            span = f_insert(field, *span, f_matvec(field, phi, x))
-        base = len(span[0])
-        # T + phi(V_i) grows from phi(V_i), whose basis is built once per
-        # walk, since T is often empty
+        psi = self.rep.maps[(i, self.sink, 0)]
+        got = span = self.inbox[self.sink]
+        for x in self.inbox[i][0]:
+            span = f_insert(field, *span, f_matvec(field, psi, x))
         whole = self.closing_image
-        for x in got:
+        for x in got[0]:
             whole = f_insert(field, *whole, x)
-        n = self.rep.dims[i] - len(forced)
-        m = n - len(whole[0]) + base
-        for a, j, count in _meet_counts(field.q, n, m):
-            yield len(forced) + a, base + a - j, count
+        return span, whole
+
+    def _split_plan(self):
+        """(P, shift, ranks) for the last vertex P that the walk
+        enumerates, or None when P is always enumerated whole (see the
+        module docstring).  ``ranks`` holds (slot, j, which, chi): the
+        slot of the class that reads dim(T + chi(W)), for the prime-field
+        matrix chi of the arrow to j and T the span j received (which is
+        None), or T_K + psi(G) (0) or T_K + psi(V_C) (1), pulled back by
+        psi when j is C.  ``shift`` is what each slot of a class gains
+        per dimension of W.
+        """
+        quiver = self.quiver
+        path = [i for i in self.enumerated if i != self.closing]
+        if not path or self.kernel is not None:
+            return None
+        i, c, k = path[-1], self.closing, self.sink
+        d = quiver.diag[i]
+        links = self.links[i] = _scaled_arrow_matrices(self.rep, i)
+        # one arrow to j, of valuation d_j, has d / d_j matrices
+        if {c, k} <= dict(links).keys() or any(
+            len(mats) * quiver.diag[j] != d for j, mats in links
+        ):
+            return None
+        at = {j: len(path) + s for s, j in enumerate(self.terminals)}
+        at[c] = len(path) + len(self.terminals)
+        ranks = []
+        for j, (chi, *_) in links:
+            if j == k:
+                ranks += [(at[k], k, 0, chi), (at[c] + 1, k, 1, chi)]
+            else:
+                ranks.append((at[j], j, None, chi))
+            if j == c:
+                ranks.append((at[k], c, 0, chi))
+        shift = [0] * (at[c] + 2 * (c is not None))
+        shift[len(path) - 1] = 1
+        for slot, j, _, _ in ranks:
+            shift[slot] = d // quiver.diag[j]
+        return i, shift, ranks
+
+    def _split(self, i):
+        """``special_subspaces`` of the last enumerated vertex i for the
+        preimages of ``_split_plan`` under the current parent, or None to
+        enumerate i whole: when V_i over its forced span has dimension
+        below 2, or the preimages hold too many lines."""
+        quiver, rep = self.quiver, self.rep
+        forced = self.inbox[i]
+        if rep.dims[i] - len(forced[0]) < 2:
+            return None
+        close = self._close_spans() if self.closing is not None else None
+        maps = []
+        for _, j, which, chi in self.plan[2]:
+            rows = (self.inbox[j] if which is None else close[which])[0]
+            if which is not None and j == self.closing:
+                psi = rep.maps[(j, self.sink, 0)]
+                rows = f_preimage(quiver.field(j), psi, rows, rep.dims[j])
+            maps.append((chi, quiver.field(j), rows))
+        prime = quiver.tower.field(1)
+        return special_subspaces(quiver.field(i), prime, rep.dims[i], forced, maps)
 
     def _mixed_close(self, i, k, forced):
         """(dim W, rank at k, count) when the arrow phi from i to k joins
@@ -727,7 +752,7 @@ class _Walk:
         when W contains R(L), the F_i-span of the F_g-coordinate vectors
         of L's basis, so [n - r, a - r] of the W of dimension a contain
         it, with r = dim(G + R(L)).  Summed over the L above J0 by
-        dim L / J0, these are what ``_by_meet`` inverts.
+        dim L / J0, these are what ``by_meet`` inverts.
         """
         quiver = self.quiver
         tower = quiver.tower
@@ -737,6 +762,7 @@ class _Walk:
         fi, fk = quiver.field(i), quiver.field(k)
         kernel = self.kernel
         m = len(kernel)
+        columns = [list(col) for col in zip(*kernel)]
         # J0 in coordinates over the kernel basis: the c with c.K in G(x),
         # which the F_g-basis t**l * x of G spans
         meet = []
@@ -745,11 +771,9 @@ class _Walk:
             for x in forced:
                 for l in range(e):
                     tx = [fi.mul(_tpow(fi, l), a) for a in x]
-                    coords = quiver.f_to_g(i, g, tx)
+                    coords = tower.to_subfield(quiver.diag[i], g, tx)
                     tensor.append([tower.embed(g, dk, c) for c in coords])
-            rows = [list(row) for row in zip(*kernel, *tensor)]
-            meet = [v[:m] for v in f_kernel_basis(fk, rows)]
-        columns = [list(col) for col in zip(*kernel)]
+            meet = f_preimage(fk, columns, tensor, m)
         n = self.rep.dims[i]
         sums = {}
         for l in range(m - len(meet) + 1):
@@ -762,12 +786,13 @@ class _Walk:
                     # the F_g-coordinate vectors of y, as vectors at i
                     parts = [tower.subfield_coords(dk, g, x) for x in y]
                     for part in zip(*parts):
-                        span = f_insert(fi, *span, quiver.g_to_f(i, g, part))
+                        x = tower.from_subfield(quiver.diag[i], g, part)
+                        span = f_insert(fi, *span, x)
                 r = len(span[0])
                 for a in range(r, n + 1):
-                    step = _gaussian_binomial(fi.q, n - r, a - r)
+                    step = gaussian_binomial(fi.q, n - r, a - r)
                     sums[a, l] = sums.get((a, l), 0) + step
-        for a, j, count in _by_meet(fk.q, tuple(sorted(sums.items()))):
+        for a, j, count in by_meet(fk.q, tuple(sorted(sums.items()))):
             yield a, e * a - len(meet) - j, count
 
     def _subspaces(self, i):
@@ -783,7 +808,7 @@ class _Walk:
         out-neighbours; returns their bases before, to restore."""
         p = self.p
         fi = self.quiver.field(i)
-        xs = [_to_digits(fi, row) for row in w]
+        xs = [to_digits(fi, row) for row in w]
         links = self.links.get(i)
         if links is None:
             links = self.links[i] = _scaled_arrow_matrices(self.rep, i)
@@ -795,7 +820,7 @@ class _Walk:
                 for x in xs:
                     y = [sum(map(mul, row, x)) % p for row in mat]
                     if any(y):
-                        span = f_insert(fj, *span, _to_codes(fj, y))
+                        span = f_insert(fj, *span, to_codes(fj, y))
             self.inbox[j] = span
         return parents
 
@@ -811,10 +836,10 @@ def _plan(rep):
     i, k, kernel_dim, _ = closing or (None,) * 4
     price = 1
     if kernel_dim is not None:
-        price = _subspace_total(quiver.field(k).q, kernel_dim)
+        price = subspace_total(quiver.field(k).q, kernel_dim)
     for x in _walk_order(quiver)[0]:
         if x != i:
-            price *= _subspace_total(quiver.field(x).q, dims[x])
+            price *= subspace_total(quiver.field(x).q, dims[x])
     return price, closing
 
 
@@ -849,22 +874,11 @@ def _adjoint(rep, key):
     adjoint = tuple(zip(*rep.maps[key]))
     if quiver.diag[i] != g:
         _, inverse_i = tower.trace_gram(quiver.diag[i], g)
-        adjoint = f_matmul(field, _block_diagonal(inverse_i, dims[i]), adjoint)
+        adjoint = f_matmul(field, block_diagonal(inverse_i, dims[i]), adjoint)
     if quiver.diag[j] != g:
         gram_j, _ = tower.trace_gram(quiver.diag[j], g)
-        adjoint = f_matmul(field, adjoint, _block_diagonal(gram_j, dims[j]))
+        adjoint = f_matmul(field, adjoint, block_diagonal(gram_j, dims[j]))
     return tuple(map(tuple, adjoint))
-
-
-def _block_diagonal(block, copies):
-    """The square matrix with the given block repeated down its diagonal,
-    as a map of a fiber in subfield coordinates."""
-    e = len(block)
-    return [
-        [block[a][b] if r == c else 0 for c in range(copies) for b in range(e)]
-        for r in range(copies)
-        for a in range(e)
-    ]
 
 
 def count_all_subreps(rep):
@@ -906,8 +920,9 @@ def _evaluation(rep, k):
             width = dims[i] * (quiver.diag[i] // g)
             layout.append((key, g, width, total))
             total += width
+    tower, dk = quiver.tower, quiver.diag[k]
     columns = [
-        quiver.g_to_f(k, g, [row[m] for row in rep.maps[key]])
+        tower.from_subfield(dk, g, [row[m] for row in rep.maps[key]])
         for key, g, width, _ in layout
         for m in range(width)
     ]
@@ -924,8 +939,7 @@ def reflect_sink(rep, k):
     fk = quiver.field(k)
     dk = quiver.diag[k]
     layout, nbig, phi = _evaluation(rep, k)
-    # with a zero fiber at k, one zero equation leaves the whole sum free
-    kernel = f_kernel_basis(fk, phi or [[0] * nbig])
+    kernel = f_kernel_basis(fk, phi, nbig)
     if nbig - len(kernel) < rep.dims[k]:
         raise HasSimpleSummand("the simple at the reflected vertex splits off")
     trace = quiver.tower.relative_trace

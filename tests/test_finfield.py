@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valq import finfield
 from valq.finfield import (
     CapExceeded,
     FiniteField,
@@ -19,11 +20,14 @@ from valq.finfield import (
     f_kernel_basis,
     f_matmul,
     f_matvec,
+    f_preimage,
     f_rank,
     f_rref,
     gaussian_binomial,
     is_prime,
     prime_factors,
+    special_subspaces,
+    to_digits,
 )
 
 from conftest import f_in_span
@@ -332,10 +336,97 @@ class TestLinearAlgebra:
     def test_kernel_is_killed_and_has_right_dimension(self):
         F9 = field(3, 2)
         rows = ((1, 2, 3), (2, 4, 6))
-        basis = f_kernel_basis(F9, rows)
+        basis = f_kernel_basis(F9, rows, 3)
         assert len(basis) == 3 - f_rank(F9, rows)
         for v in basis:
             assert f_matvec(F9, rows, v) == [0, 0]
+
+    def test_kernel_of_no_rows_is_the_whole_space(self):
+        assert f_kernel_basis(field(3, 2), [], 2) == [[1, 0], [0, 1]]
+        assert f_kernel_basis(field(3, 2), [], 0) == []
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2)])
+    def test_preimage_against_every_vector(self, p, d):
+        # the x with M x in span(T), counted over every x, is a space of
+        # q**len(basis) vectors that the basis spans
+        import random
+        from itertools import product
+
+        F = field(p, d)
+        rng = random.Random(p * d)
+        for nrows, ncols in [(0, 2), (2, 0), (1, 3), (2, 2), (3, 2)]:
+            for rank in range(nrows + 1):
+                m = [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(nrows)]
+                t, _ = f_rref(F, [[rng.randrange(F.q) for _ in range(nrows)]
+                                  for _ in range(rank)])
+                basis = f_preimage(F, m, t, ncols)
+                inside = [
+                    x for x in product(range(F.q), repeat=ncols)
+                    if f_in_span(F, t, f_matvec(F, m, x))
+                ]
+                assert len(inside) == F.q ** len(basis)
+                assert f_rank(F, basis) == len(basis)
+                for x in basis:
+                    assert f_in_span(F, t, f_matvec(F, m, x))
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (3, 1), (2, 1)])
+    def test_special_subspaces_against_every_subspace(self, p, d):
+        # W above F is special when some preimage chi^-1(T), a
+        # prime-field space of digit vectors, meets W's digit span
+        # outside F's: dim(W meet J) > dim(F meet J)
+        import random
+
+        F, prime = field(p, d), field(p, 1)
+        rng = random.Random(10 * p + d)
+        n = 3
+
+        def digits(rows):
+            return [
+                to_digits(F, [F.mul(p**s if s else 1, x) for x in row])
+                for row in rows
+                for s in range(d)
+            ]
+
+        def meet(a, b):
+            return f_rank(prime, a) + f_rank(prime, b) - f_rank(prime, a + b)
+
+        seen = 0
+        for _ in range(12):
+            f = rng.randrange(2)
+            forced = f_rref(F, [[rng.randrange(F.q) for _ in range(n)]
+                                for _ in range(f)])
+            maps = []
+            for _ in range(rng.randrange(1, 3)):
+                nrows = rng.randrange(1, 4)
+                chi = [[rng.randrange(p) for _ in range(n * d)]
+                       for _ in range(nrows)]
+                rows, _ = f_rref(prime, [[rng.randrange(p) for _ in range(nrows)]
+                                         for _ in range(rng.randrange(nrows + 1))])
+                maps.append((chi, prime, rows))
+            out = special_subspaces(F, prime, n, forced, maps)
+            preimages = [f_preimage(prime, chi, rows, n * d) for chi, _, rows in maps]
+            base = digits(forced[0])
+            want, total = set(), [0] * (n + 1)
+            for k in range(n + 1):
+                for w in enumerate_subspaces_containing(F, n, k, forced[0]):
+                    total[k] += 1
+                    if any(meet(digits(w), j) > meet(base, j) for j in preimages):
+                        want.add(tuple(map(tuple, f_rref(F, w)[0])))
+            if out is None:
+                continue
+            seen += 1
+            special, shared = out
+            got = set()
+            for w in special:
+                red, _ = f_rref(F, w)
+                assert [list(r) for r in red] == [list(r) for r in w]
+                got.add(tuple(map(tuple, w)))
+            assert got == want
+            assert shared == [
+                total[k] - sum(len(w) == k for w in special)
+                for k in range(len(forced[0]), n + 1)
+            ]
+        assert seen
 
     def test_inverse_round_trip(self):
         F5 = field(5, 1)
@@ -404,9 +495,10 @@ class TestGrassmannian:
             seen.add(tuple(tuple(r) for r in rows))
         assert len(seen) == gaussian_binomial(4, 3, 2)
 
-    def test_cap_enforced(self):
-        with pytest.raises(CapExceeded):
-            list(enumerate_subspaces(field(3, 2), 3, 2, cap=10))
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(finfield, "ENUMERATION_CAP", 10)
+        with pytest.raises(CapExceeded, match="^grassmannian has 91 points$"):
+            list(enumerate_subspaces(field(3, 2), 3, 2))
 
     def test_subspaces_containing_count(self):
         # Subspaces of dimension k through a fixed dimension-j subspace

@@ -6,10 +6,13 @@ library implementation: homs by trying every tuple of vertex-field
 matrices, subrepresentation counts by trying every tuple of subspaces.
 """
 
-from functools import reduce
+import random
+from functools import lru_cache, reduce
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from valq import reps
 from valq.exchange import (
@@ -779,6 +782,14 @@ def subspace_total(q, n):
     return sum(gaussian_binomial(q, n, k) for k in range(n + 1))
 
 
+def tuples(q, dims):
+    """The number of tuples of subspaces that the brute force tries."""
+    total = 1
+    for i, v in enumerate(dims):
+        total *= subspace_total(q.field(i).q, v)
+    return total
+
+
 class TestMixedClose:
     """The close of a last enumerated vertex whose one arrow joins fields
     of different degrees, against brute force and against the walk with
@@ -825,10 +836,6 @@ class TestMixedClose:
         q0 = mixed_quiver(name, p)
         for q in [q0] + [q0.reflected(k) for k in q0.sinks + q0.sources]:
             for dims in vectors:
-                # the brute force tries every tuple of subspaces
-                tuples = 1
-                for i, v in enumerate(dims):
-                    tuples *= subspace_total(q.field(i).q, v)
                 for build in (random_rep, sparse_rep):
                     rep = build(q, dims, rng)
                     for backward in (False, True):
@@ -840,7 +847,7 @@ class TestMixedClose:
                         monkeypatch.setattr(
                             valq.reps, "_closing_vertex", closing_vertex
                         )
-                        if tuples <= 400:
+                        if tuples(q, dims) <= 400:
                             for e, cnt in table.items():
                                 assert cnt == brute_count_subreps(rep, e)
         assert closes
@@ -888,7 +895,7 @@ class TestMixedClose:
         # Counting by the meet with a fixed m-dimensional subspace of an
         # n-space, the inversion of the sums over its subspaces gives
         # back q**((m - j)(a - j)) [m, j] [n - m, a - j].
-        from valq.reps import _meet_counts
+        from valq.finfield import meet_counts
 
         for n in range(5):
             for m in range(n + 1):
@@ -899,8 +906,137 @@ class TestMixedClose:
                     for a in range(n + 1)
                     for j in range(a + 1)
                 }
-                got = {(a, j): c for a, j, c in _meet_counts(q, n, m)}
+                got = {(a, j): c for a, j, c in meet_counts(q, n, m)}
                 assert got == {k: c for k, c in expected.items() if c}
+
+
+def f4_orientations(p):
+    """The 8 orientations of the F4 benchmark matrix, the signs of b_ij
+    and b_ji flipped on each subset of its three edges, each followed by
+    its reflections at its sinks and sources."""
+    diag = minimal_symmetrizer(F4_B)
+    out = []
+    for signs in product((1, -1), repeat=3):
+        b = [list(row) for row in F4_B]
+        for i, s in enumerate(signs):
+            b[i][i + 1] *= s
+            b[i + 1][i] *= s
+        q = ValuedQuiver.from_matrix(b, diag, p)
+        out += [q] + [q.reflected(k) for k in q.sinks + q.sources]
+    return out
+
+
+@lru_cache(maxsize=None)
+def split_quivers(p):
+    """The quivers whose walks split their last enumerated vertex: every
+    orientation of F4 and its reflections, B3 and its reflections, and
+    the Kronecker pair, whose double arrow never splits."""
+    kronecker = ValuedQuiver.from_matrix(((0, 2), (-2, 0)), (1, 1), p)
+    return f4_orientations(p) + orientations("B3", p) + [kronecker]
+
+
+class TestSplit:
+    """At the last vertex P that a walk enumerates, only the subspaces
+    that meet a preimage outside the forced span are sent; the others
+    share the forced span's class.  Checked against the brute force,
+    against the walk that enumerates P whole, and V against D(V), on the
+    quivers of ``split_quivers``."""
+
+    @staticmethod
+    def check(rep):
+        table = count_all_subreps(rep)
+        assert walk(rep) == walk(rep, True) == table
+        for e, cnt in table.items():
+            assert cnt == brute_count_subreps(rep, e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_counts_against_brute_force(self, data):
+        p = data.draw(st.sampled_from((2, 3)), label="p")
+        quivers = split_quivers(p)
+        q = quivers[data.draw(st.integers(0, len(quivers) - 1), label="quiver")]
+        dims = tuple(data.draw(st.integers(0, 3)) for _ in range(q.n))
+        assume(tuples(q, dims) <= 3000)
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        build = data.draw(st.sampled_from((random_rep, sparse_rep)))
+        self.check(build(q, dims, rng))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_counts_against_the_whole_enumeration(self, data):
+        # Boxes too large for the brute force, where P has a nonzero
+        # forced span more often: each walk, of V and of D(V), against
+        # the same walk enumerating every subspace at P.
+        p = data.draw(st.sampled_from((2, 3)), label="p")
+        quivers = split_quivers(p)
+        q = quivers[data.draw(st.integers(0, len(quivers) - 1), label="quiver")]
+        dims = tuple(data.draw(st.integers(1, 4)) for _ in range(q.n))
+        assume(tuples(q, dims) <= 10**5)
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        build = data.draw(st.sampled_from((random_rep, sparse_rep)))
+        rep = build(q, dims, rng)
+        for x in (rep, dual_rep(rep)):
+            split = _Walk(x, _plan(x)[1])
+            whole = _Walk(x, _plan(x)[1])
+            whole.plan = None
+            assert split.table() == whole.table()
+
+    # (shape, orientation of F4, dimension vector): over F_2, the
+    # representation that random_rep draws from random.Random(0) meets
+    # the shape at P in the walk of V or of D(V).
+    SHAPES = [
+        ("forced span", ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -2, 0, -1), (0, 0, 1, 0)),
+         (1, 3, 3, 0)),
+        ("all special", ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -2, 0, -1), (0, 0, 1, 0)),
+         (0, 3, 1, 0)),
+        ("two sinks", ((0, -1, 0, 0), (1, 0, 1, 0), (0, -2, 0, -1), (0, 0, 1, 0)),
+         (1, 2, 2, 0)),
+        ("feeds K", ((0, -1, 0, 0), (1, 0, -1, 0), (0, 2, 0, 1), (0, 0, -1, 0)),
+         (0, 2, 2, 0)),
+    ]
+
+    @pytest.mark.parametrize("shape,b,dims", SHAPES, ids=[c[0] for c in SHAPES])
+    def test_each_shape_splits(self, monkeypatch, shape, b, dims):
+        # a nonzero forced span at P, two sinks fed by P, P feeding the
+        # closing sink K, and every subspace above the forced span special
+        shapes = set()
+        real_split = _Walk._split
+
+        def split(walk, i):
+            out = real_split(walk, i)
+            if out is not None:
+                outs = {j for j, _ in walk.links[i]}
+                if walk.inbox[i][0]:
+                    shapes.add("forced span")
+                if len(outs & set(walk.terminals)) >= 2:
+                    shapes.add("two sinks")
+                if walk.closing is not None and walk.sink in outs:
+                    shapes.add("feeds K")
+                if not any(out[1][1:]):
+                    shapes.add("all special")
+            return out
+
+        monkeypatch.setattr(_Walk, "_split", split)
+        q = ValuedQuiver.from_matrix(b, minimal_symmetrizer(b), 2)
+        self.check(random_rep(q, dims, random.Random(0)))
+        assert shape in shapes
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_double_arrow_enumerates(self, monkeypatch, p):
+        # the two arrows of the Kronecker pair leave P for one target
+        plans = []
+        real_table = _Walk.table
+
+        def table(walk):
+            plans.append(walk.plan)
+            return real_table(walk)
+
+        monkeypatch.setattr(_Walk, "table", table)
+        q = split_quivers(p)[-1]
+        rng = random.Random(p)
+        for dims in product(range(1, 4), repeat=2):
+            self.check(random_rep(q, dims, rng))
+        assert plans and not any(plans)
 
 
 def subfield_vectors(q, i, g, dim):
@@ -1133,9 +1269,9 @@ class TestWorkShape:
         real_init = _Walk.__init__
         real_table = _Walk.table
 
-        def kernel_basis(field, rows):
+        def kernel_basis(field, rows, ncols):
             kernels.append(rows)
-            return real_kernel(field, rows)
+            return real_kernel(field, rows, ncols)
 
         def init(walk, rep, closing):
             built = len(kernels)
@@ -1164,6 +1300,31 @@ class TestWorkShape:
             if walk.kernel is not None:
                 assert len(walk.kernel) == walk.plan[2]
             assert out == _Walk(walk.rep, None).table()
+
+    def test_f4_at_17_sends_few_subspaces_at_its_last_vertex(
+        self, monkeypatch
+    ):
+        # The rigid (1, 2, 3, 2) over F_17 is walked backward, and the
+        # last vertex it enumerates is F_289^2: enumerated, it sends 292
+        # subspaces above 0 and 2 above a line.  Split, it sends the
+        # forced span and the special subspaces of each parent.
+        sent = []
+        real_send = _Walk._send
+
+        def send(walk, i, w):
+            if i == [x for x in walk.enumerated if x != walk.closing][-1]:
+                sent.append(len(w))
+            return real_send(walk, i, w)
+
+        monkeypatch.setattr(_Walk, "_send", send)
+        q = ValuedQuiver.from_matrix(F4_B, minimal_symmetrizer(F4_B), 17)
+        rep = build_rigid_rep(q, (1, 2, 3, 2), rng_seed=0)
+        table = count_all_subreps(rep)
+        assert 0 < len(sent) <= 2 * (17 + 1)
+        sent.clear()
+        monkeypatch.setattr(_Walk, "_split", lambda walk, i: None)
+        assert count_all_subreps(rep) == table
+        assert len(sent) == 294
 
 
 class TestTowerCache:
