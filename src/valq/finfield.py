@@ -588,52 +588,77 @@ def enumerate_subspaces_containing(field, n, k, sub_rows):
         yield lifted
 
 
-def special_subspaces(field, prime, n, forced, maps):
-    """(special, shared) for the subspaces W of field**n above the span F
-    of ``forced``, a reduced echelon basis with its pivots; None when the
-    preimages below hold as many prime-field lines outside F as there
-    are W.
+def special_subspaces(tower, d, n, forced, maps):
+    """(special, shared, raised) for the subspaces W of V = field**n, over
+    the degree-d field of ``tower``, above the span F of ``forced``, a
+    reduced echelon basis with its pivots; None when the preimages below
+    hold, on their cheaper sides, as many prime-field lines as there are W.
 
     ``maps`` holds (chi, target, rows): a prime-field matrix on the digits
-    of field**n and a basis over the field ``target`` of a subspace T.
-    W is special when it meets a preimage chi^-1(T) outside F, so when it
-    contains the span of F and x for a prime-field line x of a preimage
-    outside F.  x and x + y give one span for y in F, so the lines are
-    those of a complement of F in each preimage: the preimage's vectors
-    that raise the rank of F's digit span.  ``special`` lists those W
-    once each, as reduced echelon bases, and shared[a] counts the others
-    of dimension dim F + a.
+    of V and a basis over the field ``target`` of a subspace T.  Each
+    preimage J = chi^-1(T) is read from the side with fewer prime-field
+    lines, and W is special when its meet with J is not the one that side
+    predicts.  Dimensions here are over the prime field.  The primal side
+    is a complement of F in J, of dimension r: the vectors of J that
+    raise the rank of F's digit span.  W is special when it contains F
+    and a line of it; every other W meets J only inside F.  The dual
+    side, taken when 2r > dn for dn that of V / F, is the annihilator K
+    of F + J under the trace pairing sum tr(x_r y_r), of dimension dn - r.
+    W is special when it lies in the hyperplane sum xi_r y_r = 0 of a
+    line xi of K, which contains F; every other W annihilates no vector
+    of K, so W + J = V.  ``special`` lists the special W once each, as
+    reduced echelon bases, and shared[a] counts the others of dimension
+    dim F + a over the field.  ``raised`` holds, for each map, the (s, c)
+    with dim(T + chi(W)) = dim(T + chi(F)) + s a + c over the target on
+    each of those: (d / d_T, 0) on the primal side, and (0, dim K / d_T)
+    on the dual.
     """
+    field, prime = tower.field(d), tower.field(1)
     rows, pivots = forced
     f, p = len(rows), field.p
     shared = [gaussian_binomial(field.q, n - f, a) for a in range(n - f + 1)]
     span = f_rref(prime, digit_span(field, rows))
-    complements, lines = [], 0
+    sides, raised, lines = [], [], 0
     for chi, target, t_rows in maps:
         grown, kept = span, []
-        for y in f_preimage(prime, chi, digit_span(target, t_rows), n * field.d):
+        for y in f_preimage(prime, chi, digit_span(target, t_rows), n * d):
             bigger = f_insert(prime, *grown, y)
             if bigger[0] is not grown[0]:
                 grown = bigger
                 kept.append(y)
+        dual = 2 * len(kept) > d * (n - f)
+        if dual:
+            pairing = block_diagonal(tower.trace_gram(d, 1)[0], n)
+            kept = f_kernel_basis(prime, f_matmul(prime, grown[0], pairing), n * d)
+        raised.append((0, len(kept) // target.d) if dual else (d // target.d, 0))
         lines += (p ** len(kept) - 1) // (p - 1)
         if lines >= sum(shared):
             return None
-        complements.append(kept)
-    spans, special = {}, {}
-    for kept in complements:
+        sides.append((kept, dual))
+    # each special W lies between a span ``low`` and the kernel of ``high``
+    bounds, special = {}, {}
+    for kept, dual in sides:
         for (coeffs,) in enumerate_subspaces(prime, len(kept), 1):
             x = [sum(c * y for c, y in zip(coeffs, col)) % p for col in zip(*kept)]
-            above, _ = f_insert(field, rows, pivots, to_codes(field, x))
-            spans[tuple(map(tuple, above))] = above
-    for above in spans.values():
-        for k in range(len(above), n + 1):
-            for w in enumerate_subspaces_containing(field, n, k, above):
-                red, _ = f_rref(field, w)
+            x = to_codes(field, x)
+            if dual:
+                low, high = rows, f_insert(field, [], [], x)
+            else:
+                low, high = f_insert(field, rows, pivots, x)[0], ([], [])
+            bounds[tuple(map(tuple, low + high[0])), dual] = low, high
+    for low, (high, drop) in bounds.values():
+        # a vector of the kernel is its entries at the free columns times
+        # the kernel basis; with no ``high``, itself
+        basis = f_kernel_basis(field, high, n) if high else None
+        free = [c for c in range(n) if c not in drop]
+        coords = [[y[c] for c in free] for y in low]
+        for k in range(len(low), len(free) + 1):
+            for w in enumerate_subspaces_containing(field, len(free), k, coords):
+                red, _ = f_rref(field, f_matmul(field, w, basis) if high else w)
                 special.setdefault(tuple(map(tuple, red)), red)
     for w in special.values():
         shared[len(w) - f] -= 1
-    return list(special.values()), shared
+    return list(special.values()), shared, raised
 
 
 # -- towers of fields with compatible embeddings --

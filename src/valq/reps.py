@@ -44,12 +44,13 @@ At the last vertex P that the walk enumerates, a subspace W above the
 forced span F reaches its leaf only through ranks dim(T + chi(W)), T
 fixed by the parent: one per sink that P feeds, and the three of a close
 between equal degrees.  When chi is one map, linear over the field of
-its target j, such a rank is dim T + (d_P / d_j) dim W -
-dim(W meet chi^-1(T)).  So every W that meets each preimage chi^-1(T)
-only inside F shares the class of F, each rank raised by
-(d_P / d_j)(dim W - dim F), and counts by Gaussian binomials.  Only the
-special W, those containing F and a prime-field line of a preimage
-outside F, are sent.  P is enumerated whole when an arrow from it is
+its target j, such a rank is dim T + (d_P / d_j) dim W - dim(W meet J)
+for the preimage J = chi^-1(T).  Each J is read from the side with
+fewer prime-field lines (``special_subspaces``): J, where a W meeting J
+only inside F raises the rank by (d_P / d_j)(dim W - dim F), or its
+annihilator, where a W with W + J = V_P reads the rank of V_P.  Such W
+share the class of F, so raised, and count by Gaussian binomials; only
+the special W are sent.  P is enumerated whole when an arrow from it is
 one of several to its target or leads to a degree that does not divide
 d_P, when P feeds both C and K, when the close joins two degrees, when
 V_P / F has dimension below 2, and when the preimages hold as many
@@ -537,7 +538,7 @@ class _Walk:
     Each leaf adds one to its class (``_key``), which ``leaves`` expands
     at a close.  The last vertex P that is enumerated sends only its
     special subspaces (``_split``); the others share the class of P's
-    forced span, shifted by their dimension (``_split_plan``).
+    forced span, raised at the slots of ``_split_plan`` per dimension.
     """
 
     def __init__(self, rep, closing):
@@ -585,15 +586,19 @@ class _Walk:
                 path.pop()
                 self.inbox.update(parents)
             if split is not None:
-                # the others share the class of the forced span, shifted
+                # the others share the class of the forced span, raised
+                # by (s, c) at each slot for each dimension a above it
                 forced = self.inbox[i][0]
                 parents = self._send(i, forced)
                 key = self._key(path + [len(forced)])
                 self.inbox.update(parents)
+                slots = [len(path)] + [slot for slot, *_ in self.plan[1]]
                 for a, count in enumerate(split[1]):
                     if count:
-                        shift = zip(key, self.plan[1])
-                        classes[tuple(x + a * s for x, s in shift)] += count
+                        cls = list(key)
+                        for slot, (s, c) in zip(slots, [(1, 0)] + split[2]):
+                            cls[slot] += s * a + c
+                        classes[tuple(cls)] += count
 
         recurse(0)
         if self.closing is None:
@@ -683,14 +688,13 @@ class _Walk:
         return span, whole
 
     def _split_plan(self):
-        """(P, shift, ranks) for the last vertex P that the walk
-        enumerates, or None when P is always enumerated whole (see the
-        module docstring).  ``ranks`` holds (slot, j, which, chi): the
-        slot of the class that reads dim(T + chi(W)), for the prime-field
-        matrix chi of the arrow to j and T the span j received (which is
-        None), or T_K + psi(G) (0) or T_K + psi(V_C) (1), pulled back by
-        psi when j is C.  ``shift`` is what each slot of a class gains
-        per dimension of W.
+        """(P, ranks) for the last vertex P that the walk enumerates, or
+        None when P is always enumerated whole (see the module
+        docstring).  ``ranks`` holds (slot, j, which, chi): the slot of
+        the class that reads dim(T + chi(W)), for the prime-field matrix
+        chi of the arrow to j and T the span j received (which is None),
+        or T_K + psi(G) (0) or T_K + psi(V_C) (1), pulled back by psi
+        when j is C.
         """
         quiver = self.quiver
         path = [i for i in self.enumerated if i != self.closing]
@@ -714,11 +718,7 @@ class _Walk:
                 ranks.append((at[j], j, None, chi))
             if j == c:
                 ranks.append((at[k], c, 0, chi))
-        shift = [0] * (at[c] + 2 * (c is not None))
-        shift[len(path) - 1] = 1
-        for slot, j, _, _ in ranks:
-            shift[slot] = d // quiver.diag[j]
-        return i, shift, ranks
+        return i, ranks
 
     def _split(self, i):
         """``special_subspaces`` of the last enumerated vertex i for the
@@ -731,14 +731,14 @@ class _Walk:
             return None
         close = self._close_spans() if self.closing is not None else None
         maps = []
-        for _, j, which, chi in self.plan[2]:
+        for _, j, which, chi in self.plan[1]:
             rows = (self.inbox[j] if which is None else close[which])[0]
             if which is not None and j == self.closing:
                 psi = rep.maps[(j, self.sink, 0)]
                 rows = f_preimage(quiver.field(j), psi, rows, rep.dims[j])
             maps.append((chi, quiver.field(j), rows))
-        prime = quiver.tower.field(1)
-        return special_subspaces(quiver.field(i), prime, rep.dims[i], forced, maps)
+        d, n = quiver.diag[i], rep.dims[i]
+        return special_subspaces(quiver.tower, d, n, forced, maps)
 
     def _mixed_close(self, i, k, forced):
         """(dim W, rank at k, count) when the arrow phi from i to k joins

@@ -1,5 +1,6 @@
 """Finite fields, towers of embeddings, and subspace enumeration."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from valq.finfield import (
     NotPrime,
     _smallest_modulus,
     build_tower,
+    digit_span,
     enumerate_subspaces,
     enumerate_subspaces_containing,
     f_insert,
@@ -371,12 +373,14 @@ class TestLinearAlgebra:
 
     @pytest.mark.parametrize("p,d", [(2, 2), (3, 1), (2, 1)])
     def test_special_subspaces_against_every_subspace(self, p, d):
-        # W above F is special when some preimage chi^-1(T), a
-        # prime-field space of digit vectors, meets W's digit span
-        # outside F's: dim(W meet J) > dim(F meet J)
+        # Each preimage J = chi^-1(T), a prime-field space of digit
+        # vectors, is read from its cheaper side.  W above F is special
+        # on the primal side when it meets J outside F, and on the dual
+        # side when W + J is not everything.
         import random
 
         F, prime = field(p, d), field(p, 1)
+        tower = build_tower(p, (d,))
         rng = random.Random(10 * p + d)
         n = 3
 
@@ -403,19 +407,30 @@ class TestLinearAlgebra:
                 rows, _ = f_rref(prime, [[rng.randrange(p) for _ in range(nrows)]
                                          for _ in range(rng.randrange(nrows + 1))])
                 maps.append((chi, prime, rows))
-            out = special_subspaces(F, prime, n, forced, maps)
+            out = special_subspaces(tower, d, n, forced, maps)
             preimages = [f_preimage(prime, chi, rows, n * d) for chi, _, rows in maps]
             base = digits(forced[0])
+            free = d * (n - len(base) // d)
+            dual = [
+                2 * (f_rank(prime, base + j) - len(base)) > free for j in preimages
+            ]
             want, total = set(), [0] * (n + 1)
             for k in range(n + 1):
                 for w in enumerate_subspaces_containing(F, n, k, forced[0]):
                     total[k] += 1
-                    if any(meet(digits(w), j) > meet(base, j) for j in preimages):
+                    ws = digits(w)
+                    if any(
+                        f_rank(prime, ws + j) < n * d
+                        if side
+                        else meet(ws, j) > meet(base, j)
+                        for j, side in zip(preimages, dual)
+                    ):
                         want.add(tuple(map(tuple, f_rref(F, w)[0])))
             if out is None:
                 continue
             seen += 1
-            special, shared = out
+            special, shared, raised = out
+            assert [s == 0 for s, _ in raised] == dual
             got = set()
             for w in special:
                 red, _ = f_rref(F, w)
@@ -445,6 +460,106 @@ class TestLinearAlgebra:
         rows = ((1, 1, 0), (0, 1, 1))
         assert f_in_span(F2, rows, (1, 0, 1))
         assert not f_in_span(F2, rows, (1, 0, 0))
+
+
+class TestSpecialSubspaces:
+    """``special_subspaces`` against the whole enumeration above F, with
+    each preimage J = chi^-1(J) for chi the identity.  Its special
+    subspaces, each read directly, and its shared counts, read at the
+    meets that ``raised`` gives, make the histogram of (dim W, dim(W
+    meet J_1), ..., dim(W meet J_m)) over every W above F."""
+
+    @staticmethod
+    def check(p, e, n, forced, spaces):
+        """The sides ``raised`` chose, or None when every W is sent."""
+        tower = build_tower(p, (e,))
+        F, prime = tower.field(e), tower.field(1)
+        identity = [[int(r == c) for c in range(n * e)] for r in range(n * e)]
+        maps = [(identity, prime, f_rref(prime, j)[0]) for j in spaces]
+        forced = f_rref(F, forced)
+        out = special_subspaces(tower, e, n, forced, maps)
+        if out is None:
+            return None
+        special, shared, raised = out
+
+        def meets(rows):
+            ws = digit_span(F, rows)
+            return (len(rows),) + tuple(
+                f_rank(prime, ws) + f_rank(prime, j) - f_rank(prime, ws + j)
+                for j in spaces
+            )
+
+        want = Counter(
+            meets(w)
+            for k in range(n + 1)
+            for w in enumerate_subspaces_containing(F, n, k, forced[0])
+        )
+        got = Counter(meets(w) for w in special)
+        f, *base = meets(forced[0])
+        for a, count in enumerate(shared):
+            # dim(W meet J) = e dim W + dim J - dim(W + J), and dim(W + J)
+            # = dim(F + J) + s a + c over the prime field
+            key = tuple(m + e * a - s * a - c for m, (s, c) in zip(base, raised))
+            got[(f + a,) + key] += count
+        assert got == want
+        assert len(special) == len({tuple(map(tuple, w)) for w in special})
+        return ["dual" if s == 0 else "primal" for s, _ in raised]
+
+    @staticmethod
+    def space(kind, p, dim, rng):
+        """A prime-field subspace of F_p^dim: zero, everything, a
+        hyperplane, or the span of random vectors."""
+        if kind == "zero":
+            return []
+        if kind == "everything":
+            return [[int(r == c) for c in range(dim)] for r in range(dim)]
+        if kind == "hyperplane":
+            form = [rng.randrange(p) for _ in range(dim - 1)] + [1]
+            rng.shuffle(form)
+            return f_kernel_basis(field(p, 1), [form], dim)
+        return [
+            [rng.randrange(p) for _ in range(dim)]
+            for _ in range(rng.randrange(dim + 1))
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_against_the_whole_enumeration(self, data):
+        import random
+
+        p = data.draw(st.sampled_from((2, 3)), label="p")
+        e = data.draw(st.sampled_from((1, 2, 3)), label="e")
+        n = data.draw(st.integers(1, 3), label="n")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        f = data.draw(st.integers(0, n), label="forced rows")
+        forced = [[rng.randrange(p**e) for _ in range(n)] for _ in range(f)]
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from(("zero", "everything", "hyperplane", "random")),
+                min_size=1,
+                max_size=3,
+            ),
+            label="kinds",
+        )
+        self.check(p, e, n, forced, [self.space(k, p, n * e, rng) for k in kinds])
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 3)])
+    def test_one_parent_reads_both_sides(self, p, e):
+        # above a line F of a 3-space, a line of J is tested from J and a
+        # hyperplane from its annihilator, a line; zero and everything
+        # mark nothing special
+        import random
+
+        rng = random.Random(p * e)
+        forced = [[1, rng.randrange(p**e), rng.randrange(p**e)]]
+        spaces = [
+            self.space("hyperplane", p, 3 * e, rng),
+            [[rng.randrange(p) for _ in range(3 * e)]],
+            self.space("zero", p, 3 * e, rng),
+            self.space("everything", p, 3 * e, rng),
+        ]
+        sides = self.check(p, e, 3, forced, spaces)
+        assert sides == ["dual", "primal", "primal", "dual"]
 
 
 class TestGrassmannian:

@@ -945,7 +945,9 @@ class TestSplit:
     @staticmethod
     def check(rep):
         table = count_all_subreps(rep)
-        assert walk(rep) == walk(rep, True) == table
+        whole = _Walk(rep, _plan(rep)[1])
+        whole.plan = None
+        assert walk(rep) == walk(rep, True) == whole.table() == table
         for e, cnt in table.items():
             assert cnt == brute_count_subreps(rep, e)
 
@@ -981,14 +983,19 @@ class TestSplit:
             whole.plan = None
             assert split.table() == whole.table()
 
-    # (shape, orientation of F4, dimension vector): over F_2, the
+    # (shape, exchange matrix, dimension vector): over F_2, the
     # representation that random_rep draws from random.Random(0) meets
-    # the shape at P in the walk of V or of D(V).
+    # the shape at P in the walk of V or of D(V).  Every subspace above
+    # the forced span is special only when the preimages cover every
+    # line, which needs several arrows out of P: here four, from the
+    # center of a star to the sinks, whose kernels are lines.
     SHAPES = [
         ("forced span", ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -2, 0, -1), (0, 0, 1, 0)),
          (1, 3, 3, 0)),
-        ("all special", ((0, 1, 0, 0), (-1, 0, 1, 0), (0, -2, 0, -1), (0, 0, 1, 0)),
-         (0, 3, 1, 0)),
+        ("all special", ((0, -1, -1, -1, -1),) + ((1, 0, 0, 0, 0),) * 4,
+         (2, 1, 1, 2, 1)),
+        ("dual preimage", ((0, -1, 0, 0), (1, 0, 1, 0), (0, -2, 0, -1), (0, 0, 1, 0)),
+         (2, 2, 1, 0)),
         ("two sinks", ((0, -1, 0, 0), (1, 0, 1, 0), (0, -2, 0, -1), (0, 0, 1, 0)),
          (1, 2, 2, 0)),
         ("feeds K", ((0, -1, 0, 0), (1, 0, -1, 0), (0, 2, 0, 1), (0, 0, -1, 0)),
@@ -998,7 +1005,8 @@ class TestSplit:
     @pytest.mark.parametrize("shape,b,dims", SHAPES, ids=[c[0] for c in SHAPES])
     def test_each_shape_splits(self, monkeypatch, shape, b, dims):
         # a nonzero forced span at P, two sinks fed by P, P feeding the
-        # closing sink K, and every subspace above the forced span special
+        # closing sink K, every subspace above the forced span special,
+        # and a preimage read from its annihilator, a line
         shapes = set()
         real_split = _Walk._split
 
@@ -1014,6 +1022,8 @@ class TestSplit:
                     shapes.add("feeds K")
                 if not any(out[1][1:]):
                     shapes.add("all special")
+                if any(s == 0 < c for s, c in out[2]):
+                    shapes.add("dual preimage")
             return out
 
         monkeypatch.setattr(_Walk, "_split", split)
@@ -1301,13 +1311,11 @@ class TestWorkShape:
                 assert len(walk.kernel) == walk.plan[2]
             assert out == _Walk(walk.rep, None).table()
 
-    def test_f4_at_17_sends_few_subspaces_at_its_last_vertex(
-        self, monkeypatch
-    ):
-        # The rigid (1, 2, 3, 2) over F_17 is walked backward, and the
-        # last vertex it enumerates is F_289^2: enumerated, it sends 292
-        # subspaces above 0 and 2 above a line.  Split, it sends the
-        # forced span and the special subspaces of each parent.
+    @staticmethod
+    def sends_at_last_vertex(monkeypatch, dims):
+        """How many subspaces the walk of the rigid representation of
+        dimension ``dims`` of F4 over F_17 sends at the last vertex it
+        enumerates, split and then enumerated whole, with equal tables."""
         sent = []
         real_send = _Walk._send
 
@@ -1318,13 +1326,37 @@ class TestWorkShape:
 
         monkeypatch.setattr(_Walk, "_send", send)
         q = ValuedQuiver.from_matrix(F4_B, minimal_symmetrizer(F4_B), 17)
-        rep = build_rigid_rep(q, (1, 2, 3, 2), rng_seed=0)
+        rep = build_rigid_rep(q, dims, rng_seed=0)
         table = count_all_subreps(rep)
-        assert 0 < len(sent) <= 2 * (17 + 1)
+        split = len(sent)
         sent.clear()
         monkeypatch.setattr(_Walk, "_split", lambda walk, i: None)
         assert count_all_subreps(rep) == table
-        assert len(sent) == 294
+        return split, len(sent)
+
+    def test_f4_at_17_sends_few_subspaces_at_its_last_vertex(
+        self, monkeypatch
+    ):
+        # The rigid (1, 2, 3, 2) over F_17 is walked backward, and the
+        # last vertex it enumerates is F_289^2: enumerated, it sends 292
+        # subspaces above 0 and 2 above a line.  Split, it sends the
+        # forced span and the special subspaces of each parent.
+        split, whole = self.sends_at_last_vertex(monkeypatch, (1, 2, 3, 2))
+        assert 0 < split <= 2 * (17 + 1)
+        assert whole == 294
+
+    def test_f4_hyperplane_preimage_sends_few_subspaces_at_17(
+        self, monkeypatch
+    ):
+        # The rigid (1, 2, 3, 1) is walked backward over the same vertex.
+        # Above 0, one preimage there is a prime-field hyperplane, which
+        # meets every line, so read from its own side it marks all 292
+        # subspaces special.  Read from its annihilator, a line, it marks
+        # 0 and one line; the walk sends those, a line of the other
+        # preimage, the whole space and 0 again, then 2 above a line.
+        split, whole = self.sends_at_last_vertex(monkeypatch, (1, 2, 3, 1))
+        assert 0 < split <= 8
+        assert whole == 294
 
 
 class TestTowerCache:
