@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .exchange import framed_star_matrix
-from .qtorus import QTorusElem, QuantumSeed
+from .qtorus import QTorusElem
 from .reps import count_all_subreps, euler_form
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17)
@@ -150,7 +150,9 @@ def character_in_seed(qseed, v, polys):
     """Assemble the character of v using a quantum seed's own frame.
 
     Negative mutable exponents are handled by multiplying through with
-    a frame monomial and dividing back out exactly at the end.
+    a frame monomial and dividing back out exactly at the end.  Every
+    frame monomial is read from the seed's memo (``QuantumSeed.frame``),
+    so the characters assembled in one seed build each frame once.
     """
     cur = qseed.current
     n = cur.n
@@ -177,19 +179,18 @@ def character_in_seed(qseed, v, polys):
     acc = QTorusElem.zero(qseed.initial.lam)
     for a, coeffs, shift in terms:
         shifted = tuple(x + m for x, m in zip(a, clear))
-        piece = qseed.frame_monomial(shifted)
+        piece = qseed.frame(shifted)
         coeff = _poly_to_qcoeff(coeffs, shift + cur.lam_pairing(a, clear))
         acc = acc + piece.scale(coeff)
     if all(m == 0 for m in clear):
         return acc
-    return acc.div_right(qseed.frame_monomial(clear))
+    return acc.div_right(qseed.frame(clear))
 
 
-def generic_character(data, reps):
+def generic_character(qseed, reps):
     """Character of the rigid representations ``reps`` (one per prime,
-    as for ``counting_polynomials``), expressed in the initial quantum
-    torus."""
-    v = reps[0].dims
-    polys = counting_polynomials(reps)
-    return character_in_seed(QuantumSeed.initial_seed(data), v, polys)
+    as for ``counting_polynomials``), assembled in the initial quantum
+    seed ``qseed``, whose frame monomials it shares with every other
+    character assembled there."""
+    return character_in_seed(qseed, reps[0].dims, counting_polynomials(reps))
 

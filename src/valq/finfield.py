@@ -588,30 +588,55 @@ def enumerate_subspaces_containing(field, n, k, sub_rows):
         yield lifted
 
 
+def _basis_over(field, prime, span, vectors, units):
+    """(grown, kept) for ``span``, a reduced echelon basis over the prime
+    field of a space of digit vectors of ``field``, and ``vectors``, digit
+    vectors: ``kept`` lists, as codes, each vector that lies outside the
+    span grown so far, and ``grown`` is that span with the products of
+    each kept vector by each of ``units``, a prime-field basis of a
+    subfield E.  When the span and the vectors' span are E-linear, a kept
+    vector's nonzero E-multiples all lie outside the span before it, so
+    ``kept`` is an E-basis of a complement of the span in their sum."""
+    kept = []
+    for y in vectors:
+        bigger = f_insert(prime, *span, y)
+        if bigger[0] is span[0]:
+            continue
+        x = to_codes(field, y)
+        kept.append(x)
+        for u in units[1:]:
+            y = to_digits(field, _scale(field, u, x))
+            bigger = f_insert(prime, *bigger, y)
+        span = bigger
+    return span, kept
+
+
 def special_subspaces(tower, d, n, forced, maps):
     """(special, shared, raised) for the subspaces W of V = field**n, over
     the degree-d field of ``tower``, above the span F of ``forced``, a
     reduced echelon basis with its pivots; None when the preimages below
-    hold, on their cheaper sides, as many prime-field lines as there are W.
+    hold, on their cheaper sides, as many lines as there are W.
 
     ``maps`` holds (chi, target, rows): a prime-field matrix on the digits
-    of V and a basis over the field ``target`` of a subspace T.  Each
-    preimage J = chi^-1(T) is read from the side with fewer prime-field
-    lines, and W is special when its meet with J is not the one that side
-    predicts.  Dimensions here are over the prime field.  The primal side
-    is a complement of F in J, of dimension r: the vectors of J that
-    raise the rank of F's digit span.  W is special when it contains F
-    and a line of it; every other W meets J only inside F.  The dual
-    side, taken when 2r > dn for dn that of V / F, is the annihilator K
-    of F + J under the trace pairing sum tr(x_r y_r), of dimension dn - r.
-    W is special when it lies in the hyperplane sum xi_r y_r = 0 of a
-    line xi of K, which contains F; every other W annihilates no vector
-    of K, so W + J = V.  ``special`` lists the special W once each, as
-    reduced echelon bases, and shared[a] counts the others of dimension
-    dim F + a over the field.  ``raised`` holds, for each map, the (s, c)
-    with dim(T + chi(W)) = dim(T + chi(F)) + s a + c over the target on
-    each of those: (d / d_T, 0) on the primal side, and (0, dim K / d_T)
-    on the dual.
+    of V, linear over the target's field E, and a basis over E of a
+    subspace T.  Each preimage J = chi^-1(T) is read from the side with
+    fewer E-lines, and W is special when its meet with J is not the one
+    that side predicts.  J, F + J and every space below are E-linear,
+    and two vectors on one E-line mark the same W, so each side is read
+    by its E-lines.  Dimensions here are over the prime field.  The
+    primal side is an E-linear complement of F in J, of dimension r: the
+    vectors of J that raise the rank of F's digit span.  W is special
+    when it contains F and a line of it; every other W meets J only
+    inside F.  The dual side, taken when 2r > dn for dn that of
+    V / F, is the annihilator K of F + J under the trace pairing sum
+    tr(x_r y_r), of dimension dn - r.  W is special when it lies in the
+    hyperplane sum xi_r y_r = 0 of a line xi of K, which contains F;
+    every other W annihilates no vector of K, so W + J = V.  ``special``
+    lists the special W once each, as reduced echelon bases, and shared[a]
+    counts the others of dimension dim F + a over the field.  ``raised``
+    holds, for each map, the (s, c) with dim(T + chi(W)) = dim(T + chi(F))
+    + s a + c over the target on each of those: (d / d_T, 0) on the
+    primal side, and (0, dim K / d_T) on the dual.
     """
     field, prime = tower.field(d), tower.field(1)
     rows, pivots = forced
@@ -620,27 +645,32 @@ def special_subspaces(tower, d, n, forced, maps):
     span = f_rref(prime, digit_span(field, rows))
     sides, raised, lines = [], [], 0
     for chi, target, t_rows in maps:
-        grown, kept = span, []
-        for y in f_preimage(prime, chi, digit_span(target, t_rows), n * d):
-            bigger = f_insert(prime, *grown, y)
-            if bigger[0] is not grown[0]:
-                grown = bigger
-                kept.append(y)
-        dual = 2 * len(kept) > d * (n - f)
+        g = target.d
+        # 1, t, ..., t**(g-1) of the target's field, in the field at V
+        units = [tower.embed(g, d, p**l if l else 1) for l in range(g)]
+        preimage = f_preimage(prime, chi, digit_span(target, t_rows), n * d)
+        grown, kept = _basis_over(field, prime, span, preimage, units)
+        dual = 2 * g * len(kept) > d * (n - f)
         if dual:
             pairing = block_diagonal(tower.trace_gram(d, 1)[0], n)
-            kept = f_kernel_basis(prime, f_matmul(prime, grown[0], pairing), n * d)
-        raised.append((0, len(kept) // target.d) if dual else (d // target.d, 0))
-        lines += (p ** len(kept) - 1) // (p - 1)
+            annihilator = f_kernel_basis(
+                prime, f_matmul(prime, grown[0], pairing), n * d
+            )
+            _, kept = _basis_over(field, prime, ([], []), annihilator, units)
+        raised.append((0, len(kept)) if dual else (d // g, 0))
+        lines += (target.q ** len(kept) - 1) // (target.q - 1)
         if lines >= sum(shared):
             return None
-        sides.append((kept, dual))
+        sides.append((kept, target, dual))
     # each special W lies between a span ``low`` and the kernel of ``high``
     bounds, special = {}, {}
-    for kept, dual in sides:
-        for (coeffs,) in enumerate_subspaces(prime, len(kept), 1):
-            x = [sum(c * y for c, y in zip(coeffs, col)) % p for col in zip(*kept)]
-            x = to_codes(field, x)
+    for kept, target, dual in sides:
+        for (coeffs,) in enumerate_subspaces(target, len(kept), 1):
+            x = [0] * n
+            for c, y in zip(coeffs, kept):
+                if c:
+                    c = tower.embed(target.d, d, c)
+                    x = [field.add(a, b) for a, b in zip(x, _scale(field, c, y))]
             if dual:
                 low, high = rows, f_insert(field, [], [], x)
             else:

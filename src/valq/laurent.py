@@ -175,8 +175,9 @@ class SparseTerms:
     exact exponent box instead, the sum of its factors' boxes, and raises
     ``ExponentOverflow`` only if that box leaves the range.  A ring
     supplies its arithmetic, ``one``, ``render``, ``ring`` (what equal
-    elements share), ``_like`` (an element over trusted terms and bound)
-    and ``_coeff_inverse`` (a unit's inverse, else ``InexactDivision``).
+    elements share), ``_like`` (an element over trusted terms and bound),
+    ``_coeff_inverse`` (a unit's inverse, else ``InexactDivision``) and a
+    ``_mins`` slot, None until ``min_exponents`` fills it.
     Both rings are domains, so the least and greatest exponent of a
     product in each variable are the sums of its factors'."""
 
@@ -248,10 +249,14 @@ class SparseTerms:
             x = x * x
 
     def min_exponents(self):
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no exponent range")
-        lay = _layout(self.nvars)
-        return lay.unpack(lay.corners(self.terms)[0])
+        """The least exponent of each variable, computed on first use and
+        kept, as the terms never change."""
+        if self._mins is None:
+            if not self.terms:
+                raise ZeroPolynomial("zero polynomial has no exponent range")
+            lay = _layout(self.nvars)
+            self._mins = lay.unpack(lay.corners(self.terms)[0])
+        return self._mins
 
     def denominator_vector(self, upto=None):
         """Negated minimal exponent per variable, restricted to the first
@@ -322,7 +327,7 @@ class SparseTerms:
 class LaurentPoly(SparseTerms):
     """Integer Laurent polynomial in ``nvars`` commuting variables."""
 
-    __slots__ = ("nvars", "terms", "_bound", "_hash")
+    __slots__ = ("nvars", "terms", "_bound", "_hash", "_sort_key", "_mins")
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
@@ -343,7 +348,7 @@ class LaurentPoly(SparseTerms):
         pack = _layout(self.nvars).pack
         self.terms = {pack(exp): c for exp, c in clean.items()}
         self._bound = max((abs(e) for exp in clean for e in exp), default=0)
-        self._hash = None
+        self._hash = self._sort_key = self._mins = None
 
     @classmethod
     def _trusted(cls, nvars, terms, bound):
@@ -354,7 +359,7 @@ class LaurentPoly(SparseTerms):
         out.nvars = nvars
         out.terms = terms
         out._bound = bound
-        out._hash = None
+        out._hash = out._sort_key = out._mins = None
         return out
 
     @classmethod
@@ -419,8 +424,11 @@ class LaurentPoly(SparseTerms):
         return self._hash
 
     def sort_key(self):
-        """A total order on the polynomials of one ring, from their terms."""
-        return tuple(sorted(self.terms.items()))
+        """A total order on the polynomials of one ring, from their terms;
+        kept like the hash."""
+        if self._sort_key is None:
+            self._sort_key = tuple(sorted(self.terms.items()))
+        return self._sort_key
 
     def coefficient(self, exp):
         exp = tuple(int(e) for e in exp)

@@ -41,8 +41,11 @@ the quantum one at u = 1, where its unit lead +-u^k is +-1, so it leads
 at the same exponent and fixes the same L_t.
 
 Seeds mutated from one initial seed share the exchange relations already
-divided, and a frame monomial folds its basis-monomial factors into one
-basis element.
+divided.  A frame monomial folds its basis-monomial factors into one
+basis element, with the twist between two of them, a_j^T L a_i, read
+off the seed's form as lambda_ji, since a basis monomial X^a leads at a.
+A quantum seed keeps each frame monomial that character assembly asks
+of it (``QuantumSeed.frame``): its cluster and form fix every one.
 """
 
 from operator import attrgetter, itemgetter, mul
@@ -202,7 +205,8 @@ class QTorusElem(SparseTerms):
     """
 
     __slots__ = (
-        "lam", "nvars", "terms", "_bound", "_w", "_l1max", "_l1sum", "_hash"
+        "lam", "nvars", "terms", "_bound", "_w", "_l1max", "_l1sum", "_hash",
+        "_sort_key", "_mins",
     )
 
     def __init__(self, lam, terms, bound, w, l1max, l1sum):
@@ -213,7 +217,7 @@ class QTorusElem(SparseTerms):
         self._w = w
         self._l1max = l1max
         self._l1sum = l1sum
-        self._hash = None
+        self._hash = self._sort_key = self._mins = None
 
     @classmethod
     def zero(cls, lam):
@@ -499,8 +503,10 @@ class QTorusElem(SparseTerms):
 
     def sort_key(self):
         """A total order on the elements of one torus, from their width
-        and packed terms."""
-        return self._w, tuple(sorted(self.terms.items()))
+        and packed terms; kept like the hash."""
+        if self._sort_key is None:
+            self._sort_key = self._w, tuple(sorted(self.terms.items()))
+        return self._sort_key
 
     def render(self):
         if not self.terms:
@@ -621,9 +627,15 @@ class Seed(FrozenRecord):
 
 class QuantumSeed(Seed):
     """A quantum seed with variables expanded in the initial torus, whose
-    skew form ``initial.lam`` fixes the ambient torus."""
+    skew form ``initial.lam`` fixes the ambient torus.  ``frames`` keeps
+    the frame monomials that ``frame`` built, by exponent; equality, hash
+    and repr ignore it."""
 
-    __slots__ = ()
+    __slots__ = ("frames",)
+
+    def __init__(self, initial, current, variables, history=(), exchanges=None):
+        super().__init__(initial, current, variables, history, exchanges)
+        object.__setattr__(self, "frames", {})
 
     @classmethod
     def initial_seed(cls, data):
@@ -636,6 +648,14 @@ class QuantumSeed(Seed):
         )
         return cls(initial=data, current=data, variables=variables)
 
+    def frame(self, c):
+        """``frame_monomial(c)`` for an exponent tuple c, built on the
+        seed's first request and kept: the cluster and its form fix it."""
+        out = self.frames.get(c)
+        if out is None:
+            out = self.frames[c] = self.frame_monomial(c)
+        return out
+
     def frame_monomial(self, c):
         """The bar-invariant ordered monomial of the current cluster,
         u^-t X_1^c_1 ... X_2n^c_2n with t the sum over i < j of
@@ -646,11 +666,13 @@ class QuantumSeed(Seed):
 
         The factors whose variable is still a basis monomial X^a with
         coefficient 1 fold into one basis element in front of the
-        others.  Variables of one cluster quasi-commute, X_i X_j =
-        u^(2 lambda_ij) X_j X_i, so moving X_i^c_i left past X_j^c_j
-        pays u^(2 lambda_ji c_j c_i).  Only the other factors are
-        multiplied, in order, and the folded element translates their
-        product.
+        others.  Two such factors multiply as X^(c_j a_j) X^(c_i a_i) =
+        u^(c_j c_i lambda_ji) X^(c_j a_j + c_i a_i), since lambda_ji =
+        a_j^T L a_i (module docstring).  Variables of one cluster
+        quasi-commute, X_i X_j = u^(2 lambda_ij) X_j X_i, so moving
+        X_i^c_i left past X_j^c_j pays u^(2 lambda_ji c_j c_i).  Only the
+        other factors are multiplied, in order, and the folded element
+        translates their product.
         """
         c = tuple(int(x) for x in c)
         size = 2 * self.current.n
@@ -665,18 +687,17 @@ class QuantumSeed(Seed):
                         twist += lam[i][j] * c[i] * c[j]
         shift = -twist
         folded = (0,) * size
-        rest = []
+        basis, rest = [], []
         for i in range(size):
             if not c[i]:
                 continue
-            var = self.variables[i]
-            a = var.basis_exponent()
+            a = self.variables[i].basis_exponent()
             if a is None:
                 rest.append(i)
                 continue
-            # X^folded * X^(c_i a) = u^(c_i folded^T L a) X^(folded + c_i a)
-            shift += c[i] * sum(map(mul, folded, var._lam_dot(a)))
+            shift += c[i] * sum(lam[j][i] * c[j] for j in basis)
             shift += 2 * c[i] * sum(lam[j][i] * c[j] for j in rest)
+            basis.append(i)
             folded = tuple(x + c[i] * y for x, y in zip(folded, a))
         out = None
         for j in rest:

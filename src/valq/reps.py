@@ -45,16 +45,17 @@ forced span F reaches its leaf only through ranks dim(T + chi(W)), T
 fixed by the parent: one per sink that P feeds, and the three of a close
 between equal degrees.  When chi is one map, linear over the field of
 its target j, such a rank is dim T + (d_P / d_j) dim W - dim(W meet J)
-for the preimage J = chi^-1(T).  Each J is read from the side with
-fewer prime-field lines (``special_subspaces``): J, where a W meeting J
-only inside F raises the rank by (d_P / d_j)(dim W - dim F), or its
-annihilator, where a W with W + J = V_P reads the rank of V_P.  Such W
+for the preimage J = chi^-1(T).  Each J, linear over the field at j,
+is read from the side with fewer lines over that field
+(``special_subspaces``): J, where a W meeting J only inside F raises
+the rank by (d_P / d_j)(dim W - dim F), or its annihilator, where a W
+with W + J = V_P reads the rank of V_P.  Such W
 share the class of F, so raised, and count by Gaussian binomials; only
 the special W are sent.  P is enumerated whole when an arrow from it is
 one of several to its target or leads to a degree that does not divide
 d_P, when P feeds both C and K, when the close joins two degrees, when
 V_P / F has dimension below 2, and when the preimages hold as many
-prime-field lines as there are subspaces above F.
+lines as there are subspaces above F.
 
 The dual representation D(V), over the opposite quiver, has a
 subrepresentation of dimension v - e for each one of V of dimension e
@@ -71,7 +72,9 @@ dimension vector.  The price does not read whether P splits.
 
 What every count re-derives is built once, by exact identities only.  A
 quiver keeps its opposite and its reflections, the opposite of the
-opposite and a reflection reflected back being the quiver itself.  A
+opposite and a reflection reflected back being the quiver itself, and a
+representation keeps its dual, the dual of the dual being itself; so a
+reflection at a source, D S^+ D, hands its count the dual it holds.  A
 walk builds the arrow matrices of a vertex on its first send, and those
 of P, which the split reads, when it starts.  The dual multiplies by no
 Gram matrix of a trace form at an end whose degree is the arrow's
@@ -218,10 +221,14 @@ class ValuedQuiver:
 
 
 class ValuedRep:
-    """Dimension vector plus one subfield-linear matrix per arrow."""
+    """Dimension vector plus one subfield-linear matrix per arrow.
+
+    Representations are immutable; each keeps its dual once built
+    (``dual_rep``)."""
 
     def __init__(self, quiver, dims, maps):
         self.quiver = quiver
+        self._dual = None
         self.dims = tuple(int(v) for v in dims)
         assert len(self.dims) == quiver.n
         assert all(v >= 0 for v in self.dims)
@@ -241,6 +248,7 @@ class ValuedRep:
         checks of the public constructor."""
         rep = cls.__new__(cls)
         rep.quiver = quiver
+        rep._dual = None
         rep.dims = tuple(dims)
         rep.maps = {key: maps[key] for key in quiver.arrow_keys}
         return rep
@@ -850,10 +858,15 @@ def dual_rep(rep):
     matrix (``_adjoint``) under the trace forms (x, y) -> tr(x y) from
     the vertex fields to F = F_{p^g}.  The annihilator of a
     subrepresentation of dimension e is one of D(V) of dimension v - e,
-    and D(D(V)) = V.
+    and D(D(V)) = V: the dual is built once and kept on V, with V kept
+    on it as its own dual.
     """
-    maps = {(j, i, c): _adjoint(rep, (i, j, c)) for i, j, c in rep.maps}
-    return ValuedRep._trusted(rep.quiver.opposite(), rep.dims, maps)
+    dual = rep._dual
+    if dual is None:
+        maps = {(j, i, c): _adjoint(rep, (i, j, c)) for i, j, c in rep.maps}
+        dual = ValuedRep._trusted(rep.quiver.opposite(), rep.dims, maps)
+        dual._dual, rep._dual = rep, dual
+    return dual
 
 
 def _adjoint(rep, key):

@@ -167,7 +167,8 @@ class VerifyContext:
         """The initial quantum seed, built once.  Every seed mutated from
         it shares its ``exchanges`` memo, so the quantum walk and the
         mutations of the ``reflection`` check make each exchange once,
-        and that check builds no walk of its own."""
+        and that check builds no walk of its own.  Generic characters are
+        assembled in it, so they share its frame monomials."""
         if self._quantum_seed is None:
             self._quantum_seed = QuantumSeed.initial_seed(self.data)
         return self._quantum_seed
@@ -214,7 +215,9 @@ class VerifyContext:
     def generic_char(self, v):
         v = tuple(v)
         if v not in self._chars:
-            self._chars[v] = generic_character(self.data, self.rigid_reps(v))
+            self._chars[v] = generic_character(
+                self.quantum_seed(), self.rigid_reps(v)
+            )
         return self._chars[v]
 
     def variable_records(self):

@@ -28,6 +28,11 @@ from valq.characters import (
     lagrange_poly,
 )
 from valq.classical import enumerate_exchange_graph
+from valq.exchange import (
+    BUILTIN_MATRICES,
+    builtin_exchange_data,
+    sinks_and_sources,
+)
 from valq.qtorus import QTorusElem, QuantumSeed
 from valq.reps import (
     ValuedQuiver,
@@ -36,9 +41,10 @@ from valq.reps import (
     reflect,
     simple_reflection,
 )
-from valq.verify import VerifyContext
+from valq.verify import VerifyContext, run_check
 
 from conftest import context_for, is_bar_invariant
+from test_qtorus import ordered_frame
 from test_reps import brute_count_subreps
 
 
@@ -329,16 +335,18 @@ class TestDenominatorCertificate:
 
 class TestGenericCharacter:
     def test_b2_first_variable(self, b2):
-        x = generic_character(b2, reps_of(b2, (1, 0)))
+        seed = QuantumSeed.initial_seed(b2)
+        x = generic_character(seed, reps_of(b2, (1, 0)))
         expected = QTorusElem.basis_elem(b2.lam, (-1, 2, 0, 0)) + QTorusElem.basis_elem(
             b2.lam, (-1, 0, 1, 0)
         )
         assert x == expected
-        assert x == QuantumSeed.initial_seed(b2).mutate(0).variables[0]
+        assert x == seed.mutate(0).variables[0]
 
     def test_bar_invariance_and_denominator(self, b2):
+        seed = QuantumSeed.initial_seed(b2)
         for v in noninitial_d_vectors(b2):
-            x = generic_character(b2, reps_of(b2, v))
+            x = generic_character(seed, reps_of(b2, v))
             assert is_bar_invariant(x)
             assert x.denominator_vector(2) == v
 
@@ -354,11 +362,15 @@ class TestGenericCharacter:
         from valq.classical import ClassicalSeed
 
         cs = ClassicalSeed.initial_seed(b2).mutate(0).mutate(1)
-        qx = generic_character(b2, reps_of(b2, cs.d_vector(1)))
+        qx = generic_character(
+            QuantumSeed.initial_seed(b2), reps_of(b2, cs.d_vector(1))
+        )
         assert qx.specialize_q1() == cs.variables[1]
 
     def test_coefficients_are_positive_symmetric_laurent(self, g2):
-        x = generic_character(g2, reps_of(g2, (2, 3)))
+        x = generic_character(
+            QuantumSeed.initial_seed(g2), reps_of(g2, (2, 3))
+        )
         for exp, coeff in x.sorted_terms():
             assert coeff == {-k: c for k, c in coeff.items()}
             assert all(c > 0 for c in coeff.values())
@@ -383,7 +395,7 @@ class TestReflectedCharacters:
             reps = reps_of(b2, v)
             v_new = simple_reflection(principal_part(b2), k, v)
             polys = counting_polynomials([reflect(rep, k) for rep in reps])
-            lhs = generic_character(b2, reps)
+            lhs = generic_character(QuantumSeed.initial_seed(b2), reps)
             rhs = character_in_seed(
                 QuantumSeed.initial_seed(b2).mutate(k), v_new, polys
             )
@@ -393,4 +405,39 @@ class TestReflectedCharacters:
         reps = reps_of(b2, (1, 1))
         polys = counting_polynomials(reps)
         direct = character_in_seed(QuantumSeed.initial_seed(b2), (1, 1), polys)
-        assert direct == generic_character(b2, reps)
+        assert direct == generic_character(QuantumSeed.initial_seed(b2), reps)
+
+
+class TestFrameMemo:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MATRICES))
+    def test_kept_frames_of_the_checks_equal_fresh_builds(
+        self, name, monkeypatch
+    ):
+        # The denominators check assembles characters in the initial seed
+        # and the reflection check in each k-mutated one.  Every exponent
+        # they ask for is kept on its seed, and every frame kept equals
+        # the frame built afresh in a seed mutated anew.
+        asked = {}
+        real_frame = QuantumSeed.frame
+
+        def frame(seed, c):
+            asked.setdefault(id(seed), (seed, set()))[1].add(c)
+            return real_frame(seed, c)
+
+        monkeypatch.setattr(QuantumSeed, "frame", frame)
+        depth = 2 if name == "WILD3" else None
+        ctx = VerifyContext(builtin_exchange_data(name), max_depth=depth)
+        for check in ("denominators", "reflection"):
+            assert run_check(check, ctx).status == "PASS", check
+        # one initial seed, the context's, and one seed per sink or source
+        sinks, sources = sinks_and_sources(ctx.b)
+        histories = sorted(seed.history for seed, _ in asked.values())
+        assert histories == [()] + [(k,) for k in sorted(sinks + sources)]
+        assert id(ctx.quantum_seed()) in asked
+        for seed, exponents in asked.values():
+            assert set(seed.frames) == exponents
+            fresh = QuantumSeed.initial_seed(ctx.data).mutate_sequence(
+                seed.history
+            )
+            for c, kept in seed.frames.items():
+                assert kept == fresh.frame_monomial(c) == ordered_frame(fresh, c)

@@ -464,18 +464,26 @@ class TestLinearAlgebra:
 
 class TestSpecialSubspaces:
     """``special_subspaces`` against the whole enumeration above F, with
-    each preimage J = chi^-1(J) for chi the identity.  Its special
-    subspaces, each read directly, and its shared counts, read at the
-    meets that ``raised`` gives, make the histogram of (dim W, dim(W
-    meet J_1), ..., dim(W meet J_m)) over every W above F."""
+    each preimage J = chi^-1(T) for chi the identity on digits and T a
+    subspace over the prime field or over the field of V, so that J is
+    linear over that field.  Its special subspaces, each read directly,
+    and its shared counts, read at the meets that ``raised`` gives, make
+    the histogram of (dim W, dim(W meet J_1), ..., dim(W meet J_m)) over
+    every W above F."""
 
     @staticmethod
     def check(p, e, n, forced, spaces):
-        """The sides ``raised`` chose, or None when every W is sent."""
+        """The sides ``raised`` chose, or None when every W is sent.
+        ``spaces`` holds (target degree, basis over that field)."""
         tower = build_tower(p, (e,))
         F, prime = tower.field(e), tower.field(1)
         identity = [[int(r == c) for c in range(n * e)] for r in range(n * e)]
-        maps = [(identity, prime, f_rref(prime, j)[0]) for j in spaces]
+        targets = [tower.field(g) for g, _ in spaces]
+        maps = [
+            (identity, t, f_rref(t, rows)[0])
+            for t, (_, rows) in zip(targets, spaces)
+        ]
+        preimages = [digit_span(t, rows) for t, (_, rows) in zip(targets, spaces)]
         forced = f_rref(F, forced)
         out = special_subspaces(tower, e, n, forced, maps)
         if out is None:
@@ -486,7 +494,7 @@ class TestSpecialSubspaces:
             ws = digit_span(F, rows)
             return (len(rows),) + tuple(
                 f_rank(prime, ws) + f_rank(prime, j) - f_rank(prime, ws + j)
-                for j in spaces
+                for j in preimages
             )
 
         want = Counter(
@@ -498,27 +506,32 @@ class TestSpecialSubspaces:
         f, *base = meets(forced[0])
         for a, count in enumerate(shared):
             # dim(W meet J) = e dim W + dim J - dim(W + J), and dim(W + J)
-            # = dim(F + J) + s a + c over the prime field
-            key = tuple(m + e * a - s * a - c for m, (s, c) in zip(base, raised))
+            # = dim(F + J) + g (s a + c) over the prime field, for J
+            # linear over the degree-g field
+            key = tuple(
+                m + e * a - t.d * (s * a + c)
+                for m, t, (s, c) in zip(base, targets, raised)
+            )
             got[(f + a,) + key] += count
         assert got == want
         assert len(special) == len({tuple(map(tuple, w)) for w in special})
         return ["dual" if s == 0 else "primal" for s, _ in raised]
 
     @staticmethod
-    def space(kind, p, dim, rng):
-        """A prime-field subspace of F_p^dim: zero, everything, a
-        hyperplane, or the span of random vectors."""
+    def space(kind, field, dim, rng):
+        """A subspace of field**dim: zero, everything, a hyperplane, or
+        the span of random vectors."""
+        q = field.q
         if kind == "zero":
             return []
         if kind == "everything":
             return [[int(r == c) for c in range(dim)] for r in range(dim)]
         if kind == "hyperplane":
-            form = [rng.randrange(p) for _ in range(dim - 1)] + [1]
+            form = [rng.randrange(q) for _ in range(dim - 1)] + [1]
             rng.shuffle(form)
-            return f_kernel_basis(field(p, 1), [form], dim)
+            return f_kernel_basis(field, [form], dim)
         return [
-            [rng.randrange(p) for _ in range(dim)]
+            [rng.randrange(q) for _ in range(dim)]
             for _ in range(rng.randrange(dim + 1))
         ]
 
@@ -535,13 +548,21 @@ class TestSpecialSubspaces:
         forced = [[rng.randrange(p**e) for _ in range(n)] for _ in range(f)]
         kinds = data.draw(
             st.lists(
-                st.sampled_from(("zero", "everything", "hyperplane", "random")),
+                st.tuples(
+                    st.sampled_from(("zero", "everything", "hyperplane", "random")),
+                    st.sampled_from((1, e)),
+                ),
                 min_size=1,
                 max_size=3,
             ),
-            label="kinds",
+            label="kinds and target degrees",
         )
-        self.check(p, e, n, forced, [self.space(k, p, n * e, rng) for k in kinds])
+        tower = build_tower(p, (e,))
+        spaces = [
+            (g, self.space(kind, tower.field(g), n * e // g, rng))
+            for kind, g in kinds
+        ]
+        self.check(p, e, n, forced, spaces)
 
     @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 3)])
     def test_one_parent_reads_both_sides(self, p, e):
@@ -551,15 +572,27 @@ class TestSpecialSubspaces:
         import random
 
         rng = random.Random(p * e)
+        prime = field(p, 1)
         forced = [[1, rng.randrange(p**e), rng.randrange(p**e)]]
         spaces = [
-            self.space("hyperplane", p, 3 * e, rng),
-            [[rng.randrange(p) for _ in range(3 * e)]],
-            self.space("zero", p, 3 * e, rng),
-            self.space("everything", p, 3 * e, rng),
+            (1, self.space("hyperplane", prime, 3 * e, rng)),
+            (1, [[rng.randrange(p) for _ in range(3 * e)]]),
+            (1, self.space("zero", prime, 3 * e, rng)),
+            (1, self.space("everything", prime, 3 * e, rng)),
         ]
         sides = self.check(p, e, 3, forced, spaces)
         assert sides == ["dual", "primal", "primal", "dual"]
+
+    def test_preimages_over_the_field_of_v_are_read_by_its_lines(self):
+        # Three lines of F_9^2: each holds 4 prime-field lines but one
+        # line over F_9, so the 3 lines, fewer than the 12 subspaces,
+        # are read where 12 prime-field lines would send every subspace.
+        lines = [[[1, 0]], [[0, 1]], [[1, 1]]]
+        assert self.check(3, 2, 2, [], [(2, w) for w in lines]) == ["primal"] * 3
+        # In F_4^3 a plane is read from its annihilator, 3 prime-field
+        # lines but one line over F_4, and a line from itself.
+        spaces = [(2, [[1, 0, 0], [0, 1, 2]]), (2, [[0, 1, 1]])]
+        assert self.check(2, 2, 3, [], spaces) == ["dual", "primal"]
 
 
 class TestGrassmannian:

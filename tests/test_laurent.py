@@ -250,6 +250,46 @@ class TestSharedCore:
         assert (mono((0, 0), 1) + mono((1, -1), 3)) ** 0 == mono((0, 0), 1)
 
 
+class TestKeptValues:
+    """An element keeps its sort key and minimal exponents, like its
+    hash, once computed: the kept values must equal recomputed ones, and
+    the results of arithmetic keep none of their operands'."""
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(exponents, st.integers(-4, 4).filter(bool)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(
+            st.tuples(exponents, st.integers(-4, 4).filter(bool)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_kept_values_equal_recomputed_ones(self, name, left, right):
+        mono, _ = RINGS[name]
+        a, b = (
+            sum((mono(*t) for t in ts[1:]), mono(*ts[0])) for ts in (left, right)
+        )
+        for x in (a, b, a * b):
+            if x.is_zero():
+                continue
+            key, mins = x.sort_key(), x.min_exponents()
+            assert x.sort_key() is key and x.min_exponents() is mins
+            assert key == type(x).sort_key(x._like(x.terms, x._bound))
+            exps = x.exponent_terms()
+            assert mins == tuple(min(e[i] for e in exps) for i in range(2))
+            assert x.denominator_vector(1) == (-mins[0],)
+        if not (a.is_zero() or b.is_zero()):
+            # both rings are domains: a product's least exponents are the
+            # sums of its factors'
+            want = tuple(map(sum, zip(a.min_exponents(), b.min_exponents())))
+            assert (a * b).min_exponents() == want
+
+
 # Exponent vectors of 1 to 8 variables, each entry drawn often from
 # the two ends of the packed range.
 edge_exponents = st.one_of(

@@ -511,6 +511,41 @@ class TestFrameFold:
         assert (X((1, 0, 0, 0)) + X((0, 1, 0, 0))).basis_exponent() is None
 
 
+class TestFrameCache:
+    """``QuantumSeed.frame`` keeps each frame monomial on its seed.  The
+    seeds of ``FRAME_SEEDS`` live across examples, so their memos grow
+    as exponents repeat; every frame kept must equal a fresh build and
+    the ordered product that defines it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kept_frames_equal_fresh_builds(self, data):
+        seed = data.draw(st.sampled_from(FRAME_SEEDS))
+        c = tuple(
+            data.draw(
+                st.integers(
+                    min_value=-2 if var.basis_exponent() is not None else 0,
+                    max_value=2,
+                )
+            )
+            for var in seed.variables
+        )
+        kept = seed.frame(c)
+        assert seed.frame(c) is kept and seed.frames[c] is kept
+        assert kept == seed.frame_monomial(c) == ordered_frame(seed, c)
+        for other, frame in seed.frames.items():
+            assert frame == seed.frame_monomial(other)
+
+    def test_memo_is_per_seed_and_ignored_by_equality(self):
+        start = QuantumSeed.initial_seed(B2)
+        c = (1, 0, 0, 1)
+        start.frame(c)
+        again = QuantumSeed(start.initial, start.current, start.variables)
+        assert again == start and hash(again) == hash(start)
+        assert again.frames == {} and list(start.frames) == [c]
+        assert start.mutate(0).frames == {}
+
+
 class TestCanonicalKey:
     def test_double_mutation_returns_to_start(self):
         s = QuantumSeed.initial_seed(A2)

@@ -1133,6 +1133,37 @@ class TestDual:
                 self.check(build(q, dims, rng))
 
 
+    @pytest.mark.parametrize("name", ["B3", "G2", "F4"])
+    def test_dual_is_kept_and_involutive(self, name):
+        # D(V) is built once and kept on V, with V kept on it, so
+        # D(D(V)) is V.  A reflection at a source, D S+ D, keeps the sink
+        # reflection as its dual.  Counts read through each kept dual
+        # equal those of a copy that builds its dual afresh, and the
+        # brute-force counts.
+        q = quiver(name, 2)
+        for v in positive_roots(q.b):
+            rep = build_rigid_rep(q, v, rng_seed=0)
+            dual = dual_rep(rep)
+            assert dual_rep(rep) is dual and dual_rep(dual) is rep
+            fresh = ValuedRep(q, rep.dims, rep.maps)
+            assert dual_rep(fresh) is not dual and dual_rep(fresh) == dual
+            reflected = {
+                k: reflect(rep, k)
+                for k in q.sources
+                if v != simple_vector(q.n, k)
+            }
+            for k, x in reflected.items():
+                assert dual_rep(x) == reflect_sink(dual, k)
+            for x in [rep, *reflected.values()]:
+                copy = ValuedRep(x.quiver, x.dims, x.maps)
+                table = count_all_subreps(x)
+                assert table == count_all_subreps(copy)
+                assert dual_rep(dual_rep(x)) is x
+                if sum(v) <= 4:
+                    for e, count in table.items():
+                        assert brute_count_subreps(x, e) == count
+
+
 def gram_adjoint(rep, key):
     """The adjoint of the arrow ``key`` = (i, j, _) under the trace forms,
     by its definition P_i^-1 M^T P_j with block-diagonal Gram matrices."""
@@ -1310,6 +1341,58 @@ class TestWorkShape:
             if walk.kernel is not None:
                 assert len(walk.kernel) == walk.plan[2]
             assert out == _Walk(walk.rep, None).table()
+
+    def test_f4_builds_each_frame_once_per_seed_and_each_dual_once(
+        self, monkeypatch
+    ):
+        # verify-all on F4 assembles characters in the initial seed and in
+        # the seeds mutated at its sink and source.  Each frame monomial
+        # is built once per seed (526 when every character built its own),
+        # and each of the 427 counts reads a dual that is built once: a
+        # reflection at a source keeps its sink reflection as its dual
+        # (707 duals when each count and reflection built its own).
+        from valq import characters, verify
+        from valq.qtorus import QuantumSeed
+
+        assembling, frames, duals = [], [], []
+        real_assemble = characters.character_in_seed
+        real_frame = QuantumSeed.frame_monomial
+        real_opposite = ValuedQuiver.opposite
+
+        def assemble(*args):
+            assembling.append(True)
+            try:
+                return real_assemble(*args)
+            finally:
+                assembling.pop()
+
+        def frame_monomial(seed, c):
+            if assembling:
+                frames.append(c)
+            return real_frame(seed, c)
+
+        def opposite(quiver):
+            # each dual asks its quiver for the opposite once
+            duals.append(quiver)
+            return real_opposite(quiver)
+
+        counts = []
+        real_count = reps.count_all_subreps
+
+        def count(rep):
+            counts.append(rep)
+            return real_count(rep)
+
+        monkeypatch.setattr(characters, "character_in_seed", assemble)
+        monkeypatch.setattr(verify, "character_in_seed", assemble)
+        monkeypatch.setattr(QuantumSeed, "frame_monomial", frame_monomial)
+        monkeypatch.setattr(ValuedQuiver, "opposite", opposite)
+        monkeypatch.setattr(characters, "count_all_subreps", count)
+        ctx = VerifyContext(build_exchange_data(F4_B), max_depth=16)
+        for report in run_all(ctx):
+            assert report.status == "PASS", report.check
+        assert len(frames) == 243
+        assert len(counts) == len(duals) == 427
 
     @staticmethod
     def sends_at_last_vertex(monkeypatch, dims):
