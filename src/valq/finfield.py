@@ -436,17 +436,6 @@ def to_codes(field, digs):
     return [field.from_digits(digs[r : r + d]) for r in range(0, len(digs), d)]
 
 
-def digit_span(field, rows):
-    """Digit vectors spanning over the prime field what ``rows`` spans over
-    ``field``: those of t**s * row for each row and s < d, independent
-    when the rows are, since 1, t, ..., t**(d-1) is a prime-field basis."""
-    return [
-        to_digits(field, _scale(field, field.p**s, row) if s else row)
-        for row in rows
-        for s in range(field.d)
-    ]
-
-
 def f_preimage(field, matrix, rows, ncols):
     """A basis of the x in field**ncols that ``matrix`` maps into the span
     of the independent ``rows``: the first ncols coordinates of the kernel
@@ -498,41 +487,27 @@ def subspace_total(q, n):
 
 
 @lru_cache(maxsize=4096)
-def by_meet(q, sums):
-    """Counts by the dimension of a meet, from counts above subspaces.
-
-    ``sums`` holds ((a, l), A_l(a)): the sum, over the subspaces L of
-    dimension l above a fixed base in a space over F_q, of the number of
-    subspaces W of dimension a whose meet with that space contains L.
-    Returns (a, j, number of W whose meet is j above the base) for every
-    nonzero number, by Moebius inversion on the lattice of subspaces
-    (Goldman-Rota): N_a(j) = sum over l of (-1)**(l-j) q**C(l-j, 2)
-    [l, j]_q A_l(a).
-    """
-    out = {}
-    for (a, l), total in sums:
-        for j in range(l + 1):
-            r = l - j
-            term = q ** (r * (r - 1) // 2) * gaussian_binomial(q, l, j)
-            term *= -total if r % 2 else total
-            out[a, j] = out.get((a, j), 0) + term
-    return tuple((a, j, count) for (a, j), count in out.items() if count)
-
-
-@lru_cache(maxsize=4096)
 def meet_counts(q, n, m):
     """(a, j, number of a-dimensional subspaces of an n-space over F_q
     that meet a fixed m-dimensional subspace in dimension j), for every
-    nonzero number: the l-dimensional subspaces of the fixed one number
-    [m, l]_q, and [n - l, a - l]_q subspaces contain each, so
-    ``by_meet`` gives the q-Vandermonde counts."""
+    nonzero number.  The l-dimensional subspaces L of the fixed one
+    number [m, l]_q, and [n - l, a - l]_q subspaces W contain each, so
+    A_l(a) = [m, l]_q [n - l, a - l]_q counts the pairs L in W.  Moebius
+    inversion on the lattice of subspaces (Goldman-Rota) gives the
+    q-Vandermonde counts N_a(j) = sum over l of (-1)**(l-j) q**C(l-j, 2)
+    [l, j]_q A_l(a).
+    """
     binomial = gaussian_binomial
-    sums = tuple(
-        ((a, l), binomial(q, m, l) * binomial(q, n - l, a - l))
-        for a in range(n + 1)
-        for l in range(min(a, m) + 1)
-    )
-    return by_meet(q, sums)
+    out = {}
+    for a in range(n + 1):
+        for l in range(min(a, m) + 1):
+            total = binomial(q, m, l) * binomial(q, n - l, a - l)
+            for j in range(l + 1):
+                r = l - j
+                term = q ** (r * (r - 1) // 2) * binomial(q, l, j)
+                term *= -total if r % 2 else total
+                out[a, j] = out.get((a, j), 0) + term
+    return tuple((a, j, count) for (a, j), count in out.items() if count)
 
 
 def enumerate_subspaces(field, n, k):
@@ -588,93 +563,85 @@ def enumerate_subspaces_containing(field, n, k, sub_rows):
         yield lifted
 
 
-def _basis_over(field, prime, span, vectors, units):
-    """(grown, kept) for ``span``, a reduced echelon basis over the prime
-    field of a space of digit vectors of ``field``, and ``vectors``, digit
-    vectors: ``kept`` lists, as codes, each vector that lies outside the
-    span grown so far, and ``grown`` is that span with the products of
-    each kept vector by each of ``units``, a prime-field basis of a
-    subfield E.  When the span and the vectors' span are E-linear, a kept
-    vector's nonzero E-multiples all lie outside the span before it, so
-    ``kept`` is an E-basis of a complement of the span in their sum."""
-    kept = []
-    for y in vectors:
-        bigger = f_insert(prime, *span, y)
-        if bigger[0] is span[0]:
-            continue
-        x = to_codes(field, y)
-        kept.append(x)
-        for u in units[1:]:
-            y = to_digits(field, _scale(field, u, x))
-            bigger = f_insert(prime, *bigger, y)
-        span = bigger
-    return span, kept
-
-
 def special_subspaces(tower, d, n, forced, maps):
     """(special, shared, raised) for the subspaces W of V = field**n, over
     the degree-d field of ``tower``, above the span F of ``forced``, a
     reduced echelon basis with its pivots; None when the preimages below
     hold, on their cheaper sides, as many lines as there are W.
 
-    ``maps`` holds (chi, target, rows): a prime-field matrix on the digits
-    of V, linear over the target's field E, and a basis over E of a
-    subspace T.  Each preimage J = chi^-1(T) is read from the side with
-    fewer E-lines, and W is special when its meet with J is not the one
-    that side predicts.  J, F + J and every space below are E-linear,
-    and two vectors on one E-line mark the same W, so each side is read
-    by its E-lines.  Dimensions here are over the prime field.  The
-    primal side is an E-linear complement of F in J, of dimension r: the
-    vectors of J that raise the rank of F's digit span.  W is special
-    when it contains F and a line of it; every other W meets J only
-    inside F.  The dual side, taken when 2r > dn for dn that of
-    V / F, is the annihilator K of F + J under the trace pairing sum
-    tr(x_r y_r), of dimension dn - r.  W is special when it lies in the
-    hyperplane sum xi_r y_r = 0 of a line xi of K, which contains F;
-    every other W annihilates no vector of K, so W + J = V.  ``special``
-    lists the special W once each, as reduced echelon bases, and shared[a]
-    counts the others of dimension dim F + a over the field.  ``raised``
-    holds, for each map, the (s, c) with dim(T + chi(W)) = dim(T + chi(F))
-    + s a + c over the target on each of those: (d / d_T, 0) on the
-    primal side, and (0, dim K / d_T) on the dual.
+    ``maps`` holds (phi, g, target, rows) for a map chi from V, linear
+    over the degree-g subfield, into a space over the target's field E:
+    the rows of its evaluation map phi and a basis over E of a subspace T.
+    phi is linear over E, from V(x) = E**(n e), e = d / g, where W(x), the
+    E-span of the F_g-coordinate vectors of W (``FieldTower.to_subfield``),
+    has dimension e dim W and chi(W) spans phi(W(x)).  So dim(T + chi(W))
+    = dim T + e dim W - dim(W(x) meet J) for the preimage J = phi^-1(T).
+    Each J is read from the side with fewer E-lines, and W is special
+    when its meet with J is not the one that side predicts.
+
+    The primal side is an E-linear complement of F(x) in F(x) + J, of
+    dimension r.  W(x) contains a line L of it exactly when W contains
+    R(L), the span of the descent of a vector of L: the vectors of V
+    whose F_g-coordinate vectors are its coordinates over F_g in E's
+    basis 1, t, ...  So W is special when it contains F + R(L); every
+    other W(x) meets F(x) + J in F(x), so W(x) meets J as F(x) does.  The
+    dual side, taken when 2r > e(n - f), is the annihilator K of F(x) + J
+    under the pairing that the trace form sum tr(x_r y_r) from V to F_g
+    (``FieldTower.trace_gram`` down the diagonal) extends to V(x), of
+    dimension e(n - f) - r.  W(x) is orthogonal to a line xi of K exactly
+    when W lies in U_xi, where sum eta_r y_r = 0 for each eta in the
+    descent of xi, so W is special when F <= W <= U_xi; every other W has
+    W(x) + J = V(x).  ``special`` lists the special W once each, as
+    reduced echelon bases, and shared[a] counts the others of dimension
+    dim F + a over the field.  ``raised`` holds, for each map, the (s, c)
+    with dim(T + chi(W)) = dim(T + chi(F)) + s a + c over E on each of
+    those: (e, 0) on the primal side, and (0, dim K) on the dual.
     """
-    field, prime = tower.field(d), tower.field(1)
-    rows, pivots = forced
-    f, p = len(rows), field.p
+    field = tower.field(d)
+    rows = forced[0]
+    f = len(rows)
     shared = [gaussian_binomial(field.q, n - f, a) for a in range(n - f + 1)]
-    span = f_rref(prime, digit_span(field, rows))
     sides, raised, lines = [], [], 0
-    for chi, target, t_rows in maps:
-        g = target.d
-        # 1, t, ..., t**(g-1) of the target's field, in the field at V
-        units = [tower.embed(g, d, p**l if l else 1) for l in range(g)]
-        preimage = f_preimage(prime, chi, digit_span(target, t_rows), n * d)
-        grown, kept = _basis_over(field, prime, span, preimage, units)
-        dual = 2 * g * len(kept) > d * (n - f)
+    for phi, g, target, t_rows in maps:
+        e = d // g
+        # F(x), from the F_g-basis t**l * x of F
+        span = ([], [])
+        for x in rows:
+            for l in range(e):
+                coords = tower.to_subfield(d, g, _scale(field, field.p**l, x))
+                y = [tower.embed(g, target.d, c) for c in coords]
+                span = f_insert(target, *span, y)
+        kept = []
+        for y in f_preimage(target, phi, t_rows, n * e):
+            bigger = f_insert(target, *span, y)
+            if bigger[0] is not span[0]:
+                kept.append(y)
+                span = bigger
+        dual = 2 * len(kept) > e * (n - f)
         if dual:
-            pairing = block_diagonal(tower.trace_gram(d, 1)[0], n)
-            annihilator = f_kernel_basis(
-                prime, f_matmul(prime, grown[0], pairing), n * d
-            )
-            _, kept = _basis_over(field, prime, ([], []), annihilator, units)
-        raised.append((0, len(kept)) if dual else (d // g, 0))
+            gram = tower.trace_gram(d, g)[0]
+            gram = [[tower.embed(g, target.d, c) for c in row] for row in gram]
+            pairing = f_matmul(target, span[0], block_diagonal(gram, n))
+            kept = f_kernel_basis(target, pairing, n * e)
+        raised.append((0, len(kept)) if dual else (e, 0))
         lines += (target.q ** len(kept) - 1) // (target.q - 1)
         if lines >= sum(shared):
             return None
-        sides.append((kept, target, dual))
+        sides.append((kept, g, target, dual))
     # each special W lies between a span ``low`` and the kernel of ``high``
     bounds, special = {}, {}
-    for kept, target, dual in sides:
+    for kept, g, target, dual in sides:
         for (coeffs,) in enumerate_subspaces(target, len(kept), 1):
-            x = [0] * n
-            for c, y in zip(coeffs, kept):
+            y = [0] * len(kept[0])
+            for c, z in zip(coeffs, kept):
                 if c:
-                    c = tower.embed(target.d, d, c)
-                    x = [field.add(a, b) for a, b in zip(x, _scale(field, c, y))]
+                    y = [target.add(a, b) for a, b in zip(y, _scale(target, c, z))]
+            parts = zip(*(tower.subfield_coords(target.d, g, c) for c in y))
+            descent = [tower.from_subfield(d, g, part) for part in parts]
             if dual:
-                low, high = rows, f_insert(field, [], [], x)
+                low, high = rows, f_rref(field, descent)
             else:
-                low, high = f_insert(field, rows, pivots, x)[0], ([], [])
+                low, high = f_rref(field, rows + descent)[0], ([], [])
             bounds[tuple(map(tuple, low + high[0])), dual] = low, high
     for low, (high, drop) in bounds.values():
         # a vector of the kernel is its entries at the free columns times

@@ -27,35 +27,29 @@ are tallied by class, the dimensions and ranks their counts read, and
 each class is expanded once.
 
 The walk may close its last enumerated vertex C instead of enumerating
-it, when one arrow psi leaves C, to a sink K.  Each subspace W at C acts
-on K only through dim W and the dimension of one meet: of W with a fixed
-subspace when K has the degree of C, and otherwise, when no other arrow
-enters K, of the span of W's subfield coordinates over the field at K
-with the kernel of the arrow's evaluation map.  Counts of the W by that
-dimension come from sums over the subspaces of the fixed space
-containing a given one, inverted on the lattice of subspaces
-(Goldman-Rota).  Between equal degrees the sums have a closed form, the
-inversion is the q-Vandermonde count, and the close reads three ranks:
-dim G for the forced span G at C, dim(T + psi(G)) and dim(T + psi(V_C))
-for the span T that K received.  Between different degrees the close
-enumerates the subspaces of the kernel instead of those of V_C.
+it, when one arrow psi leaves C, to a sink K of the degree of C.  Each
+subspace W at C acts on K only through dim W and the dimension of its
+meet with a fixed subspace, so the W count by the q-Vandermonde
+numbers (``meet_counts``), and the close reads three ranks: dim G for
+the forced span G at C, dim(T + psi(G)) and dim(T + psi(V_C)) for the
+span T that K received.
 
 At the last vertex P that the walk enumerates, a subspace W above the
 forced span F reaches its leaf only through ranks dim(T + chi(W)), T
-fixed by the parent: one per sink that P feeds, and the three of a close
-between equal degrees.  When chi is one map, linear over the field of
-its target j, such a rank is dim T + (d_P / d_j) dim W - dim(W meet J)
-for the preimage J = chi^-1(T).  Each J, linear over the field at j,
-is read from the side with fewer lines over that field
-(``special_subspaces``): J, where a W meeting J only inside F raises
-the rank by (d_P / d_j)(dim W - dim F), or its annihilator, where a W
-with W + J = V_P reads the rank of V_P.  Such W
-share the class of F, so raised, and count by Gaussian binomials; only
-the special W are sent.  P is enumerated whole when an arrow from it is
-one of several to its target or leads to a degree that does not divide
-d_P, when P feeds both C and K, when the close joins two degrees, when
-V_P / F has dimension below 2, and when the preimages hold as many
-lines as there are subspaces above F.
+fixed by the parent: one per sink that P feeds, and the three of a
+close.  When chi is one arrow, of valuation g into a vertex j whose
+field is E, its image of W spans the image of W(x), the E-span of the
+F_g-coordinate vectors of W, under the arrow's evaluation map, and
+such a rank is dim T + (d_P / g) dim W - dim(W(x) meet J) for the
+preimage J of T in V_P(x).  Each J is read from the side with fewer
+lines over E (``special_subspaces``): J, where a W whose W(x) meets J
+as F(x) does raises the rank by (d_P / g)(dim W - dim F), or its
+annihilator, where a W with W(x) + J = V_P(x) reads the rank of V_P.
+Such W share the class of F, so raised, and count by Gaussian
+binomials; only the special W are sent.  P is enumerated whole when an
+arrow from it is one of several to its target, when P feeds both C and
+K, when V_P / F has dimension below 2, and when the preimages hold as
+many lines as there are subspaces above F.
 
 The dual representation D(V), over the opposite quiver, has a
 subrepresentation of dimension v - e for each one of V of dimension e
@@ -63,24 +57,23 @@ subrepresentation of dimension v - e for each one of V of dimension e
 the sinks up, enumerating the non-sources and counting at the sources.
 The planner builds D(V) and prices the walks of V and D(V) alike, by the
 product, over the vertices a walk still enumerates (so not the one it
-closes), of their numbers of subspaces of all dimensions, times the
-number of subspaces of K for a close between different degrees.  It
-walks D(V) exactly when its price is lower.  Such a close happens only
-when K has fewer subspaces than V_i, so the price of a representation's
-walk reads the rank of that one arrow besides the quiver, fields and
-dimension vector.  The price does not read whether P splits.
+closes), of their numbers of subspaces of all dimensions.  It walks
+D(V) exactly when its price is lower.  The price reads only the quiver,
+fields and dimension vector, not whether P splits.
 
 What every count re-derives is built once, by exact identities only.  A
 quiver keeps its opposite and its reflections, the opposite of the
 opposite and a reflection reflected back being the quiver itself, and a
 representation keeps its dual, the dual of the dual being itself; so a
 reflection at a source, D S^+ D, hands its count the dual it holds.  A
-walk builds the arrow matrices of a vertex on its first send, and those
-of P, which the split reads, when it starts.  The dual multiplies by no
-Gram matrix of a trace form at an end whose degree is the arrow's
-valuation, where it is the 1x1 identity, so it transposes an arrow
-between two such ends.  The dual and the sink reflection build
-their results without the public constructor's checks.
+walk builds the arrow matrices of a vertex on its first send, and the
+evaluation maps of P's arrows on the first split that reads them; the
+sink reflection puts the same per-arrow maps side by side.  The
+dual multiplies by no Gram matrix of a trace form at an end whose
+degree is the arrow's valuation, where it is the 1x1 identity, so it
+transposes an arrow between two such ends.  The dual and the sink
+reflection build their results without the public constructor's
+checks.
 """
 
 import random
@@ -93,7 +86,6 @@ from .finfield import (
     DEFAULT_CAP,
     block_diagonal,
     build_tower,
-    by_meet,
     enumerate_subspaces_containing,
     f_insert,
     f_kernel_basis,
@@ -488,46 +480,19 @@ def _walk_order(quiver):
     return [i for i in quiver.order if i not in sinks], list(sinks)
 
 
-def _closing_vertex(rep):
-    """(i, k, m, phi) when the last vertex i that the walk of ``rep``
-    enumerates is counted in closed form over its one arrow to the sink
-    k; otherwise None.
-
-    Every out-neighbour of i is a sink.  i closes only when exactly one
-    arrow leaves it.  When k has the degree of i, the arrow is one matrix
-    over their field, i always closes and m and phi are None.  Otherwise
-    k must have no other in-arrow, phi is the rows of the arrow's
-    evaluation map (``_evaluation``) and m the dimension of its kernel K,
-    read off its rank; i closes only when K has fewer subspaces, which
-    the close enumerates, than V_i has.  A basis of K is built only for
-    the walk that is taken.
-    """
-    quiver, dims = rep.quiver, rep.dims
+def _closing_vertex(quiver):
+    """(i, k) when the last vertex i that a walk over ``quiver``
+    enumerates is counted in closed form over its one arrow, to the sink
+    k of the degree of i; otherwise None.  Every out-neighbour of i is a
+    sink, and the arrow is one matrix over their field."""
     enumerated, _ = _walk_order(quiver)
     if not enumerated:
         return None
     i = enumerated[-1]
     keys = [key for key in quiver.arrow_keys if key[0] == i]
-    if len(keys) != 1:
+    if len(keys) != 1 or quiver.diag[keys[0][1]] != quiver.diag[i]:
         return None
-    k = keys[0][1]
-    if quiver.diag[k] == quiver.diag[i]:
-        return i, k, None, None
-    if sum(key[1] == k for key in quiver.arrow_keys) > 1:
-        return None
-    fk, fi = quiver.field(k), quiver.field(i)
-    enumerating = subspace_total(fi.q, dims[i])
-    # the evaluation map has rank at most dim V_k, so K has dimension at
-    # least its number of columns less dim V_k: if even that many is too
-    # many, the rank is not computed
-    width = dims[i] * (quiver.diag[i] // quiver.valuation[(i, k)])
-    if subspace_total(fk.q, max(width - dims[k], 0)) >= enumerating:
-        return None
-    _, total, phi = _evaluation(rep, k)
-    m = total - f_rank(fk, phi)
-    if subspace_total(fk.q, m) < enumerating:
-        return i, k, m, phi
-    return None
+    return i, keys[0][1]
 
 
 class _Walk:
@@ -540,8 +505,9 @@ class _Walk:
     one image at a time by ``f_insert`` and restored to the parent's
     basis when the walk backs up; every sink is counted in closed form
     from the dimension of that span.  The arrow matrices of a vertex are
-    built on its first ``_send`` (of P by ``_split_plan``), so a walk
-    that closes its first vertex builds none.
+    built on its first ``_send``, so a walk that closes its first vertex
+    builds none.  ``_split`` reads P's arrows by their evaluation maps,
+    built on the first parent that needs them.
 
     Each leaf adds one to its class (``_key``), which ``leaves`` expands
     at a close.  The last vertex P that is enumerated sends only its
@@ -555,19 +521,13 @@ class _Walk:
         self.quiver = quiver
         self.p = quiver.p
         self.enumerated, self.terminals = _walk_order(quiver)
-        self.closing, self.sink, kernel_dim, phi = closing or (None,) * 4
-        self.kernel = None
-        if kernel_dim is not None:
-            i, k = self.closing, self.sink
-            width = rep.dims[i] * (quiver.diag[i] // quiver.valuation[(i, k)])
-            self.kernel = f_kernel_basis(quiver.field(k), phi, width)
+        self.closing, self.sink = closing or (None, None)
         # the out-neighbours of each vertex sent from, with the arrow
-        # matrices
-        self.links = {}
+        # matrices, and the evaluation maps of the arrows that split P
+        self.links, self.evaluations = {}, {}
         self.inbox = {i: ([], []) for i in range(quiver.n)}
         if closing is not None:
             self.slot = self.terminals.index(self.sink)
-        if closing is not None and self.kernel is None:
             # the span of the closing arrow's columns, psi(V_C)
             i = self.closing
             span = ([], [])
@@ -616,16 +576,11 @@ class _Walk:
         q = self.quiver.field(self.closing).q
         c, t = len(self.enumerated) - 1, len(self.terminals)
         for key, mult in classes.items():
-            ranks, tail = list(key[c : c + t]), key[c + t :]
-            if self.kernel is None:
-                (g, whole), base, n = tail, ranks[self.slot], v - tail[0]
-                tail = [
-                    (g + a, base + a - j, count)
-                    for a, j, count in meet_counts(q, n, n - whole + base)
-                ]
-            for a, rank, count in tail:
-                ranks[self.slot] = rank
-                out[key[:c] + (a,) + tuple(ranks)] += mult * count
+            ranks, (g, whole) = list(key[c : c + t]), key[c + t :]
+            base, n = ranks[self.slot], v - g
+            for a, j, count in meet_counts(q, n, n - whole + base):
+                ranks[self.slot] = base + a - j
+                out[key[:c] + (g + a,) + tuple(ranks)] += mult * count
         return out
 
     def table(self):
@@ -659,26 +614,21 @@ class _Walk:
         """The class of the current leaf: the dimensions ``path`` and the
         rank at each sink; below a close, the close's outcomes too.
 
-        A close across degrees adds its (dim W, rank at k, count) from
-        ``_mixed_close``.  A close of C into K between equal degrees puts
-        dim(T + psi(G)) in K's place and adds (dim G, dim(T + psi(V_C))).
-        There W ranges over the subspaces of V_C above its forced span G,
-        and the rank at K is dim(T + psi(W)) = t + dim W - dim(W meet J)
-        for the span T that K received and J = psi^-1(T).  It reads
-        dim(T + psi(G)) + a - j for a = dim W / G and j = dim(W / G meet
-        I), I = (J + G) / G, of dimension n - dim(T + psi(V_C)) +
-        dim(T + psi(G)) in V_C / G of dimension n: ``meet_counts``.
+        A close of C into K puts dim(T + psi(G)) in K's place and adds
+        (dim G, dim(T + psi(V_C))).  There W ranges over the subspaces of
+        V_C above its forced span G, and the rank at K is dim(T + psi(W))
+        = t + dim W - dim(W meet J) for the span T that K received and J =
+        psi^-1(T).  It reads dim(T + psi(G)) + a - j for a = dim W / G and
+        j = dim(W / G meet I), I = (J + G) / G, of dimension n - dim(T +
+        psi(V_C)) + dim(T + psi(G)) in V_C / G of dimension n:
+        ``meet_counts``.
         """
         ranks = [len(self.inbox[k][0]) for k in self.terminals]
-        i, k = self.closing, self.sink
-        if i is None:
+        if self.closing is None:
             return tuple(path) + tuple(ranks)
-        forced = self.inbox[i][0]
-        if self.kernel is not None:
-            tail = tuple(self._mixed_close(i, k, forced))
-            return tuple(path) + tuple(ranks) + tail
         base, whole = self._close_spans()
         ranks[self.slot] = len(base[0])
+        forced = self.inbox[self.closing][0]
         return tuple(path) + tuple(ranks) + (len(forced), len(whole[0]))
 
     def _close_spans(self):
@@ -698,110 +648,58 @@ class _Walk:
     def _split_plan(self):
         """(P, ranks) for the last vertex P that the walk enumerates, or
         None when P is always enumerated whole (see the module
-        docstring).  ``ranks`` holds (slot, j, which, chi): the slot of
-        the class that reads dim(T + chi(W)), for the prime-field matrix
-        chi of the arrow to j and T the span j received (which is None),
-        or T_K + psi(G) (0) or T_K + psi(V_C) (1), pulled back by psi
-        when j is C.
+        docstring).  ``ranks`` holds (slot, key, which): the slot of the
+        class that reads dim(T + chi(W)), for the arrow chi = ``key``
+        from P to j, and T the span j received (which is None), or T_K +
+        psi(G) (0) or T_K + psi(V_C) (1), pulled back by psi when j is C.
         """
         quiver = self.quiver
         path = [i for i in self.enumerated if i != self.closing]
-        if not path or self.kernel is not None:
+        if not path:
             return None
         i, c, k = path[-1], self.closing, self.sink
-        d = quiver.diag[i]
-        links = self.links[i] = _scaled_arrow_matrices(self.rep, i)
-        # one arrow to j, of valuation d_j, has d / d_j matrices
-        if {c, k} <= dict(links).keys() or any(
-            len(mats) * quiver.diag[j] != d for j, mats in links
-        ):
+        keys = [key for key in quiver.arrow_keys if key[0] == i]
+        outs = {j for _, j, _ in keys}
+        if len(outs) < len(keys) or {c, k} <= outs:
             return None
         at = {j: len(path) + s for s, j in enumerate(self.terminals)}
         at[c] = len(path) + len(self.terminals)
         ranks = []
-        for j, (chi, *_) in links:
+        for key in keys:
+            j = key[1]
             if j == k:
-                ranks += [(at[k], k, 0, chi), (at[c] + 1, k, 1, chi)]
+                ranks += [(at[k], key, 0), (at[c] + 1, key, 1)]
             else:
-                ranks.append((at[j], j, None, chi))
+                ranks.append((at[j], key, None))
             if j == c:
-                ranks.append((at[k], c, 0, chi))
+                ranks.append((at[k], key, 0))
         return i, ranks
 
     def _split(self, i):
         """``special_subspaces`` of the last enumerated vertex i for the
         preimages of ``_split_plan`` under the current parent, or None to
         enumerate i whole: when V_i over its forced span has dimension
-        below 2, or the preimages hold too many lines."""
+        below 2, or the preimages hold too many lines.  The evaluation
+        maps of i's arrows are built on the first parent that reads
+        them."""
         quiver, rep = self.quiver, self.rep
         forced = self.inbox[i]
         if rep.dims[i] - len(forced[0]) < 2:
             return None
         close = self._close_spans() if self.closing is not None else None
         maps = []
-        for _, j, which, chi in self.plan[1]:
+        for _, key, which in self.plan[1]:
+            j = key[1]
             rows = (self.inbox[j] if which is None else close[which])[0]
             if which is not None and j == self.closing:
                 psi = rep.maps[(j, self.sink, 0)]
                 rows = f_preimage(quiver.field(j), psi, rows, rep.dims[j])
-            maps.append((chi, quiver.field(j), rows))
+            phi = self.evaluations.get(key)
+            if phi is None:
+                phi = self.evaluations[key] = _arrow_evaluation(rep, key)
+            maps.append((phi, quiver.valuation[(i, j)], quiver.field(j), rows))
         d, n = quiver.diag[i], rep.dims[i]
         return special_subspaces(quiver.tower, d, n, forced, maps)
-
-    def _mixed_close(self, i, k, forced):
-        """(dim W, rank at k, count) when the arrow phi from i to k joins
-        different degrees, over their common subfield F_g.
-
-        W(x) is the span over F_k of the F_g-coordinate vectors of W, of
-        dimension e * dim W with e = d_i / g.  k receives nothing else,
-        so its rank is the dimension of the image of W(x) under the
-        evaluation map, e * dim W - dim(W(x) meet K).  That meet contains
-        J0 = G(x) meet K.  An F_k-subspace L of K lies in W(x) exactly
-        when W contains R(L), the F_i-span of the F_g-coordinate vectors
-        of L's basis, so [n - r, a - r] of the W of dimension a contain
-        it, with r = dim(G + R(L)).  Summed over the L above J0 by
-        dim L / J0, these are what ``by_meet`` inverts.
-        """
-        quiver = self.quiver
-        tower = quiver.tower
-        g = quiver.valuation[(i, k)]
-        dk = quiver.diag[k]
-        e = quiver.diag[i] // g
-        fi, fk = quiver.field(i), quiver.field(k)
-        kernel = self.kernel
-        m = len(kernel)
-        columns = [list(col) for col in zip(*kernel)]
-        # J0 in coordinates over the kernel basis: the c with c.K in G(x),
-        # which the F_g-basis t**l * x of G spans
-        meet = []
-        if forced and kernel:
-            tensor = []
-            for x in forced:
-                for l in range(e):
-                    tx = [fi.mul(_tpow(fi, l), a) for a in x]
-                    coords = tower.to_subfield(quiver.diag[i], g, tx)
-                    tensor.append([tower.embed(g, dk, c) for c in coords])
-            meet = f_preimage(fk, columns, tensor, m)
-        n = self.rep.dims[i]
-        sums = {}
-        for l in range(m - len(meet) + 1):
-            for coords in enumerate_subspaces_containing(
-                fk, m, len(meet) + l, meet
-            ):
-                span = self.inbox[i]
-                for c in coords:
-                    y = f_matvec(fk, columns, c)
-                    # the F_g-coordinate vectors of y, as vectors at i
-                    parts = [tower.subfield_coords(dk, g, x) for x in y]
-                    for part in zip(*parts):
-                        x = tower.from_subfield(quiver.diag[i], g, part)
-                        span = f_insert(fi, *span, x)
-                r = len(span[0])
-                for a in range(r, n + 1):
-                    step = gaussian_binomial(fi.q, n - r, a - r)
-                    sums[a, l] = sums.get((a, l), 0) + step
-        for a, j, count in by_meet(fk.q, tuple(sorted(sums.items()))):
-            yield a, e * a - len(meet) - j, count
 
     def _subspaces(self, i):
         """The subspaces at i containing the span of its forced images."""
@@ -836,17 +734,12 @@ class _Walk:
 def _plan(rep):
     """(price, closing) of the walk of ``rep``: the size of its tree,
     bounded by the product of the numbers of subspaces of the vertices
-    it enumerates, less the one it closes, times the number of subspaces
-    of K that a close between different degrees enumerates; and its
-    ``_closing_vertex``."""
+    it enumerates, less the one it closes; and its ``_closing_vertex``."""
     quiver, dims = rep.quiver, rep.dims
-    closing = _closing_vertex(rep)
-    i, k, kernel_dim, _ = closing or (None,) * 4
+    closing = _closing_vertex(quiver)
     price = 1
-    if kernel_dim is not None:
-        price = subspace_total(quiver.field(k).q, kernel_dim)
     for x in _walk_order(quiver)[0]:
-        if x != i:
+        if closing is None or x != closing[0]:
             price *= subspace_total(quiver.field(x).q, dims[x])
     return price, closing
 
@@ -915,32 +808,40 @@ def count_all_subreps(rep):
     }
 
 
+def _arrow_evaluation(rep, key):
+    """The rows of the evaluation map of the arrow ``key`` = (i, j, _) of
+    valuation g, linear over the field E at j: from E**w, w the dimension
+    of V_i over F_g, to V_j, its column m the column m of the arrow's
+    matrix read as a vector over E."""
+    i, j, _ = key
+    quiver = rep.quiver
+    g = quiver.valuation[(i, j)]
+    columns = [
+        quiver.tower.from_subfield(quiver.diag[j], g, col)
+        for col in zip(*rep.maps[key])
+    ]
+    return [list(row) for row in zip(*columns)]
+
+
 def _evaluation(rep, k):
     """The arrows into k as (key, valuation, width, offset), where width
     is the dimension of the source fiber over the valuation field and
     offset its place in the direct sum of those fibers; the dimension of
-    that sum; and the rows of the evaluation map from the sum to V_k.
-    That map is linear over the field at k: one column per coordinate of
-    the sum, the column of the arrow's matrix read as a vector over that
-    field."""
-    quiver, dims = rep.quiver, rep.dims
-    layout = []
+    that sum; and the rows of the evaluation map from the sum to V_k, the
+    ``_arrow_evaluation`` of each arrow side by side."""
+    quiver = rep.quiver
+    layout, rows = [], [[] for _ in range(rep.dims[k])]
     total = 0
     for key in quiver.arrow_keys:
         i, j, _ = key
         if j == k:
             g = quiver.valuation[(i, j)]
-            width = dims[i] * (quiver.diag[i] // g)
+            width = rep.dims[i] * (quiver.diag[i] // g)
             layout.append((key, g, width, total))
             total += width
-    tower, dk = quiver.tower, quiver.diag[k]
-    columns = [
-        tower.from_subfield(dk, g, [row[m] for row in rep.maps[key]])
-        for key, g, width, _ in layout
-        for m in range(width)
-    ]
-    phi = [[col[r] for col in columns] for r in range(dims[k])]
-    return layout, total, phi
+            for row, part in zip(rows, _arrow_evaluation(rep, key)):
+                row += part
+    return layout, total, rows
 
 
 def reflect_sink(rep, k):

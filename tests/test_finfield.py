@@ -14,7 +14,6 @@ from valq.finfield import (
     NotPrime,
     _smallest_modulus,
     build_tower,
-    digit_span,
     enumerate_subspaces,
     enumerate_subspaces_containing,
     f_insert,
@@ -31,6 +30,7 @@ from valq.finfield import (
     special_subspaces,
     to_digits,
 )
+from math import gcd
 
 from conftest import f_in_span
 
@@ -373,10 +373,11 @@ class TestLinearAlgebra:
 
     @pytest.mark.parametrize("p,d", [(2, 2), (3, 1), (2, 1)])
     def test_special_subspaces_against_every_subspace(self, p, d):
-        # Each preimage J = chi^-1(T), a prime-field space of digit
-        # vectors, is read from its cheaper side.  W above F is special
-        # on the primal side when it meets J outside F, and on the dual
-        # side when W + J is not everything.
+        # Each preimage J = chi^-1(T), for chi a prime-field matrix on the
+        # digit vectors of V, which are V(x) over the prime field, is read
+        # from its cheaper side.  W above F is special on the primal side
+        # when it meets J outside F, and on the dual side when W + J is
+        # not everything.
         import random
 
         F, prime = field(p, d), field(p, 1)
@@ -406,9 +407,9 @@ class TestLinearAlgebra:
                        for _ in range(nrows)]
                 rows, _ = f_rref(prime, [[rng.randrange(p) for _ in range(nrows)]
                                          for _ in range(rng.randrange(nrows + 1))])
-                maps.append((chi, prime, rows))
+                maps.append((chi, 1, prime, rows))
             out = special_subspaces(tower, d, n, forced, maps)
-            preimages = [f_preimage(prime, chi, rows, n * d) for chi, _, rows in maps]
+            preimages = [f_preimage(prime, chi, rows, n * d) for chi, _, _, rows in maps]
             base = digits(forced[0])
             free = d * (n - len(base) // d)
             dual = [
@@ -464,38 +465,57 @@ class TestLinearAlgebra:
 
 class TestSpecialSubspaces:
     """``special_subspaces`` against the whole enumeration above F, with
-    each preimage J = chi^-1(T) for chi the identity on digits and T a
-    subspace over the prime field or over the field of V, so that J is
-    linear over that field.  Its special subspaces, each read directly,
-    and its shared counts, read at the meets that ``raised`` gives, make
-    the histogram of (dim W, dim(W meet J_1), ..., dim(W meet J_m)) over
-    every W above F."""
+    each map the identity of V(x), the span over the target's field E of
+    the F_g-coordinate vectors of V, F_g the largest common subfield of E
+    and the field of V; so its preimage J is the given subspace of V(x).
+    The special subspaces, each read directly, and the shared counts,
+    read at the meets that ``raised`` gives, make the histogram of (dim W,
+    dim(W(x) meet J_1), ..., dim(W(x) meet J_m)) over every W above F.
+    W(x) is built here from the subfield basis that
+    ``FieldTower.from_subfield_coords`` gives."""
 
     @staticmethod
-    def check(p, e, n, forced, spaces):
+    def check(p, d, n, forced, spaces):
         """The sides ``raised`` chose, or None when every W is sent.
-        ``spaces`` holds (target degree, basis over that field)."""
-        tower = build_tower(p, (e,))
-        F, prime = tower.field(e), tower.field(1)
-        identity = [[int(r == c) for c in range(n * e)] for r in range(n * e)]
-        targets = [tower.field(g) for g, _ in spaces]
-        maps = [
-            (identity, t, f_rref(t, rows)[0])
-            for t, (_, rows) in zip(targets, spaces)
-        ]
-        preimages = [digit_span(t, rows) for t, (_, rows) in zip(targets, spaces)]
+        ``spaces`` holds (target degree, vectors over that field spanning
+        J in V(x))."""
+        tower = build_tower(p, [d] + [dt for dt, _ in spaces])
+        F = tower.field(d)
+        maps = []
+        for dt, rows in spaces:
+            target, g = tower.field(dt), gcd(d, dt)
+            size = n * d // g
+            identity = [[int(r == c) for c in range(size)] for r in range(size)]
+            maps.append((identity, g, target, f_rref(target, rows)[0]))
         forced = f_rref(F, forced)
-        out = special_subspaces(tower, e, n, forced, maps)
+        out = special_subspaces(tower, d, n, forced, maps)
         if out is None:
             return None
         special, shared, raised = out
 
+        def tensored(rows, g, target):
+            e = d // g
+            units = [
+                tower.from_subfield_coords(d, g, [int(s == l) for s in range(e)])
+                for l in range(e)
+            ]
+            return [
+                [
+                    tower.embed(g, target.d, c)
+                    for c in tower.to_subfield(d, g, [F.mul(u, x) for x in w])
+                ]
+                for w in rows
+                for u in units
+            ]
+
         def meets(rows):
-            ws = digit_span(F, rows)
-            return (len(rows),) + tuple(
-                f_rank(prime, ws) + f_rank(prime, j) - f_rank(prime, ws + j)
-                for j in preimages
-            )
+            out = [len(rows)]
+            for _, g, target, j in maps:
+                ws = tensored(rows, g, target)
+                out.append(
+                    f_rank(target, ws) + f_rank(target, j) - f_rank(target, ws + j)
+                )
+            return tuple(out)
 
         want = Counter(
             meets(w)
@@ -505,12 +525,11 @@ class TestSpecialSubspaces:
         got = Counter(meets(w) for w in special)
         f, *base = meets(forced[0])
         for a, count in enumerate(shared):
-            # dim(W meet J) = e dim W + dim J - dim(W + J), and dim(W + J)
-            # = dim(F + J) + g (s a + c) over the prime field, for J
-            # linear over the degree-g field
+            # dim(W(x) meet J) = e dim W + dim J - dim(W(x) + J), and
+            # dim(W(x) + J) = dim(F(x) + J) + s a + c over E, e = d / g
             key = tuple(
-                m + e * a - t.d * (s * a + c)
-                for m, t, (s, c) in zip(base, targets, raised)
+                m + (d // g) * a - (s * a + c)
+                for m, (_, g, _, _), (s, c) in zip(base, maps, raised)
             )
             got[(f + a,) + key] += count
         assert got == want
@@ -546,20 +565,22 @@ class TestSpecialSubspaces:
         rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
         f = data.draw(st.integers(0, n), label="forced rows")
         forced = [[rng.randrange(p**e) for _ in range(n)] for _ in range(f)]
+        # targets of degree 1 or e, over a subfield of V, and of degree 2
+        # or 3, which e need not divide
         kinds = data.draw(
             st.lists(
                 st.tuples(
                     st.sampled_from(("zero", "everything", "hyperplane", "random")),
-                    st.sampled_from((1, e)),
+                    st.sampled_from((1, e, 2, 3)),
                 ),
                 min_size=1,
                 max_size=3,
             ),
             label="kinds and target degrees",
         )
-        tower = build_tower(p, (e,))
+        tower = build_tower(p, (e, 2, 3))
         spaces = [
-            (g, self.space(kind, tower.field(g), n * e // g, rng))
+            (g, self.space(kind, tower.field(g), n * e // gcd(e, g), rng))
             for kind, g in kinds
         ]
         self.check(p, e, n, forced, spaces)
@@ -593,6 +614,33 @@ class TestSpecialSubspaces:
         # lines but one line over F_4, and a line from itself.
         spaces = [(2, [[1, 0, 0], [0, 1, 2]]), (2, [[0, 1, 1]])]
         assert self.check(2, 2, 3, [], spaces) == ["dual", "primal"]
+
+    @pytest.mark.parametrize("p,d,dt", [(2, 1, 2), (2, 2, 3), (3, 2, 3), (2, 3, 2), (2, 2, 4)])
+    def test_targets_of_a_degree_not_dividing_d(self, p, d, dt):
+        # Over the target's field E, V(x) has dimension n d / g.  Above 0
+        # and above a line F of V, a line of V(x) is read from itself and
+        # a hyperplane from its annihilator, a line; and random subspaces
+        # of every dimension above every F.
+        import random
+
+        rng = random.Random(100 * p + 10 * d + dt)
+        n, size = 3, 3 * d // gcd(d, dt)
+        E = build_tower(p, (d, dt)).field(dt)
+        # F(x) is the span of the first d / g unit vectors, outside the
+        # hyperplane
+        forced = [[1, 0, 0]]
+        form = [1] + [rng.randrange(E.q) for _ in range(size - 1)]
+        spaces = [
+            (dt, [[rng.randrange(E.q) for _ in range(size)]]),
+            (dt, f_kernel_basis(E, [form], size)),
+        ]
+        assert self.check(p, d, n, forced, spaces) == ["primal", "dual"]
+        assert self.check(p, d, n, [], spaces) == ["primal", "dual"]
+        for rank in range(size + 1):
+            rows = [[rng.randrange(E.q) for _ in range(size)] for _ in range(rank)]
+            for f in range(n + 1):
+                forced = [[rng.randrange(p**d) for _ in range(n)] for _ in range(f)]
+                self.check(p, d, n, forced, [(dt, rows)])
 
 
 class TestGrassmannian:

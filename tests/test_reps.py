@@ -585,14 +585,16 @@ class TestWalkDirections:
     def test_planner_keeps_the_original_g2_orientation_forward(
         self, monkeypatch
     ):
-        # Forward, the F_3 vertex of dimension 3 closes over its arrow of
-        # rank 2 into F_27^2, enumerating the 2 subspaces of the kernel:
-        # price 2.  Backward, the F_27 vertex closes over a kernel of
-        # dimension 3 over F_3, with 28 subspaces.
+        # Forward, the walk enumerates the F_3 vertex of dimension 3, with
+        # 28 subspaces; backward, the F_27 vertex of dimension 2, with 30.
+        # The arrow joins degrees 1 and 3, so neither walk closes.
         rep = build_rigid_rep(quiver("G2", 3), (2, 3), rng_seed=0)
-        (forward, closing), (backward, _) = _plan(rep), _plan(dual_rep(rep))
-        assert closing[:3] == (1, 0, 1)
-        assert (forward, backward) == (2, 28)
+        (forward, closing), (backward, dual_closing) = (
+            _plan(rep),
+            _plan(dual_rep(rep)),
+        )
+        assert closing is None and dual_closing is None
+        assert (forward, backward) == (28, 30)
         assert self.walked(monkeypatch, rep) == [rep.quiver.b]
 
     @pytest.mark.parametrize(
@@ -674,8 +676,7 @@ class TestClosedForm:
         # 1 -> 0 of valuation 2, backward (the walk of the opposite
         # quiver) at 2 over 3 -> 2 of valuation 1.  In the reflected
         # orientations the other candidate's arrow joins degrees 1 and 2,
-        # into the sink 1 (at 0) or 2 (at 3) that a second arrow also
-        # enters, so it never closes.
+        # into the sink 1 (at 0) or 2 (at 3), so it never closes.
         import random
 
         rng = random.Random(5)
@@ -709,19 +710,6 @@ class TestClosedForm:
                 assert _plan(rep)[1] is None
                 assert _plan(dual_rep(rep))[1] is None
 
-    def test_g2_closes_by_the_rank_of_its_arrow(self):
-        # The F_2 vertex of dimension 3 has 16 subspaces.  A generic
-        # arrow into F_8^2 has rank 2 over F_8, a kernel of dimension 1
-        # and 2 subspaces of it to enumerate, so the vertex closes; the
-        # zero arrow leaves the whole F_8^3, with 146 subspaces.
-        import random
-
-        q = quiver("G2", 2)
-        assert q.diag == (3, 1) and q.sinks == (0,)
-        rep = random_rep(q, (2, 3), random.Random(1))
-        price, (i, k, kernel_dim, _) = _plan(rep)
-        assert (i, k, kernel_dim, price) == (1, 0, 1, 2)
-        assert _plan(ValuedRep.zero_maps(q, (2, 3))) == (16, None)
     @pytest.mark.parametrize("backward", [False, True])
     def test_no_subspaces_enumerated_at_the_closing_vertex(
         self, monkeypatch, backward
@@ -790,13 +778,33 @@ def tuples(q, dims):
     return total
 
 
+def sends(monkeypatch, rep):
+    """(table, subspaces sent) of ``count_all_subreps(rep)``, split and
+    then with every last vertex enumerated whole; the tables are equal."""
+    sent = []
+    real_send = _Walk._send
+
+    def send(walk, i, w):
+        sent.append(i)
+        return real_send(walk, i, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Walk, "_send", send)
+        table = count_all_subreps(rep)
+        split = len(sent)
+        patch.setattr(_Walk, "_split", lambda walk, i: None)
+        assert count_all_subreps(rep) == table
+    return table, split, len(sent) - split
+
+
 class TestMixedClose:
-    """The close of a last enumerated vertex whose one arrow joins fields
-    of different degrees, against brute force and against the walk with
-    no close, in every orientation and both directions.  Sparse maps are
-    rank-deficient, so their kernels have dimension above 1.  B3 closes
-    its F_2-vertex over the arrow into F_4 below a vertex it receives
-    from, so its closes start from a nonzero forced span."""
+    """The split of a last enumerated vertex P over an arrow that joins
+    fields of different degrees, against brute force and against the
+    walk that enumerates P whole, in every orientation, for V and for
+    D(V).  Sparse maps are rank-deficient, so the preimages at P are
+    larger.  B3 splits its F_4-vertex over the arrow to its F_2-vertex
+    below the vertex it receives from, so at dimension 3 its splits start
+    from a nonzero forced span."""
 
     CASES = [
         ("G2", 2, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2), (2, 3)]),
@@ -809,8 +817,9 @@ class TestMixedClose:
         ("VAL2", 3, [(1, 1), (1, 2), (2, 1), (2, 2)]),
         ("G2x2", 2, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]),
         ("B3", 2, [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (2, 2, 1),
-                   (1, 2, 2), (0, 1, 2), (2, 2, 2)]),
-        ("B3", 3, [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2)]),
+                   (1, 2, 2), (0, 1, 2), (2, 2, 2), (1, 3, 1), (2, 3, 1)]),
+        ("B3", 3, [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2),
+                   (1, 3, 1)]),
     ]
 
     @pytest.mark.parametrize(
@@ -819,76 +828,74 @@ class TestMixedClose:
     def test_tables_against_brute_force_and_the_enumerating_walk(
         self, monkeypatch, name, p, vectors
     ):
-        import random
+        # the dimension of the forced span of each split across degrees
+        forced = []
+        real_split = _Walk._split
 
-        import valq.reps
+        def split(walk, i):
+            out = real_split(walk, i)
+            q = walk.quiver
+            if out is not None and any(
+                q.diag[j] != q.diag[i] for h, j, _ in q.arrow_keys if h == i
+            ):
+                forced.append(len(walk.inbox[i][0]))
+            return out
 
-        closes = []
-        mixed_close = valq.reps._Walk._mixed_close
-
-        def recorded(walk, i, k, forced):
-            closes.append(len(forced))
-            return mixed_close(walk, i, k, forced)
-
-        monkeypatch.setattr(valq.reps._Walk, "_mixed_close", recorded)
-        closing_vertex = valq.reps._closing_vertex
+        monkeypatch.setattr(_Walk, "_split", split)
         rng = random.Random(p)
         q0 = mixed_quiver(name, p)
         for q in [q0] + [q0.reflected(k) for k in q0.sinks + q0.sources]:
             for dims in vectors:
                 for build in (random_rep, sparse_rep):
                     rep = build(q, dims, rng)
-                    for backward in (False, True):
-                        table = walk(rep, backward)
-                        monkeypatch.setattr(
-                            valq.reps, "_closing_vertex", lambda *args: None
-                        )
-                        assert walk(rep, backward) == table
-                        monkeypatch.setattr(
-                            valq.reps, "_closing_vertex", closing_vertex
-                        )
-                        if tuples(q, dims) <= 400:
-                            for e, cnt in table.items():
-                                assert cnt == brute_count_subreps(rep, e)
-        assert closes
+                    table = walk(rep)
+                    assert walk(rep, True) == table
+                    for x in (rep, dual_rep(rep)):
+                        whole = _Walk(x, _plan(x)[1])
+                        whole.plan = None
+                        assert whole.table() == walk(x)
+                    if tuples(q, dims) <= 400:
+                        for e, cnt in table.items():
+                            assert cnt == brute_count_subreps(rep, e)
+        assert forced
         if name == "B3":
-            assert any(closes)
+            assert any(forced)
 
     def test_g2_at_17_enumerates_a_handful_of_subspaces(self, monkeypatch):
         # The rigid G2 representation of dimension (2, 3) over F_17 and
-        # its reflections at 0 and 1.  Without the close, the walks of
-        # (2, 3) enumerate all 616 subspaces of F_17^3.
-        import valq.reps
-
-        yielded = []
-        original = valq.reps.enumerate_subspaces_containing
-
-        def counted(*args, **kwargs):
-            for w in original(*args, **kwargs):
-                yielded.append(len(w))
-                yield w
-
-        monkeypatch.setattr(
-            valq.reps, "enumerate_subspaces_containing", counted
-        )
+        # its reflections at 0 and 1.  Each walk splits its one enumerated
+        # vertex over the arrow between F_17 and F_4913, and sends its
+        # forced span and one special subspace.  Enumerated whole, the
+        # walks of (2, 3) send all 616 subspaces of F_17^3.
         rep = build_rigid_rep(quiver("G2", 17), (2, 3), rng_seed=0)
         reps = [rep, reflect(rep, 0), reflect(rep, 1)]
-
-        def walk_all():
-            tables, counts = [], []
-            for r in reps:
-                yielded.clear()
-                tables.append(count_all_subreps(r))
-                counts.append(len(yielded))
-            return tables, counts
-
-        tables, counts = walk_all()
-        assert max(counts) <= 2
-        monkeypatch.setattr(valq.reps, "_closing_vertex", lambda *args: None)
-        enumerated, counts = walk_all()
-        assert enumerated == tables
         assert [r.dims for r in reps] == [(2, 3), (1, 3), (2, 3)]
-        assert counts[0] == counts[2] == 616
+        counts = [sends(monkeypatch, r)[1:] for r in reps]
+        assert [split for split, _ in counts] == [2, 2, 2]
+        assert counts[0][1] == counts[2][1] == 616
+
+    def test_degree_two_vertex_into_degree_three_splits(self, monkeypatch):
+        # B with degrees (3, 2, 1), from a random relabeled matrix: the
+        # degree-2 vertex 1 of the rigid (1, 3, 0) feeds the degree-3
+        # vertex 0.  Enumerated whole over F_17 it sent 167,625
+        # subspaces; split it sends 3.
+        b = ((0, -2, 0), (3, 0, -2), (0, 4, 0))
+        assert minimal_symmetrizer(b) == (3, 2, 1)
+        q = ValuedQuiver.from_matrix(b, minimal_symmetrizer(b), 5)
+        rep = build_rigid_rep(q, (1, 3, 0), rng_seed=0)
+        split = _Walk(rep, _plan(rep)[1])
+        whole = _Walk(rep, _plan(rep)[1])
+        whole.plan = None
+        assert split.table() == whole.table() == count_all_subreps(rep)
+        q = ValuedQuiver.from_matrix(b, minimal_symmetrizer(b), 17)
+        rep = build_rigid_rep(q, (1, 3, 0), rng_seed=0)
+        sent = []
+        real_send = _Walk._send
+        monkeypatch.setattr(
+            _Walk, "_send", lambda w, i, x: sent.append(i) or real_send(w, i, x)
+        )
+        count_all_subreps(rep)
+        assert len(sent) == 3
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_the_inversion_gives_q_vandermonde(self, q):
@@ -929,10 +936,15 @@ def f4_orientations(p):
 @lru_cache(maxsize=None)
 def split_quivers(p):
     """The quivers whose walks split their last enumerated vertex: every
-    orientation of F4 and its reflections, B3 and its reflections, and
+    orientation of F4 and its reflections, B3, G2, B2, C2, VAL2 and G2x2
+    with their reflections, whose arrows join different degrees, and
     the Kronecker pair, whose double arrow never splits."""
     kronecker = ValuedQuiver.from_matrix(((0, 2), (-2, 0)), (1, 1), p)
-    return f4_orientations(p) + orientations("B3", p) + [kronecker]
+    mixed = []
+    for name in ("G2", "B2", "C2", "VAL2", "G2x2"):
+        q = mixed_quiver(name, p)
+        mixed += [q] + [q.reflected(k) for k in q.sinks + q.sources]
+    return f4_orientations(p) + orientations("B3", p) + mixed + [kronecker]
 
 
 class TestSplit:
@@ -1013,7 +1025,7 @@ class TestSplit:
         def split(walk, i):
             out = real_split(walk, i)
             if out is not None:
-                outs = {j for j, _ in walk.links[i]}
+                outs = {j for h, j, _ in walk.quiver.arrow_keys if h == i}
                 if walk.inbox[i][0]:
                     shapes.add("forced span")
                 if len(outs & set(walk.terminals)) >= 2:
@@ -1263,84 +1275,66 @@ class TestWorkShape:
         assert set(built) == set(opposites) == set(ctx.primes)
         assert max(built.values()) <= 3 and max(opposites.values()) <= 3
 
-    def test_g2_walks_closing_first_build_no_arrow_matrix(self, monkeypatch):
-        # the arrow matrices of a vertex are built on its first send, and
-        # a walk that closes its first vertex sends nothing
-        calls = []
-        walks = []
-        started = {}
+    @staticmethod
+    def walks_of(monkeypatch, name):
+        """(walk, arrow matrices built, sends, table) for every walk of
+        ``verify-all`` on the builtin ``name``, each of whose checks
+        passes."""
+        calls, sent, walks, started = [], [], [], {}
         real_matrix = reps._fp_arrow_matrix
-        real_init = _Walk.__init__
+        real_send = _Walk._send
         real_table = _Walk.table
 
         def matrix(*args):
             calls.append(args)
             return real_matrix(*args)
 
-        def init(walk, rep, closing):
-            started[id(walk)] = len(calls)
-            real_init(walk, rep, closing)
+        def send(walk, i, w):
+            sent.append(i)
+            return real_send(walk, i, w)
 
         def table(walk):
+            before = len(calls), len(sent)
             out = real_table(walk)
-            first = walk.closing is not None and walk.closing == walk.enumerated[0]
-            walks.append((first, len(calls) - started.pop(id(walk))))
+            walks.append((walk, len(calls) - before[0], len(sent) - before[1], out))
             return out
 
-        monkeypatch.setattr(reps, "_fp_arrow_matrix", matrix)
-        monkeypatch.setattr(_Walk, "__init__", init)
-        monkeypatch.setattr(_Walk, "table", table)
-        data = builtin_exchange_data("G2")
-        ctx = VerifyContext(data, max_depth=16)
-        for report in run_all(ctx):
-            assert report.status == "PASS", report.check
+        with monkeypatch.context() as patch:
+            patch.setattr(reps, "_fp_arrow_matrix", matrix)
+            patch.setattr(_Walk, "_send", send)
+            patch.setattr(_Walk, "table", table)
+            ctx = VerifyContext(builtin_exchange_data(name), max_depth=16)
+            for report in run_all(ctx):
+                assert report.status == "PASS", report.check
+        return walks
+
+    def test_walks_closing_first_build_no_arrow_matrix(self, monkeypatch):
+        # The arrow matrices of a vertex are built on its first send, and
+        # a walk that closes its first vertex sends nothing: every walk of
+        # A2 closes its source into its sink.  G2's arrow joins degrees 3
+        # and 1, so no walk of it closes, and each builds the matrices of
+        # the one vertex it splits.
+        a2 = self.walks_of(monkeypatch, "A2")
+        assert a2 and all(
+            w.closing == w.enumerated[0] and n == sent == 0 for w, n, sent, _ in a2
+        )
+        g2 = self.walks_of(monkeypatch, "G2")
+        assert all(w.closing is None and n for w, n, _, _ in g2)
+
+    def test_g2_walks_split_where_they_closed_across_degrees(self, monkeypatch):
+        # None of the 112 walks of G2 closes; each splits its one
+        # enumerated vertex, and all of them send 217 subspaces, the
+        # forced spans included.  The 70 that closed across degrees sent
+        # nothing and enumerated the subspaces of a kernel there instead.
+        # Each table is that of the walk enumerating the vertex whole.
+        walks = self.walks_of(monkeypatch, "G2")
         assert len(walks) == 112
-        assert sum(first for first, _ in walks) == 70
-        assert all(n == 0 for first, n in walks if first)
-        assert any(n for first, n in walks if not first)
-
-    def test_g2_builds_one_kernel_per_walk_that_closes_across_degrees(
-        self, monkeypatch
-    ):
-        # The planner prices V and D(V) from the rank of each closing
-        # arrow; only the walked side builds a basis of its kernel.
-        kernels = []
-        walks = []
-        real_kernel = reps.f_kernel_basis
-        real_init = _Walk.__init__
-        real_table = _Walk.table
-
-        def kernel_basis(field, rows, ncols):
-            kernels.append(rows)
-            return real_kernel(field, rows, ncols)
-
-        def init(walk, rep, closing):
-            built = len(kernels)
-            real_init(walk, rep, closing)
-            walk.built = len(kernels) - built
-            walk.plan = closing
-
-        def table(walk):
-            out = real_table(walk)
-            walks.append((walk, out))
-            return out
-
-        monkeypatch.setattr(reps, "f_kernel_basis", kernel_basis)
-        monkeypatch.setattr(_Walk, "__init__", init)
-        monkeypatch.setattr(_Walk, "table", table)
-        ctx = VerifyContext(builtin_exchange_data("G2"), max_depth=16)
-        for report in run_all(ctx):
-            assert report.status == "PASS", report.check
-        assert len(walks) == 112
-        assert sum(w.kernel is not None for w, _ in walks) == 70
-        assert all(w.built == (w.kernel is not None) for w, _ in walks)
-        monkeypatch.undo()
-        for walk, out in walks:
-            # the kernel has the dimension the planner read off the rank,
-            # and the close counts what the walk without it counts
-            if walk.kernel is not None:
-                assert len(walk.kernel) == walk.plan[2]
-            assert out == _Walk(walk.rep, None).table()
+        assert all(w.closing is None and w.plan for w, *_ in walks)
+        assert sum(sent for _, _, sent, _ in walks) == 217
+        for walk, _, _, out in walks:
+            whole = _Walk(walk.rep, None)
+            whole.plan = None
+            assert out == whole.table()
 
     def test_f4_builds_each_frame_once_per_seed_and_each_dual_once(
         self, monkeypatch
@@ -1393,6 +1387,33 @@ class TestWorkShape:
             assert report.status == "PASS", report.check
         assert len(frames) == 243
         assert len(counts) == len(duals) == 427
+
+    def test_f4_verify_all_sends_1860_subspaces(self, monkeypatch):
+        # 2,468 when a vertex whose arrows join degrees 1 and 2 was
+        # enumerated whole
+        sent = []
+        real_send = _Walk._send
+        monkeypatch.setattr(
+            _Walk, "_send", lambda w, i, x: sent.append(i) or real_send(w, i, x)
+        )
+        ctx = VerifyContext(build_exchange_data(F4_B), max_depth=16)
+        for report in run_all(ctx):
+            assert report.status in ("PASS", "SKIPPED"), report.check
+        assert len(sent) == 1860
+
+    def test_f4_skipped_vectors_at_5_send_1943_subspaces(self, monkeypatch):
+        # The three vectors that F4 verify-all skips at the default
+        # primes, and their reflections at the sink 0 and the source 3:
+        # 9 walks over F_5, which sent 4,760 subspaces when their
+        # degree-1 vertex feeding the degree-2 closing vertex was
+        # enumerated whole.  Split and whole give the same tables.
+        q = ValuedQuiver.from_matrix(F4_B, minimal_symmetrizer(F4_B), 5)
+        total = 0
+        for v in [(1, 2, 4, 2), (1, 3, 4, 2), (2, 3, 4, 2)]:
+            rep = build_rigid_rep(q, v, rng_seed=0)
+            for x in (rep, reflect(rep, 0), reflect(rep, 3)):
+                total += sends(monkeypatch, x)[1]
+        assert total == 1943
 
     @staticmethod
     def sends_at_last_vertex(monkeypatch, dims):
