@@ -428,14 +428,6 @@ def to_digits(field, vec):
     return out
 
 
-def to_codes(field, digs):
-    """The codes of ``field`` whose base-p digits ``digs`` holds."""
-    if field.d == 1:
-        return list(digs)
-    d = field.d
-    return [field.from_digits(digs[r : r + d]) for r in range(0, len(digs), d)]
-
-
 def f_preimage(field, matrix, rows, ncols):
     """A basis of the x in field**ncols that ``matrix`` maps into the span
     of the independent ``rows``: the first ncols coordinates of the kernel
@@ -563,6 +555,21 @@ def enumerate_subspaces_containing(field, n, k, sub_rows):
         yield lifted
 
 
+def extension_vectors(tower, d, g, target, rows):
+    """Vectors over ``target`` spanning W(x), the span over that field of
+    the F_g-coordinate vectors of W, for the span W of ``rows`` over the
+    degree-d field of ``tower``: the coordinates over the degree-g
+    subfield (``FieldTower.to_subfield``) of t**l * x for each row x and
+    l < d / g, which span W over F_g, embedded in the target field."""
+    field = tower.field(d)
+    out = []
+    for x in rows:
+        for l in range(d // g):
+            coords = tower.to_subfield(d, g, _scale(field, field.p**l, x) if l else x)
+            out.append([tower.embed(g, target.d, c) for c in coords])
+    return out
+
+
 def special_subspaces(tower, d, n, forced, maps):
     """(special, shared, raised) for the subspaces W of V = field**n, over
     the degree-d field of ``tower``, above the span F of ``forced``, a
@@ -573,7 +580,7 @@ def special_subspaces(tower, d, n, forced, maps):
     over the degree-g subfield, into a space over the target's field E:
     the rows of its evaluation map phi and a basis over E of a subspace T.
     phi is linear over E, from V(x) = E**(n e), e = d / g, where W(x), the
-    E-span of the F_g-coordinate vectors of W (``FieldTower.to_subfield``),
+    E-span of the F_g-coordinate vectors of W (``extension_vectors``),
     has dimension e dim W and chi(W) spans phi(W(x)).  So dim(T + chi(W))
     = dim T + e dim W - dim(W(x) meet J) for the preimage J = phi^-1(T).
     Each J is read from the side with fewer E-lines, and W is special
@@ -604,13 +611,9 @@ def special_subspaces(tower, d, n, forced, maps):
     sides, raised, lines = [], [], 0
     for phi, g, target, t_rows in maps:
         e = d // g
-        # F(x), from the F_g-basis t**l * x of F
         span = ([], [])
-        for x in rows:
-            for l in range(e):
-                coords = tower.to_subfield(d, g, _scale(field, field.p**l, x))
-                y = [tower.embed(g, target.d, c) for c in coords]
-                span = f_insert(target, *span, y)
+        for y in extension_vectors(tower, d, g, target, rows):
+            span = f_insert(target, *span, y)
         kept = []
         for y in f_preimage(target, phi, t_rows, n * e):
             bigger = f_insert(target, *span, y)

@@ -13,9 +13,10 @@ of the summed evaluation map.  The source reflection is D S^+ D, the
 sink reflection of the dual representation, dualised back.
 
 Subrepresentations are counted for every dimension vector e in the box
-below the representation's at once, by one walk.  It takes each arrow map
-once as prime-field matrices of x -> phi(t**l * x) and does its linear
-algebra on base-p digit vectors.  It enumerates the non-sinks in
+below the representation's at once, by one walk.  It reads each arrow
+of valuation g into j through its evaluation map, linear over the field
+E at j: the image of a subspace W spans the image of W(x), the E-span of
+the F_g-coordinate vectors of W.  It enumerates the non-sinks in
 topological order, and at each one takes every subspace containing the
 images forced by the subspaces already chosen upstream.  Each vertex
 keeps the span of the images it has received as a reduced echelon
@@ -66,20 +67,18 @@ quiver keeps its opposite and its reflections, the opposite of the
 opposite and a reflection reflected back being the quiver itself, and a
 representation keeps its dual, the dual of the dual being itself; so a
 reflection at a source, D S^+ D, hands its count the dual it holds.  A
-walk builds the arrow matrices of a vertex on its first send, and the
-evaluation maps of P's arrows on the first split that reads them; the
-sink reflection puts the same per-arrow maps side by side.  The
-dual multiplies by no Gram matrix of a trace form at an end whose
-degree is the arrow's valuation, where it is the 1x1 identity, so it
-transposes an arrow between two such ends.  The dual and the sink
-reflection build their results without the public constructor's
-checks.
+walk builds the evaluation map of an arrow on the first send or split
+that reads it; the sink reflection puts the same per-arrow maps side by
+side, and ``hom_dim`` reads those of V.  The dual multiplies by no
+Gram matrix of a trace form at an end whose degree is the arrow's
+valuation, where it is the 1x1 identity, so it transposes an arrow
+between two such ends.  The dual and the sink reflection build their
+results without the public constructor's checks.
 """
 
 import random
 from collections import Counter
 from itertools import product
-from operator import mul
 
 from .exchange import sinks_and_sources, topological_order, valued_arrows
 from .finfield import (
@@ -87,6 +86,7 @@ from .finfield import (
     block_diagonal,
     build_tower,
     enumerate_subspaces_containing,
+    extension_vectors,
     f_insert,
     f_kernel_basis,
     f_matmul,
@@ -97,7 +97,6 @@ from .finfield import (
     meet_counts,
     special_subspaces,
     subspace_total,
-    to_codes,
     to_digits,
 )
 
@@ -311,55 +310,21 @@ def simple_reflection(b, k, v):
     return tuple(out)
 
 
-def _fp_arrow_matrix(rep, key, scale=1):
-    """The arrow map, after multiplying its input by the vertex-field
-    element ``scale``, as a matrix over the prime field.
-
-    Input and output coordinates flatten vertex-field coordinates into
-    base-p digits (index r*d + s for coordinate r, digit s).  Over the
-    prime field, subfield coordinates are these digits, so an arrow of
-    valuation 1 is its map matrix times multiplication by ``scale`` on
-    each digit block.
-    """
-    i, j, _ = key
-    quiver = rep.quiver
-    di = quiver.diag[i]
-    fi = quiver.field(i)
-    vi = rep.dims[i]
-    if quiver.valuation[(i, j)] == 1:
-        p = quiver.p
-        # column s: the digits of scale * t**s
-        block = [fi.digits(fi.mul(scale, _tpow(fi, s))) for s in range(di)]
-        return [
-            [
-                sum(row[r * di + a] * block[s][a] for a in range(di)) % p
-                for r in range(vi)
-                for s in range(di)
-            ]
-            for row in rep.maps[key]
-        ]
-    fj = quiver.field(j)
-    cols = []
-    for r in range(vi):
-        for s in range(di):
-            vec = [0] * vi
-            vec[r] = fi.mul(scale, _tpow(fi, s))
-            cols.append(to_digits(fj, rep.apply_arrow(key, vec)))
-    nrows = rep.dims[j] * quiver.diag[j]
-    return [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
-
-
 def hom_dim(repv, repw):
     """Prime-field dimension of the space of homomorphisms V -> W.
 
     The unknowns are the prime-field basis maps f = t**s * E_rc of each
-    vertex space, x -> t**s * x_c at coordinate r.  The column of f holds
-    theta_W f in the block of each arrow leaving f's vertex and -f theta_V
-    in the block of each arrow entering it, zero elsewhere, so the
-    homomorphisms are the kernel of the matrix of these columns.  theta_W
-    f is block r of the arrow matrix of W after scaling by t**s
-    (``_fp_arrow_matrix``), moved to block c; f theta_V is t**s times
-    coordinate c of each image of theta_V, placed in block r.
+    vertex space, x -> t**s * x_c at coordinate r.  A tuple of maps is a
+    homomorphism when theta_W f - f theta_V vanishes on each arrow h -> j
+    of valuation g, that is on each F_g-basis vector t**l * e_m of V_h.
+    So an arrow has one block of equations, one row group per such
+    vector holding the base-p digits of the value there, and the
+    homomorphisms are the kernel of the matrix whose columns are the f.
+    The column of f at i holds theta_W(t**s * t**l * e_r)
+    (``ValuedRep.apply_arrow``) in the row group of t**l * e_c of each
+    arrow leaving i, and -t**s times coordinate c of column m of V's
+    evaluation map (``_arrow_evaluation``) at coordinate r of row group m
+    of each arrow entering i.
     """
     if repv.quiver is not repw.quiver and (
         repv.quiver.b != repw.quiver.b
@@ -368,45 +333,53 @@ def hom_dim(repv, repw):
     ):
         raise TowerMismatch("representations live over different quivers")
     quiver = repv.quiver
-    # the block of an arrow h -> j: maps V_h -> W_j over the prime field
+    # the block of an arrow h -> j: the digits of W_j per F_g-basis vector
+    # of V_h
     offsets, total = {}, 0
     for key in quiver.arrow_keys:
         h, j, _ = key
         offsets[key] = total
-        total += repw.dims[j] * quiver.diag[j] * repv.dims[h] * quiver.diag[h]
+        e = quiver.diag[h] // quiver.valuation[(h, j)]
+        total += repv.dims[h] * e * repw.dims[j] * quiver.diag[j]
     columns = []
     for i in range(quiver.n):
         fi, d = quiver.field(i), quiver.diag[i]
         v, w = repv.dims[i], repw.dims[i]
         if not v * w:
             continue
-        # theta_V's image of each input digit, per arrow into i
-        images = {
-            key: [to_codes(fi, y) for y in zip(*_fp_arrow_matrix(repv, key))]
-            for key in offsets
-            if key[1] == i
-        }
+        outs = [key for key in offsets if key[0] == i]
+        ins = [(key, _arrow_evaluation(repv, key)) for key in offsets if key[1] == i]
         for s in range(d):
             ts = _tpow(fi, s)
-            scaled = {
-                key: _fp_arrow_matrix(repw, key, ts)
-                for key in offsets
-                if key[0] == i
-            }
+            # per arrow leaving i and per r, theta_W(t**s * t**l * e_r) for
+            # each l in turn, which f = t**s * E_rc puts at c for every c
+            images = []
+            for key in outs:
+                fj = quiver.field(key[1])
+                flat = []
+                for r in range(w):
+                    digits = []
+                    for l in range(d // quiver.valuation[key[:2]]):
+                        x = [0] * w
+                        x[r] = fi.mul(ts, _tpow(fi, l))
+                        digits += to_digits(fj, repw.apply_arrow(key, x))
+                    flat.append(digits)
+                images.append((offsets[key], flat))
             for c in range(v):
-                minus = {}
-                for key, ys in images.items():
-                    digits = [fi.digits(fi.neg(fi.mul(ts, y[c]))) for y in ys]
-                    minus[key] = [x for row in zip(*digits) for x in row]
+                minus = [
+                    (offsets[key], [fi.digits(fi.neg(fi.mul(ts, y))) for y in phi[c]])
+                    for key, phi in ins
+                ]
                 for r in range(w):
                     col = [0] * total
-                    for key, mat in scaled.items():
-                        for m, row in enumerate(mat):
-                            at = offsets[key] + (m * v + c) * d
-                            col[at : at + d] = row[r * d : (r + 1) * d]
-                    for key, block in minus.items():
-                        at = offsets[key] + r * len(block)
-                        col[at : at + len(block)] = block
+                    for at, flat in images:
+                        size = len(flat[r])
+                        col[at + c * size : at + (c + 1) * size] = flat[r]
+                    for at, digits in minus:
+                        at += r * d
+                        for y in digits:
+                            col[at : at + d] = y
+                            at += w * d
                     columns.append(col)
     return len(columns) - f_rank(quiver.tower.field(1), columns)
 
@@ -451,25 +424,7 @@ def build_rigid_rep(quiver, dims, rng_seed=0, attempts=400):
     )
 
 
-# -- subrepresentation counting over the prime field --
-
-
-def _scaled_arrow_matrices(rep, i):
-    """Prime-field matrices of x -> phi(t**l * x) for every arrow map phi
-    leaving i and every l below the degree of the field at i over the
-    arrow's valuation field, as (target, matrices) per target.  Their
-    images of a subspace at i span its image over the valuation field."""
-    quiver = rep.quiver
-    fi = quiver.field(i)
-    out = {}
-    for key in quiver.arrow_keys:
-        if key[0] == i:
-            j = key[1]
-            for l in range(quiver.diag[i] // quiver.valuation[(i, j)]):
-                out.setdefault(j, []).append(
-                    _fp_arrow_matrix(rep, key, _tpow(fi, l))
-                )
-    return list(out.items())
+# -- subrepresentation counting --
 
 
 def _walk_order(quiver):
@@ -504,10 +459,9 @@ class _Walk:
     images it received as a reduced echelon basis (``inbox``), extended
     one image at a time by ``f_insert`` and restored to the parent's
     basis when the walk backs up; every sink is counted in closed form
-    from the dimension of that span.  The arrow matrices of a vertex are
-    built on its first ``_send``, so a walk that closes its first vertex
-    builds none.  ``_split`` reads P's arrows by their evaluation maps,
-    built on the first parent that needs them.
+    from the dimension of that span.  ``_send`` and ``_split`` read each
+    arrow through its evaluation map, built on the first send or split
+    that needs it, so a walk that closes its first vertex builds none.
 
     Each leaf adds one to its class (``_key``), which ``leaves`` expands
     at a close.  The last vertex P that is enumerated sends only its
@@ -519,12 +473,10 @@ class _Walk:
         quiver = rep.quiver
         self.rep = rep
         self.quiver = quiver
-        self.p = quiver.p
         self.enumerated, self.terminals = _walk_order(quiver)
         self.closing, self.sink = closing or (None, None)
-        # the out-neighbours of each vertex sent from, with the arrow
-        # matrices, and the evaluation maps of the arrows that split P
-        self.links, self.evaluations = {}, {}
+        # the evaluation map of each arrow sent along or split over
+        self.evaluations = {}
         self.inbox = {i: ([], []) for i in range(quiver.n)}
         if closing is not None:
             self.slot = self.terminals.index(self.sink)
@@ -679,9 +631,7 @@ class _Walk:
         """``special_subspaces`` of the last enumerated vertex i for the
         preimages of ``_split_plan`` under the current parent, or None to
         enumerate i whole: when V_i over its forced span has dimension
-        below 2, or the preimages hold too many lines.  The evaluation
-        maps of i's arrows are built on the first parent that reads
-        them."""
+        below 2, or the preimages hold too many lines."""
         quiver, rep = self.quiver, self.rep
         forced = self.inbox[i]
         if rep.dims[i] - len(forced[0]) < 2:
@@ -694,9 +644,7 @@ class _Walk:
             if which is not None and j == self.closing:
                 psi = rep.maps[(j, self.sink, 0)]
                 rows = f_preimage(quiver.field(j), psi, rows, rep.dims[j])
-            phi = self.evaluations.get(key)
-            if phi is None:
-                phi = self.evaluations[key] = _arrow_evaluation(rep, key)
+            phi = self._evaluation_map(key)
             maps.append((phi, quiver.valuation[(i, j)], quiver.field(j), rows))
         d, n = quiver.diag[i], rep.dims[i]
         return special_subspaces(quiver.tower, d, n, forced, maps)
@@ -709,24 +657,32 @@ class _Walk:
         for k in range(v + 1):
             yield from enumerate_subspaces_containing(field, v, k, forced)
 
+    def _evaluation_map(self, key):
+        phi = self.evaluations.get(key)
+        if phi is None:
+            phi = self.evaluations[key] = _arrow_evaluation(self.rep, key)
+        return phi
+
     def _send(self, i, w):
         """Insert the images of the subspace w at i into the bases of its
-        out-neighbours; returns their bases before, to restore."""
-        p = self.p
-        fi = self.quiver.field(i)
-        xs = [to_digits(fi, row) for row in w]
-        links = self.links.get(i)
-        if links is None:
-            links = self.links[i] = _scaled_arrow_matrices(self.rep, i)
+        out-neighbours; returns their bases before, to restore.  Along an
+        arrow into j they span the images, under its evaluation map, of
+        the vectors that span w(x) over the field at j
+        (``extension_vectors``)."""
+        quiver = self.quiver
         parents = {}
-        for j, mats in links:
-            fj = self.quiver.field(j)
-            parents[j] = span = self.inbox[j]
-            for mat in mats:
-                for x in xs:
-                    y = [sum(map(mul, row, x)) % p for row in mat]
-                    if any(y):
-                        span = f_insert(fj, *span, to_codes(fj, y))
+        for key in quiver.arrow_keys:
+            if key[0] != i:
+                continue
+            j = key[1]
+            fj, g = quiver.field(j), quiver.valuation[(i, j)]
+            phi = self._evaluation_map(key)
+            parents.setdefault(j, self.inbox[j])
+            span = self.inbox[j]
+            for x in extension_vectors(quiver.tower, quiver.diag[i], g, fj, w):
+                y = f_matvec(fj, phi, x)
+                if any(y):
+                    span = f_insert(fj, *span, y)
             self.inbox[j] = span
         return parents
 
@@ -812,15 +768,16 @@ def _arrow_evaluation(rep, key):
     """The rows of the evaluation map of the arrow ``key`` = (i, j, _) of
     valuation g, linear over the field E at j: from E**w, w the dimension
     of V_i over F_g, to V_j, its column m the column m of the arrow's
-    matrix read as a vector over E."""
+    matrix read as a vector over E.  It has dim V_j rows, empty when V_i
+    is 0."""
     i, j, _ = key
     quiver = rep.quiver
     g = quiver.valuation[(i, j)]
-    columns = [
-        quiver.tower.from_subfield(quiver.diag[j], g, col)
-        for col in zip(*rep.maps[key])
-    ]
-    return [list(row) for row in zip(*columns)]
+    rows = [[] for _ in range(rep.dims[j])]
+    for col in zip(*rep.maps[key]):
+        for row, y in zip(rows, quiver.tower.from_subfield(quiver.diag[j], g, col)):
+            row.append(y)
+    return rows
 
 
 def _evaluation(rep, k):

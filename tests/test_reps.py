@@ -327,6 +327,63 @@ class TestHomDim:
             for w in reps:
                 assert brute_hom_count(v, w) == 2 ** hom_dim(v, w)
 
+    # On a tree, negating f_j on one side of the bipartition takes the
+    # solutions of theta_W f = f theta_V to those of theta_W f = -f
+    # theta_V, so a wrong sign keeps every count; WILD3 is a triangle,
+    # where it shows at p = 3.
+    @pytest.mark.parametrize(
+        "p,dims",
+        [(3, (1, 1, 1)), (3, (1, 1, 0)), (3, (1, 0, 1)), (3, (0, 1, 1)),
+         (3, (2, 1, 0)), (2, (1, 1, 1)), (2, (2, 1, 1))],
+    )
+    def test_brute_force_endomorphisms_on_a_triangle(self, p, dims):
+        q = quiver("WILD3", p)
+        rng = random.Random(p)
+        for _ in range(3):
+            v = random_rep(q, dims, rng)
+            assert brute_hom_count(v, v) == p ** hom_dim(v, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_against_brute_force_and_the_dual(self, data):
+        # Hom(V, W) and Hom(D(W), D(V)) have one dimension, over the
+        # quivers of ``split_quivers`` and, half the time, the triangle
+        # WILD3, the one quiver here where the sign of f theta_V shows.
+        p = data.draw(st.sampled_from((2, 3)), label="p")
+        if data.draw(st.booleans(), label="triangle"):
+            q = quiver("WILD3", p)
+        else:
+            quivers = split_quivers(p)
+            q = quivers[data.draw(st.integers(0, len(quivers) - 1), label="quiver")]
+        dv = tuple(data.draw(st.integers(0, 2)) for _ in range(q.n))
+        dw = tuple(data.draw(st.integers(0, 2)) for _ in range(q.n))
+        tuples = 1
+        for i in range(q.n):
+            tuples *= q.field(i).q ** (dv[i] * dw[i])
+        assume(tuples <= 4096)
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        build = data.draw(st.sampled_from((random_rep, sparse_rep)))
+        v, w = build(q, dv, rng), build(q, dw, rng)
+        dim = hom_dim(v, w)
+        assert brute_hom_count(v, w) == p**dim
+        assert hom_dim(dual_rep(w), dual_rep(v)) == dim
+
+    @pytest.mark.parametrize("name", ["B2", "G2", "B3", "WILD3"])
+    def test_evaluation_maps_of_simples(self, name):
+        # An arrow's evaluation map has a row per coordinate of its
+        # target and a column per F_g-coordinate of its source, so on a
+        # simple it has no columns, or no rows.
+        q = quiver(name, 3)
+        for k in range(q.n):
+            s = ValuedRep.simple(q, k)
+            for key in q.arrow_keys:
+                i, j, _ = key
+                width = s.dims[i] * q.diag[i] // q.valuation[(i, j)]
+                phi = reps._arrow_evaluation(s, key)
+                assert len(phi) == s.dims[j]
+                assert all(len(row) == width for row in phi)
+            assert hom_dim(s, s) == q.diag[k]
+
 
 class TestRigidity:
     def test_rigid_reps_exist_for_b2_dimension_vectors(self):
@@ -1276,60 +1333,64 @@ class TestWorkShape:
         assert max(built.values()) <= 3 and max(opposites.values()) <= 3
 
     @staticmethod
-    def walks_of(monkeypatch, name):
-        """(walk, arrow matrices built, sends, table) for every walk of
-        ``verify-all`` on the builtin ``name``, each of whose checks
-        passes."""
-        calls, sent, walks, started = [], [], [], {}
-        real_matrix = reps._fp_arrow_matrix
+    def walks_of(monkeypatch, data, statuses=("PASS",)):
+        """(walk, arrows whose evaluation maps it built, sends, table) for
+        every walk of ``verify-all`` on the exchange data, each of whose
+        checks ends in one of ``statuses``."""
+        built, sent, walks = [], [], []
+        real_evaluation = reps._arrow_evaluation
         real_send = _Walk._send
         real_table = _Walk.table
 
-        def matrix(*args):
-            calls.append(args)
-            return real_matrix(*args)
+        def evaluation(rep, key):
+            built.append(key)
+            return real_evaluation(rep, key)
 
         def send(walk, i, w):
             sent.append(i)
             return real_send(walk, i, w)
 
         def table(walk):
-            before = len(calls), len(sent)
+            before = len(built), len(sent)
             out = real_table(walk)
-            walks.append((walk, len(calls) - before[0], len(sent) - before[1], out))
+            walks.append((walk, built[before[0] :], len(sent) - before[1], out))
             return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(reps, "_fp_arrow_matrix", matrix)
+            patch.setattr(reps, "_arrow_evaluation", evaluation)
             patch.setattr(_Walk, "_send", send)
             patch.setattr(_Walk, "table", table)
-            ctx = VerifyContext(builtin_exchange_data(name), max_depth=16)
+            ctx = VerifyContext(data, max_depth=16)
             for report in run_all(ctx):
-                assert report.status == "PASS", report.check
+                assert report.status in statuses, report.check
         return walks
 
-    def test_walks_closing_first_build_no_arrow_matrix(self, monkeypatch):
-        # The arrow matrices of a vertex are built on its first send, and
-        # a walk that closes its first vertex sends nothing: every walk of
-        # A2 closes its source into its sink.  G2's arrow joins degrees 3
-        # and 1, so no walk of it closes, and each builds the matrices of
-        # the one vertex it splits.
-        a2 = self.walks_of(monkeypatch, "A2")
+    def test_walks_closing_first_build_no_evaluation_map(self, monkeypatch):
+        # A walk builds an arrow's evaluation map on the first send or
+        # split that reads it, and a walk that closes its first vertex
+        # sends nothing: every walk of A2 closes its source into its sink.
+        # G2's arrow joins degrees 3 and 1, so no walk of it closes, and
+        # each builds the map of its one arrow.
+        a2 = self.walks_of(monkeypatch, builtin_exchange_data("A2"))
         assert a2 and all(
-            w.closing == w.enumerated[0] and n == sent == 0 for w, n, sent, _ in a2
+            w.closing == w.enumerated[0] and not keys and sent == 0
+            for w, keys, sent, _ in a2
         )
-        g2 = self.walks_of(monkeypatch, "G2")
-        assert all(w.closing is None and n for w, n, _, _ in g2)
+        g2 = self.walks_of(monkeypatch, builtin_exchange_data("G2"))
+        assert all(w.closing is None and len(keys) == 1 for w, keys, _, _ in g2)
 
     def test_g2_walks_split_where_they_closed_across_degrees(self, monkeypatch):
         # None of the 112 walks of G2 closes; each splits its one
         # enumerated vertex, and all of them send 217 subspaces, the
-        # forced spans included.  The 70 that closed across degrees sent
+        # forced spans included, through the one evaluation map that the
+        # split reads too (258 prime-field arrow matrices when the sends
+        # built their own).  The 70 that closed across degrees sent
         # nothing and enumerated the subspaces of a kernel there instead.
         # Each table is that of the walk enumerating the vertex whole.
-        walks = self.walks_of(monkeypatch, "G2")
+        walks = self.walks_of(monkeypatch, builtin_exchange_data("G2"))
         assert len(walks) == 112
         assert all(w.closing is None and w.plan for w, *_ in walks)
+        assert all(len(keys) == 1 for _, keys, _, _ in walks)
         assert sum(sent for _, _, sent, _ in walks) == 217
         for walk, _, _, out in walks:
             whole = _Walk(walk.rep, None)
@@ -1390,16 +1451,16 @@ class TestWorkShape:
 
     def test_f4_verify_all_sends_1860_subspaces(self, monkeypatch):
         # 2,468 when a vertex whose arrows join degrees 1 and 2 was
-        # enumerated whole
-        sent = []
-        real_send = _Walk._send
-        monkeypatch.setattr(
-            _Walk, "_send", lambda w, i, x: sent.append(i) or real_send(w, i, x)
+        # enumerated whole.  The 427 walks build 885 evaluation maps, at
+        # most one per arrow each (1,151 prime-field arrow matrices when
+        # the sends built their own).
+        walks = self.walks_of(
+            monkeypatch, build_exchange_data(F4_B), ("PASS", "SKIPPED")
         )
-        ctx = VerifyContext(build_exchange_data(F4_B), max_depth=16)
-        for report in run_all(ctx):
-            assert report.status in ("PASS", "SKIPPED"), report.check
-        assert len(sent) == 1860
+        assert len(walks) == 427
+        assert sum(sent for _, _, sent, _ in walks) == 1860
+        assert sum(len(keys) for _, keys, _, _ in walks) == 885
+        assert all(len(set(keys)) == len(keys) for _, keys, _, _ in walks)
 
     def test_f4_skipped_vectors_at_5_send_1943_subspaces(self, monkeypatch):
         # The three vectors that F4 verify-all skips at the default
